@@ -93,8 +93,9 @@ class LevelCache:
         return self._graphs[key]
 
     def result(self, family, n, rtol=None):
+        # rtol only steers CG; the direct solve is done once per level
         rtol = self.rtol if rtol is None else rtol
-        key = (family, n, rtol)
+        key = (family, n) if self.max_iter is None else (family, n, rtol)
         if key not in self._results:
             self._results[key] = effective_resistance(
                 self.graph(family, n), rtol=rtol, max_iter=self.max_iter
@@ -167,7 +168,7 @@ def unit_flow(cache: LevelCache, n):
     The terminal pair (sides {0,1} versus {3,4}) is preserved by s2 and
     reversed by r3 and s5; averaging the four transported copies
     projects the solver output onto the symmetric flow, which is the
-    true minimizer, and scrubs asymmetric iteration noise.
+    true minimizer, and scrubs asymmetric rounding noise.
     """
     key = ("I", n)
     if key not in cache._flows:

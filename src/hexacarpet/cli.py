@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
@@ -44,6 +43,7 @@ from .analysis import (
 )
 
 FAMILIES = ("skeleton", "dual", "hexacarpet", "cut", "short")
+THREADS_HELP = "accepted for compatibility; solves run serially"
 
 
 def _fmt(x):
@@ -87,20 +87,14 @@ def _cache(args):
     return LevelCache(cap=cap, max_iter=max_iter)
 
 
-def _prefetch(cache, families, levels, threads):
-    """Build serially (the complex is shared state), solve in parallel."""
+def _prefetch(cache, families, levels):
+    """Build every graph before the first solve, then solve in order."""
     cache.C.ensure_level(max(levels))
-    jobs = []
-    for f in families:
-        for n in levels:
-            cache.graph(f, n)
-            jobs.append((f, n))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda j: cache.result(*j), jobs))
-    else:
-        for j in jobs:
-            cache.result(*j)
+    jobs = [(f, n) for f in families for n in levels]
+    for j in jobs:
+        cache.graph(*j)
+    for j in jobs:
+        cache.result(*j)
 
 
 # -- subcommands --------------------------------------------------------
@@ -166,7 +160,7 @@ def cmd_rho(args):
     t0 = time.perf_counter()
     levels = list(range(1, args.max_level + 1))
     short_max = min(args.max_level, 5)
-    _prefetch(cache, ("hexacarpet", "skeleton"), levels, args.threads)
+    _prefetch(cache, ("hexacarpet", "skeleton"), levels)
     rep = estimate_rho(cache, args.max_level, short_max=short_max)
     dt = time.perf_counter() - t0
     if args.format == "csv":
@@ -195,7 +189,7 @@ def cmd_duality(args):
     cache = _cache(args)
     t0 = time.perf_counter()
     levels = list(range(1, args.max_level + 1))
-    _prefetch(cache, ("hexacarpet", "skeleton"), levels, args.threads)
+    _prefetch(cache, ("hexacarpet", "skeleton"), levels)
     rows = verify_duality(cache, levels, tol=args.tol)
     dt = time.perf_counter() - t0
     ok = all(r[4] for r in rows)
@@ -223,7 +217,7 @@ def cmd_submult(args):
     cache = _cache(args)
     t0 = time.perf_counter()
     levels = list(range(1, args.max_level + 1))
-    _prefetch(cache, ("hexacarpet", "skeleton"), levels, args.threads)
+    _prefetch(cache, ("hexacarpet", "skeleton"), levels)
     rows = verify_supermultiplicative(cache, args.max_level, tol=args.tol)
     dt = time.perf_counter() - t0
     ok = all(
@@ -327,7 +321,7 @@ def build_parser():
         sp.add_argument("--tol", type=float, default=1e-8)
         if solver:
             sp.add_argument("--max-iter", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
         sp.add_argument("--format", default="csv", choices=("csv", "json"))
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=0)
@@ -347,7 +341,7 @@ def build_parser():
     r.add_argument("--level", type=int, required=True)
     r.add_argument("--tol", type=float, default=1e-10)
     r.add_argument("--max-iter", type=int, default=None)
-    r.add_argument("--threads", type=int, default=1)
+    r.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     r.add_argument("--allow-disconnected", action="store_true")
     r.add_argument("--format", default="json", choices=("csv", "json"))
     r.add_argument("--out", default=None)

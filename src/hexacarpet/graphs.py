@@ -264,46 +264,33 @@ def cut_path_lengths(C: SubdivisionComplex, n):
     )
     ncomp, label = connected_components(adj + adj.T, directed=False)
 
-    deg = G.degrees()
-    comp_tris = {}
-    for t in range(F):
-        comp_tris.setdefault(label[t], []).append(t)
+    # a strand is a component holding triangles; tally what each touches
+    tris = np.bincount(label[:F], minlength=ncomp)
+    strand = tris > 0
+    on_A = np.zeros(G.n, dtype=bool)
+    on_A[list(G.boundary["A"])] = True
+    on_B = np.zeros(G.n, dtype=bool)
+    on_B[list(G.boundary["B"])] = True
+    hits_A = np.bincount(label[on_A], minlength=ncomp)[strand]
+    hits_B = np.bincount(label[on_B], minlength=ncomp)[strand]
+    if (hits_A == 0).any() or (hits_B == 0).any():
+        raise FamilyError("cut strand misses a terminal arc")
+    if (hits_A != 1).any() or (hits_B != 1).any():
+        raise FamilyError("cut strand hits a terminal arc twice")
 
-    ends_A, ends_B = {}, {}
-    for v in G.boundary["A"]:
-        ends_A.setdefault(label[v], []).append(v)
-    for v in G.boundary["B"]:
-        ends_B.setdefault(label[v], []).append(v)
-
-    side01 = {v for v in G.boundary["A"]}
-    side45 = {v for v in G.boundary["B"]}
-
-    lengths = []
-    for comp, tris in comp_tris.items():
-        if comp not in ends_A or comp not in ends_B:
-            raise FamilyError("cut strand misses a terminal arc")
-        if len(ends_A[comp]) != 1 or len(ends_B[comp]) != 1:
-            raise FamilyError("cut strand hits a terminal arc twice")
-        # strip pendant edge-vertices hanging off sides 2,3; what is
-        # left must be a simple open path
-        members = [v for v in range(G.n) if label[v] == comp]
-        core = [
-            v for v in members
-            if not (deg[v] == 1 and v >= F and v not in side01 | side45)
-        ]
-        core_deg = {v: 0 for v in core}
-        core_set = set(core)
-        for u, v in zip(G.us, G.vs):
-            u, v = int(u), int(v)
-            if u in core_set and v in core_set:
-                core_deg[u] += 1
-                core_deg[v] += 1
-        ones = sorted(v for v, d in core_deg.items() if d == 1)
-        if set(ones) != {ends_A[comp][0], ends_B[comp][0]}:
-            raise FamilyError("cut strand is not a simple terminal path")
-        if any(d != 2 for v, d in core_deg.items() if v not in ones):
-            raise FamilyError("cut strand has a branch")
-        lengths.append((ends_A[comp][0], len(tris)))
+    # strip pendant edge-vertices hanging off sides 2,3; what is left
+    # of each strand must be a simple open path between its two ends
+    ends = on_A | on_B
+    pendant = (G.degrees() == 1) & (np.arange(G.n) >= F) & ~ends
+    core = strand[label] & ~pendant
+    inner = core[G.us] & core[G.vs]
+    core_deg = np.zeros(G.n, dtype=np.int64)
+    np.add.at(core_deg, G.us[inner], 1)
+    np.add.at(core_deg, G.vs[inner], 1)
+    if ((core_deg == 1) != (core & ends)).any():
+        raise FamilyError("cut strand is not a simple terminal path")
+    if (core & ~ends & (core_deg != 2)).any():
+        raise FamilyError("cut strand has a branch")
 
     def arc_key(a_end):
         # sides 0 then 1 sweep from the angle-0 corner with strictly
@@ -311,8 +298,8 @@ def cut_path_lengths(C: SubdivisionComplex, n):
         u, v = C.edges[n][a_end - F]
         return -(C.coords[u][0] + C.coords[v][0]) / 2
 
-    lengths.sort(key=lambda p: arc_key(p[0]))
-    out = [l for _, l in lengths]
+    a_ends = sorted(np.nonzero(on_A & core)[0].tolist(), key=arc_key)
+    out = tris[label[a_ends]].tolist()
     if sum(out) != 6 ** n:
         raise FamilyError("cut strands do not exhaust the triangles")
     if len(out) != 2 ** n:

@@ -12,16 +12,19 @@ The effective resistance between A and B is 1/E(phi) for the harmonic
 potential with phi|A = 0, phi|B = 1, and equals D(I) for the unit
 current flow I = R grad(phi).
 
-The solver eliminates the boundary, applies conjugate gradients with a
-Jacobi preconditioner to the interior block, and is deterministic
-(fixed zero start, fixed iteration order).  A dense direct solver is
-kept alongside as an independent cross-check for small graphs.
+The solver eliminates the boundary and factors the interior block of
+the Laplacian with a sparse LU (SuperLU, symmetric mode).  Passing an
+iteration budget max_iter selects conjugate gradients with a Jacobi
+preconditioner instead, as an independent cross-check; it raises
+SolverError when the budget runs out.  Both paths are deterministic.
+A dense direct solver is kept alongside as a further cross-check for
+small graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,13 +32,8 @@ import scipy.sparse.linalg as spla
 
 from .graphs import WeightedGraph
 
-_CG_TOL_KW = (
-    "rtol" if "rtol" in spla.cg.__doc__ else "tol"
-)
-
-
 class SolverError(Exception):
-    """Conjugate gradients failed to converge."""
+    """No solution: disconnected terminals, or CG out of iterations."""
 
 
 class NotAFlowError(Exception):
@@ -51,19 +49,13 @@ class ResistanceResult:
     flow: np.ndarray
     iterations: int
     residual: float
-    method: str = "cg"
-
-
-def incidence_lists(G: WeightedGraph):
-    us = G.us.astype(np.int64)
-    vs = G.vs.astype(np.int64)
-    return us, vs
+    method: str = "direct"
 
 
 def laplacian(G: WeightedGraph):
     """Weighted graph Laplacian as CSR."""
     c = G.conductances()
-    us, vs = incidence_lists(G)
+    us, vs = G.us, G.vs
     rows = np.concatenate([us, vs, us, vs])
     cols = np.concatenate([vs, us, us, vs])
     vals = np.concatenate([-c, -c, c, c])
@@ -78,7 +70,7 @@ def energy(G: WeightedGraph, f, g=None):
         f = np.asarray(f, dtype=float)
         g = np.asarray(g, dtype=float)
         c = G.conductances()
-        us, vs = incidence_lists(G)
+        us, vs = G.us, G.vs
         return float(np.sum(c * (f[us] - f[vs]) * (g[us] - g[vs])))
     total = 0
     for u, v, c in zip(G.us, G.vs, G.cond):
@@ -89,17 +81,15 @@ def energy(G: WeightedGraph, f, g=None):
 def gradient(G: WeightedGraph, f):
     """Per-edge current c (f(u) - f(v)) in canonical orientation."""
     f = np.asarray(f, dtype=float)
-    us, vs = incidence_lists(G)
-    return G.conductances() * (f[us] - f[vs])
+    return G.conductances() * (f[G.us] - f[G.vs])
 
 
 def divergence(G: WeightedGraph, J):
     """Net inflow per vertex."""
     J = np.asarray(J, dtype=float)
-    us, vs = incidence_lists(G)
     div = np.zeros(G.n)
-    np.subtract.at(div, us, J)
-    np.add.at(div, vs, J)
+    np.subtract.at(div, G.us, J)
+    np.add.at(div, G.vs, J)
     return div
 
 
@@ -141,9 +131,8 @@ def _active_interior(G: WeightedGraph, A, B):
     touching only one terminal set are pinned to that value; components
     touching neither are left at zero and excluded.
     """
-    us, vs = incidence_lists(G)
     adj = sp.coo_matrix(
-        (np.ones(G.m), (us, vs)), shape=(G.n, G.n)
+        (np.ones(G.m), (G.us, G.vs)), shape=(G.n, G.n)
     )
     ncomp, label = sp.csgraph.connected_components(adj + adj.T, directed=False)
     hasA = np.zeros(ncomp, dtype=bool)
@@ -179,6 +168,10 @@ def effective_resistance(
     A and B default to the graph's named boundary sets.  Returns a
     ResistanceResult; a disconnected terminal pair yields infinite
     resistance, which is an error unless allow_disconnected is set.
+
+    The interior block is factored directly unless max_iter is given;
+    then Jacobi-preconditioned CG runs to relative residual rtol within
+    max_iter iterations or raises SolverError.  rtol only applies to CG.
     """
     A = G.boundary["A"] if A is None else frozenset(A)
     B = G.boundary["B"] if B is None else frozenset(B)
@@ -187,47 +180,29 @@ def effective_resistance(
     if A & B:
         raise ValueError("terminal sets overlap")
 
+    method = "direct" if max_iter is None else "cg"
     interior, fixed, value, connected = _active_interior(G, A, B)
     if not connected:
         if not allow_disconnected:
             raise SolverError("terminals lie in different components")
         phi = value.copy()
         return ResistanceResult(
-            math.inf, True, 0.0, phi, np.zeros(G.m), 0, 0.0
+            math.inf, True, 0.0, phi, np.zeros(G.m), 0, 0.0, method
         )
 
-    L = laplacian(G)
     phi = value.copy()
     iters = 0
     residual = 0.0
     if len(interior):
-        Lii = L[interior][:, interior]
-        rhs = -(L[interior] @ value)
-        diag = Lii.diagonal()
-        M = sp.diags(1.0 / diag)
+        L = laplacian(G)[interior]
+        rhs = -(L @ value)
+        Lii = L[:, interior]
+        del L
         if max_iter is None:
-            max_iter = int(50 * math.sqrt(G.n)) + 100
-        count = {"n": 0}
-
-        def cb(_):
-            count["n"] += 1
-
-        x, info = spla.cg(
-            Lii,
-            rhs,
-            x0=np.zeros(len(interior)),
-            M=M,
-            maxiter=max_iter,
-            callback=cb,
-            **{_CG_TOL_KW: rtol, "atol": 0.0},
-        )
-        if info != 0:
-            raise SolverError(
-                f"conjugate gradients stopped after {info} iterations "
-                f"without reaching rtol={rtol}"
-            )
+            x = _solve_direct(Lii, rhs)
+        else:
+            x, iters = _solve_cg(Lii, rhs, rtol, max_iter)
         phi[interior] = x
-        iters = count["n"]
         rnorm = np.linalg.norm(rhs - Lii @ x)
         bnorm = np.linalg.norm(rhs)
         residual = float(rnorm / bnorm) if bnorm else 0.0
@@ -235,7 +210,51 @@ def effective_resistance(
     E = energy(G, phi)
     R = 1.0 / E
     flow = R * gradient(G, phi)
-    return ResistanceResult(R, False, E, phi, flow, iters, residual)
+    return ResistanceResult(R, False, E, phi, flow, iters, residual, method)
+
+
+def _solve_direct(Lii, rhs):
+    """Sparse LU of the symmetric interior block.
+
+    A symmetric CSR matrix is its own transpose, so its arrays are
+    passed to SuperLU as CSC without a copy.  Minimum degree ordering
+    on A^T + A with diagonal pivots keeps the fill, and so the peak
+    memory, close to that of a Cholesky factor.
+    """
+    lu = spla.splu(
+        sp.csc_matrix((Lii.data, Lii.indices, Lii.indptr), shape=Lii.shape),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        panel_size=1,
+        options={"SymmetricMode": True},
+    )
+    return lu.solve(rhs)
+
+
+def _solve_cg(Lii, rhs, rtol, max_iter):
+    """Jacobi-preconditioned CG from a zero start; (x, iterations)."""
+    count = 0
+
+    def cb(_):
+        nonlocal count
+        count += 1
+
+    x, info = spla.cg(
+        Lii,
+        rhs,
+        x0=np.zeros(len(rhs)),
+        M=sp.diags(1.0 / Lii.diagonal()),
+        rtol=rtol,
+        atol=0.0,
+        maxiter=max_iter,
+        callback=cb,
+    )
+    if info != 0:
+        raise SolverError(
+            f"conjugate gradients stopped after {info} iterations "
+            f"without reaching rtol={rtol}"
+        )
+    return x, count
 
 
 def oracle_resistance(G: WeightedGraph, A=None, B=None, limit=2000):

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from hexacarpet import SubdivisionComplex
+from hexacarpet import SubdivisionComplex, graphs
 from hexacarpet.graphs import (
     FamilyError,
     WeightedGraph,
@@ -145,6 +147,30 @@ def test_cut_strand_lengths(C):
         assert sum(lengths) == 6 ** n
 
 
+def test_cut_strand_lengths_match_walk(C):
+    # reference: walk each strand from its side-{0,1} end, arc order
+    for n in (1, 2, 3, 4):
+        G = build_cut_graph(C, n)
+        F = G.meta["tri_count"]
+        adj = {v: [] for v in range(G.n)}
+        for u, v in zip(G.us.tolist(), G.vs.tolist()):
+            adj[u].append(v)
+            adj[v].append(u)
+        walks = []
+        for a in G.boundary["A"]:
+            seen, todo = {a}, [a]
+            while todo:
+                for w in adj[todo.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            if any(v < F for v in seen):
+                u, v = C.edges[n][a - F]
+                x = C.coords[u][0] + C.coords[v][0]
+                walks.append((-x, sum(1 for v in seen if v < F)))
+        assert cut_path_lengths(C, n) == [l for _, l in sorted(walks)]
+
+
 def test_cut_resistance_formula(C):
     assert cut_resistance_formula(C, 1) == Fraction(4, 3)
     assert cut_resistance_formula(C, 2) == Fraction(24, 13)
@@ -174,6 +200,72 @@ def test_cut_graph_is_a_subgraph(C):
     assert G.m == H.m - removed
     assert G.n == H.n
     assert set(zip(G.us, G.vs)) <= set(zip(H.us, H.vs))
+
+
+def _strand_of_triangle(G):
+    """Component label of each triangle vertex of a cut graph."""
+    adj = coo_matrix((np.ones(G.m), (G.us, G.vs)), shape=(G.n, G.n))
+    _, label = connected_components(adj + adj.T, directed=False)
+    return label[: G.meta["tri_count"]]
+
+
+def _join_strands(G):
+    # one edge between triangles of two different strands
+    strand = _strand_of_triangle(G)
+    t = int(np.nonzero(strand != strand[0])[0][0])
+    return G.n, [(0, t)], []
+
+
+def _drop_a_end(G):
+    # the only incidence of one A-arc vertex
+    a = min(G.boundary["A"])
+    pos = int(np.nonzero((G.us == a) | (G.vs == a))[0][0])
+    return G.n, [], [pos]
+
+
+def _dangle_chain(G):
+    # triangle 0 - new vertex - new pendant vertex: the stripped pendant
+    # leaves a core vertex of degree 1 that is not a terminal
+    return G.n + 2, [(0, G.n), (G.n, G.n + 1)], []
+
+
+def _chord_in_strand(G):
+    # two triangles of one strand joined directly: a cycle, so a branch
+    strand = _strand_of_triangle(G)
+    t = int(np.nonzero(strand == strand[0])[0][1])
+    return G.n, [(0, t)], []
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_join_strands, "hits a terminal arc twice"),
+        (_drop_a_end, "misses a terminal arc"),
+        (_dangle_chain, "not a simple terminal path"),
+        (_chord_in_strand, "has a branch"),
+    ],
+)
+def test_cut_strand_checks_reject_broken_strands(C, monkeypatch, mutate, message):
+    real = graphs.build_cut_graph
+
+    def broken(C, n):
+        G = real(C, n)
+        n_vertices, add, drop = mutate(G)
+        keep = np.ones(G.m, dtype=bool)
+        keep[drop] = False
+        return WeightedGraph(
+            n_vertices,
+            list(G.us[keep]) + [u for u, _ in add],
+            list(G.vs[keep]) + [v for _, v in add],
+            [c for c, k in zip(G.cond, keep) if k] + [Fraction(2)] * len(add),
+            G.boundary,
+            G.meta,
+        )
+
+    assert cut_path_lengths(C, 2) == [4, 8, 12, 12]
+    monkeypatch.setattr(graphs, "build_cut_graph", broken)
+    with pytest.raises(FamilyError, match=message):
+        cut_path_lengths(C, 2)
 
 
 # -- short surgery ------------------------------------------------------

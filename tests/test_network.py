@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hexacarpet.analysis import LevelCache
 from hexacarpet.graphs import WeightedGraph
 from hexacarpet.network import (
     NotAFlowError,
@@ -206,6 +207,20 @@ def test_max_iter_failure_raises():
     G = random_graph(rng, 60, extra=30)
     with pytest.raises(SolverError):
         effective_resistance(G, max_iter=1)
+
+
+def test_cg_cross_checks_direct_on_all_families():
+    cache = LevelCache(cap=5)
+    for family in ("skeleton", "dual", "hexacarpet", "cut", "short"):
+        for n in range(1, 6):
+            G = cache.graph(family, n)
+            direct = effective_resistance(G)
+            cg = effective_resistance(G, max_iter=100_000)
+            assert (direct.method, direct.iterations) == ("direct", 0)
+            assert cg.method == "cg" and cg.iterations > 0
+            assert direct.residual < 1e-12
+            rel = abs(cg.resistance - direct.resistance) / direct.resistance
+            assert rel <= 1e-12, (family, n, rel)
 
 
 def test_deterministic_solve():
