@@ -19,6 +19,9 @@ below turns level products into the multiplicative bounds
 The upper bound is certified constructively: compose_flow builds an
 explicit unit flow on level m+n out of a level-m flow skeleton and two
 arc-to-arc unit flows on level n, and its energy is the certificate.
+Flow transport and splicing are whole-array passes over the map image
+arrays of the complex: incidences are moved by fancy indexing and found
+by binary search of their codes in the target graph.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .subdivision import DEFAULT_CAP, SimplexId, SubdivisionComplex
+from .subdivision import DEFAULT_CAP, SubdivisionComplex, side_perm
 from .graphs import (
     WeightedGraph,
     build_cut_graph,
@@ -151,15 +154,9 @@ def hex_pullback(cache: LevelCache, n, J, elem):
     C = cache.C
     G = cache.graph("hexacarpet", n)
     F = G.meta["tri_count"]
-    idx = G.edge_index()
-    out = np.empty(G.m)
-    for i in range(G.m):
-        t = int(G.us[i])
-        e = int(G.vs[i]) - F
-        gt = C.map_tri(("auto", elem), n, t)
-        ge = C.map_edge(("auto", elem), n, e)
-        out[i] = J[idx[(gt, F + ge)]]
-    return out
+    gt = C.tri_images(("auto", elem), n)[G.us]
+    ge = C.edge_images(("auto", elem), n)[G.vs - F]
+    return J[G.positions(gt, F + ge)]
 
 
 def unit_flow(cache: LevelCache, n):
@@ -198,11 +195,9 @@ def arc_flows(cache: LevelCache, n):
     if key not in cache._flows:
         C = cache.C
         G = cache.graph("hexacarpet", n)
-        F = G.meta["tri_count"]
         I = unit_flow(cache, n)
         mirror = hex_pullback(cache, n, I, S3)
-        sl = C.tri_slice(n)
-        upper = np.array([sl[int(t)] in (0, 1, 2) for t in G.us])
+        upper = np.asarray(C.tri_slice(n))[G.us] < 3
         H02 = np.where(upper, I, mirror)
         H01 = hex_pullback(cache, n, H02, S2)
 
@@ -243,66 +238,56 @@ def y_decomposition(cache: LevelCache, m, zero_tol=1e-12):
     G = cache.graph("hexacarpet", m)
     F = G.meta["tri_count"]
     I = unit_flow(cache, m)
-    idx = G.edge_index()
-    a = np.zeros((F, 3))
-    side = np.zeros((F, 3), dtype=np.int64)
+    es = np.sort(np.array(C.tri_edges[m], dtype=np.int64), axis=1)
+    raw = I[G.positions(np.arange(F)[:, None], F + es)]
+    # branch currents sit far above solver noise or are true zeros;
+    # snapping the noise makes the sign invariants exact
     scale = float(np.abs(I).max())
-    for x in range(F):
-        es = sorted(C.tri_edges[m][x])
-        # branch currents sit far above solver noise or are true zeros;
-        # snapping the noise makes the sign invariants exact
-        vals = [
-            0.0 if abs(I[idx[(x, F + e)]]) < zero_tol * scale
-            else I[idx[(x, F + e)]]
-            for e in es
-        ]
-        # the through side is the odd sign out: the one whose removal
-        # leaves a same-signed pair; ties resolve to the smallest edge id
-        best = None
-        for k in range(3):
-            rest = [vals[j] for j in range(3) if j != k]
-            if rest[0] * rest[1] >= 0.0:
-                best = k
-                break
-        if best is None:
-            raise AssertionError(f"no through side at triangle {x}: {vals}")
-        order = [best] + [j for j in range(3) if j != best]
-        a[x] = [vals[j] for j in order]
-        side[x] = [es[j] for j in order]
+    vals = np.where(np.abs(raw) < zero_tol * scale, 0.0, raw)
+    # the through side is the odd sign out: the one whose removal
+    # leaves a same-signed pair; ties resolve to the smallest edge id
+    same = np.stack(
+        [vals[:, j] * vals[:, k] >= 0.0 for j, k in ((1, 2), (0, 2), (0, 1))],
+        axis=1,
+    )
+    none = np.nonzero(~same.any(axis=1))[0]
+    if len(none):
+        x = int(none[0])
+        raise AssertionError(f"no through side at triangle {x}: {vals[x].tolist()}")
+    order = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])[same.argmax(axis=1)]
+    a = np.take_along_axis(vals, order, axis=1)
+    side = np.take_along_axis(es, order, axis=1)
     return YDecomposition(m, a, side)
 
 
-def _frame_for(cache: LevelCache, word, y_sides):
-    """The unique side-permuting symmetry g aligning the arc flows with
-    a triangle's branch currents.
+def _frame_for(cache: LevelCache, words, y_sides):
+    """Per level-m triangle, the index into FRAME of the unique
+    side-permuting symmetry g aligning the arc flows with its branch
+    currents.
 
-    y_sides = (a0_side, a1_side, a2_side) are level-m edge ids.  The
-    source arc (refining original edge 0) must land on the through
-    side, the H01 sink arc (edge 2) on the a1 side and the H02 sink arc
-    (edge 1) on the a2 side; the frame group hits each assignment once.
+    words is the (X, m) letter array of the triangles and y_sides the
+    (X, 3) level-m edge ids (a0_side, a1_side, a2_side).  The source arc
+    (refining original edge 0) must land on the through side, the H01
+    sink arc (edge 2) on the a1 side and the H02 sink arc (edge 1) on
+    the a2 side; the frame group hits each assignment once.
     """
-    from .subdivision import side_perm
-
-    C = cache.C
-    x_side = {
-        k: C.apply_word(word, SimplexId(0, 1, k)).index for k in range(3)
-    }
-    want = {0: y_sides[0], 2: y_sides[1], 1: y_sides[2]}
-    hits = []
-    for g in FRAME:
+    # x_side[x, j]: the image of original edge j in triangle x
+    x_side = cache.C.apply_words(words, 1, 0, np.arange(3))
+    want = np.asarray(y_sides)[:, [0, 2, 1]]
+    hits = np.zeros((len(words), len(FRAME)), dtype=bool)
+    for i, g in enumerate(FRAME):
         sp = side_perm(g)
-        ok = True
-        for k in range(3):
-            arc = ARC_OF_MACRO[k]
-            j = MACRO_OF_ARC[frozenset(sp[s] for s in arc)]
-            if x_side[j] != want[k]:
-                ok = False
-                break
-        if ok:
-            hits.append(g)
-    if len(hits) != 1:
-        raise AssertionError(f"frame not unique for word {word}: {hits}")
-    return hits[0]
+        # g carries the arc of original edge k onto that of edge j[k]
+        j = [MACRO_OF_ARC[frozenset(sp[s] for s in ARC_OF_MACRO[k])] for k in range(3)]
+        hits[:, i] = (x_side[:, j] == want).all(axis=1)
+    bad = np.nonzero(hits.sum(axis=1) != 1)[0]
+    if len(bad):
+        x = int(bad[0])
+        found = [g for g, h in zip(FRAME, hits[x]) if h]
+        raise AssertionError(
+            f"frame not unique for word {tuple(words[x].tolist())}: {found}"
+        )
+    return hits.argmax(axis=1)
 
 
 @dataclass
@@ -334,29 +319,23 @@ def compose_flow(cache: LevelCache, m, n, div_tol=1e-9):
     Gf = cache.graph("hexacarpet", m + n)
     Fn = Gn.meta["tri_count"]
     Ff = Gf.meta["tri_count"]
-    idx_f = Gf.edge_index()
     words = C.tri_words(m)
+    frame = _frame_for(cache, words, Y.side)[:, None]
 
+    # row x: the level-n incidences transported by x's frame, then
+    # carried into x by its word
+    gt = np.stack([C.tri_images(("auto", g), n) for g in FRAME])[frame, Gn.us]
+    ge = np.stack([C.edge_images(("auto", g), n) for g in FRAME])[frame, Gn.vs - Fn]
+    ft = C.apply_words(words, 2, n, gt)
+    fe = C.apply_words(words, 1, n, ge)
+    pos = Gf.positions(ft, Ff + fe).ravel()
+    # a1, a2 count current leaving x through its branch sides, while
+    # the arc flows deposit into their source arc, so the splice flips
+    # sign to keep the fine flow coarse-oriented
+    spliced = -(Y.a[:, 1:2] * H01 + Y.a[:, 2:3] * H02)
     J = np.zeros(Gf.m)
-    written = np.zeros(Gf.m, dtype=np.int8)
-    for x in range(len(words)):
-        word = words[x]
-        g = _frame_for(cache, word, Y.side[x])
-        a1, a2 = Y.a[x][1], Y.a[x][2]
-        for i in range(Gn.m):
-            t = int(Gn.us[i])
-            e = int(Gn.vs[i]) - Fn
-            gt = C.map_tri(("auto", g), n, t)
-            ge = C.map_edge(("auto", g), n, e)
-            ft = C.apply_word(word, SimplexId(n, 2, gt)).index
-            fe = C.apply_word(word, SimplexId(n, 1, ge)).index
-            pos = idx_f[(ft, Ff + fe)]
-            # a1, a2 count current leaving x through its branch sides,
-            # while the arc flows deposit into their source arc, so the
-            # splice flips sign to keep the fine flow coarse-oriented
-            J[pos] = -(a1 * H01[i] + a2 * H02[i])
-            written[pos] += 1
-    if not (written == 1).all():
+    J[pos] = spliced.ravel()
+    if not (np.bincount(pos, minlength=Gf.m) == 1).all():
         raise AssertionError("cells do not tile the fine incidences")
 
     A = Gf.boundary["A"]
@@ -409,16 +388,15 @@ def potential_decomposition(cache: LevelCache, n):
     phi = res.potential
     # s1 (the 30-degree axis) fixes both chains; average to make the
     # invariance exact
-    perm = np.array(C.vertex_map(("auto", S1), G.n)[: G.n])
-    phi = (phi + phi[perm]) / 2.0
+    phi = (phi + phi[C.vertex_map(("auto", S1), G.n)]) / 2.0
 
     Gm = cache.graph("skeleton", n - 1)
     nm = Gm.n
-    u = phi[np.array(C.vertex_map(("F", 0), nm)[:nm])]
-    v = phi[np.array(C.vertex_map(("F", 1), nm)[:nm])]
-    w = phi[np.array(C.vertex_map(("F", 5), nm)[:nm])]
+    u = phi[C.vertex_map(("F", 0), nm)]
+    v = phi[C.vertex_map(("F", 1), nm)]
+    w = phi[C.vertex_map(("F", 5), nm)]
 
-    sigma = np.array(C.vertex_map(("auto", S0), nm)[:nm])
+    sigma = C.vertex_map(("auto", S0), nm)
     sym_u = float(np.abs(u - u[sigma]).max())
     sym_vw = float(np.abs(w - v[sigma]).max())
 

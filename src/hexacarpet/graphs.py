@@ -18,7 +18,8 @@ hexacarpet joins the edge vertices of sides {0,1} to those of sides
 {3,4}.  Side k of the hexagonal boundary runs counterclockwise from the
 corner at angle 60k degrees.
 
-Conductances are exact Fractions; float views are derived on demand.
+Conductances are exact Fractions, one shared object per distinct value;
+float views are derived on demand.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .subdivision import SubdivisionComplex
+from .subdivision import SubdivisionComplex, lookup_sorted
 
 SIGMA_A = ("s", 2)  # reflection fixing the corner between sides 0 and 1
+
+HALF, ONE, TWO = Fraction(1, 2), Fraction(1), Fraction(2)
 
 
 class FamilyError(Exception):
@@ -63,6 +66,7 @@ class WeightedGraph:
         self.meta = dict(meta or {})
         self._cfloat = None
         self._index = None
+        self._codes = None
 
     @property
     def m(self):
@@ -82,6 +86,14 @@ class WeightedGraph:
             }
         return self._index
 
+    def positions(self, us, vs):
+        """Positions of the canonical edges (us, vs), elementwise over
+        arrays; every pair must be an edge."""
+        if self._codes is None:
+            self._codes = self.us * self.n + self.vs
+        codes = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
+        return lookup_sorted(self._codes, codes, "edge")
+
     def degrees(self):
         deg = np.zeros(self.n, dtype=np.int64)
         np.add.at(deg, self.us, 1)
@@ -96,7 +108,7 @@ class WeightedGraph:
     def drop_edges(self, positions):
         """A copy without the edges at the given positions."""
         keep = np.ones(self.m, dtype=bool)
-        keep[list(positions)] = False
+        keep[np.asarray(positions, dtype=np.int64)] = False
         return WeightedGraph(
             self.n,
             self.us[keep],
@@ -124,7 +136,7 @@ def build_skeleton(C: SubdivisionComplex, n):
     for e, (u, v) in enumerate(C.edges[n]):
         us.append(u)
         vs.append(v)
-        cond.append(Fraction(1) if C.edge_side[n][e] < 0 else Fraction(1, 2))
+        cond.append(ONE if C.edge_side[n][e] < 0 else HALF)
     A = frozenset(C.side_vertices(n, 2))
     B = frozenset(C.side_vertices(n, 5))
     return WeightedGraph(
@@ -145,7 +157,7 @@ def build_dual(C: SubdivisionComplex, n):
         if len(ts) == 2:
             us.append(ts[0])
             vs.append(ts[1])
-            cond.append(Fraction(1))
+            cond.append(ONE)
         else:
             side_tris[s].add(ts[0])
     A = frozenset(side_tris[0] | side_tris[1])
@@ -154,11 +166,6 @@ def build_dual(C: SubdivisionComplex, n):
         len(C.tris[n]), us, vs, cond, {"A": A, "B": B},
         {"family": "dual", "level": n},
     )
-
-
-def hex_vertex(C: SubdivisionComplex, n, kind, index):
-    """Hexacarpet vertex id: triangles come first, then edge vertices."""
-    return index if kind == "t" else len(C.tris[n]) + index
 
 
 def build_hexacarpet(C: SubdivisionComplex, n):
@@ -171,7 +178,7 @@ def build_hexacarpet(C: SubdivisionComplex, n):
         for t in ts:
             us.append(t)
             vs.append(F + e)
-            cond.append(Fraction(2))
+            cond.append(TWO)
     A = frozenset(F + e for s in (0, 1) for e in C.side_edges_at(n, s))
     B = frozenset(F + e for s in (3, 4) for e in C.side_edges_at(n, s))
     return WeightedGraph(
@@ -231,12 +238,9 @@ def build_cut_graph(C: SubdivisionComplex, n):
     surviving triangle strands join by disjoint paths."""
     G = build_hexacarpet(C, n)
     F = G.meta["tri_count"]
-    hit = {F + e for e in cut_edge_vertices(C, n)}
-    drop = [
-        i for i, (u, v) in enumerate(zip(G.us, G.vs))
-        if u in hit or v in hit
-    ]
-    H = G.drop_edges(drop)
+    hit = F + np.fromiter(cut_edge_vertices(C, n), dtype=np.int64)
+    # incidences run triangle -> edge vertex, so only vs can be hit
+    H = G.drop_edges(np.nonzero(np.isin(G.vs, hit))[0])
     A = frozenset(F + e for s in (0, 1) for e in C.side_edges_at(n, s))
     B = frozenset(F + e for s in (4, 5) for e in C.side_edges_at(n, s))
     H = H.with_boundary(A=A, B=B)

@@ -15,7 +15,10 @@ sqrt(3), which keeps everything in Q^2.
 The module also carries the combinatorial maps used downstream: the six
 cell maps F_0..F_5 embedding level n into level n+1 (one per level-1
 triangle around the center), and the dihedral symmetry group of the
-hexagon acting on every level at once.
+hexagon acting on every level at once.  Each map is held as int64 image
+arrays, built one level at a time on first use: the vertex images, and
+per level the image ids of every edge and triangle, found by binary
+search of the sorted image vertices in the target level's simplex table.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 DEFAULT_CAP = 8
 
@@ -140,6 +145,17 @@ def _base_perm(elem):
     return perm
 
 
+def lookup_sorted(table, codes, what):
+    """Positions of codes in the sorted int64 array table; every code
+    must be present."""
+    pos = np.searchsorted(table, codes)
+    found = pos < len(table)
+    found[found] = table[pos[found]] == codes[found]
+    if not found.all():
+        raise KeyError(f"{what} not found")
+    return pos
+
+
 def side_perm(elem):
     """How a dihedral element permutes the six boundary sides."""
     perm = _base_perm(elem)
@@ -168,6 +184,9 @@ class SubdivisionComplex:
       coords        exact (x, y/sqrt(3)) Fractions
       births        ('p',) for the corners, else ('e'|'t', level, index)
       vertex_sides  bitmask of incident boundary sides
+
+    Maps, keyed ('F', i) or ('auto', elem), are read-only int64 arrays
+    built on first use: vertex_map, edge_images and tri_images.
     """
 
     def __init__(self, cap=DEFAULT_CAP):
@@ -192,10 +211,10 @@ class SubdivisionComplex:
         self.births = [("p",), ("p",), ("p",)]
         self.vertex_sides = [0, 0, 0]
 
-        # vertex maps, filled lazily up to a watermark in birth order
-        self._maps = {}
-        self._edge_memo = {}
-        self._tri_memo = {}
+        # map images, built a level at a time on first use
+        self._tables = {}  # level -> simplex arrays and sorted lookup codes
+        self._vmaps = {}  # map key -> vertex images of ids < len
+        self._images = {}  # (map key, level) -> (edge images, tri images)
         self._words = {}
 
     # -- construction ---------------------------------------------------
@@ -346,11 +365,6 @@ class SubdivisionComplex:
         self.require_level(n)
         return [i for i, s in enumerate(self.edge_side[n]) if s == side]
 
-    def boundary_membership(self, n):
-        """Per-edge side tags for level n (list of -1 or 0..5)."""
-        self.require_level(n)
-        return list(self.edge_side[n])
-
     # -- triangle ancestry ----------------------------------------------
 
     def tri_slice(self, n):
@@ -383,46 +397,48 @@ class SubdivisionComplex:
 
     # -- vertex maps -----------------------------------------------------
 
-    def _map_array(self, key):
-        if key not in self._maps:
-            if key[0] == "F":
-                # defined a priori on the level-0 corners only
-                base = [CENTER, _F_P1[key[1]], _F_P2[key[1]]]
-                shift = 1
-            else:
-                # the dihedral action is defined on levels >= 1; the base
-                # covers all seven level-1 ids (it does not fix level 0)
-                base = _base_perm(key[1])
-                shift = 0
-            self._maps[key] = [base, len(base), shift]
-        return self._maps[key]
+    def _table(self, n):
+        """(V, edges, triangles, edge codes, triangle codes) of level n.
 
-    def _fill_map(self, key, upto):
-        arr, mark, shift = self._map_array(key)
-        if mark >= upto:
-            return arr
-        for vid in range(mark, upto):
-            kind, lvl, idx = self.births[vid]
-            tgt = lvl + shift
-            if tgt + 1 > self.top:
+        An edge (u, v) is coded u*V + v and a triangle (a, b, c) as
+        edge_id(a, b)*V + c, with V the level's vertex count; both follow
+        the lexicographic order of the simplex lists, so they are sorted.
+        """
+        if n not in self._tables:
+            nv = self.counts(n)[0]
+            edges = np.array(self.edges[n], dtype=np.int64)
+            tris = np.array(self.tris[n], dtype=np.int64)
+            first = np.array([s[0] for s in self.tri_edges[n]], dtype=np.int64)
+            self._tables[n] = (
+                nv, edges, tris, edges[:, 0] * nv + edges[:, 1],
+                first * nv + tris[:, 2],
+            )
+        return self._tables[n]
+
+    def _map_images(self, key, n):
+        """Edge and triangle image ids of the level-n simplices."""
+        if (key, n) not in self._images:
+            tgt = n + (1 if key[0] == "F" else 0)
+            if tgt > self.top:
                 raise MissingLevelError(
-                    f"need level {tgt + 1} built to map a level-{lvl} barycenter"
+                    f"need level {tgt} built to map level {n}"
                 )
-            if kind == "e":
-                u, v = self.edges[lvl][idx]
-                iu, iv = arr[u], arr[v]
-                ie = self.edge_index[tgt][(min(iu, iv), max(iu, iv))]
-                arr.append(self.edge_bary[tgt][ie])
-            else:
-                a, b, c = self.tris[lvl][idx]
-                im = tuple(sorted((arr[a], arr[b], arr[c])))
-                it = self.tri_index[tgt][im]
-                arr.append(self.tri_bary[tgt][it])
-        self._maps[key][1] = upto
-        return arr
+            _, edges, tris, _, _ = self._table(n)
+            nv, _, _, ecodes, tcodes = self._table(tgt)
+            vm = self.vertex_map(key, self.counts(n)[0])
+            ie = vm[edges]
+            lo, hi = ie.min(axis=1), ie.max(axis=1)
+            eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
+            it = np.sort(vm[tris], axis=1)
+            ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
+            timg = lookup_sorted(tcodes, ab * nv + it[:, 2], "triangle image")
+            eimg.flags.writeable = False
+            timg.flags.writeable = False
+            self._images[(key, n)] = (eimg, timg)
+        return self._images[(key, n)]
 
     def vertex_map(self, key, upto=None):
-        """The vertex-id array of a map, defined on ids < upto.
+        """The vertex images of a map on ids < upto, as an int64 array.
 
         key is ('F', i) for a cell map or ('auto', elem) for a dihedral
         symmetry.  Cell maps shift barycenter levels up by one, so the
@@ -430,32 +446,48 @@ class SubdivisionComplex:
         """
         if upto is None:
             upto = len(self.coords)
-        if key[0] == "auto":
-            key = ("auto", key[1])
-        return self._fill_map(key, upto)
+        arr = self._vmaps.get(key)
+        if arr is None:
+            if key[0] == "F":
+                # defined a priori on the level-0 corners only
+                base = [CENTER, _F_P1[key[1]], _F_P2[key[1]]]
+            else:
+                # the dihedral action is defined on levels >= 1; the base
+                # covers all seven level-1 ids (it does not fix level 0)
+                base = _base_perm(key[1])
+            arr = self._vmaps[key] = np.array(base, dtype=np.int64)
+        shift = 1 if key[0] == "F" else 0
+        while len(arr) < upto:
+            # the next ids are the level-lvl barycenters, edges first
+            lvl = self.births[len(arr)][1]
+            tgt = lvl + shift
+            if tgt + 1 > self.top:
+                raise MissingLevelError(
+                    f"need level {tgt + 1} built to map a level-{lvl} barycenter"
+                )
+            eimg, timg = self._map_images(key, lvl)
+            arr = self._vmaps[key] = np.concatenate([
+                arr,
+                np.asarray(self.edge_bary[tgt], dtype=np.int64)[eimg],
+                np.asarray(self.tri_bary[tgt], dtype=np.int64)[timg],
+            ])
+        arr.flags.writeable = False
+        return arr[:upto]
+
+    def edge_images(self, key, n):
+        """Image edge ids of all level-n edges (level n+1 for cell maps)."""
+        return self._map_images(key, n)[0]
+
+    def tri_images(self, key, n):
+        """Image triangle ids of all level-n triangles."""
+        return self._map_images(key, n)[1]
 
     def map_edge(self, key, n, edge_id):
         """Image edge id of a level-n edge (level n+1 for cell maps)."""
-        memo_key = (key, n, edge_id)
-        if memo_key not in self._edge_memo:
-            u, v = self.edges[n][edge_id]
-            arr = self.vertex_map(key, max(u, v) + 1)
-            iu, iv = arr[u], arr[v]
-            tgt = n + (1 if key[0] == "F" else 0)
-            self._edge_memo[memo_key] = self.edge_index[tgt][
-                (min(iu, iv), max(iu, iv))
-            ]
-        return self._edge_memo[memo_key]
+        return int(self.edge_images(key, n)[edge_id])
 
     def map_tri(self, key, n, tri_id):
-        memo_key = (key, n, tri_id)
-        if memo_key not in self._tri_memo:
-            a, b, c = self.tris[n][tri_id]
-            arr = self.vertex_map(key, max(a, b, c) + 1)
-            im = tuple(sorted((arr[a], arr[b], arr[c])))
-            tgt = n + (1 if key[0] == "F" else 0)
-            self._tri_memo[memo_key] = self.tri_index[tgt][im]
-        return self._tri_memo[memo_key]
+        return int(self.tri_images(key, n)[tri_id])
 
     def apply_word(self, word, simplex):
         """Apply a composition of cell maps, innermost letter last.
@@ -463,18 +495,36 @@ class SubdivisionComplex:
         word = (c_1, ..., c_k) sends a level-n simplex to the level-(n+k)
         simplex F_{c_1}(F_{c_2}(...F_{c_k}(s))).
         """
-        out = simplex
+        level, idx = simplex.level, simplex.index
         for c in reversed(word):
-            fn = self.map_edge if out.dim == 1 else self.map_tri
-            if out.dim == 0:
-                arr = self.vertex_map(("F", c), out.index + 1)
-                out = SimplexId(out.level + 1, 0, arr[out.index])
-                continue
-            out = SimplexId(out.level + 1, out.dim, fn(("F", c), out.level, out.index))
+            key = ("F", int(c))
+            if simplex.dim == 0:
+                idx = self.vertex_map(key, idx + 1)[idx]
+            elif simplex.dim == 1:
+                idx = self.edge_images(key, level)[idx]
+            else:
+                idx = self.tri_images(key, level)[idx]
+            level += 1
+        return SimplexId(level, simplex.dim, int(idx))
+
+    def apply_words(self, words, dim, n, ids):
+        """apply_word over arrays of edges (dim 1) or triangles (dim 2).
+
+        words is a (X, k) letter array and ids holds level-n simplex ids,
+        shaped (X, M) or (M,); entry [x, j] of the result is the level-
+        (n+k) image of ids[x, j] (or ids[j]) under word x.
+        """
+        images = self.edge_images if dim == 1 else self.tri_images
+        out = np.asarray(ids)
+        for j in range(words.shape[1] - 1, -1, -1):
+            table = np.stack([images(("F", c), n) for c in range(6)])
+            out = table[words[:, j, None], out]
+            n += 1
         return out
 
     def tri_words(self, m):
-        """The word of cell letters addressing each level-m triangle.
+        """The (6^m, m) array of cell letters addressing each level-m
+        triangle.
 
         The word of the image of the level-0 triangle under
         F_{c_1} . ... . F_{c_m} is (c_1, ..., c_m); every level-m
@@ -482,15 +532,20 @@ class SubdivisionComplex:
         """
         self.require_level(m)
         if m not in self._words:
-            cur = [()]
+            cur = np.zeros((1, 0), dtype=np.int64)
             for k in range(1, m + 1):
-                nxt = [None] * len(self.tris[k])
-                for i, w in enumerate(cur):
-                    for c in range(6):
-                        j = self.map_tri(("F", c), k - 1, i)
-                        assert nxt[j] is None
-                        nxt[j] = (c,) + w
+                imgs = [self.tri_images(("F", c), k - 1) for c in range(6)]
+                hits = np.bincount(np.concatenate(imgs), minlength=len(self.tris[k]))
+                if (hits != 1).any():
+                    raise AssertionError(
+                        f"cell maps do not tile the level-{k} triangles"
+                    )
+                nxt = np.empty((len(self.tris[k]), k), dtype=np.int64)
+                for c, j in enumerate(imgs):
+                    nxt[j, 0] = c
+                    nxt[j, 1:] = cur
                 cur = nxt
+            cur.flags.writeable = False
             self._words[m] = cur
         return self._words[m]
 

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hexacarpet import SimplexId, analysis
 from hexacarpet.analysis import (
+    ARC_OF_MACRO,
+    FRAME,
+    MACRO_OF_ARC,
     LevelCache,
+    YDecomposition,
     arc_flows,
     compose_flow,
     cut_report,
@@ -21,6 +26,7 @@ from hexacarpet.analysis import (
     y_decomposition,
 )
 from hexacarpet.network import check_flow, dissipation
+from hexacarpet.subdivision import side_perm
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +93,141 @@ def test_composed_one_one_energy(cache):
     # the (1,1) splice has energy R(1)^2 = 9/4 exactly
     cf = compose_flow(cache, 1, 1)
     assert abs(cf.energy - 2.25) < 1e-9
+
+
+# -- per-incidence references for the whole-array passes ---------------
+
+
+def y_decomposition_reference(cache, m, zero_tol=1e-12):
+    """Triangle-by-triangle branch currents, through side first."""
+    G = cache.graph("hexacarpet", m)
+    F = G.meta["tri_count"]
+    I = unit_flow(cache, m)
+    idx = G.edge_index()
+    a = np.zeros((F, 3))
+    side = np.zeros((F, 3), dtype=np.int64)
+    scale = float(np.abs(I).max())
+    for x in range(F):
+        es = sorted(cache.C.tri_edges[m][x])
+        vals = [
+            0.0 if abs(I[idx[(x, F + e)]]) < zero_tol * scale
+            else I[idx[(x, F + e)]]
+            for e in es
+        ]
+        best = None
+        for k in range(3):
+            rest = [vals[j] for j in range(3) if j != k]
+            if rest[0] * rest[1] >= 0.0:
+                best = k
+                break
+        assert best is not None
+        order = [best] + [j for j in range(3) if j != best]
+        a[x] = [vals[j] for j in order]
+        side[x] = [es[j] for j in order]
+    return a, side
+
+
+def frame_reference(C, word, y_sides):
+    """The one frame symmetry matching a single triangle's sides."""
+    x_side = {k: C.apply_word(word, SimplexId(0, 1, k)).index for k in range(3)}
+    want = {0: y_sides[0], 2: y_sides[1], 1: y_sides[2]}
+    hits = [
+        g for g in FRAME
+        if all(
+            x_side[MACRO_OF_ARC[frozenset(side_perm(g)[s] for s in ARC_OF_MACRO[k])]]
+            == want[k]
+            for k in range(3)
+        )
+    ]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def compose_flow_reference(cache, m, n):
+    """The spliced flow, one cell and one incidence at a time."""
+    C = cache.C
+    Y = y_decomposition(cache, m)
+    H01, H02 = arc_flows(cache, n)
+    Gn = cache.graph("hexacarpet", n)
+    Gf = cache.graph("hexacarpet", m + n)
+    Fn = Gn.meta["tri_count"]
+    Ff = Gf.meta["tri_count"]
+    idx_f = Gf.edge_index()
+    J = np.zeros(Gf.m)
+    written = np.zeros(Gf.m, dtype=np.int8)
+    for x, word in enumerate(C.tri_words(m)):
+        g = frame_reference(C, word, Y.side[x])
+        a1, a2 = Y.a[x][1], Y.a[x][2]
+        for i in range(Gn.m):
+            gt = C.map_tri(("auto", g), n, int(Gn.us[i]))
+            ge = C.map_edge(("auto", g), n, int(Gn.vs[i]) - Fn)
+            ft = C.apply_word(word, SimplexId(n, 2, gt)).index
+            fe = C.apply_word(word, SimplexId(n, 1, ge)).index
+            pos = idx_f[(ft, Ff + fe)]
+            J[pos] = -(a1 * H01[i] + a2 * H02[i])
+            written[pos] += 1
+    assert (written == 1).all()
+    return J
+
+
+def test_y_decomposition_matches_reference(cache):
+    for m in (1, 2, 3, 4):
+        Y = y_decomposition(cache, m)
+        a, side = y_decomposition_reference(cache, m)
+        assert np.array_equal(Y.a, a)
+        assert np.array_equal(Y.side, side)
+
+
+def test_composed_flow_matches_reference(cache):
+    for total in range(2, 6):
+        for m in range(1, total):
+            cf = compose_flow(cache, m, total - m)
+            assert np.array_equal(cf.flow, compose_flow_reference(cache, m, total - m))
+
+
+# -- the certificate's own consistency checks ---------------------------
+
+
+def _alias_cell_map(monkeypatch, C, level, letter, like):
+    """Make the images of cell map F_letter at one level those of F_like."""
+    edges, tris = C.edge_images, C.tri_images
+
+    def swap(key, n):
+        return (("F", like) if key == ("F", letter) and n == level else key), n
+
+    monkeypatch.setattr(C, "edge_images", lambda key, n: edges(*swap(key, n)))
+    monkeypatch.setattr(C, "tri_images", lambda key, n: tris(*swap(key, n)))
+
+
+def test_compose_flow_rejects_overlapping_cells(monkeypatch):
+    fresh = LevelCache(cap=3)
+    # cells whose innermost letter is 1 land on top of those with 0
+    _alias_cell_map(monkeypatch, fresh.C, 1, 1, 0)
+    with pytest.raises(AssertionError, match="do not tile the fine"):
+        compose_flow(fresh, 1, 1)
+
+
+def test_tri_words_rejects_duplicate_images(monkeypatch):
+    fresh = LevelCache(cap=3)
+    fresh.C.ensure_level(2)
+    _alias_cell_map(monkeypatch, fresh.C, 0, 1, 0)
+    with pytest.raises(AssertionError, match="do not tile the level-1"):
+        fresh.C.tri_words(2)
+
+
+def test_compose_flow_rejects_non_unique_frame(monkeypatch):
+    fresh = LevelCache(cap=3)
+    real = analysis.y_decomposition
+
+    def corrupted(cache, m):
+        Y = real(cache, m)
+        side = Y.side.copy()
+        side[3] = side[3, 0]  # one triangle's three branch sides coincide
+        return YDecomposition(Y.level, Y.a, side)
+
+    monkeypatch.setattr(analysis, "y_decomposition", corrupted)
+    with pytest.raises(AssertionError, match="frame not unique"):
+        compose_flow(fresh, 1, 1)
 
 
 def test_potential_decomposition(cache):

@@ -17,6 +17,10 @@ from hexacarpet import (
     SubdivisionComplex,
 )
 from hexacarpet.subdivision import (
+    CENTER,
+    _F_P1,
+    _F_P2,
+    _base_perm,
     dihedral_compose,
     dihedral_elements,
     dihedral_inverse,
@@ -209,10 +213,52 @@ def test_cell_maps_commute_with_refinement(C):
                 assert kids == set(C.edge_children[n + 1][ie])
 
 
+def reference_vertex_map(C, key, upto):
+    """Vertex images extended one barycenter at a time, in birth order,
+    by looking up each mapped parent simplex in the level dicts."""
+    if key[0] == "F":
+        arr, shift = [CENTER, _F_P1[key[1]], _F_P2[key[1]]], 1
+    else:
+        arr, shift = list(_base_perm(key[1])), 0
+    for vid in range(len(arr), upto):
+        kind, lvl, idx = C.births[vid]
+        tgt = lvl + shift
+        if kind == "e":
+            u, v = C.edges[lvl][idx]
+            ie = C.edge_index[tgt][tuple(sorted((arr[u], arr[v])))]
+            arr.append(C.edge_bary[tgt][ie])
+        else:
+            im = tuple(sorted(arr[q] for q in C.tris[lvl][idx]))
+            arr.append(C.tri_bary[tgt][C.tri_index[tgt][im]])
+    return arr
+
+
+def test_image_arrays_match_per_simplex_maps(C):
+    keys = [("F", c) for c in range(6)] + [("auto", g) for g in dihedral_elements()]
+    for key in keys:
+        shift = 1 if key[0] == "F" else 0
+        for n in range(1 - shift, MAXN + 1 - shift):
+            nv = C.counts(n)[0]
+            arr = reference_vertex_map(C, key, nv)
+            assert C.vertex_map(key, nv).tolist() == arr[:nv]
+            tgt = n + shift
+            edges = [
+                C.edge_index[tgt][tuple(sorted((arr[u], arr[v])))]
+                for u, v in C.edges[n]
+            ]
+            tris = [
+                C.tri_index[tgt][tuple(sorted(arr[q] for q in t))]
+                for t in C.tris[n]
+            ]
+            assert C.edge_images(key, n).tolist() == edges
+            assert C.tri_images(key, n).tolist() == tris
+
+
 def test_words_address_triangles(C):
     for m in (1, 2, 3):
         words = C.tri_words(m)
-        assert len(set(words)) == 6 ** m
+        assert words.shape == (6 ** m, m)
+        assert len(np.unique(words, axis=0)) == 6 ** m
         sl = C.tri_slice(m)
         base = SimplexId(0, 2, 0)
         for i in range(0, 6 ** m, 11):
@@ -233,6 +279,9 @@ def test_capacity_and_missing_level():
         c.ensure_level(3)
     with pytest.raises(MissingLevelError):
         c.require_level(1)
+    c.ensure_level(1)
+    with pytest.raises(MissingLevelError):
+        c.map_edge(("F", 0), 1, 0)
 
 
 def test_serialization_deterministic(C):
