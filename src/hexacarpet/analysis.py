@@ -42,6 +42,7 @@ from .graphs import (
     build_skeleton,
     cut_path_lengths,
     cut_resistance_formula,
+    edge_arc,
 )
 from .network import (
     check_flow,
@@ -92,7 +93,10 @@ class LevelCache:
                 "cut": build_cut_graph,
                 "short": build_short_graph,
             }[family]
-            self._graphs[key] = builder(self.C, n)
+            # the surgeries start from the held hexacarpet, so each
+            # level's hexacarpet is built once
+            held = (self.graph("hexacarpet", n),) if family in ("cut", "short") else ()
+            self._graphs[key] = builder(self.C, n, *held)
         return self._graphs[key]
 
     def result(self, family, n, rtol=None):
@@ -114,19 +118,13 @@ class LevelCache:
     def R_hat(self, n):
         key = ("hat", n)
         if key not in self._exact:
-            self._exact[key] = cut_resistance_formula(self.C, n)
+            self._exact[key] = cut_resistance_formula(
+                self.C, n, self.graph("cut", n)
+            )
         return self._exact[key]
 
     def R_tilde(self, n):
         return self.result("short", n).resistance
-
-    def arc_vertices(self, n, sides):
-        """Hexacarpet edge-vertex ids along the given boundary sides."""
-        G = self.graph("hexacarpet", n)
-        F = G.meta["tri_count"]
-        return frozenset(
-            F + e for s in sides for e in self.C.side_edges_at(n, s)
-        )
 
 
 # -- duality ------------------------------------------------------------
@@ -197,13 +195,13 @@ def arc_flows(cache: LevelCache, n):
         G = cache.graph("hexacarpet", n)
         I = unit_flow(cache, n)
         mirror = hex_pullback(cache, n, I, S3)
-        upper = np.asarray(C.tri_slice(n))[G.us] < 3
+        upper = C.tri_slice(n)[G.us] < 3
         H02 = np.where(upper, I, mirror)
         H01 = hex_pullback(cache, n, H02, S2)
 
-        A = cache.arc_vertices(n, (0, 1))
-        f2 = check_flow(G, H02, A, cache.arc_vertices(n, (4, 5)), tol=1e-9)
-        f1 = check_flow(G, H01, A, cache.arc_vertices(n, (2, 3)), tol=1e-9)
+        A = edge_arc(C, n, (0, 1))
+        f2 = check_flow(G, H02, A, edge_arc(C, n, (4, 5)), tol=1e-9)
+        f1 = check_flow(G, H01, A, edge_arc(C, n, (2, 3)), tol=1e-9)
         if abs(f2 - 1) > 1e-8 or abs(f1 - 1) > 1e-8:
             raise AssertionError("arc flows are not unit flows")
         cache._flows[key] = (H01, H02)
@@ -238,7 +236,7 @@ def y_decomposition(cache: LevelCache, m, zero_tol=1e-12):
     G = cache.graph("hexacarpet", m)
     F = G.meta["tri_count"]
     I = unit_flow(cache, m)
-    es = np.sort(np.array(C.tri_edges[m], dtype=np.int64), axis=1)
+    es = np.sort(C.tri_edges[m], axis=1)
     raw = I[G.positions(np.arange(F)[:, None], F + es)]
     # branch currents sit far above solver noise or are true zeros;
     # snapping the noise makes the sign invariants exact
@@ -380,8 +378,8 @@ class PotentialDecomposition:
 def potential_decomposition(cache: LevelCache, n):
     C = cache.C
     G = cache.graph("skeleton", n)
-    A = frozenset(C.side_vertices(n, 0))
-    B = frozenset(C.side_vertices(n, 3))
+    A = frozenset(C.side_vertices(n, 0).tolist())
+    B = frozenset(C.side_vertices(n, 3).tolist())
     res = effective_resistance(
         G, A=A, B=B, rtol=cache.flow_rtol, max_iter=cache.max_iter
     )
@@ -449,7 +447,7 @@ def cut_report(cache: LevelCache, max_level, tol=1e-9):
     versus solver, and the (3/2)^n upper bounds."""
     rows = []
     for n in range(1, max_level + 1):
-        lengths = cut_path_lengths(cache.C, n)
+        lengths = cut_path_lengths(cache.C, n, cache.graph("cut", n))
         hat = cache.R_hat(n)
         solved = cache.result("cut", n).resistance
         R = cache.R(n)
@@ -458,8 +456,8 @@ def cut_report(cache: LevelCache, max_level, tol=1e-9):
         G = cache.graph("hexacarpet", n)
         uncut = effective_resistance(
             G,
-            A=cache.arc_vertices(n, (0, 1)),
-            B=cache.arc_vertices(n, (4, 5)),
+            A=edge_arc(cache.C, n, (0, 1)),
+            B=edge_arc(cache.C, n, (4, 5)),
             rtol=cache.rtol,
             max_iter=cache.max_iter,
         ).resistance

@@ -18,21 +18,27 @@ hexacarpet joins the edge vertices of sides {0,1} to those of sides
 {3,4}.  Side k of the hexagonal boundary runs counterclockwise from the
 corner at angle 60k degrees.
 
-Conductances are exact Fractions, one shared object per distinct value;
-float views are derived on demand.
+Conductances are exact: int64 numerators over a common denominator
+(halves for every family, and sums of halves in quotients); float views
+are derived on demand.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .subdivision import SubdivisionComplex, lookup_sorted
+from .subdivision import B01, B02, CENTER, SubdivisionComplex, lookup_sorted
 
 SIGMA_A = ("s", 2)  # reflection fixing the corner between sides 0 and 1
 
-HALF, ONE, TWO = Fraction(1, 2), Fraction(1), Fraction(2)
+# family conductances as numerators over DEN
+DEN = 2
+HALF, ONE, TWO = 1, 2, 4
+# largest integer a float64 holds exactly
+_EXACT = 2 ** 53
 
 
 class FamilyError(Exception):
@@ -42,24 +48,34 @@ class FamilyError(Exception):
 class WeightedGraph:
     """Undirected multigraph-free weighted graph with named terminal sets.
 
-    Edges are stored in canonical orientation us[i] < vs[i]; cond holds
-    exact Fractions.  boundary maps set names (usually "A", "B") to
-    frozensets of vertex ids.
+    Edges are stored in canonical orientation us[i] < vs[i].  Conductances
+    are exact: edge i has num[i] / den, with int64 numerators over one
+    common denominator (2 for every family here).  cond is given as
+    rationals, or, when den is given, as those numerators.  boundary maps
+    set names (usually "A", "B") to frozensets of vertex ids.
     """
 
-    def __init__(self, n, us, vs, cond, boundary=None, meta=None):
+    def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None):
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
         if len(lo) and (lo == hi).any():
             raise FamilyError("self-loops are not allowed")
+        if den is None:
+            cond = [Fraction(c) for c in cond]
+            den = math.lcm(*(c.denominator for c in cond))
+            cond = [c.numerator * (den // c.denominator) for c in cond]
+        num = np.asarray(cond, dtype=np.int64)
+        # float views divide two exactly representable integers
+        if den > _EXACT or (len(num) and np.abs(num).max() > _EXACT):
+            raise FamilyError("conductances need numerators and a denominator below 2^53")
         order = np.lexsort((hi, lo))
         self.n = int(n)
         self.us = lo[order]
         self.vs = hi[order]
-        cond = list(cond)
-        self.cond = [cond[i] for i in order]
+        self.num = num[order]
+        self.den = int(den)
         self.boundary = {
             k: frozenset(v) for k, v in (boundary or {}).items()
         }
@@ -70,11 +86,16 @@ class WeightedGraph:
 
     @property
     def m(self):
-        return len(self.cond)
+        return len(self.num)
+
+    @property
+    def cond(self):
+        """The exact conductances as a list of Fractions."""
+        return [Fraction(p, self.den) for p in self.num.tolist()]
 
     def conductances(self):
         if self._cfloat is None:
-            self._cfloat = np.array([float(c) for c in self.cond])
+            self._cfloat = self.num / self.den
         return self._cfloat
 
     def edge_index(self):
@@ -100,22 +121,13 @@ class WeightedGraph:
         np.add.at(deg, self.vs, 1)
         return deg
 
-    def with_boundary(self, **sets):
-        return WeightedGraph(
-            self.n, self.us, self.vs, self.cond, sets, self.meta
-        )
-
     def drop_edges(self, positions):
         """A copy without the edges at the given positions."""
         keep = np.ones(self.m, dtype=bool)
         keep[np.asarray(positions, dtype=np.int64)] = False
         return WeightedGraph(
-            self.n,
-            self.us[keep],
-            self.vs[keep],
-            [c for c, k in zip(self.cond, keep) if k],
-            self.boundary,
-            self.meta,
+            self.n, self.us[keep], self.vs[keep], self.num[keep],
+            self.boundary, self.meta, self.den,
         )
 
 
@@ -127,21 +139,24 @@ def _require_positive_level(n):
 # -- the three basic families ------------------------------------------
 
 
+def edge_arc(C: SubdivisionComplex, n, sides):
+    """Hexacarpet edge-vertex ids along the given boundary sides."""
+    return frozenset((len(C.tris[n]) + C.side_edges_at(n, sides)).tolist())
+
+
 def build_skeleton(C: SubdivisionComplex, n):
     """1-skeleton of level n with terminals the side-2 / side-5 chains."""
     _require_positive_level(n)
     C.ensure_level(n)
-    nv = C.counts(n)[0]
-    us, vs, cond = [], [], []
-    for e, (u, v) in enumerate(C.edges[n]):
-        us.append(u)
-        vs.append(v)
-        cond.append(ONE if C.edge_side[n][e] < 0 else HALF)
-    A = frozenset(C.side_vertices(n, 2))
-    B = frozenset(C.side_vertices(n, 5))
+    edges = C.edges[n]
     return WeightedGraph(
-        nv, us, vs, cond, {"A": A, "B": B},
-        {"family": "skeleton", "level": n},
+        C.counts(n)[0], edges[:, 0], edges[:, 1],
+        np.where(C.edge_side[n] < 0, ONE, HALF),
+        {
+            "A": frozenset(C.side_vertices(n, 2).tolist()),
+            "B": frozenset(C.side_vertices(n, 5).tolist()),
+        },
+        {"family": "skeleton", "level": n}, DEN,
     )
 
 
@@ -150,21 +165,16 @@ def build_dual(C: SubdivisionComplex, n):
     the side-{0,1} and side-{3,4} arcs."""
     _require_positive_level(n)
     C.ensure_level(n)
-    us, vs, cond = [], [], []
-    side_tris = {s: set() for s in range(6)}
-    for e, ts in enumerate(C.edge_tris[n]):
-        s = C.edge_side[n][e]
-        if len(ts) == 2:
-            us.append(ts[0])
-            vs.append(ts[1])
-            cond.append(ONE)
-        else:
-            side_tris[s].add(ts[0])
-    A = frozenset(side_tris[0] | side_tris[1])
-    B = frozenset(side_tris[3] | side_tris[4])
+    ts = C.edge_tris[n]
+    inner = ts[:, 1] >= 0
     return WeightedGraph(
-        len(C.tris[n]), us, vs, cond, {"A": A, "B": B},
-        {"family": "dual", "level": n},
+        len(C.tris[n]), ts[inner, 0], ts[inner, 1],
+        np.full(int(inner.sum()), ONE),
+        {
+            "A": frozenset(ts[C.side_edges_at(n, (0, 1)), 0].tolist()),
+            "B": frozenset(ts[C.side_edges_at(n, (3, 4)), 0].tolist()),
+        },
+        {"family": "dual", "level": n}, DEN,
     )
 
 
@@ -173,17 +183,12 @@ def build_hexacarpet(C: SubdivisionComplex, n):
     _require_positive_level(n)
     C.ensure_level(n)
     F = len(C.tris[n])
-    us, vs, cond = [], [], []
-    for e, ts in enumerate(C.edge_tris[n]):
-        for t in ts:
-            us.append(t)
-            vs.append(F + e)
-            cond.append(TWO)
-    A = frozenset(F + e for s in (0, 1) for e in C.side_edges_at(n, s))
-    B = frozenset(F + e for s in (3, 4) for e in C.side_edges_at(n, s))
+    ts = C.edge_tris[n]
+    e, k = np.nonzero(ts >= 0)
     return WeightedGraph(
-        F + len(C.edges[n]), us, vs, cond, {"A": A, "B": B},
-        {"family": "hexacarpet", "level": n, "tri_count": F},
+        F + len(C.edges[n]), ts[e, k], F + e, np.full(len(e), TWO),
+        {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (3, 4))},
+        {"family": "hexacarpet", "level": n, "tri_count": F}, DEN,
     )
 
 
@@ -191,7 +196,8 @@ def build_hexacarpet(C: SubdivisionComplex, n):
 
 
 def cut_segments(C: SubdivisionComplex, N):
-    """Edge segments whose refinements get severed at level N.
+    """Edge segments whose refinements get severed at level N, as a dict
+    from level to the sorted edge ids of that level.
 
     The base pattern is the pair of level-1 spokes from the hexagon
     center to the corners between sides 0/1 and 4/5.  Each level adds
@@ -202,55 +208,46 @@ def cut_segments(C: SubdivisionComplex, N):
     terminal arcs.
     """
     C.ensure_level(N)
-    b01 = C.edge_bary[0][C.edge_index[0][(0, 1)]]
-    b02 = C.edge_bary[0][C.edge_index[0][(0, 2)]]
-    center = C.tri_bary[0][0]
-    segs = {
-        (1, C.edge_index[1][(min(b01, center), max(b01, center))]),
-        (1, C.edge_index[1][(min(b02, center), max(b02, center))]),
-    }
-    out = set(segs)
-    for _ in range(N - 1):
-        prev, out = out, set(segs)
-        for c in range(6):
-            for lvl, e in prev:
-                if c in (2, 3):
-                    img = C.map_edge(("F", c), lvl, e)
-                else:
-                    img = C.map_edge(
-                        ("F", c), lvl, C.map_edge(("auto", SIGMA_A), lvl, e)
-                    )
-                out.add((lvl + 1, img))
-    return out
+    spokes = np.array([B01, B02]) * C.offsets[1] + CENTER
+    segs = {1: lookup_sorted(C.edge_codes[1], spokes, "spoke")}
+    for k in range(1, N):
+        ids = segs[k]
+        mirrored = C.edge_images(("auto", SIGMA_A), k)[ids]
+        segs[k + 1] = np.unique(np.concatenate([
+            C.edge_images(("F", c), k)[ids if c in (2, 3) else mirrored]
+            for c in range(6)
+        ]))
+    return segs
 
 
 def cut_edge_vertices(C: SubdivisionComplex, N):
-    """Level-N edge ids lying on the severed segments."""
-    hit = set()
-    for lvl, e in cut_segments(C, N):
-        hit.update(C.edge_descendants(lvl, e, N))
-    return hit
+    """Sorted level-N edge ids lying on the severed segments."""
+    return np.unique(np.concatenate([
+        C.edge_descendants(lvl, ids, N).ravel()
+        for lvl, ids in cut_segments(C, N).items()
+    ]))
 
 
-def build_cut_graph(C: SubdivisionComplex, n):
+def build_cut_graph(C: SubdivisionComplex, n, H=None):
     """Hexacarpet with all incidences at the severed edge vertices
     removed; terminals are the side-{0,1} and side-{4,5} arcs, which the
-    surviving triangle strands join by disjoint paths."""
-    G = build_hexacarpet(C, n)
+    surviving triangle strands join by disjoint paths.  H is the level-n
+    hexacarpet when the caller already holds it."""
+    G = build_hexacarpet(C, n) if H is None else H
     F = G.meta["tri_count"]
-    hit = F + np.fromiter(cut_edge_vertices(C, n), dtype=np.int64)
     # incidences run triangle -> edge vertex, so only vs can be hit
-    H = G.drop_edges(np.nonzero(np.isin(G.vs, hit))[0])
-    A = frozenset(F + e for s in (0, 1) for e in C.side_edges_at(n, s))
-    B = frozenset(F + e for s in (4, 5) for e in C.side_edges_at(n, s))
-    H = H.with_boundary(A=A, B=B)
-    H.meta["family"] = "cut"
-    return H
+    keep = ~np.isin(G.vs, F + cut_edge_vertices(C, n))
+    return WeightedGraph(
+        G.n, G.us[keep], G.vs[keep], G.num[keep],
+        {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (4, 5))},
+        {**G.meta, "family": "cut"}, G.den,
+    )
 
 
-def cut_path_lengths(C: SubdivisionComplex, n):
+def cut_path_lengths(C: SubdivisionComplex, n, G=None):
     """Triangle counts of the cut graph's strands, ordered along the
-    terminal arc from the corner at angle 0.
+    terminal arc from the corner at angle 0.  G is the level-n cut graph
+    when the caller already holds it.
 
     Verifies the structure on the way: each strand is a simple path of
     alternating triangle / interior-edge vertices with one end on the
@@ -260,7 +257,8 @@ def cut_path_lengths(C: SubdivisionComplex, n):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    G = build_cut_graph(C, n)
+    if G is None:
+        G = build_cut_graph(C, n)
     F = G.meta["tri_count"]
     data = np.ones(G.m)
     adj = coo_matrix(
@@ -296,13 +294,12 @@ def cut_path_lengths(C: SubdivisionComplex, n):
     if (core & ~ends & (core_deg != 2)).any():
         raise FamilyError("cut strand has a branch")
 
-    def arc_key(a_end):
-        # sides 0 then 1 sweep from the angle-0 corner with strictly
-        # decreasing x, so -x orders strand ends along the arc
-        u, v = C.edges[n][a_end - F]
-        return -(C.coords[u][0] + C.coords[v][0]) / 2
-
-    a_ends = sorted(np.nonzero(on_A & core)[0].tolist(), key=arc_key)
+    # sides 0 then 1 sweep from the angle-0 corner with strictly
+    # decreasing x, so the x sum of the end edges' endpoints, descending,
+    # orders strand ends along the arc
+    a_ends = np.nonzero(on_A & core)[0]
+    x = C.coords[C.edges[n][a_ends - F], 0].sum(axis=1)
+    a_ends = a_ends[np.argsort(-x, kind="stable")]
     out = tris[label[a_ends]].tolist()
     if sum(out) != 6 ** n:
         raise FamilyError("cut strands do not exhaust the triangles")
@@ -311,96 +308,96 @@ def cut_path_lengths(C: SubdivisionComplex, n):
     return out
 
 
-def cut_resistance_formula(C: SubdivisionComplex, n):
+def cut_resistance_formula(C: SubdivisionComplex, n, G=None):
     """Exact strand-parallel resistance: each strand of l triangles is
-    2l hops of resistance 1/2 in series, hence resistance l."""
-    return 1 / sum(Fraction(1, l) for l in cut_path_lengths(C, n))
+    2l hops of resistance 1/2 in series, hence resistance l.  G is the
+    level-n cut graph when the caller already holds it."""
+    return 1 / sum(Fraction(1, l) for l in cut_path_lengths(C, n, G))
 
 
 # -- the short family ---------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def shorted_classes(C: SubdivisionComplex, n):
-    """Union-find over hexacarpet vertices: for every image of an
+    """Representatives of the hexacarpet vertices: for every image of an
     original triangle side under k-fold cell maps (k < n), all level-n
-    edge vertices refining it are fused into one node."""
+    edge vertices refining it are fused into one class, represented by
+    its smallest vertex id; triangles stay alone."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     C.ensure_level(n)
-    F = len(C.tris[n])
-    uf = _UnionFind(F + len(C.edges[n]))
-    img = {(0, e) for e in range(len(C.edges[0]))}
+    F, E = len(C.tris[n]), len(C.edges[n])
+    ids = np.arange(len(C.edges[0]))
+    heads, tails = [], []
     for k in range(n):
-        for lvl, e in img:
-            desc = C.edge_descendants(lvl, e, n)
-            for d in desc[1:]:
-                uf.union(F + desc[0], F + d)
-        img = {
-            (lvl + 1, C.map_edge(("F", c), lvl, e))
-            for c in range(6)
-            for lvl, e in img
-        }
-    return uf
+        desc = C.edge_descendants(k, ids, n)
+        heads.append(np.repeat(desc[:, 0], desc.shape[1] - 1))
+        tails.append(desc[:, 1:].ravel())
+        ids = np.unique(np.concatenate(
+            [C.edge_images(("F", c), k)[ids] for c in range(6)]
+        ))
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    adj = coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(E, E))
+    ncomp, label = connected_components(adj, directed=False)
+    low = np.full(ncomp, E)
+    np.minimum.at(low, label, np.arange(E))
+    return np.concatenate([np.arange(F), F + low[label]])
 
 
 def quotient(G: WeightedGraph, find):
-    """Fuse vertices by a representative function; parallel conductances
-    add, internal edges vanish.  Terminal sets must stay disjoint."""
-    reps = sorted({find(v) for v in range(G.n)})
-    new_id = {r: i for i, r in enumerate(reps)}
-    vmap = [new_id[find(v)] for v in range(G.n)]
-    acc = {}
-    for u, v, c in zip(G.us, G.vs, G.cond):
-        a, b = vmap[int(u)], vmap[int(v)]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        acc[key] = acc.get(key, Fraction(0)) + c
-    boundary = {}
-    for name, vset in G.boundary.items():
-        boundary[name] = frozenset(vmap[v] for v in vset)
-    for x in boundary.get("A", ()):
-        if x in boundary.get("B", ()):
-            raise FamilyError("quotient fuses the two terminal sets")
-    us = [k[0] for k in acc]
-    vs = [k[1] for k in acc]
-    cond = [acc[k] for k in acc]
-    H = WeightedGraph(len(reps), us, vs, cond, boundary, G.meta)
+    """Fuse vertices by representative: find is the array of each
+    vertex's representative, or a function giving it.  Parallel
+    conductances add, internal edges vanish.  Terminal sets must stay
+    disjoint."""
+    if callable(find):
+        find = np.fromiter(map(find, range(G.n)), dtype=np.int64, count=G.n)
+    reps, vmap = np.unique(np.asarray(find, dtype=np.int64), return_inverse=True)
+    a, b = vmap[G.us], vmap[G.vs]
+    keep = a != b
+    lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+    codes, slot = np.unique(lo * len(reps) + hi, return_inverse=True)
+    num = np.zeros(len(codes), dtype=np.int64)
+    np.add.at(num, slot, G.num[keep])
+    new_id = vmap.tolist()
+    boundary = {
+        name: frozenset(new_id[v] for v in vset)
+        for name, vset in G.boundary.items()
+    }
+    if boundary.get("A", frozenset()) & boundary.get("B", frozenset()):
+        raise FamilyError("quotient fuses the two terminal sets")
+    H = WeightedGraph(
+        len(reps), codes // len(reps), codes % len(reps), num,
+        boundary, G.meta, G.den,
+    )
     H.meta["vertex_map"] = vmap
     return H
 
 
-def build_short_graph(C: SubdivisionComplex, n):
+def build_short_graph(C: SubdivisionComplex, n, H=None):
     """Hexacarpet quotient that fuses each cell-map image of the three
     original sides into a single node; terminals collapse to the fused
-    side-{0,1} arc versus the two fused nodes holding sides {3,4}."""
-    G = build_hexacarpet(C, n)
-    uf = shorted_classes(C, n)
-    H = quotient(G, uf.find)
-    H.meta["family"] = "short"
-    H.meta.pop("tri_count", None)
-    return H
+    side-{0,1} arc versus the two fused nodes holding sides {3,4}.  H is
+    the level-n hexacarpet when the caller already holds it."""
+    G = build_hexacarpet(C, n) if H is None else H
+    S = quotient(G, shorted_classes(C, n))
+    S.meta["family"] = "short"
+    S.meta.pop("tri_count", None)
+    return S
 
 
 # -- exports ------------------------------------------------------------
+
+
+def _labelled_edges(G: WeightedGraph):
+    """(u, v, `p/q` conductance) per edge as Python values; the text of
+    each distinct conductance is made once."""
+    vals, slot = np.unique(G.num, return_inverse=True)
+    text = [
+        f"{f.numerator}/{f.denominator}"
+        for f in (Fraction(p, G.den) for p in vals.tolist())
+    ]
+    return zip(G.us.tolist(), G.vs.tolist(), map(text.__getitem__, slot.tolist()))
 
 
 def to_edgelist(G: WeightedGraph):
@@ -410,8 +407,7 @@ def to_edgelist(G: WeightedGraph):
     for name in sorted(G.boundary):
         members = " ".join(str(v) for v in sorted(G.boundary[name]))
         lines.append(f"#boundary {name}: {members}")
-    for u, v, c in zip(G.us, G.vs, G.cond):
-        lines.append(f"{u} {v} {c.numerator}/{c.denominator}")
+    lines += [f"{u} {v} {c}" for u, v, c in _labelled_edges(G)]
     return "\n".join(lines) + "\n"
 
 
@@ -424,7 +420,6 @@ def to_dot(G: WeightedGraph):
         lines.append(f'  {v} [color="red"];')
     for v in sorted(B):
         lines.append(f'  {v} [color="blue"];')
-    for u, v, c in zip(G.us, G.vs, G.cond):
-        lines.append(f'  {u} -- {v} [label="{c.numerator}/{c.denominator}"];')
+    lines += [f'  {u} -- {v} [label="{c}"];' for u, v, c in _labelled_edges(G)]
     lines.append("}")
     return "\n".join(lines) + "\n"

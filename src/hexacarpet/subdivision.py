@@ -2,15 +2,20 @@
 
 Levels are indexed by the number of subdivisions: level 0 is a single
 triangle, level n has 6^n triangles.  Every simplex gets a canonical
-integer id per (level, dimension); ids are assigned after sorting the
-simplex lists, so two runs (or two processes) always agree.
+integer id per (level, dimension): its position in the lexicographic
+order of the sorted vertex tuples, so two runs (or two processes)
+always agree.  Each level is built from the one below in whole-array
+numpy passes, and every per-level table is a read-only int64 array.
 
 Vertices live in one global table shared by all levels, since sub-
-division only ever adds points.  Coordinates are exact rationals in the
-hexagonal embedding of the level-1 complex: the seven level-1 vertices
-form a regular hexagon plus its center, and every later vertex is the
-average of its parents.  The y coordinate is stored in units of
-sqrt(3), which keeps everything in Q^2.
+division only ever adds points: level n holds the ids below offsets[n],
+and the barycenters of its edges, then of its triangles, take the next
+ids in simplex order.  Coordinates are exact in the hexagonal embedding
+of the level-1 complex: the seven level-1 vertices form a regular
+hexagon plus its center, and every later vertex is the average of its
+parents.  The y coordinate is stored in units of sqrt(3), which keeps
+everything in Q^2, and both coordinates are int64 numerators over the
+common denominator 2*6^(n-1) of the top level n.
 
 The module also carries the combinatorial maps used downstream: the six
 cell maps F_0..F_5 embedding level n into level n+1 (one per level-1
@@ -18,14 +23,13 @@ triangle around the center), and the dihedral symmetry group of the
 hexagon acting on every level at once.  Each map is held as int64 image
 arrays, built one level at a time on first use: the vertex images, and
 per level the image ids of every edge and triangle, found by binary
-search of the sorted image vertices in the target level's simplex table.
+search of the sorted image vertices in the target level's simplex codes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,16 +43,11 @@ B01, B02, B12, CENTER = 3, 4, 5, 6
 
 # Hexagon embedding of the level-1 skeleton.  Corners sit at angles
 # 60*k degrees in the order p0, b01, p1, b12, p2, b02; radius 1.
-# Coordinates are (x, y/sqrt(3)) pairs.
-_HEX = {
-    P0: (Fraction(1), Fraction(0)),
-    B01: (Fraction(1, 2), Fraction(1, 2)),
-    P1: (Fraction(-1, 2), Fraction(1, 2)),
-    B12: (Fraction(-1), Fraction(0)),
-    P2: (Fraction(-1, 2), Fraction(-1, 2)),
-    B02: (Fraction(1, 2), Fraction(-1, 2)),
-    CENTER: (Fraction(0), Fraction(0)),
-}
+# Rows are (x, y/sqrt(3)) numerators over 2, in vertex id order
+# p0, p1, p2, b01, b02, b12, center.
+_HEX = np.array(
+    [[2, 0], [-1, 1], [-1, -1], [1, 1], [1, -1], [-2, 0], [0, 0]], dtype=np.int64
+)
 
 # The six boundary sides of the hexagon, as level-1 edges (sorted vertex
 # pairs).  Side k runs counterclockwise from the corner at angle 60*k.
@@ -71,6 +70,8 @@ _SIDE_OF_VERTEX = {
     B02: (1 << 4) | (1 << 5),
     CENTER: 0,
 }
+# the bitmask of side s at index s, and 0 at index -1 (no side)
+_SIDE_BIT = np.array([1, 2, 4, 8, 16, 32, 0], dtype=np.int64)
 
 # Cell maps F_i: the i-th level-1 triangle is [center, corner(i), corner(i+1)]
 # going counterclockwise from p0.  On the level-0 vertices: p0 -> center,
@@ -82,6 +83,13 @@ _F_P2 = (B01, B01, B12, B12, B02, B02)
 # rot60 rotates by +60 degrees, refl_h reflects across the x axis.
 _ROT60 = (B01, B12, B02, P1, P0, P2, CENTER)
 _REFL_H = (P0, P2, P1, B02, B01, B12, CENTER)
+
+# A triangle (a, b, c) with sides (ab, ac, bc) splits into six triangles
+# (q, eb, tb): q is vertex _SPLIT_Q[j], eb the barycenter of side
+# _SPLIT_SIDE[j], and (q, eb) is half _SPLIT_HALF[j] of that side.
+_SPLIT_Q = [0, 0, 1, 1, 2, 2]
+_SPLIT_SIDE = [0, 1, 0, 2, 1, 2]
+_SPLIT_HALF = [0, 0, 1, 0, 1, 1]
 
 
 class CapacityError(Exception):
@@ -166,23 +174,46 @@ def side_perm(elem):
     return out
 
 
+def _frozen(a):
+    a = np.asarray(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+def _check_int64(n):
+    """Refuse a level whose simplex codes (below E*V) or coordinate
+    numerators (at most 2*6^(n-1)) would overflow int64."""
+    v, e, f = 3, 3, 1
+    for _ in range(n):
+        v, e, f = v + e + f, 2 * e + 6 * f, 6 * f
+    if max(e * v, 2 * 6 ** n) > np.iinfo(np.int64).max:
+        raise CapacityError(f"level {n} would overflow the int64 simplex tables")
+
+
 class SubdivisionComplex:
     """All levels 0..top of the subdivided triangle, built incrementally.
 
-    Per-level data (lists indexed by level):
-      edges[n]      sorted vertex pairs, position = edge id
-      tris[n]       sorted vertex triples, position = triangle id
-      tri_edges[n]  the three side edge-ids of each triangle
-      edge_tris[n]  triangle ids incident to each edge (1 or 2)
+    Per-level data (lists indexed by level of read-only int64 arrays):
+      edges[n]      (E, 2) sorted vertex pairs, row = edge id
+      tris[n]       (T, 3) sorted vertex triples, row = triangle id
+      edge_codes[n], tri_codes[n]  the sorted lookup codes of the rows:
+                    u*V + v for an edge, edge_id(a, b)*V + c for a
+                    triangle, with V = offsets[n]
+      tri_edges[n]  (T, 3) the side edge ids (ab, ac, bc) of each triangle
+      edge_tris[n]  (E, 2) incident triangle ids, ascending; -1 in the
+                    second column for a boundary edge
       edge_bary[n]  vertex id of the barycenter of each level-n edge
       tri_bary[n]   vertex id of the barycenter of each level-n triangle
-      edge_children[n]  the two level-(n+1) half edges of each edge
+      edge_children[n]  (E, 2) the two level-(n+1) half edges of each
+                    edge, the one at its smaller endpoint first
       edge_side[n]  boundary side 0..5 of each edge, or -1 (level >= 1)
-      edge_parent[n], tri_parent[n]  provenance in level n-1
+      edge_parent[n]  the level-(n-1) edge an edge halves, or E_(n-1)
+                    plus the triangle it was drawn inside; -1 at level 0
+      tri_parent[n]   the level-(n-1) triangle of each triangle; -1 at 0
+      offsets[n]    vertex count of level n, the first barycenter id
 
-    Global vertex data:
-      coords        exact (x, y/sqrt(3)) Fractions
-      births        ('p',) for the corners, else ('e'|'t', level, index)
+    Global vertex data, indexed by vertex id:
+      coords        (V, 2) numerators of (x, y/sqrt(3)) over denom
       vertex_sides  bitmask of incident boundary sides
 
     Maps, keyed ('F', i) or ('auto', elem), are read-only int64 arrays
@@ -193,26 +224,27 @@ class SubdivisionComplex:
         self.cap = cap
         self.top = 0
 
-        self.edges = [[(P0, P1), (P0, P2), (P1, P2)]]
-        self.tris = [[(P0, P1, P2)]]
-        self.edge_index = [{e: i for i, e in enumerate(self.edges[0])}]
-        self.tri_index = [{t: i for i, t in enumerate(self.tris[0])}]
-        self.tri_edges = [[(0, 1, 2)]]
-        self.edge_tris = [[(0,), (0,), (0,)]]
+        self.edges = [_frozen([(P0, P1), (P0, P2), (P1, P2)])]
+        self.tris = [_frozen([(P0, P1, P2)])]
+        # u*3 + v per edge, edge_id(p0, p1)*3 + p2 for the triangle
+        self.edge_codes = [_frozen([1, 2, 5])]
+        self.tri_codes = [_frozen([2])]
+        self.tri_edges = [_frozen([(0, 1, 2)])]
+        self.edge_tris = [_frozen([(0, -1)] * 3)]
         self.edge_bary = []
         self.tri_bary = []
         self.edge_children = []
-        self.edge_side = [[-1, -1, -1]]
-        self.edge_parent = [[None, None, None]]
-        self.tri_parent = [[None]]
-        self._tri_slice = [[None]]
+        self.edge_side = [_frozen([-1, -1, -1])]
+        self.edge_parent = [_frozen([-1, -1, -1])]
+        self.tri_parent = [_frozen([-1])]
+        self.offsets = [3]
+        self._tri_slice = {}
 
-        self.coords = [_HEX[P0], _HEX[P1], _HEX[P2]]
-        self.births = [("p",), ("p",), ("p",)]
-        self.vertex_sides = [0, 0, 0]
+        self.coords = _frozen(_HEX[:3])
+        self.denom = 2
+        self.vertex_sides = _frozen([0, 0, 0])
 
         # map images, built a level at a time on first use
-        self._tables = {}  # level -> simplex arrays and sorted lookup codes
         self._vmaps = {}  # map key -> vertex images of ids < len
         self._images = {}  # (map key, level) -> (edge images, tri images)
         self._words = {}
@@ -224,6 +256,8 @@ class SubdivisionComplex:
             raise CapacityError(
                 f"level {n} exceeds cap {self.cap}; raise the cap to proceed"
             )
+        if n > self.top:
+            _check_int64(n)
         while self.top < n:
             self._subdivide()
 
@@ -233,187 +267,142 @@ class SubdivisionComplex:
 
     def _subdivide(self):
         n = self.top
-        edges, tris = self.edges[n], self.tris[n]
+        edges, tris, tri_edges = self.edges[n], self.tris[n], self.tri_edges[n]
+        V, E, T = self.offsets[n], len(edges), len(tris)
+        nv = V + E + T
+        eb = np.arange(V, V + E)
+        tb = np.arange(V + E, nv)
 
-        ebary = []
-        for i, (u, v) in enumerate(edges):
-            vid = len(self.coords)
-            ebary.append(vid)
-            cu, cv = self.coords[u], self.coords[v]
-            self.coords.append(((cu[0] + cv[0]) / 2, (cu[1] + cv[1]) / 2))
-            self.births.append(("e", n, i))
-            self.vertex_sides.append(0)
-        tbary = []
-        for i, (u, v, w) in enumerate(tris):
-            vid = len(self.coords)
-            tbary.append(vid)
-            cu, cv, cw = self.coords[u], self.coords[v], self.coords[w]
-            self.coords.append(
-                ((cu[0] + cv[0] + cw[0]) / 3, (cu[1] + cv[1] + cw[1]) / 3)
-            )
-            self.births.append(("t", n, i))
-            self.vertex_sides.append(0)
-
+        # the new edges are (u, eb), (v, eb), (q, tb) and (eb, tb), each
+        # once and smaller id first, so sorting the codes u*V' + v of
+        # these candidates gives the edge ids
+        codes = (
+            np.concatenate([edges[:, 0], edges[:, 1], tris.ravel(), eb[tri_edges].ravel()]) * nv
+            + np.concatenate([eb, eb, np.repeat(tb, 3), np.repeat(tb, 3)])
+        )
+        order = np.argsort(codes)
+        codes = codes[order]
+        new_edges = np.stack([codes // nv, codes % nv], axis=1)
+        eid = np.empty_like(order)
+        eid[order] = np.arange(len(order))
+        children = np.stack([eid[:E], eid[E:2 * E]], axis=1)
+        q_tb = eid[2 * E:2 * E + 3 * T].reshape(T, 3)
+        eb_tb = eid[2 * E + 3 * T:].reshape(T, 3)
         if n == 0:
-            # the averages above are placeholders; the level-1 skeleton is
-            # pinned to the hexagon (the center average happens to agree)
-            for vid in (B01, B02, B12, CENTER):
-                self.coords[vid] = _HEX[vid]
-
-        new_edges = {}
-
-        def add_edge(u, v, parent):
-            key = (u, v) if u < v else (v, u)
-            if key not in new_edges:
-                new_edges[key] = parent
-            return key
-
-        for i, (u, v) in enumerate(edges):
-            add_edge(u, ebary[i], ("e", i))
-            add_edge(v, ebary[i], ("e", i))
-        for i, t in enumerate(tris):
-            for q in t:
-                add_edge(q, tbary[i], ("t", i))
-            for e in self.tri_edges[n][i]:
-                add_edge(ebary[e], tbary[i], ("t", i))
-
-        edge_list = sorted(new_edges)
-        edge_idx = {e: j for j, e in enumerate(edge_list)}
-
-        new_tris = {}
-        for i, t in enumerate(tris):
-            for q in t:
-                for e in self.tri_edges[n][i]:
-                    if q in edges[e]:
-                        tri = tuple(sorted((q, ebary[e], tbary[i])))
-                        new_tris[tri] = i
-        tri_list = sorted(new_tris)
-        tri_idx = {t: j for j, t in enumerate(tri_list)}
-
-        tri_edge_ids = []
-        edge_tri_lists = [[] for _ in edge_list]
-        for j, (a, b, c) in enumerate(tri_list):
-            sides = (edge_idx[(a, b)], edge_idx[(a, c)], edge_idx[(b, c)])
-            tri_edge_ids.append(sides)
-            for e in sides:
-                edge_tri_lists[e].append(j)
-
-        children = [[None, None] for _ in edges]
-        parent_tags = []
-        for key in edge_list:
-            kind, i = new_edges[key]
-            parent_tags.append((kind, i))
-            if kind == "e":
-                u, v = key
-                # the half containing the smaller parent endpoint comes first
-                slot = 0 if min(self.edges[n][i]) in key else 1
-                children[i][slot] = edge_idx[key]
-
-        side = []
-        if n == 0:
-            for u, v in edge_list:
-                side.append(_SIDE_EDGES.get((u, v), -1))
+            new_side = [_SIDE_EDGES.get(e, -1) for e in map(tuple, new_edges.tolist())]
         else:
-            for j, key in enumerate(edge_list):
-                kind, i = new_edges[key]
-                side.append(self.edge_side[n][i] if kind == "e" else -1)
-        for (u, v), s in zip(edge_list, side):
-            if s >= 0:
-                self.vertex_sides[u] |= 1 << s
-                self.vertex_sides[v] |= 1 << s
-        if n == 0:
-            for vid, mask in _SIDE_OF_VERTEX.items():
-                self.vertex_sides[vid] = mask
+            # the halves of a boundary edge stay on its side, as does
+            # its barycenter; everything drawn inside a triangle is not
+            old_side = self.edge_side[n]
+            new_side = np.concatenate([old_side, old_side, np.full(6 * T, -1)])[order]
+        del order
 
-        self.edges.append(edge_list)
-        self.tris.append(tri_list)
-        self.edge_index.append(edge_idx)
-        self.tri_index.append(tri_idx)
-        self.tri_edges.append(tri_edge_ids)
-        self.edge_tris.append([tuple(ts) for ts in edge_tri_lists])
-        self.edge_bary.append(ebary)
-        self.tri_bary.append(tbary)
-        self.edge_children.append([tuple(c) for c in children])
-        self.edge_side.append(side)
-        self.edge_parent.append(parent_tags)
-        self.tri_parent.append([new_tris[t] for t in tri_list])
-        self._tri_slice.append(None)
+        side = tri_edges[:, _SPLIT_SIDE]
+        first = children[side, _SPLIT_HALF]
+        tcodes = (first * nv + tb[:, None]).ravel()
+        torder = np.argsort(tcodes)
+        new_tris = np.stack(
+            [tris[:, _SPLIT_Q], eb[side], np.broadcast_to(tb[:, None], side.shape)],
+            axis=-1,
+        ).reshape(-1, 3)[torder]
+        new_tri_edges = np.stack(
+            [first, q_tb[:, _SPLIT_Q], eb_tb[:, _SPLIT_SIDE]], axis=-1
+        ).reshape(-1, 3)[torder]
+        del eid, q_tb, eb_tb, first, side
+
+        # incident triangles per edge, ascending: a stable sort of the
+        # flattened sides keeps triangle order within each edge
+        flat = new_tri_edges.ravel()
+        by_edge = np.argsort(flat, kind="stable") // 3
+        count = np.bincount(flat, minlength=len(codes))
+        start = np.cumsum(count) - count
+        edge_tris = np.full((len(codes), 2), -1, dtype=np.int64)
+        edge_tris[:, 0] = by_edge[start]
+        two = count == 2
+        edge_tris[two, 1] = by_edge[start[two] + 1]
+
+        if n == 0:
+            self.coords = _frozen(_HEX)
+            sides = [_SIDE_OF_VERTEX[v] for v in range(nv)]
+        else:
+            c = self.coords
+            self.coords = _frozen(np.concatenate([
+                6 * c,
+                3 * (c[edges[:, 0]] + c[edges[:, 1]]),
+                2 * c[tris].sum(axis=1),
+            ]))
+            self.denom *= 6
+            sides = np.concatenate(
+                [self.vertex_sides, _SIDE_BIT[old_side], np.zeros(T, dtype=np.int64)]
+            )
+        self.vertex_sides = _frozen(sides)
+
+        self.edges.append(_frozen(new_edges))
+        self.tris.append(_frozen(new_tris))
+        self.edge_codes.append(_frozen(codes))
+        self.tri_codes.append(_frozen(tcodes[torder]))
+        self.tri_edges.append(_frozen(new_tri_edges))
+        self.edge_tris.append(_frozen(edge_tris))
+        self.edge_bary.append(_frozen(eb))
+        self.tri_bary.append(_frozen(tb))
+        self.edge_children.append(_frozen(children))
+        self.edge_side.append(_frozen(new_side))
+        self.edge_parent.append(_frozen(new_edges[:, 1] - V))
+        self.tri_parent.append(_frozen(torder // 6))
+        self.offsets.append(nv)
         self.top += 1
 
     # -- counts and boundary sets ---------------------------------------
 
     def counts(self, n):
         self.require_level(n)
-        nv = 3 if n == 0 else len(self.coords) if n == self.top else None
-        if nv is None:
-            nv = 3 + sum(
-                len(self.edges[k]) + len(self.tris[k]) for k in range(n)
-            )
-        return nv, len(self.edges[n]), len(self.tris[n])
+        return self.offsets[n], len(self.edges[n]), len(self.tris[n])
 
     def vertices_at(self, n):
         """Ids of the vertices present in the level-n skeleton."""
-        self.require_level(n)
-        count = self.counts(n)[0]
-        return range(count)
+        return range(self.counts(n)[0])
 
     def side_vertices(self, n, side):
-        """Level-n skeleton vertices on boundary side 0..5, sorted by id."""
-        return [v for v in self.vertices_at(n) if self.vertex_sides[v] >> side & 1]
-
-    def side_edges_at(self, n, side):
+        """Level-n skeleton vertices on boundary side 0..5, ascending."""
         self.require_level(n)
-        return [i for i, s in enumerate(self.edge_side[n]) if s == side]
+        return np.nonzero(self.vertex_sides[: self.offsets[n]] >> side & 1)[0]
+
+    def side_edges_at(self, n, sides):
+        """Level-n edge ids on a boundary side, or on any of several."""
+        self.require_level(n)
+        return np.nonzero(np.isin(self.edge_side[n], sides))[0]
 
     # -- triangle ancestry ----------------------------------------------
 
     def tri_slice(self, n):
         """For each level-n triangle, its level-1 ancestor (0..5); n >= 1."""
         self.require_level(n)
-        if self._tri_slice[n] is None:
+        if n not in self._tri_slice:
             if n == 1:
                 # level-1 triangle i lies in cell k iff its vertices are
                 # those of cell k = [center, corner(k), corner(k+1)]
-                cells = {}
                 order = [P0, B01, P1, B12, P2, B02]
-                for k in range(6):
-                    tri = tuple(sorted((CENTER, order[k], order[(k + 1) % 6])))
-                    cells[tri] = k
-                self._tri_slice[1] = [cells[t] for t in self.tris[1]]
+                cells = {
+                    tuple(sorted((CENTER, order[k], order[(k + 1) % 6]))): k
+                    for k in range(6)
+                }
+                sl = [cells[t] for t in map(tuple, self.tris[1].tolist())]
             else:
-                parent_slice = self.tri_slice(n - 1)
-                self._tri_slice[n] = [
-                    parent_slice[p] for p in self.tri_parent[n]
-                ]
+                sl = self.tri_slice(n - 1)[self.tri_parent[n]]
+            self._tri_slice[n] = _frozen(sl)
         return self._tri_slice[n]
 
     def edge_descendants(self, n, edge_id, m):
-        """Level-m edge ids refining the level-n edge (m >= n)."""
+        """Level-m edge ids refining the level-n edge (m >= n), in order
+        along the edge from its smaller endpoint; for an array of edge
+        ids, one row per edge."""
         self.require_level(m)
-        ids = [edge_id]
+        ids = np.asarray(edge_id, dtype=np.int64)
         for k in range(n, m):
-            ids = [c for e in ids for c in self.edge_children[k][e]]
-        return ids
+            ids = self.edge_children[k][ids]
+        return ids.reshape(np.shape(edge_id) + (-1,))
 
     # -- vertex maps -----------------------------------------------------
-
-    def _table(self, n):
-        """(V, edges, triangles, edge codes, triangle codes) of level n.
-
-        An edge (u, v) is coded u*V + v and a triangle (a, b, c) as
-        edge_id(a, b)*V + c, with V the level's vertex count; both follow
-        the lexicographic order of the simplex lists, so they are sorted.
-        """
-        if n not in self._tables:
-            nv = self.counts(n)[0]
-            edges = np.array(self.edges[n], dtype=np.int64)
-            tris = np.array(self.tris[n], dtype=np.int64)
-            first = np.array([s[0] for s in self.tri_edges[n]], dtype=np.int64)
-            self._tables[n] = (
-                nv, edges, tris, edges[:, 0] * nv + edges[:, 1],
-                first * nv + tris[:, 2],
-            )
-        return self._tables[n]
 
     def _map_images(self, key, n):
         """Edge and triangle image ids of the level-n simplices."""
@@ -423,18 +412,17 @@ class SubdivisionComplex:
                 raise MissingLevelError(
                     f"need level {tgt} built to map level {n}"
                 )
-            _, edges, tris, _, _ = self._table(n)
-            nv, _, _, ecodes, tcodes = self._table(tgt)
-            vm = self.vertex_map(key, self.counts(n)[0])
-            ie = vm[edges]
+            nv, ecodes = self.offsets[tgt], self.edge_codes[tgt]
+            vm = self.vertex_map(key, self.offsets[n])
+            ie = vm[self.edges[n]]
             lo, hi = ie.min(axis=1), ie.max(axis=1)
             eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
-            it = np.sort(vm[tris], axis=1)
+            it = np.sort(vm[self.tris[n]], axis=1)
             ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
-            timg = lookup_sorted(tcodes, ab * nv + it[:, 2], "triangle image")
-            eimg.flags.writeable = False
-            timg.flags.writeable = False
-            self._images[(key, n)] = (eimg, timg)
+            timg = lookup_sorted(
+                self.tri_codes[tgt], ab * nv + it[:, 2], "triangle image"
+            )
+            self._images[(key, n)] = (_frozen(eimg), _frozen(timg))
         return self._images[(key, n)]
 
     def vertex_map(self, key, upto=None):
@@ -459,18 +447,16 @@ class SubdivisionComplex:
         shift = 1 if key[0] == "F" else 0
         while len(arr) < upto:
             # the next ids are the level-lvl barycenters, edges first
-            lvl = self.births[len(arr)][1]
+            lvl = self.offsets.index(len(arr))
             tgt = lvl + shift
             if tgt + 1 > self.top:
                 raise MissingLevelError(
                     f"need level {tgt + 1} built to map a level-{lvl} barycenter"
                 )
             eimg, timg = self._map_images(key, lvl)
-            arr = self._vmaps[key] = np.concatenate([
-                arr,
-                np.asarray(self.edge_bary[tgt], dtype=np.int64)[eimg],
-                np.asarray(self.tri_bary[tgt], dtype=np.int64)[timg],
-            ])
+            arr = self._vmaps[key] = np.concatenate(
+                [arr, self.edge_bary[tgt][eimg], self.tri_bary[tgt][timg]]
+            )
         arr.flags.writeable = False
         return arr[:upto]
 
@@ -552,25 +538,21 @@ class SubdivisionComplex:
     # -- serialization ---------------------------------------------------
 
     def to_json(self, n):
-        """Deterministic JSON description of level n."""
+        """Deterministic JSON description of level n; each coordinate is
+        [x numerator, x denominator, y numerator, y denominator] in
+        lowest terms."""
         self.require_level(n)
-        nv = self.counts(n)[0]
+        num = self.coords[: self.offsets[n]]
+        g = np.gcd(num, self.denom)
+        den = self.denom // g
         doc = {
             "level": n,
-            "vertices": [
-                [
-                    self.coords[v][0].numerator,
-                    self.coords[v][0].denominator,
-                    self.coords[v][1].numerator,
-                    self.coords[v][1].denominator,
-                ]
-                for v in range(nv)
-            ],
-            "edges": [list(e) for e in self.edges[n]],
-            "triangles": [list(t) for t in self.tris[n]],
+            "vertices": np.stack([num // g, den], axis=2).reshape(-1, 4).tolist(),
+            "edges": self.edges[n].tolist(),
+            "triangles": self.tris[n].tolist(),
             "barycenters": {
-                "edges": list(self.edge_bary[n]) if n < self.top else [],
-                "triangles": list(self.tri_bary[n]) if n < self.top else [],
+                "edges": self.edge_bary[n].tolist() if n < self.top else [],
+                "triangles": self.tri_bary[n].tolist() if n < self.top else [],
             },
         }
         return json.dumps(doc, separators=(",", ":"), sort_keys=False)

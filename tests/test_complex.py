@@ -5,6 +5,7 @@ independently here: each step maps (V, E, F) to (V + E + F, 2E + 6F,
 6F), starting from (3, 3, 1).
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,19 @@ from hexacarpet import (
     SubdivisionComplex,
 )
 from hexacarpet.subdivision import (
+    B01,
+    B02,
+    B12,
     CENTER,
+    P0,
+    P1,
+    P2,
     _F_P1,
     _F_P2,
+    _SIDE_EDGES,
+    _SIDE_OF_VERTEX,
     _base_perm,
+    _check_int64,
     dihedral_compose,
     dihedral_elements,
     dihedral_inverse,
@@ -29,12 +39,162 @@ from hexacarpet.subdivision import (
 
 MAXN = 4
 
+HEX = {
+    P0: (Fraction(1), Fraction(0)),
+    B01: (Fraction(1, 2), Fraction(1, 2)),
+    P1: (Fraction(-1, 2), Fraction(1, 2)),
+    B12: (Fraction(-1), Fraction(0)),
+    P2: (Fraction(-1, 2), Fraction(-1, 2)),
+    B02: (Fraction(1, 2), Fraction(-1, 2)),
+    CENTER: (Fraction(0), Fraction(0)),
+}
+
+
+class ReferenceComplex:
+    """The per-simplex construction: Python tuples, tuple-keyed dicts
+    and Fraction coordinates, built one simplex at a time.  It is the
+    oracle for the whole-array build."""
+
+    def __init__(self, top):
+        self.edges = [[(P0, P1), (P0, P2), (P1, P2)]]
+        self.tris = [[(P0, P1, P2)]]
+        self.edge_index = [{e: i for i, e in enumerate(self.edges[0])}]
+        self.tri_index = [{t: i for i, t in enumerate(self.tris[0])}]
+        self.tri_edges = [[(0, 1, 2)]]
+        self.edge_tris = [[(0,), (0,), (0,)]]
+        self.edge_bary, self.tri_bary, self.edge_children = [], [], []
+        self.edge_side = [[-1, -1, -1]]
+        self.edge_parent = [[None, None, None]]
+        self.tri_parent = [[None]]
+        self.coords = [HEX[P0], HEX[P1], HEX[P2]]
+        self.births = [("p",), ("p",), ("p",)]
+        self.vertex_sides = [0, 0, 0]
+        for n in range(top):
+            self._subdivide(n)
+        self.top = top
+
+    def _subdivide(self, n):
+        edges, tris = self.edges[n], self.tris[n]
+        ebary, tbary = [], []
+        for i, (u, v) in enumerate(edges):
+            ebary.append(len(self.coords))
+            cu, cv = self.coords[u], self.coords[v]
+            self.coords.append(((cu[0] + cv[0]) / 2, (cu[1] + cv[1]) / 2))
+            self.births.append(("e", n, i))
+            self.vertex_sides.append(0)
+        for i, (u, v, w) in enumerate(tris):
+            tbary.append(len(self.coords))
+            cu, cv, cw = self.coords[u], self.coords[v], self.coords[w]
+            self.coords.append(
+                ((cu[0] + cv[0] + cw[0]) / 3, (cu[1] + cv[1] + cw[1]) / 3)
+            )
+            self.births.append(("t", n, i))
+            self.vertex_sides.append(0)
+        if n == 0:
+            for vid in (B01, B02, B12, CENTER):
+                self.coords[vid] = HEX[vid]
+
+        new_edges = {}
+
+        def add_edge(u, v, parent):
+            key = (u, v) if u < v else (v, u)
+            new_edges.setdefault(key, parent)
+
+        for i, (u, v) in enumerate(edges):
+            add_edge(u, ebary[i], ("e", i))
+            add_edge(v, ebary[i], ("e", i))
+        for i, t in enumerate(tris):
+            for q in t:
+                add_edge(q, tbary[i], ("t", i))
+            for e in self.tri_edges[n][i]:
+                add_edge(ebary[e], tbary[i], ("t", i))
+        edge_list = sorted(new_edges)
+        edge_idx = {e: j for j, e in enumerate(edge_list)}
+
+        new_tris = {}
+        for i, t in enumerate(tris):
+            for q in t:
+                for e in self.tri_edges[n][i]:
+                    if q in edges[e]:
+                        new_tris[tuple(sorted((q, ebary[e], tbary[i])))] = i
+        tri_list = sorted(new_tris)
+
+        tri_edge_ids = []
+        edge_tri_lists = [[] for _ in edge_list]
+        for j, (a, b, c) in enumerate(tri_list):
+            sides = (edge_idx[(a, b)], edge_idx[(a, c)], edge_idx[(b, c)])
+            tri_edge_ids.append(sides)
+            for e in sides:
+                edge_tri_lists[e].append(j)
+
+        children = [[None, None] for _ in edges]
+        for key in edge_list:
+            kind, i = new_edges[key]
+            if kind == "e":
+                slot = 0 if min(edges[i]) in key else 1
+                children[i][slot] = edge_idx[key]
+
+        side = []
+        for key in edge_list:
+            kind, i = new_edges[key]
+            if n == 0:
+                side.append(_SIDE_EDGES.get(key, -1))
+            else:
+                side.append(self.edge_side[n][i] if kind == "e" else -1)
+        for (u, v), s in zip(edge_list, side):
+            if s >= 0:
+                self.vertex_sides[u] |= 1 << s
+                self.vertex_sides[v] |= 1 << s
+        if n == 0:
+            for vid, mask in _SIDE_OF_VERTEX.items():
+                self.vertex_sides[vid] = mask
+
+        self.edges.append(edge_list)
+        self.tris.append(tri_list)
+        self.edge_index.append(edge_idx)
+        self.tri_index.append({t: j for j, t in enumerate(tri_list)})
+        self.tri_edges.append(tri_edge_ids)
+        self.edge_tris.append([tuple(ts) for ts in edge_tri_lists])
+        self.edge_bary.append(ebary)
+        self.tri_bary.append(tbary)
+        self.edge_children.append([tuple(c) for c in children])
+        self.edge_side.append(side)
+        self.edge_parent.append([new_edges[key] for key in edge_list])
+        self.tri_parent.append([new_tris[t] for t in tri_list])
+
+    def to_json(self, n):
+        nv = 3 + sum(len(self.edges[k]) + len(self.tris[k]) for k in range(n))
+        doc = {
+            "level": n,
+            "vertices": [
+                [x.numerator, x.denominator, y.numerator, y.denominator]
+                for x, y in self.coords[:nv]
+            ],
+            "edges": [list(e) for e in self.edges[n]],
+            "triangles": [list(t) for t in self.tris[n]],
+            "barycenters": {
+                "edges": list(self.edge_bary[n]) if n < self.top else [],
+                "triangles": list(self.tri_bary[n]) if n < self.top else [],
+            },
+        }
+        return json.dumps(doc, separators=(",", ":"), sort_keys=False)
+
 
 @pytest.fixture(scope="module")
 def C():
     c = SubdivisionComplex()
     c.ensure_level(MAXN + 1)
     return c
+
+
+@pytest.fixture(scope="module")
+def R():
+    return ReferenceComplex(MAXN + 1)
+
+
+def coord(C, v):
+    """Exact (x, y/sqrt(3)) of vertex v."""
+    return tuple(Fraction(int(c), C.denom) for c in C.coords[v])
 
 
 def count_oracle(n):
@@ -61,25 +221,20 @@ def test_level_one_is_regular_hexagon(C):
     on_circle = [v for v in range(7) if C.vertex_sides[v]]
     assert len(on_circle) == 6
     for v in on_circle:
-        x, y = C.coords[v]
+        x, y = coord(C, v)
         assert x * x + 3 * y * y == 1
-    assert C.coords[6] == (0, 0)
+    assert coord(C, 6) == (0, 0)
 
 
 def test_barycenters_average_parents(C):
-    for vid, birth in enumerate(C.births):
-        if birth[0] == "p" or birth[1] == 0:
-            continue  # level-0 barycenters are pinned to the hexagon
-        kind, lvl, idx = birth
-        if kind == "e":
-            u, v = C.edges[lvl][idx]
-            cx = (C.coords[u][0] + C.coords[v][0]) / 2
-            cy = (C.coords[u][1] + C.coords[v][1]) / 2
-        else:
-            a, b, c = C.tris[lvl][idx]
-            cx = (C.coords[a][0] + C.coords[b][0] + C.coords[c][0]) / 3
-            cy = (C.coords[a][1] + C.coords[b][1] + C.coords[c][1]) / 3
-        assert C.coords[vid] == (cx, cy)
+    # level-0 barycenters are pinned to the hexagon; all coordinates
+    # share one denominator, so the averages are integer identities
+    xy = C.coords
+    for n in range(1, MAXN + 1):
+        u, v = C.edges[n].T
+        assert np.array_equal(2 * xy[C.edge_bary[n]], xy[u] + xy[v])
+        a, b, c = C.tris[n].T
+        assert np.array_equal(3 * xy[C.tri_bary[n]], xy[a] + xy[b] + xy[c])
 
 
 def test_side_counts(C):
@@ -99,13 +254,15 @@ def test_corner_vertices_sit_on_two_sides(C):
 
 def test_boundary_edges_have_one_triangle(C):
     for n in range(1, MAXN + 1):
-        for e, ts in enumerate(C.edge_tris[n]):
-            assert len(ts) == (1 if C.edge_side[n][e] >= 0 else 2)
+        ts = C.edge_tris[n]
+        assert (ts[:, 0] >= 0).all()
+        for e in range(len(ts)):
+            assert (ts[e] >= 0).sum() == (1 if C.edge_side[n][e] >= 0 else 2)
 
 
 def test_edge_triangle_handshake(C):
     for n in range(MAXN + 1):
-        total = sum(len(ts) for ts in C.edge_tris[n])
+        total = (C.edge_tris[n] >= 0).sum()
         assert total == 3 * len(C.tris[n])
 
 
@@ -118,8 +275,8 @@ def test_edge_children_partition(C):
         assert len(seen) == 2 * len(C.edges[n])
         # the remaining level-(n+1) edges were born from triangles
         for e2 in range(len(C.edges[n + 1])):
-            kind, idx = C.edge_parent[n + 1][e2]
-            assert (e2 in seen) == (kind == "e")
+            from_edge = C.edge_parent[n + 1][e2] < len(C.edges[n])
+            assert (e2 in seen) == from_edge
 
 
 def test_macro_edge_descendants_are_the_sides(C):
@@ -157,12 +314,12 @@ def test_symmetries_act_by_isometries(C):
         t, k = elem
         arr = C.vertex_map(("auto", elem), nv)
         for vid in sample:
-            q = C.coords[vid]
+            q = coord(C, vid)
             if t == "s":
                 q = (q[0], -q[1])
             for _ in range(k):
                 q = rot60(q)
-            assert C.coords[arr[vid]] == q
+            assert coord(C, arr[vid]) == q
 
 
 def test_side_perm_matches_edge_action(C):
@@ -213,7 +370,56 @@ def test_cell_maps_commute_with_refinement(C):
                 assert kids == set(C.edge_children[n + 1][ie])
 
 
-def reference_vertex_map(C, key, upto):
+def test_arrays_match_reference(C, R):
+    for n in range(MAXN + 2):
+        assert C.counts(n)[0] == 3 + sum(
+            len(R.edges[k]) + len(R.tris[k]) for k in range(n)
+        )
+        assert C.edges[n].tolist() == [list(e) for e in R.edges[n]]
+        assert C.tris[n].tolist() == [list(t) for t in R.tris[n]]
+        assert C.tri_edges[n].tolist() == [list(t) for t in R.tri_edges[n]]
+        assert C.edge_tris[n].tolist() == [
+            list(ts) + [-1] * (2 - len(ts)) for ts in R.edge_tris[n]
+        ]
+        assert C.edge_side[n].tolist() == R.edge_side[n]
+        V = C.offsets[n]
+        assert np.array_equal(C.edge_codes[n], C.edges[n][:, 0] * V + C.edges[n][:, 1])
+        first = C.tri_edges[n][:, 0]
+        assert np.array_equal(C.tri_codes[n], first * V + C.tris[n][:, 2])
+        if n <= MAXN:
+            assert C.edge_children[n].tolist() == [list(c) for c in R.edge_children[n]]
+            assert C.edge_bary[n].tolist() == R.edge_bary[n]
+            assert C.tri_bary[n].tolist() == R.tri_bary[n]
+        if n >= 1:
+            E = len(R.edges[n - 1])
+            assert C.edge_parent[n].tolist() == [
+                i if kind == "e" else E + i for kind, i in R.edge_parent[n]
+            ]
+            assert C.tri_parent[n].tolist() == R.tri_parent[n]
+    assert C.vertex_sides.tolist() == R.vertex_sides
+    assert [coord(C, v) for v in range(len(R.coords))] == R.coords
+    # the stored denominator is the level's common one, 2 * 6^(n-1)
+    assert C.denom == 2 * 6 ** MAXN
+    tables = [C.edges, C.tris, C.edge_tris, C.edge_children, C.edge_codes]
+    assert not any(t[-1].flags.writeable for t in tables)
+
+
+def test_to_json_matches_reference(C, R):
+    for n in range(1, MAXN + 2):
+        assert C.to_json(n) == R.to_json(n)
+
+
+def test_int64_overflow_guard():
+    # level 12 is the deepest whose triangle codes edge_id * V + c fit
+    # int64; the guard refuses level 13 before building anything
+    _check_int64(12)
+    c = SubdivisionComplex(cap=20)
+    with pytest.raises(CapacityError, match="int64"):
+        c.ensure_level(13)
+    assert c.top == 0
+
+
+def reference_vertex_map(R, key, upto):
     """Vertex images extended one barycenter at a time, in birth order,
     by looking up each mapped parent simplex in the level dicts."""
     if key[0] == "F":
@@ -221,34 +427,34 @@ def reference_vertex_map(C, key, upto):
     else:
         arr, shift = list(_base_perm(key[1])), 0
     for vid in range(len(arr), upto):
-        kind, lvl, idx = C.births[vid]
+        kind, lvl, idx = R.births[vid]
         tgt = lvl + shift
         if kind == "e":
-            u, v = C.edges[lvl][idx]
-            ie = C.edge_index[tgt][tuple(sorted((arr[u], arr[v])))]
-            arr.append(C.edge_bary[tgt][ie])
+            u, v = R.edges[lvl][idx]
+            ie = R.edge_index[tgt][tuple(sorted((arr[u], arr[v])))]
+            arr.append(R.edge_bary[tgt][ie])
         else:
-            im = tuple(sorted(arr[q] for q in C.tris[lvl][idx]))
-            arr.append(C.tri_bary[tgt][C.tri_index[tgt][im]])
+            im = tuple(sorted(arr[q] for q in R.tris[lvl][idx]))
+            arr.append(R.tri_bary[tgt][R.tri_index[tgt][im]])
     return arr
 
 
-def test_image_arrays_match_per_simplex_maps(C):
+def test_image_arrays_match_per_simplex_maps(C, R):
     keys = [("F", c) for c in range(6)] + [("auto", g) for g in dihedral_elements()]
     for key in keys:
         shift = 1 if key[0] == "F" else 0
         for n in range(1 - shift, MAXN + 1 - shift):
             nv = C.counts(n)[0]
-            arr = reference_vertex_map(C, key, nv)
+            arr = reference_vertex_map(R, key, nv)
             assert C.vertex_map(key, nv).tolist() == arr[:nv]
             tgt = n + shift
             edges = [
-                C.edge_index[tgt][tuple(sorted((arr[u], arr[v])))]
-                for u, v in C.edges[n]
+                R.edge_index[tgt][tuple(sorted((arr[u], arr[v])))]
+                for u, v in R.edges[n]
             ]
             tris = [
-                C.tri_index[tgt][tuple(sorted(arr[q] for q in t))]
-                for t in C.tris[n]
+                R.tri_index[tgt][tuple(sorted(arr[q] for q in t))]
+                for t in R.tris[n]
             ]
             assert C.edge_images(key, n).tolist() == edges
             assert C.tri_images(key, n).tolist() == tris

@@ -7,7 +7,8 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from hexacarpet import SubdivisionComplex, graphs
+from hexacarpet import SubdivisionComplex, analysis, graphs
+from hexacarpet.analysis import LevelCache, cut_report, estimate_rho
 from hexacarpet.graphs import (
     FamilyError,
     WeightedGraph,
@@ -21,10 +22,12 @@ from hexacarpet.graphs import (
     cut_resistance_formula,
     cut_segments,
     quotient,
+    shorted_classes,
     to_dot,
     to_edgelist,
 )
 from hexacarpet.network import oracle_resistance
+from hexacarpet.subdivision import lookup_sorted
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +45,8 @@ def test_skeleton_conductances(C):
         G = build_skeleton(C, n)
         assert G.n == C.counts(n)[0]
         assert G.m == C.counts(n)[1]
-        for u, v, c in zip(G.us, G.vs, G.cond):
-            e = C.edge_index[n][(int(u), int(v))]
+        edge = lookup_sorted(C.edge_codes[n], G.us * G.n + G.vs, "edge")
+        for e, c in zip(edge, G.cond):
             want = Fraction(1, 2) if C.edge_side[n][e] >= 0 else Fraction(1)
             assert c == want
 
@@ -91,9 +94,9 @@ def test_hexacarpet_reduces_to_dual(C):
         D = build_dual(C, n)
         F = H.meta["tri_count"]
         reduced = set()
-        for e, ts in enumerate(C.edge_tris[n]):
-            if len(ts) == 2:
-                reduced.add((min(ts), max(ts)))
+        for t0, t1 in C.edge_tris[n].tolist():
+            if t1 >= 0:
+                reduced.add((min(t0, t1), max(t0, t1)))
         dual_edges = {
             (int(u), int(v)) for u, v in zip(D.us, D.vs)
         }
@@ -121,6 +124,15 @@ def test_self_loops_rejected():
         WeightedGraph(2, [1], [1], [Fraction(1)])
 
 
+def test_conductances_must_be_exact_as_floats():
+    # float views divide numerator by denominator, exact below 2^53
+    G = WeightedGraph(3, [0, 1], [1, 2], [Fraction(1, 3), Fraction(5, 7)])
+    assert G.conductances().tolist() == [1 / 3, 5 / 7]
+    assert G.cond == [Fraction(1, 3), Fraction(5, 7)]
+    with pytest.raises(FamilyError):
+        WeightedGraph(2, [0], [1], [Fraction(1, 2 ** 60)])
+
+
 def test_drop_edges():
     G = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [Fraction(k) for k in (1, 2, 3)])
     pos = G.edge_index()[(0, 2)]
@@ -133,9 +145,27 @@ def test_drop_edges():
 # -- cut surgery --------------------------------------------------------
 
 
+def reference_cut_segments(C, N):
+    """(level, edge) pairs grown one segment and one map call at a time."""
+    # the level-1 spokes from the center (6) to b01 (3) and b02 (4)
+    segs = {(1, C.edges[1].tolist().index([b, 6])) for b in (3, 4)}
+    out = set(segs)
+    for _ in range(N - 1):
+        prev, out = out, set(segs)
+        for c in range(6):
+            for lvl, e in prev:
+                if c not in (2, 3):
+                    e = C.map_edge(("auto", graphs.SIGMA_A), lvl, e)
+                out.add((lvl + 1, C.map_edge(("F", c), lvl, e)))
+    return out
+
+
 def test_cut_segment_counts(C):
     for n, want in [(1, 2), (2, 14), (3, 86), (4, 518)]:
-        assert len(cut_segments(C, n)) == want
+        segs = cut_segments(C, n)
+        assert sum(len(ids) for ids in segs.values()) == want
+        pairs = {(lvl, e) for lvl, ids in segs.items() for e in ids.tolist()}
+        assert pairs == reference_cut_segments(C, n)
 
 
 def test_cut_strand_lengths(C):
@@ -277,6 +307,49 @@ def test_short_level_one_value(C):
     assert abs(r.resistance - 15 / 16) < 1e-12
 
 
+def reference_short_graph(C, n):
+    """Union-find over single edges and a Fraction dict for the quotient."""
+    H = build_hexacarpet(C, n)
+    F, E = len(C.tris[n]), len(C.edges[n])
+    parent = list(range(F + E))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    img = {(0, e) for e in range(3)}
+    for k in range(n):
+        for lvl, e in img:
+            desc = C.edge_descendants(lvl, e, n).tolist()
+            for d in desc[1:]:
+                ra, rb = sorted((find(F + desc[0]), find(F + d)))
+                parent[rb] = ra
+        img = {(lvl + 1, C.map_edge(("F", c), lvl, e)) for c in range(6) for lvl, e in img}
+    reps = sorted({find(v) for v in range(F + E)})
+    new_id = {r: i for i, r in enumerate(reps)}
+    acc = {}
+    for u, v, c in zip(H.us.tolist(), H.vs.tolist(), H.cond):
+        a, b = sorted((new_id[find(u)], new_id[find(v)]))
+        if a != b:
+            acc[(a, b)] = acc.get((a, b), Fraction(0)) + c
+    boundary = {
+        name: frozenset(new_id[find(v)] for v in vs) for name, vs in H.boundary.items()
+    }
+    return [new_id[find(v)] for v in range(F + E)], sorted(acc.items()), boundary
+
+
+def test_short_graph_matches_reference(C):
+    for n in (1, 2, 3, 4):
+        S = build_short_graph(C, n)
+        vmap, edges, boundary = reference_short_graph(C, n)
+        assert S.meta["vertex_map"].tolist() == vmap
+        assert list(zip(zip(S.us.tolist(), S.vs.tolist()), S.cond)) == edges
+        assert S.boundary == boundary
+        rep = shorted_classes(C, n)
+        assert (rep <= np.arange(len(rep))).all()
+
+
 def test_short_terminal_classes(C):
     for n in (1, 2, 3):
         G = build_short_graph(C, n)
@@ -309,6 +382,34 @@ def test_quotient_rejects_terminal_fusion():
 
 
 # -- exports ------------------------------------------------------------
+
+
+def test_exports_match_per_edge_format(C):
+    for G in (build_skeleton(C, 2), build_short_graph(C, 3), build_cut_graph(C, 2)):
+        want = [f"{u} {v} {c.numerator}/{c.denominator}" for u, v, c in zip(G.us, G.vs, G.cond)]
+        assert to_edgelist(G).splitlines()[len(G.boundary):] == want
+        dot = to_dot(G).splitlines()
+        assert [l for l in dot if " -- " in l] == [
+            f'  {w.split()[0]} -- {w.split()[1]} [label="{w.split()[2]}"];' for w in want
+        ]
+
+
+def test_each_hexacarpet_is_built_once(monkeypatch):
+    built = []
+    real = graphs.build_hexacarpet
+
+    def counting(C, n):
+        built.append(n)
+        return real(C, n)
+
+    monkeypatch.setattr(graphs, "build_hexacarpet", counting)
+    monkeypatch.setattr(analysis, "build_hexacarpet", counting)
+    cache = LevelCache()
+    estimate_rho(cache, 4, short_max=4)
+    cut_report(cache, 4)
+    for family in ("cut", "short"):
+        cache.graph(family, 4)
+    assert sorted(built) == [1, 2, 3, 4]
 
 
 def test_edgelist_format(C):
