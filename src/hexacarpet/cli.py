@@ -149,7 +149,15 @@ def cmd_resistance(args):
             "energy": res.energy,
             "iterations": res.iterations,
             "residual": res.residual,
-            "manifest": _manifest(args, {"solve_s": dt}),
+            "manifest": {
+                **_manifest(args, {"solve_s": dt}),
+                "solver": {
+                    "method": res.method,
+                    "unknowns": res.unknowns,
+                    "group_order": res.group_order,
+                    "factor_fill": res.factor_fill,
+                },
+            },
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -314,7 +322,6 @@ def build_parser():
         prog="hexacarpet",
         description="resistance scaling on barycentric-subdivision graphs",
     )
-    p.add_argument("--seed", type=int, default=0, help="rng seed (recorded)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, solver=True):
@@ -324,7 +331,6 @@ def build_parser():
         sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
         sp.add_argument("--format", default="csv", choices=("csv", "json"))
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     b = sub.add_parser("build", help="emit a graph or complex")
     b.add_argument("--family", required=True, choices=FAMILIES)
@@ -333,7 +339,6 @@ def build_parser():
         "--format", default="edgelist", choices=("edgelist", "dot", "json")
     )
     b.add_argument("--out", default=None)
-    b.add_argument("--seed", type=int, default=0)
     b.set_defaults(fn=cmd_build)
 
     r = sub.add_parser("resistance", help="solve one family at one level")
@@ -345,7 +350,6 @@ def build_parser():
     r.add_argument("--allow-disconnected", action="store_true")
     r.add_argument("--format", default="json", choices=("csv", "json"))
     r.add_argument("--out", default=None)
-    r.add_argument("--seed", type=int, default=0)
     r.set_defaults(fn=cmd_resistance)
 
     for name, fn, helptext in [

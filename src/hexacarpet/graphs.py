@@ -21,6 +21,12 @@ corner at angle 60k degrees.
 Conductances are exact: int64 numerators over a common denominator
 (halves for every family, and sums of halves in quotients); float views
 are derived on demand.
+
+Every family carries the dihedral symmetry group of the hexagon as a
+DihedralAction on its vertices, read lazily from the complex's map
+image arrays.  stabiliser() picks the elements that fix or swap a
+terminal pair and keeps only those it verifies as automorphisms of the
+actual graph; the solver uses them to reduce its unknowns.
 """
 
 from __future__ import annotations
@@ -30,8 +36,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .subdivision import B01, B02, CENTER, SubdivisionComplex, lookup_sorted
+from .subdivision import (
+    B01,
+    B02,
+    CENTER,
+    SIDE_BIT,
+    SubdivisionComplex,
+    dihedral_compose,
+    dihedral_elements,
+    lookup_sorted,
+    side_perm,
+)
 
+IDENTITY = ("r", 0)
 SIGMA_A = ("s", 2)  # reflection fixing the corner between sides 0 and 1
 
 # family conductances as numerators over DEN
@@ -45,6 +62,69 @@ class FamilyError(Exception):
     """Invalid family/level request or degenerate surgery result."""
 
 
+class DihedralAction:
+    """The dihedral group of the hexagon acting on a graph's vertices.
+
+    images(elem) computes the int64 vertex images of one group element
+    and side_bits() each vertex's bitmask of boundary sides, both from
+    the complex's map arrays.  Neither runs before a solve asks, and
+    both results are cached, so graphs on one vertex set (a hexacarpet
+    and its cut graph) share one action.
+    """
+
+    def __init__(self, images, side_bits):
+        self._images = images
+        self._side_bits = side_bits
+        self._perms = {}
+        self._bits = None
+
+    def perm(self, elem):
+        """Vertex images of a group element."""
+        if elem not in self._perms:
+            self._perms[elem] = self._images(elem)
+        return self._perms[elem]
+
+    def bits(self):
+        """Per-vertex bitmask of the boundary sides a vertex lies on."""
+        if self._bits is None:
+            self._bits = self._side_bits()
+        return self._bits
+
+    def candidates(self, A, B):
+        """The involutions other than the identity whose side permutation
+        carries the sides of (A, B) to those of (A, B) or of (B, A)."""
+        a, b = (
+            int(np.bitwise_or.reduce(self.bits()[np.fromiter(S, np.int64, len(S))]))
+            for S in (A, B)
+        )
+        out = []
+        for g in dihedral_elements():
+            if g == IDENTITY or dihedral_compose(g, g) != IDENTITY:
+                continue
+            moves = side_perm(g)
+            ga, gb = (sum(1 << moves[s] for s in range(6) if x >> s & 1) for x in (a, b))
+            if (ga, gb) in ((a, b), (b, a)):
+                out.append(g)
+        return out
+
+    def induced(self, vmap, n):
+        """The action on the n classes of a quotient, vmap giving each
+        vertex's class; well defined only if the classes are permuted
+        whole, which stabiliser() verifies."""
+
+        def images(elem):
+            p = np.empty(n, dtype=np.int64)
+            p[vmap] = vmap[self.perm(elem)]
+            return p
+
+        def side_bits():
+            bits = np.zeros(n, dtype=np.int64)
+            np.bitwise_or.at(bits, vmap, self.bits())
+            return bits
+
+        return DihedralAction(images, side_bits)
+
+
 class WeightedGraph:
     """Undirected multigraph-free weighted graph with named terminal sets.
 
@@ -52,10 +132,12 @@ class WeightedGraph:
     are exact: edge i has num[i] / den, with int64 numerators over one
     common denominator (2 for every family here).  cond is given as
     rationals, or, when den is given, as those numerators.  boundary maps
-    set names (usually "A", "B") to frozensets of vertex ids.
+    set names (usually "A", "B") to frozensets of vertex ids.  symmetry
+    is the DihedralAction on the vertices, or None.
     """
 
-    def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None):
+    def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None,
+                 symmetry=None):
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         lo = np.minimum(us, vs)
@@ -80,6 +162,7 @@ class WeightedGraph:
             k: frozenset(v) for k, v in (boundary or {}).items()
         }
         self.meta = dict(meta or {})
+        self.symmetry = symmetry
         self._cfloat = None
         self._index = None
         self._codes = None
@@ -107,13 +190,17 @@ class WeightedGraph:
             }
         return self._index
 
+    def codes(self):
+        """The sorted edge codes us * n + vs."""
+        if self._codes is None:
+            self._codes = self.us * self.n + self.vs
+        return self._codes
+
     def positions(self, us, vs):
         """Positions of the canonical edges (us, vs), elementwise over
         arrays; every pair must be an edge."""
-        if self._codes is None:
-            self._codes = self.us * self.n + self.vs
         codes = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
-        return lookup_sorted(self._codes, codes, "edge")
+        return lookup_sorted(self.codes(), codes, "edge")
 
     def degrees(self):
         deg = np.zeros(self.n, dtype=np.int64)
@@ -127,8 +214,62 @@ class WeightedGraph:
         keep[np.asarray(positions, dtype=np.int64)] = False
         return WeightedGraph(
             self.n, self.us[keep], self.vs[keep], self.num[keep],
-            self.boundary, self.meta, self.den,
+            self.boundary, self.meta, self.den, self.symmetry,
         )
+
+
+def _automorphism_sign(G: WeightedGraph, p, inA, inB):
+    """+1 if the vertex images p are an involutive automorphism of G
+    fixing A and B, -1 if one swapping them, else 0."""
+    if len(p) != G.n or (G.n and (p.min() < 0 or p.max() >= G.n)):
+        return 0
+    if (p[p] != np.arange(G.n)).any():
+        return 0
+    pu, pv = p[G.us], p[G.vs]
+    codes = G.codes()
+    moved = np.minimum(pu, pv) * G.n + np.maximum(pu, pv)
+    pos = np.minimum(np.searchsorted(codes, moved), G.m - 1)
+    if G.m and ((codes[pos] != moved).any() or (G.num[pos] != G.num).any()):
+        return 0
+    a, b = inA[p], inB[p]
+    if (a == inA).all() and (b == inB).all():
+        return 1
+    if (a == inB).all() and (b == inA).all():
+        return -1
+    return 0
+
+
+def stabiliser(G: WeightedGraph, A, B):
+    """The symmetries of G that fix the terminal pair (A, B) or swap it.
+
+    Returns a dict from dihedral element to (vertex images, sign), the
+    sign +1 for an element fixing A and B and -1 for one swapping them.
+    The candidates come from G.symmetry, and each is kept only if it is
+    an involution of the vertices that maps the edges onto themselves
+    with equal conductances and fixes or swaps (A, B).  Products of the
+    kept elements close the group, a commuting set of involutions of
+    order 1, 2 or 4; without a symmetry it is the identity alone.
+    """
+    group = {IDENTITY: (np.arange(G.n), 1)}
+    if G.symmetry is None:
+        return group
+    inA = np.zeros(G.n, dtype=bool)
+    inA[np.fromiter(A, np.int64, len(A))] = True
+    inB = np.zeros(G.n, dtype=bool)
+    inB[np.fromiter(B, np.int64, len(B))] = True
+    for g in G.symmetry.candidates(A, B):
+        if g in group or any(
+            dihedral_compose(g, h) != dihedral_compose(h, g) for h in group
+        ):
+            continue
+        p = G.symmetry.perm(g)
+        sign = _automorphism_sign(G, p, inA, inB)
+        if sign:
+            group.update({
+                dihedral_compose(g, h): (p[q], sign * s)
+                for h, (q, s) in list(group.items())
+            })
+    return group
 
 
 def _require_positive_level(n):
@@ -144,6 +285,21 @@ def edge_arc(C: SubdivisionComplex, n, sides):
     return frozenset((len(C.tris[n]) + C.side_edges_at(n, sides)).tolist())
 
 
+def _hexacarpet_action(C: SubdivisionComplex, n):
+    """The dihedral action on hexacarpet vertices: triangle t is vertex
+    t, edge e is vertex F + e."""
+    F = len(C.tris[n])
+
+    def images(g):
+        key = ("auto", g)
+        return np.concatenate([C.tri_images(key, n), F + C.edge_images(key, n)])
+
+    def side_bits():
+        return np.concatenate([np.zeros(F, dtype=np.int64), SIDE_BIT[C.edge_side[n]]])
+
+    return DihedralAction(images, side_bits)
+
+
 def build_skeleton(C: SubdivisionComplex, n):
     """1-skeleton of level n with terminals the side-2 / side-5 chains."""
     _require_positive_level(n)
@@ -157,6 +313,10 @@ def build_skeleton(C: SubdivisionComplex, n):
             "B": frozenset(C.side_vertices(n, 5).tolist()),
         },
         {"family": "skeleton", "level": n}, DEN,
+        DihedralAction(
+            lambda g: C.vertex_map(("auto", g), C.offsets[n]),
+            lambda: C.vertex_sides[: C.offsets[n]],
+        ),
     )
 
 
@@ -175,6 +335,12 @@ def build_dual(C: SubdivisionComplex, n):
             "B": frozenset(ts[C.side_edges_at(n, (3, 4)), 0].tolist()),
         },
         {"family": "dual", "level": n}, DEN,
+        DihedralAction(
+            lambda g: C.tri_images(("auto", g), n),
+            lambda: np.bitwise_or.reduce(
+                SIDE_BIT[C.edge_side[n]][C.tri_edges[n]], axis=1
+            ),
+        ),
     )
 
 
@@ -189,6 +355,7 @@ def build_hexacarpet(C: SubdivisionComplex, n):
         F + len(C.edges[n]), ts[e, k], F + e, np.full(len(e), TWO),
         {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (3, 4))},
         {"family": "hexacarpet", "level": n, "tri_count": F}, DEN,
+        _hexacarpet_action(C, n),
     )
 
 
@@ -240,7 +407,7 @@ def build_cut_graph(C: SubdivisionComplex, n, H=None):
     return WeightedGraph(
         G.n, G.us[keep], G.vs[keep], G.num[keep],
         {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (4, 5))},
-        {**G.meta, "family": "cut"}, G.den,
+        {**G.meta, "family": "cut"}, G.den, G.symmetry,
     )
 
 
@@ -349,7 +516,7 @@ def quotient(G: WeightedGraph, find):
     """Fuse vertices by representative: find is the array of each
     vertex's representative, or a function giving it.  Parallel
     conductances add, internal edges vanish.  Terminal sets must stay
-    disjoint."""
+    disjoint.  The quotient inherits G's symmetry through the classes."""
     if callable(find):
         find = np.fromiter(map(find, range(G.n)), dtype=np.int64, count=G.n)
     reps, vmap = np.unique(np.asarray(find, dtype=np.int64), return_inverse=True)
@@ -369,6 +536,7 @@ def quotient(G: WeightedGraph, find):
     H = WeightedGraph(
         len(reps), codes // len(reps), codes % len(reps), num,
         boundary, G.meta, G.den,
+        None if G.symmetry is None else G.symmetry.induced(vmap, len(reps)),
     )
     H.meta["vertex_map"] = vmap
     return H
@@ -389,15 +557,56 @@ def build_short_graph(C: SubdivisionComplex, n, H=None):
 # -- exports ------------------------------------------------------------
 
 
-def _labelled_edges(G: WeightedGraph):
-    """(u, v, `p/q` conductance) per edge as Python values; the text of
-    each distinct conductance is made once."""
-    vals, slot = np.unique(G.num, return_inverse=True)
-    text = [
-        f"{f.numerator}/{f.denominator}"
-        for f in (Fraction(p, G.den) for p in vals.tolist())
-    ]
-    return zip(G.us.tolist(), G.vs.tolist(), map(text.__getitem__, slot.tolist()))
+def _put_digits(x, table, keep):
+    """Write the decimal digits of the non-negative ints x right-aligned
+    into the byte columns table, marking the significant ones in keep;
+    x is used as scratch.  Each digit is made in a contiguous row, then
+    all are copied across at once."""
+    width = table.shape[1]
+    digits = np.empty((width, len(x)), dtype=np.uint8)
+    big = np.empty((width, len(x)), dtype=bool)
+    big[-1] = True
+    q, d = np.empty_like(x), np.empty_like(x)
+    for j in range(width - 1, -1, -1):
+        np.divmod(x, 10, out=(q, d))
+        np.add(d, 48, out=digits[j], casting="unsafe")
+        if j:
+            np.greater(q, 0, out=big[j - 1])
+        x, q = q, x
+    table[:] = digits.T
+    keep[:] = big.T
+
+
+def _edge_lines(G: WeightedGraph, head, mid, label):
+    """One line head + u + mid + v + label(conductance) per edge, as a
+    string.  The bytes are laid out in one table, row per edge: the
+    digits of u and v come from integer arithmetic on the edge arrays,
+    the label text is encoded once per distinct conductance, and one
+    boolean compaction drops the padding."""
+    vals = np.unique(G.num)
+    texts = [label(Fraction(p, G.den)).encode("ascii") for p in vals.tolist()]
+    slot = np.searchsorted(vals, G.num)
+    digits = [len(str(int(x.max()))) if len(x) else 1 for x in (G.us, G.vs)]
+    widths = [len(head), digits[0], len(mid), digits[1], max(map(len, texts), default=0)]
+    ends = np.cumsum(widths)
+    table = np.zeros((G.m, ends[-1]), dtype=np.uint8)
+    keep = np.zeros((G.m, ends[-1]), dtype=bool)
+    cols = [slice(e - w, e) for e, w in zip(ends, widths)]
+    for c, text in ((cols[0], head), (cols[2], mid)):
+        table[:, c] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        keep[:, c] = True
+    # int32 halves the cost of the digit arithmetic where it suffices
+    small = np.int32 if G.n < 2 ** 31 else np.int64
+    _put_digits(G.us.astype(small), table[:, cols[1]], keep[:, cols[1]])
+    _put_digits(G.vs.astype(small), table[:, cols[3]], keep[:, cols[3]])
+    labels = np.zeros((len(texts), widths[4]), dtype=np.uint8)
+    used = np.zeros((len(texts), widths[4]), dtype=bool)
+    for i, t in enumerate(texts):
+        labels[i, : len(t)] = np.frombuffer(t, dtype=np.uint8)
+        used[i, : len(t)] = True
+    table[:, cols[4]] = np.take(labels, slot, axis=0)
+    keep[:, cols[4]] = np.take(used, slot, axis=0)
+    return table[keep].tobytes().decode("ascii")
 
 
 def to_edgelist(G: WeightedGraph):
@@ -406,9 +615,11 @@ def to_edgelist(G: WeightedGraph):
     lines = []
     for name in sorted(G.boundary):
         members = " ".join(str(v) for v in sorted(G.boundary[name]))
-        lines.append(f"#boundary {name}: {members}")
-    lines += [f"{u} {v} {c}" for u, v, c in _labelled_edges(G)]
-    return "\n".join(lines) + "\n"
+        lines.append(f"#boundary {name}: {members}\n")
+    text = "".join(lines) + _edge_lines(
+        G, "", " ", lambda c: f" {c.numerator}/{c.denominator}\n"
+    )
+    return text or "\n"
 
 
 def to_dot(G: WeightedGraph):
@@ -420,6 +631,7 @@ def to_dot(G: WeightedGraph):
         lines.append(f'  {v} [color="red"];')
     for v in sorted(B):
         lines.append(f'  {v} [color="blue"];')
-    lines += [f'  {u} -- {v} [label="{c}"];' for u, v, c in _labelled_edges(G)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = _edge_lines(
+        G, "  ", " -- ", lambda c: f' [label="{c.numerator}/{c.denominator}"];\n'
+    )
+    return "\n".join(lines) + "\n" + edges + "}\n"

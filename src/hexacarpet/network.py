@@ -12,13 +12,25 @@ The effective resistance between A and B is 1/E(phi) for the harmonic
 potential with phi|A = 0, phi|B = 1, and equals D(I) for the unit
 current flow I = R grad(phi).
 
-The solver eliminates the boundary and factors the interior block of
-the Laplacian with a sparse LU (SuperLU, symmetric mode).  Passing an
-iteration budget max_iter selects conjugate gradients with a Jacobi
-preconditioner instead, as an independent cross-check; it raises
-SolverError when the budget runs out.  Both paths are deterministic.
-A dense direct solver is kept alongside as a further cross-check for
-small graphs.
+The solver eliminates the boundary and solves in the invariant
+subspace of the terminal pair's stabiliser: the verified symmetries of
+the graph that fix (A, B) or swap it (graphs.stabiliser).  In terms of
+psi = phi - 1/2 the potential satisfies psi(g v) = psi(v) for an element
+fixing the pair and psi(g v) = -psi(v) for one swapping it, so there is
+one unknown per orbit of interior vertices, and a vertex that a swapping
+element fixes is pinned at psi = 0.  The projected interior block
+P^T L P, with a quarter of the unknowns for the Klein four-groups of the
+skeleton, dual and hexacarpet, is factored with a sparse LU (SuperLU,
+symmetric mode); a graph without symmetries gets P = I.  The potential
+is expanded back to every vertex, exactly symmetric or antisymmetric,
+and the resistance, energy, flow and the residual of the full interior
+system are computed on the whole graph.
+
+Passing an iteration budget max_iter selects conjugate gradients with a
+Jacobi preconditioner on the unreduced interior block instead, as an
+independent cross-check of the reduction; it raises SolverError when
+the budget runs out.  Both paths are deterministic.  A dense direct
+solver is kept alongside as a further cross-check for small graphs.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, stabiliser
 
 class SolverError(Exception):
     """No solution: disconnected terminals, or CG out of iterations."""
@@ -50,6 +62,11 @@ class ResistanceResult:
     iterations: int
     residual: float
     method: str = "direct"
+    # size of the system solved, order of the symmetry group used to
+    # reduce it, and nonzeros of the LU factors (0 without a factor)
+    unknowns: int = 0
+    group_order: int = 1
+    factor_fill: int = 0
 
 
 def laplacian(G: WeightedGraph):
@@ -126,33 +143,83 @@ def check_flow(G: WeightedGraph, J, sources, sinks, tol=1e-9):
 def _active_interior(G: WeightedGraph, A, B):
     """Split vertices for the Dirichlet solve.
 
-    Returns (interior ids, boundary value vector over all of G, flag
-    whether some component contains both terminals).  Components
-    touching only one terminal set are pinned to that value; components
-    touching neither are left at zero and excluded.
+    Returns (interior ids, boundary mask, boundary value vector over all
+    of G, flag whether some component contains both terminals).
+    Components touching only one terminal set are pinned to that value;
+    components touching neither are left at zero and excluded.
     """
-    adj = sp.coo_matrix(
-        (np.ones(G.m), (G.us, G.vs)), shape=(G.n, G.n)
-    )
-    ncomp, label = sp.csgraph.connected_components(adj + adj.T, directed=False)
+    # edges are sorted by their smaller end, so they form CSR rows as is
+    starts = np.concatenate([[0], np.cumsum(np.bincount(G.us, minlength=G.n))])
+    adj = sp.csr_array((np.ones(G.m), G.vs, starts), shape=(G.n, G.n))
+    ncomp, label = sp.csgraph.connected_components(adj, directed=False)
+    a = np.fromiter(A, np.int64, len(A))
+    b = np.fromiter(B, np.int64, len(B))
     hasA = np.zeros(ncomp, dtype=bool)
+    hasA[label[a]] = True
     hasB = np.zeros(ncomp, dtype=bool)
-    for v in A:
-        hasA[label[v]] = True
-    for v in B:
-        hasB[label[v]] = True
+    hasB[label[b]] = True
     connected = bool(np.any(hasA & hasB))
 
     fixed = np.zeros(G.n, dtype=bool)
+    fixed[a] = True
+    fixed[b] = True
     value = np.zeros(G.n)
-    for v in A:
-        fixed[v] = True
-    for v in B:
-        fixed[v] = True
-        value[v] = 1.0
+    value[b] = 1.0
     live = hasA[label] | hasB[label]
     interior = np.nonzero(live & ~fixed)[0]
     return interior, fixed, value, connected
+
+
+def _reduced_system(G: WeightedGraph, group, interior, bval):
+    """The interior block of the Dirichlet problem projected onto the
+    group's invariant subspace, in one COO pass over the edges.
+
+    group is a list of (vertex images, sign), the identity first, and
+    bval holds the boundary values.  An interior vertex v carries
+    sign[v] * x[col[v]], where col numbers the orbits by their smallest
+    vertex and sign relates v to that vertex; sign is 0 where a swapping
+    element fixes v.  Returns (P^T L P as CSC, P^T b, col, sign), the
+    last two over interior.
+    """
+    ids = np.arange(G.n)
+    unknown = np.zeros(G.n, dtype=bool)
+    unknown[interior] = True
+    rep, sign = ids, np.ones(G.n)
+    for p, s in group[1:]:
+        lower = p < rep
+        rep = np.where(lower, p, rep)
+        sign = np.where(lower, s, sign)
+        if s < 0:
+            unknown &= p != ids
+    sign[~unknown] = 0.0
+    slot = np.cumsum(unknown & (rep == ids)) - 1
+    k = int(slot[-1]) + 1 if G.n else 0
+    col = np.where(unknown, slot[rep], 0).astype(np.int32)
+    if not k:
+        return sp.csc_matrix((0, 0)), np.zeros(0), col[interior], sign[interior]
+
+    c = G.conductances()
+    cu, cv = col[G.us], col[G.vs]
+    su, sv = sign[G.us], sign[G.vs]
+    diag = np.bincount(cu, c * (su != 0), k) + np.bincount(cv, c * (sv != 0), k)
+    rhs = np.bincount(cu, c * su * bval[G.vs], k) + np.bincount(cv, c * sv * bval[G.us], k)
+    both = (su != 0) & (sv != 0)
+    off = -(c * su * sv)[both]
+    cu, cv = cu[both], cv[both]
+    diagonal = np.arange(k, dtype=np.int32)
+    M = sp.coo_array(
+        (
+            np.concatenate([off, off, diag]),
+            (np.concatenate([cu, cv, diagonal]), np.concatenate([cv, cu, diagonal])),
+        ),
+        shape=(k, k),
+    ).tocsc()
+    return M, rhs, col[interior], sign[interior]
+
+
+def _apply_laplacian(G: WeightedGraph, grad):
+    """L f over all vertices, from the edge currents grad = gradient(G, f)."""
+    return np.bincount(G.us, grad, G.n) - np.bincount(G.vs, grad, G.n)
 
 
 def effective_resistance(
@@ -191,44 +258,58 @@ def effective_resistance(
         )
 
     phi = value.copy()
-    iters = 0
+    iters = fill = 0
+    if max_iter is None:
+        group = list(stabiliser(G, A, B).values())
+        # psi = phi - 1/2 is +-1/2 on the boundary
+        M, rhs, col, sign = _reduced_system(G, group, interior, value - 0.5 * fixed)
+        psi = np.zeros(len(interior))
+        if len(rhs):
+            x, fill = _solve_direct(M, rhs)
+            psi = sign * x[col]
+        # 1 - (1/2 + |psi|) is exact, so a swapped pair of vertices gets
+        # phi and 1 - phi bit for bit
+        half = 0.5 + np.abs(psi)
+        phi[interior] = np.where(psi >= 0, half, 1.0 - half)
+    else:
+        group = [(np.arange(G.n), 1)]
+        M, rhs, col, sign = _reduced_system(G, group, interior, value)
+        if len(rhs):
+            x, iters = _solve_cg(M, rhs, rtol, max_iter)
+            phi[interior] = x[col]
+
+    grad = gradient(G, phi)
     residual = 0.0
     if len(interior):
-        L = laplacian(G)[interior]
-        rhs = -(L @ value)
-        Lii = L[:, interior]
-        del L
-        if max_iter is None:
-            x = _solve_direct(Lii, rhs)
-        else:
-            x, iters = _solve_cg(Lii, rhs, rtol, max_iter)
-        phi[interior] = x
-        rnorm = np.linalg.norm(rhs - Lii @ x)
-        bnorm = np.linalg.norm(rhs)
+        # the full interior system L_II phi_I = -L_IB phi_B, edge by edge
+        rnorm = np.linalg.norm(_apply_laplacian(G, grad)[interior])
+        bnorm = np.linalg.norm(
+            _apply_laplacian(G, gradient(G, value))[interior]
+        )
         residual = float(rnorm / bnorm) if bnorm else 0.0
 
     E = energy(G, phi)
     R = 1.0 / E
-    flow = R * gradient(G, phi)
-    return ResistanceResult(R, False, E, phi, flow, iters, residual, method)
+    return ResistanceResult(
+        R, False, E, phi, R * grad, iters, residual, method,
+        len(rhs), len(group), fill,
+    )
 
 
-def _solve_direct(Lii, rhs):
-    """Sparse LU of the symmetric interior block.
+def _solve_direct(M, rhs):
+    """Sparse LU of the symmetric CSC matrix M; (x, factor nonzeros).
 
-    A symmetric CSR matrix is its own transpose, so its arrays are
-    passed to SuperLU as CSC without a copy.  Minimum degree ordering
-    on A^T + A with diagonal pivots keeps the fill, and so the peak
-    memory, close to that of a Cholesky factor.
+    Minimum degree ordering on A^T + A with diagonal pivots keeps the
+    fill, and so the peak memory, close to that of a Cholesky factor.
     """
     lu = spla.splu(
-        sp.csc_matrix((Lii.data, Lii.indices, Lii.indptr), shape=Lii.shape),
+        M,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         panel_size=1,
         options={"SymmetricMode": True},
     )
-    return lu.solve(rhs)
+    return lu.solve(rhs), lu.L.nnz + lu.U.nnz
 
 
 def _solve_cg(Lii, rhs, rtol, max_iter):

@@ -71,7 +71,7 @@ _SIDE_OF_VERTEX = {
     CENTER: 0,
 }
 # the bitmask of side s at index s, and 0 at index -1 (no side)
-_SIDE_BIT = np.array([1, 2, 4, 8, 16, 32, 0], dtype=np.int64)
+SIDE_BIT = np.array([1, 2, 4, 8, 16, 32, 0], dtype=np.int64)
 
 # Cell maps F_i: the i-th level-1 triangle is [center, corner(i), corner(i+1)]
 # going counterclockwise from p0.  On the level-0 vertices: p0 -> center,
@@ -333,7 +333,7 @@ class SubdivisionComplex:
             ]))
             self.denom *= 6
             sides = np.concatenate(
-                [self.vertex_sides, _SIDE_BIT[old_side], np.zeros(T, dtype=np.int64)]
+                [self.vertex_sides, SIDE_BIT[old_side], np.zeros(T, dtype=np.int64)]
             )
         self.vertex_sides = _frozen(sides)
 

@@ -56,6 +56,28 @@ def test_resistance_json(capsys):
     assert doc["manifest"]["tool"] == "hexacarpet"
 
 
+def test_resistance_json_reports_solver(capsys):
+    code, out = run(
+        capsys, "resistance", "--family", "skeleton", "--level", "3"
+    )
+    assert code == 0
+    solver = json.loads(out)["manifest"]["solver"]
+    # 111 interior vertices, a quarter of them up to the pinned ones
+    assert solver == {
+        "method": "direct", "unknowns": 27, "group_order": 4,
+        "factor_fill": solver["factor_fill"],
+    }
+    assert solver["factor_fill"] >= 27
+    code, out = run(
+        capsys, "resistance", "--family", "skeleton", "--level", "3",
+        "--max-iter", "1000",
+    )
+    solver = json.loads(out)["manifest"]["solver"]
+    assert solver == {
+        "method": "cg", "unknowns": 111, "group_order": 1, "factor_fill": 0,
+    }
+
+
 def test_resistance_csv(capsys):
     code, out = run(
         capsys, "resistance", "--family", "skeleton", "--level", "2",

@@ -394,6 +394,37 @@ def test_exports_match_per_edge_format(C):
         ]
 
 
+def _reference_edgelist(G):
+    # one f-string per edge, as the exports were first written
+    lines = [
+        f"#boundary {name}: " + " ".join(str(v) for v in sorted(G.boundary[name]))
+        for name in sorted(G.boundary)
+    ]
+    lines += [f"{u} {v} {c.numerator}/{c.denominator}" for u, v, c in zip(G.us.tolist(), G.vs.tolist(), G.cond)]
+    return "\n".join(lines) + "\n"
+
+
+def test_exports_match_per_edge_format_on_odd_graphs():
+    cases = [
+        WeightedGraph(3, [], [], [], {}),
+        WeightedGraph(3, [], [], [], {"A": {0}, "B": {2}}),
+        # ids across digit widths, unequal widths of u and v, rationals
+        WeightedGraph(
+            1001, [0, 9, 10, 99, 7, 999], [1, 10, 100, 1000, 8, 1000],
+            [Fraction(1, 3), Fraction(7, 2), 5, Fraction(10, 7), Fraction(1, 3), 1],
+            {"A": {0, 9}, "B": {1000}},
+        ),
+    ]
+    for G in cases:
+        assert to_edgelist(G) == _reference_edgelist(G)
+        dot = to_dot(G).splitlines()
+        body = [l for l in _reference_edgelist(G).splitlines() if l and l[0] != "#"]
+        assert [l for l in dot if " -- " in l] == [
+            f'  {w.split()[0]} -- {w.split()[1]} [label="{w.split()[2]}"];' for w in body
+        ]
+        assert dot[-1] == "}"
+
+
 def test_each_hexacarpet_is_built_once(monkeypatch):
     built = []
     real = graphs.build_hexacarpet

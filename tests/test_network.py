@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hexacarpet.analysis import LevelCache
-from hexacarpet.graphs import WeightedGraph
+from hexacarpet.graphs import WeightedGraph, edge_arc, stabiliser
 from hexacarpet.network import (
     NotAFlowError,
     SolverError,
@@ -221,6 +221,181 @@ def test_cg_cross_checks_direct_on_all_families():
             assert direct.residual < 1e-12
             rel = abs(cg.resistance - direct.resistance) / direct.resistance
             assert rel <= 1e-12, (family, n, rel)
+
+
+FAMILIES = ("skeleton", "dual", "hexacarpet", "cut", "short")
+
+
+def plain_copy(G, num=None, symmetry=None):
+    """The same graph from its arrays, without the dihedral action
+    unless one is given."""
+    return WeightedGraph(
+        G.n, G.us, G.vs, G.num if num is None else num,
+        G.boundary, G.meta, G.den, symmetry,
+    )
+
+
+@pytest.fixture(scope="module")
+def cache6():
+    cache = LevelCache(cap=6)
+    cache.C.ensure_level(6)
+    return cache
+
+
+def test_reduced_solve_matches_full_solve(cache6):
+    for family in FAMILIES:
+        for n in range(1, 6):
+            G = cache6.graph(family, n)
+            red = effective_resistance(G)
+            full = effective_resistance(plain_copy(G))
+            assert full.group_order == 1 and red.group_order > 1
+            assert red.unknowns < full.unknowns
+            assert 0 < red.factor_fill < full.factor_fill or red.unknowns == 0
+            assert red.residual < 1e-12
+            rel = abs(red.resistance - full.resistance) / full.resistance
+            assert rel <= 1e-12, (family, n, rel)
+
+
+def test_reduced_solve_matches_oracle(cache6):
+    for family in FAMILIES:
+        for n in range(1, 4):
+            G = cache6.graph(family, n)
+            red = effective_resistance(G)
+            dense = oracle_resistance(G)
+            rel = abs(red.resistance - dense.resistance) / dense.resistance
+            assert rel <= 1e-12, (family, n, rel)
+
+
+# the elements fixing (+1) or swapping (-1) each family's terminal pair
+STABILISERS = {
+    "skeleton": {("s", 5): 1, ("r", 3): -1, ("s", 2): -1},
+    "dual": {("s", 2): 1, ("r", 3): -1, ("s", 5): -1},
+    "hexacarpet": {("s", 2): 1, ("r", 3): -1, ("s", 5): -1},
+    "cut": {("s", 0): -1},
+    "short": {("s", 2): 1},
+}
+
+
+def test_stabiliser_group_orders(cache6):
+    for family, want in STABILISERS.items():
+        for n in range(1, 7):
+            G = cache6.graph(family, n)
+            group = stabiliser(G, G.boundary["A"], G.boundary["B"])
+            assert len(group) == len(want) + 1, (family, n)
+            assert group.pop(("r", 0))[1] == 1
+            assert {g: s for g, (_, s) in group.items()} == want
+
+
+def test_stabiliser_follows_the_terminals(cache6):
+    # the uncut hexacarpet between the cut graph's arcs keeps only s0
+    C = cache6.C
+    for n in range(1, 5):
+        G = cache6.graph("hexacarpet", n)
+        A, B = edge_arc(C, n, (0, 1)), edge_arc(C, n, (4, 5))
+        group = stabiliser(G, A, B)
+        assert {g: s for g, (_, s) in group.items()} == {("r", 0): 1, ("s", 0): -1}
+        red = effective_resistance(G, A=A, B=B)
+        full = effective_resistance(plain_copy(G), A=A, B=B)
+        assert red.group_order == 2
+        assert abs(red.resistance - full.resistance) <= 1e-12 * full.resistance
+
+
+def test_potential_is_exactly_symmetric(cache6):
+    for family in FAMILIES:
+        for n in range(1, 5):
+            G = cache6.graph(family, n)
+            phi = effective_resistance(G).potential
+            # isolated vertices (severed edge vertices of the cut graph)
+            # are left at zero
+            live = G.degrees() > 0
+            for g, (p, sign) in stabiliser(G, G.boundary["A"], G.boundary["B"]).items():
+                want = phi if sign > 0 else 1.0 - phi
+                assert np.array_equal(phi[p][live], want[live]), (family, n, g)
+
+
+def test_broken_symmetry_is_dropped(cache6):
+    # one conductance changed: the elements that move that edge are no
+    # longer automorphisms and must be dropped
+    def fixing(G, group, g):
+        p = group[g][0]
+        lo, hi = np.minimum(p[G.us], p[G.vs]), np.maximum(p[G.us], p[G.vs])
+        return (lo == G.us) & (hi == G.vs)
+
+    for family, n, keep, carries in [
+        ("skeleton", 3, ("s", 5), True),  # an edge on the s5 mirror axis
+        # the s2 axis sits at potential 1/2, so its edges carry no current
+        ("skeleton", 3, ("s", 2), False),
+        ("skeleton", 3, None, True),
+        ("hexacarpet", 3, None, True),  # each incidence has four images
+    ]:
+        G = cache6.graph(family, n)
+        A, B = G.boundary["A"], G.boundary["B"]
+        group = stabiliser(G, A, B)
+        moved = {g: ~fixing(G, group, g) for g in group if g != ("r", 0)}
+        pick = np.ones(G.m, dtype=bool)
+        for g, mask in moved.items():
+            pick &= ~mask if g == keep else mask
+        # the picked edge that carries the most current
+        i = np.argmax(np.where(pick, np.abs(cache6.result(family, n).flow), -1.0))
+        assert pick[i]
+        num = G.num.copy()
+        num[i] += 1
+        H = plain_copy(G, num, G.symmetry)
+        survivors = {("r", 0)} | ({keep} if keep else set())
+        assert set(stabiliser(H, A, B)) == survivors
+        red = effective_resistance(H)
+        full = effective_resistance(plain_copy(H))
+        assert red.group_order == len(survivors)
+        changed = abs(red.resistance - cache6.result(family, n).resistance)
+        assert (changed > 1e-6) == carries
+        assert abs(red.resistance - full.resistance) <= 1e-12 * full.resistance, (family, keep)
+
+
+def test_stabiliser_rejects_false_candidates():
+    # on a 4-edge path the reversal swaps the end terminals; every other
+    # candidate map fails one of the checks and must be dropped
+    class Action:
+        def __init__(self, images):
+            self.images = images
+
+        def candidates(self, A, B):
+            return [("s", 0)]
+
+        def perm(self, g):
+            return np.array(self.images)
+
+    G = path_graph(4)
+    ident, rev = ("r", 0), ("s", 0)
+    for images, B, want in [
+        ([4, 3, 2, 1, 0], {4}, {ident: 1, rev: -1}),
+        ([4, 2, 1, 3, 0], {4}, {ident: 1}),  # breaks edges
+        ([1, 2, 3, 4, 0], {4}, {ident: 1}),  # not an involution
+        ([4, 3, 2, 1, 5], {4}, {ident: 1}),  # not a vertex permutation
+        ([4, 3, 2, 1, 0], {3}, {ident: 1}),  # moves the terminals
+    ]:
+        H = plain_copy(G, symmetry=Action(images))
+        assert {g: s for g, (_, s) in stabiliser(H, {0}, B).items()} == want
+        R = effective_resistance(H, A={0}, B=B).resistance
+        assert abs(R - max(B)) < 1e-12
+
+    # three arms of two edges from a hub: turning the arms is an
+    # automorphism fixing both terminal sets, but of order 3
+    star = WeightedGraph(
+        7, [0, 0, 0, 1, 2, 3], [1, 2, 3, 4, 5, 6], [F1] * 6,
+        {"A": {0}, "B": {4, 5, 6}}, symmetry=Action([0, 2, 3, 1, 5, 6, 4]),
+    )
+    assert list(stabiliser(star, {0}, {4, 5, 6})) == [ident]
+    assert abs(effective_resistance(star).resistance - 2 / 3) < 1e-12
+
+
+def test_solver_statistics(cache6):
+    G = cache6.graph("hexacarpet", 3)
+    direct = effective_resistance(G)
+    cg = effective_resistance(G, max_iter=10_000)
+    interior = G.n - len(G.boundary["A"] | G.boundary["B"])
+    assert (direct.unknowns, direct.group_order) == (interior // 4, 4)
+    assert direct.factor_fill >= direct.unknowns
+    assert (cg.unknowns, cg.group_order, cg.factor_fill) == (interior, 1, 0)
 
 
 def test_deterministic_solve():
