@@ -27,8 +27,7 @@ by binary search of their codes in the target graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +51,9 @@ from .network import (
     energy,
 )
 
-# dihedral elements by role: s2 fixes the source arc, r3 swaps source
-# and sink, s5 = s2 r3; s3 mirrors across the vertical axis, s1 across
-# the 30-degree axis, s0 across the horizontal axis
-S0, S1, S2, S3, S5 = ("s", 0), ("s", 1), ("s", 2), ("s", 3), ("s", 5)
-R3 = ("r", 3)
+# dihedral elements by role: s2 fixes the source arc, s3 mirrors across
+# the vertical axis, s0 across the horizontal axis
+S0, S2, S3 = ("s", 0), ("s", 2), ("s", 3)
 
 # the six symmetries permuting the three original triangle sides; they
 # act simply transitively on assignments of the three boundary arcs
@@ -70,14 +67,16 @@ MACRO_OF_ARC = {frozenset(v): k for k, v in ARC_OF_MACRO.items()}
 
 
 class LevelCache:
-    """Memoized graphs and resistance solves per level."""
+    """Memoized graphs and resistance solves per level.
 
-    def __init__(self, cap=DEFAULT_CAP, rtol=1e-10, flow_rtol=1e-12,
-                 max_iter=None):
+    Every solve is the sparse direct solve in the invariant subspace of
+    the terminal pair's symmetry group, so potentials and flows are
+    exactly symmetric as returned and each (family, level) is solved
+    once.
+    """
+
+    def __init__(self, cap=DEFAULT_CAP):
         self.C = SubdivisionComplex(cap)
-        self.rtol = rtol
-        self.flow_rtol = flow_rtol
-        self.max_iter = max_iter
         self._graphs = {}
         self._results = {}
         self._flows = {}
@@ -99,14 +98,10 @@ class LevelCache:
             self._graphs[key] = builder(self.C, n, *held)
         return self._graphs[key]
 
-    def result(self, family, n, rtol=None):
-        # rtol only steers CG; the direct solve is done once per level
-        rtol = self.rtol if rtol is None else rtol
-        key = (family, n) if self.max_iter is None else (family, n, rtol)
+    def result(self, family, n):
+        key = (family, n)
         if key not in self._results:
-            self._results[key] = effective_resistance(
-                self.graph(family, n), rtol=rtol, max_iter=self.max_iter
-            )
+            self._results[key] = effective_resistance(self.graph(family, n))
         return self._results[key]
 
     def R(self, n):
@@ -158,25 +153,14 @@ def hex_pullback(cache: LevelCache, n, J, elem):
 
 
 def unit_flow(cache: LevelCache, n):
-    """The unit current of the standard problem, exactly symmetrized.
+    """The unit current of the standard problem.
 
     The terminal pair (sides {0,1} versus {3,4}) is preserved by s2 and
-    reversed by r3 and s5; averaging the four transported copies
-    projects the solver output onto the symmetric flow, which is the
-    true minimizer, and scrubs asymmetric rounding noise.
+    reversed by r3 and s5.  The solve works in the subspace of
+    potentials with exactly that symmetry, so the returned flow is
+    invariant under s2 and odd under r3 and s5 bit for bit.
     """
-    key = ("I", n)
-    if key not in cache._flows:
-        res = cache.result("hexacarpet", n, rtol=cache.flow_rtol)
-        I = res.flow
-        I = (
-            I
-            + hex_pullback(cache, n, I, S2)
-            - hex_pullback(cache, n, I, R3)
-            - hex_pullback(cache, n, I, S5)
-        ) / 4.0
-        cache._flows[key] = I
-    return cache._flows[key]
+    return cache.result("hexacarpet", n).flow
 
 
 def arc_flows(cache: LevelCache, n):
@@ -358,9 +342,10 @@ class PotentialDecomposition:
     """Slice potentials of the skeleton problem in the rotated frame.
 
     phi is harmonic on the level-n skeleton with value 0 on the side-0
-    chain and 1 on the side-3 chain, symmetrized under the reflection
-    fixing both chains.  u, v, w are its pullbacks to level n-1 under
-    the cell maps of the slices at angles 0-60, 60-120 and 300-360.
+    chain and 1 on the side-3 chain; the symmetric solve makes it
+    exactly invariant under s1, the reflection fixing both chains.
+    u, v, w are its pullbacks to level n-1 under the cell maps of the
+    slices at angles 0-60, 60-120 and 300-360.
     Energy splits as E(phi) = 2 E(u) + 4 E(v) with E(u, v - w) = 0, and
     E(phi) equals the reciprocal skeleton resistance.
     """
@@ -380,13 +365,7 @@ def potential_decomposition(cache: LevelCache, n):
     G = cache.graph("skeleton", n)
     A = frozenset(C.side_vertices(n, 0).tolist())
     B = frozenset(C.side_vertices(n, 3).tolist())
-    res = effective_resistance(
-        G, A=A, B=B, rtol=cache.flow_rtol, max_iter=cache.max_iter
-    )
-    phi = res.potential
-    # s1 (the 30-degree axis) fixes both chains; average to make the
-    # invariance exact
-    phi = (phi + phi[C.vertex_map(("auto", S1), G.n)]) / 2.0
+    phi = effective_resistance(G, A=A, B=B).potential
 
     Gm = cache.graph("skeleton", n - 1)
     nm = Gm.n
@@ -458,8 +437,6 @@ def cut_report(cache: LevelCache, max_level, tol=1e-9):
             G,
             A=edge_arc(cache.C, n, (0, 1)),
             B=edge_arc(cache.C, n, (4, 5)),
-            rtol=cache.rtol,
-            max_iter=cache.max_iter,
         ).resistance
         rows.append(
             {
@@ -505,6 +482,26 @@ def short_report(cache: LevelCache, max_level, ratio_tol=1e-3):
     return rows, c
 
 
+# -- tables -------------------------------------------------------------
+
+
+def _csv_cell(x):
+    if x is None or (isinstance(x, float) and x != x):
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def csv_text(header, rows):
+    """The header line, then one line per row.  Every table is written
+    through here: floats as %.17g, bools as true/false, None and NaN as
+    empty cells, anything else as str."""
+    return "\n".join([header, *(",".join(map(_csv_cell, r)) for r in rows)]) + "\n"
+
+
 # -- scaling exponents --------------------------------------------------
 
 
@@ -523,7 +520,6 @@ class ScalingReport:
     rho_fit: float
     rho_T_fit: float
     d_S: float
-    meta: dict = field(default_factory=dict)
 
     def ratios(self):
         out = [float("nan")]
@@ -532,30 +528,18 @@ class ScalingReport:
         return out
 
     def to_csv_text(self):
-        def fmt(x):
-            return "" if x is None or (isinstance(x, float) and math.isnan(x)) else f"{x:.17g}"
-
-        lines = ["n,R_n,R_n_T,product,R_hat,R_tilde,ratio,fit_rho,d_S"]
+        rows = []
         ratios = self.ratios()
         for i, n in enumerate(self.levels):
             fit = rho_fit_upto(self.levels, self.R, n)
             ds = spectral_dimension(fit) if fit is not None else None
-            lines.append(
-                ",".join(
-                    [
-                        str(n),
-                        fmt(self.R[i]),
-                        fmt(self.RT[i]),
-                        fmt(self.R[i] * self.RT[i]),
-                        fmt(self.R_hat[i]),
-                        fmt(self.R_tilde[i]),
-                        fmt(ratios[i]),
-                        fmt(fit),
-                        fmt(ds),
-                    ]
-                )
+            rows.append(
+                [n, self.R[i], self.RT[i], self.R[i] * self.RT[i],
+                 self.R_hat[i], self.R_tilde[i], ratios[i], fit, ds]
             )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            "n,R_n,R_n_T,product,R_hat,R_tilde,ratio,fit_rho,d_S", rows
+        )
 
     def to_json_dict(self):
         return {
@@ -567,9 +551,10 @@ class ScalingReport:
             "ratio": self.ratios(),
             "rho_fit": self.rho_fit,
             "rho_T_fit": self.rho_T_fit,
-            "rho_product": self.rho_fit * self.rho_T_fit,
+            "rho_product": (
+                self.rho_fit * self.rho_T_fit if self.rho_fit is not None else None
+            ),
             "d_S": self.d_S,
-            "meta": self.meta,
         }
 
 

@@ -34,6 +34,7 @@ from .graphs import FamilyError, to_dot, to_edgelist
 from .network import SolverError, effective_resistance
 from .analysis import (
     LevelCache,
+    csv_text,
     cut_report,
     estimate_rho,
     short_report,
@@ -43,17 +44,6 @@ from .analysis import (
 )
 
 FAMILIES = ("skeleton", "dual", "hexacarpet", "cut", "short")
-THREADS_HELP = "accepted for compatibility; solves run serially"
-
-
-def _fmt(x):
-    if x is None or (isinstance(x, float) and x != x):
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def _manifest(args, timings):
@@ -81,27 +71,22 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _cache(args):
-    cap = int(os.environ.get("HEXACARPET_CAP", DEFAULT_CAP))
-    max_iter = getattr(args, "max_iter", None)
-    return LevelCache(cap=cap, max_iter=max_iter)
+def _report(args, csv, doc):
+    """Emit a subcommand's result: the CSV text or the JSON document,
+    as --format asks."""
+    text = csv if args.format == "csv" else json.dumps(doc, indent=2) + "\n"
+    _emit(text, args.out)
 
 
-def _prefetch(cache, families, levels):
-    """Build every graph before the first solve, then solve in order."""
-    cache.C.ensure_level(max(levels))
-    jobs = [(f, n) for f in families for n in levels]
-    for j in jobs:
-        cache.graph(*j)
-    for j in jobs:
-        cache.result(*j)
+def _cache():
+    return LevelCache(int(os.environ.get("HEXACARPET_CAP", DEFAULT_CAP)))
 
 
 # -- subcommands --------------------------------------------------------
 
 
 def cmd_build(args):
-    cache = _cache(args)
+    cache = _cache()
     if args.format == "json":
         cache.C.ensure_level(args.level)
         if args.level + 1 <= cache.C.cap:
@@ -116,64 +101,51 @@ def cmd_build(args):
 
 
 def cmd_resistance(args):
-    cache = _cache(args)
+    cache = _cache()
     t0 = time.perf_counter()
     G = cache.graph(args.family, args.level)
+    t1 = time.perf_counter()
     res = effective_resistance(
         G,
         rtol=args.tol,
         max_iter=args.max_iter,
         allow_disconnected=args.allow_disconnected,
     )
-    dt = time.perf_counter() - t0
-    if args.format == "csv":
-        lines = [
-            "family,level,resistance,disconnected,iterations",
-            ",".join(
-                [
-                    args.family,
-                    str(args.level),
-                    "" if res.disconnected else _fmt(res.resistance),
-                    _fmt(res.disconnected),
-                    str(res.iterations),
-                ]
-            ),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        doc = {
-            "family": args.family,
-            "level": args.level,
-            "resistance": None if res.disconnected else res.resistance,
-            "disconnected": res.disconnected,
-            "energy": res.energy,
-            "iterations": res.iterations,
-            "residual": res.residual,
-            "manifest": {
-                **_manifest(args, {"solve_s": dt}),
-                "solver": {
-                    "method": res.method,
-                    "unknowns": res.unknowns,
-                    "group_order": res.group_order,
-                    "factor_fill": res.factor_fill,
-                },
+    t2 = time.perf_counter()
+    R = None if res.disconnected else res.resistance
+    row = [args.family, args.level, R, res.disconnected, res.iterations]
+    doc = {
+        "family": args.family,
+        "level": args.level,
+        "resistance": R,
+        "disconnected": res.disconnected,
+        "energy": res.energy,
+        "iterations": res.iterations,
+        "residual": res.residual,
+        "manifest": {
+            **_manifest(args, {"build_s": t1 - t0, "solve_s": t2 - t1}),
+            "solver": {
+                "method": res.method,
+                "unknowns": res.unknowns,
+                "group_order": res.group_order,
+                "factor_fill": res.factor_fill,
             },
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        },
+    }
+    _report(
+        args,
+        csv_text("family,level,resistance,disconnected,iterations", [row]),
+        doc,
+    )
     return 0
 
 
 def cmd_rho(args):
-    cache = _cache(args)
+    cache = _cache()
     t0 = time.perf_counter()
-    levels = list(range(1, args.max_level + 1))
-    short_max = min(args.max_level, 5)
-    _prefetch(cache, ("hexacarpet", "skeleton"), levels)
-    rep = estimate_rho(cache, args.max_level, short_max=short_max)
+    cache.C.ensure_level(args.max_level)
+    rep = estimate_rho(cache, args.max_level)
     dt = time.perf_counter() - t0
-    if args.format == "csv":
-        _emit(rep.to_csv_text(), args.out)
-        return 0
     doc = rep.to_json_dict()
     rho_T = rep.rho_T_fit
     doc["meta"] = {
@@ -189,80 +161,60 @@ def cmd_rho(args):
         ),
     }
     doc["manifest"] = _manifest(args, {"total_s": dt})
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _report(args, rep.to_csv_text(), doc)
     return 0
 
 
 def cmd_duality(args):
-    cache = _cache(args)
+    cache = _cache()
     t0 = time.perf_counter()
-    levels = list(range(1, args.max_level + 1))
-    _prefetch(cache, ("hexacarpet", "skeleton"), levels)
-    rows = verify_duality(cache, levels, tol=args.tol)
+    cache.C.ensure_level(args.max_level)
+    rows = verify_duality(cache, range(1, args.max_level + 1), tol=args.tol)
     dt = time.perf_counter() - t0
     ok = all(r[4] for r in rows)
-    if args.format == "csv":
-        lines = ["n,R_n,R_n_T,product,ok"]
-        for n, R, RT, prod, good in rows:
-            lines.append(
-                ",".join([str(n), _fmt(R), _fmt(RT), _fmt(prod), _fmt(good)])
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        doc = {
-            "rows": [
-                {"n": n, "R": R, "RT": RT, "product": p, "ok": g}
-                for n, R, RT, p, g in rows
-            ],
-            "pass": ok,
-            "manifest": _manifest(args, {"total_s": dt}),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    doc = {
+        "rows": [
+            {"n": n, "R": R, "RT": RT, "product": p, "ok": g}
+            for n, R, RT, p, g in rows
+        ],
+        "pass": ok,
+        "manifest": _manifest(args, {"total_s": dt}),
+    }
+    _report(args, csv_text("n,R_n,R_n_T,product,ok", rows), doc)
     return 0 if ok else 1
 
 
 def cmd_submult(args):
-    cache = _cache(args)
+    cache = _cache()
     t0 = time.perf_counter()
-    levels = list(range(1, args.max_level + 1))
-    _prefetch(cache, ("hexacarpet", "skeleton"), levels)
+    cache.C.ensure_level(args.max_level)
     rows = verify_supermultiplicative(cache, args.max_level, tol=args.tol)
     dt = time.perf_counter() - t0
     ok = all(
         r["upper"] and r["lower"] and r["t_upper"] and r["t_lower"]
         for r in rows
     )
-    if args.format == "csv":
-        lines = ["m,n,R_mn,R_m_R_n,upper_ok,lower_ok,t_upper_ok,t_lower_ok"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r["m"]),
-                        str(r["n"]),
-                        _fmt(r["R"]),
-                        _fmt(r["RmRn"]),
-                        _fmt(r["upper"]),
-                        _fmt(r["lower"]),
-                        _fmt(r["t_upper"]),
-                        _fmt(r["t_lower"]),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        doc = {
-            "rows": rows,
-            "pass": ok,
-            "manifest": _manifest(args, {"total_s": dt}),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    doc = {
+        "rows": rows,
+        "pass": ok,
+        "manifest": _manifest(args, {"total_s": dt}),
+    }
+    csv = csv_text(
+        "m,n,R_mn,R_m_R_n,upper_ok,lower_ok,t_upper_ok,t_lower_ok",
+        [
+            [r[k] for k in ("m", "n", "R", "RmRn", "upper", "lower",
+                            "t_upper", "t_lower")]
+            for r in rows
+        ],
+    )
+    _report(args, csv, doc)
     return 0 if ok else 1
 
 
 def cmd_bounds(args):
-    cache = _cache(args)
+    cache = _cache()
     t0 = time.perf_counter()
+    cache.C.ensure_level(args.max_level)
     cuts = cut_report(cache, args.max_level)
     shorts, const = short_report(cache, min(args.max_level, 5))
     dt = time.perf_counter() - t0
@@ -271,46 +223,34 @@ def cmd_bounds(args):
         and r["step_ratio"] and r["formula_gap"] <= args.tol
         for r in cuts
     ) and all(r["le_R"] and r["ratio_ok"] for r in shorts)
-    if args.format == "csv":
-        lines = [
-            "n,strands,R_hat,R_hat_solver,R_tilde,hat_le_pow,R_le_pow,"
-            "monotone,ratio_ok"
-        ]
-        tilde = {r["n"]: r for r in shorts}
-        for r in cuts:
-            n = r["n"]
-            s = tilde.get(n)
-            lines.append(
-                ",".join(
-                    [
-                        str(n),
-                        str(r["strands"]),
-                        _fmt(float(r["R_hat"])),
-                        _fmt(r["R_hat_solver"]),
-                        _fmt(s["R_tilde"]) if s else "",
-                        _fmt(r["hat_le_pow"]),
-                        _fmt(r["R_le_pow"]),
-                        _fmt(r["monotone"]),
-                        _fmt(s["ratio_ok"]) if s else "",
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        doc = {
-            "cut": [
-                {
-                    **{k: v for k, v in r.items() if k != "R_hat"},
-                    "R_hat": [r["R_hat"].numerator, r["R_hat"].denominator],
-                }
-                for r in cuts
-            ],
-            "short": shorts,
-            "lower_bound_constant": const,
-            "pass": ok,
-            "manifest": _manifest(args, {"total_s": dt}),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    tilde = {r["n"]: r for r in shorts}
+    rows = []
+    for r in cuts:
+        s = tilde.get(r["n"], {})
+        rows.append(
+            [r["n"], r["strands"], float(r["R_hat"]), r["R_hat_solver"],
+             s.get("R_tilde"), r["hat_le_pow"], r["R_le_pow"], r["monotone"],
+             s.get("ratio_ok")]
+        )
+    doc = {
+        "cut": [
+            {
+                **{k: v for k, v in r.items() if k != "R_hat"},
+                "R_hat": [r["R_hat"].numerator, r["R_hat"].denominator],
+            }
+            for r in cuts
+        ],
+        "short": shorts,
+        "lower_bound_constant": const,
+        "pass": ok,
+        "manifest": _manifest(args, {"total_s": dt}),
+    }
+    csv = csv_text(
+        "n,strands,R_hat,R_hat_solver,R_tilde,hat_le_pow,R_le_pow,"
+        "monotone,ratio_ok",
+        rows,
+    )
+    _report(args, csv, doc)
     return 0 if ok else 1
 
 
@@ -323,14 +263,6 @@ def build_parser():
         description="resistance scaling on barycentric-subdivision graphs",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, solver=True):
-        sp.add_argument("--tol", type=float, default=1e-8)
-        if solver:
-            sp.add_argument("--max-iter", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-        sp.add_argument("--format", default="csv", choices=("csv", "json"))
-        sp.add_argument("--out", default=None)
 
     b = sub.add_parser("build", help="emit a graph or complex")
     b.add_argument("--family", required=True, choices=FAMILIES)
@@ -346,7 +278,6 @@ def build_parser():
     r.add_argument("--level", type=int, required=True)
     r.add_argument("--tol", type=float, default=1e-10)
     r.add_argument("--max-iter", type=int, default=None)
-    r.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     r.add_argument("--allow-disconnected", action="store_true")
     r.add_argument("--format", default="json", choices=("csv", "json"))
     r.add_argument("--out", default=None)
@@ -360,7 +291,9 @@ def build_parser():
     ]:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--max-level", type=int, default=5)
-        common(sp)
+        sp.add_argument("--tol", type=float, default=1e-8)
+        sp.add_argument("--format", default="csv", choices=("csv", "json"))
+        sp.add_argument("--out", default=None)
         sp.set_defaults(fn=fn)
     return p
 
@@ -370,8 +303,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "level", 1) < 1 or getattr(args, "max_level", 1) < 1:
         parser.exit(2, "levels start at 1\n")
-    if getattr(args, "threads", 1) < 1:
-        parser.exit(2, "--threads must be positive\n")
     try:
         return args.fn(args)
     except CapacityError as exc:

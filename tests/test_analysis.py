@@ -16,6 +16,7 @@ from hexacarpet.analysis import (
     compose_flow,
     cut_report,
     estimate_rho,
+    hex_pullback,
     potential_decomposition,
     rho_fit_upto,
     short_report,
@@ -45,12 +46,17 @@ def test_duality(cache):
 
 
 def test_unit_flow_is_unit(cache):
-    for n in (1, 2):
+    for n in range(1, 6):
         G = cache.graph("hexacarpet", n)
         I = unit_flow(cache, n)
         f = check_flow(G, I, G.boundary["A"], G.boundary["B"], tol=1e-9)
         assert abs(f - 1) < 1e-9
         assert abs(dissipation(G, I) - cache.R(n)) < 1e-9
+        # s2 preserves the terminal pair, r3 and s5 swap it; the flow is
+        # even and odd under them bit for bit
+        assert np.array_equal(hex_pullback(cache, n, I, ("s", 2)), I)
+        assert np.array_equal(hex_pullback(cache, n, I, ("r", 3)), -I)
+        assert np.array_equal(hex_pullback(cache, n, I, ("s", 5)), -I)
 
 
 def test_arc_flows_have_standard_energy(cache):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hexacarpet import analysis
 from hexacarpet.cli import main
 
 
@@ -54,6 +55,10 @@ def test_resistance_json(capsys):
     doc = json.loads(out)
     assert abs(doc["resistance"] - 1.5) < 1e-9
     assert doc["manifest"]["tool"] == "hexacarpet"
+    # building the graph and solving are timed apart
+    timings = doc["manifest"]["timings"]
+    assert list(timings) == ["build_s", "solve_s"]
+    assert min(timings.values()) >= 0
 
 
 def test_resistance_json_reports_solver(capsys):
@@ -104,35 +109,46 @@ def test_rho_csv_deterministic(capsys):
 
 
 def test_rho_json_has_meta(capsys):
-    code, out = run(capsys, "rho", "--max-level", "3", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert "d_S_upper_formula" in doc["meta"]
-    assert "timings" in doc["manifest"]
-
-
-def test_rho_threads_agree(capsys):
-    code1, out1 = run(capsys, "rho", "--max-level", "3")
-    code2, out2 = run(capsys, "rho", "--max-level", "3", "--threads", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # two levels are too few for a fit, which is then null
+    for top in ("2", "3"):
+        code, out = run(capsys, "rho", "--max-level", top, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["rho_fit"] is None) == (top == "2")
+        assert "d_S_upper_formula" in doc["meta"]
+        assert "timings" in doc["manifest"]
 
 
 def test_submult_passes(capsys):
     code, out = run(capsys, "submult", "--max-level", "3")
     assert code == 0
+    assert out.split("\n")[0] == (
+        "m,n,R_mn,R_m_R_n,upper_ok,lower_ok,t_upper_ok,t_lower_ok"
+    )
     assert "true" in out and "false" not in out
 
 
 def test_bounds_passes(capsys):
     code, out = run(capsys, "bounds", "--max-level", "2")
     assert code == 0
+    assert out.split("\n")[0] == (
+        "n,strands,R_hat,R_hat_solver,R_tilde,hat_le_pow,R_le_pow,"
+        "monotone,ratio_ok"
+    )
 
 
 def test_capacity_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("HEXACARPET_CAP", "2")
     code = main(["resistance", "--family", "hexacarpet", "--level", "3"])
     assert code == 3
+
+    # a sweep past the cap is refused before its first solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the cap check")
+
+    monkeypatch.setattr(analysis, "effective_resistance", no_solve)
+    for cmd in ("rho", "duality", "submult", "bounds"):
+        assert main([cmd, "--max-level", "3"]) == 3
 
 
 def test_bad_family_exit_code():

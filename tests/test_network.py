@@ -301,16 +301,31 @@ def test_stabiliser_follows_the_terminals(cache6):
 
 
 def test_potential_is_exactly_symmetric(cache6):
-    for family in FAMILIES:
-        for n in range(1, 5):
-            G = cache6.graph(family, n)
-            phi = effective_resistance(G).potential
-            # isolated vertices (severed edge vertices of the cut graph)
-            # are left at zero
-            live = G.degrees() > 0
-            for g, (p, sign) in stabiliser(G, G.boundary["A"], G.boundary["B"]).items():
-                want = phi if sign > 0 else 1.0 - phi
-                assert np.array_equal(phi[p][live], want[live]), (family, n, g)
+    C = cache6.C
+    cases = [
+        (family, n, G.boundary["A"], G.boundary["B"])
+        for family in FAMILIES
+        for n in range(1, 5)
+        for G in [cache6.graph(family, n)]
+    ]
+    # the skeleton side-0 to side-3 pair of potential_decomposition,
+    # fixed by s1 and swapped by r3 and s4
+    cases += [
+        ("skeleton", n, frozenset(C.side_vertices(n, 0).tolist()),
+         frozenset(C.side_vertices(n, 3).tolist()))
+        for n in range(1, 5)
+    ]
+    for family, n, A, B in cases:
+        G = cache6.graph(family, n)
+        phi = effective_resistance(G, A=A, B=B).potential
+        # isolated vertices (severed edge vertices of the cut graph)
+        # are left at zero
+        live = G.degrees() > 0
+        group = stabiliser(G, A, B)
+        assert len(group) > 1, (family, n)
+        for g, (p, sign) in group.items():
+            want = phi if sign > 0 else 1.0 - phi
+            assert np.array_equal(phi[p][live], want[live]), (family, n, g)
 
 
 def test_broken_symmetry_is_dropped(cache6):
