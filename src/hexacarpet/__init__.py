@@ -3,14 +3,12 @@
 from .subdivision import (
     CapacityError,
     MissingLevelError,
-    SimplexId,
     SubdivisionComplex,
 )
 
 __all__ = [
     "CapacityError",
     "MissingLevelError",
-    "SimplexId",
     "SubdivisionComplex",
 ]
 

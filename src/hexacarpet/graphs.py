@@ -152,7 +152,9 @@ class WeightedGraph:
         # float views divide two exactly representable integers
         if den > _EXACT or (len(num) and np.abs(num).max() > _EXACT):
             raise FamilyError("conductances need numerators and a denominator below 2^53")
-        order = np.lexsort((hi, lo))
+        # lo * n + hi orders the pairs as (lo, hi) does, and a stable sort
+        # keeps ties in input order, so this is the lexsort by (lo, hi)
+        order = np.argsort(lo * int(n) + hi, kind="stable")
         self.n = int(n)
         self.us = lo[order]
         self.vs = hi[order]
@@ -164,7 +166,6 @@ class WeightedGraph:
         self.meta = dict(meta or {})
         self.symmetry = symmetry
         self._cfloat = None
-        self._index = None
         self._codes = None
 
     @property
@@ -180,15 +181,6 @@ class WeightedGraph:
         if self._cfloat is None:
             self._cfloat = self.num / self.den
         return self._cfloat
-
-    def edge_index(self):
-        """Dict mapping the canonical pair (u, v) to the edge position."""
-        if self._index is None:
-            self._index = {
-                (int(u), int(v)): i
-                for i, (u, v) in enumerate(zip(self.us, self.vs))
-            }
-        return self._index
 
     def codes(self):
         """The sorted edge codes us * n + vs."""

@@ -31,6 +31,17 @@ Jacobi preconditioner on the unreduced interior block instead, as an
 independent cross-check of the reduction; it raises SolverError when
 the budget runs out.  Both paths are deterministic.  A dense direct
 solver is kept alongside as a further cross-check for small graphs.
+
+Thompson's principle, that the unit current has the least dissipation
+among unit flows, is checked against random circulations.  They are
+built from one breadth-first spanning forest held as arrays (parents,
+parent-edge positions, the vertices grouped by depth, and the non-tree
+edges, one fundamental cycle each).  A circulation is its coefficients
+on the non-tree edges plus the tree currents that return the charges
+those put on the edge ends; the tree currents are subtree sums, taken
+one depth level at a time from the deepest up for a whole block of
+trials at once.  Blocks hold a bounded number of entries, so the
+check's memory does not grow with edges times trials.
 """
 
 from __future__ import annotations
@@ -119,11 +130,6 @@ def dissipation(G: WeightedGraph, J, K=None):
     return float(np.sum(J * K / G.conductances()))
 
 
-def flux(G: WeightedGraph, J, S):
-    div = divergence(G, J)
-    return float(sum(div[v] for v in S))
-
-
 def check_flow(G: WeightedGraph, J, sources, sinks, tol=1e-9):
     """Assert J is divergence-free off the terminals; return flux."""
     div = divergence(G, J)
@@ -140,6 +146,13 @@ def check_flow(G: WeightedGraph, J, sources, sinks, tol=1e-9):
     return float(sum(div[v] for v in sources))
 
 
+def _adjacency(G: WeightedGraph):
+    """The edges as a CSR array, each stored once in row us[i]."""
+    # edges are sorted by their smaller end, so they form CSR rows as is
+    starts = np.concatenate([[0], np.cumsum(np.bincount(G.us, minlength=G.n))])
+    return sp.csr_array((np.ones(G.m), G.vs, starts), shape=(G.n, G.n))
+
+
 def _active_interior(G: WeightedGraph, A, B):
     """Split vertices for the Dirichlet solve.
 
@@ -148,10 +161,7 @@ def _active_interior(G: WeightedGraph, A, B):
     Components touching only one terminal set are pinned to that value;
     components touching neither are left at zero and excluded.
     """
-    # edges are sorted by their smaller end, so they form CSR rows as is
-    starts = np.concatenate([[0], np.cumsum(np.bincount(G.us, minlength=G.n))])
-    adj = sp.csr_array((np.ones(G.m), G.vs, starts), shape=(G.n, G.n))
-    ncomp, label = sp.csgraph.connected_components(adj, directed=False)
+    ncomp, label = sp.csgraph.connected_components(_adjacency(G), directed=False)
     a = np.fromiter(A, np.int64, len(A))
     b = np.fromiter(B, np.int64, len(B))
     hasA = np.zeros(ncomp, dtype=bool)
@@ -364,61 +374,124 @@ def oracle_resistance(G: WeightedGraph, A=None, B=None, limit=2000):
 
 # -- Thompson minimality ------------------------------------------------
 
-
-def _spanning_forest(G: WeightedGraph):
-    """BFS forest; returns parent edge positions and the non-tree edges."""
-    adj = [[] for _ in range(G.n)]
-    for i in range(G.m):
-        u, v = int(G.us[i]), int(G.vs[i])
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    seen = [False] * G.n
-    parent_edge = [-1] * G.n
-    parent = [-1] * G.n
-    tree = set()
-    for root in range(G.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for v, i in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    parent_edge[v] = i
-                    tree.add(i)
-                    queue.append(v)
-    nontree = [i for i in range(G.m) if i not in tree]
-    return parent, parent_edge, nontree
+# float64 entries in each (edges x trials) array of a verify_thompson
+# block; bounds the check's working set whatever the number of trials
+_TRIAL_BLOCK = 1 << 16
 
 
-def cycle_flow(G: WeightedGraph, parent, parent_edge, edge_pos):
-    """Unit circulation around the fundamental cycle of a non-tree edge."""
-    K = np.zeros(G.m)
-    u, v = int(G.us[edge_pos]), int(G.vs[edge_pos])
-    K[edge_pos] = 1.0
+@dataclass(frozen=True)
+class SpanningForest:
+    """A breadth-first spanning forest of a graph, as arrays.
 
-    def path_to_root(x):
-        out = []
-        while parent[x] >= 0:
-            out.append((x, parent[x], parent_edge[x]))
-            x = parent[x]
-        return out
+    Each component is rooted at its smallest vertex.  parent[v] and
+    parent_edge[v] are v's parent and the position of the edge to it,
+    -1 at a root.  order lists the vertices by depth, the roots first;
+    levels[d] = (lo, hi, starts, heads) holds depth d + 1, the vertices
+    order[lo:hi], which come in runs of common parent starting at the
+    offsets starts, heads being the positions in order of those runs'
+    parents.  tree[i] is the parent edge of order[roots + i], and up[i]
+    is +1 where that edge's canonical orientation runs from child to
+    parent, -1 where it runs the other way.  nontree holds the
+    positions of the remaining edges, one fundamental cycle each.
+    """
 
-    pu, pv = path_to_root(u), path_to_root(v)
-    su = {e for _, _, e in pu}
-    sv = {e for _, _, e in pv}
-    for x, p, e in pu:
-        if e in sv:
-            continue
-        # walk from v back toward u: edge (x -> p) carries flow v..u side
-        K[e] += 1.0 if int(G.us[e]) == p else -1.0
-    for x, p, e in pv:
-        if e in su:
-            continue
-        K[e] += -1.0 if int(G.us[e]) == p else 1.0
+    parent: np.ndarray
+    parent_edge: np.ndarray
+    order: np.ndarray
+    levels: list
+    tree: np.ndarray
+    up: np.ndarray
+    nontree: np.ndarray
+
+
+def spanning_forest(G: WeightedGraph):
+    """The BFS spanning forest of G.
+
+    One breadth-first search from a virtual vertex joined to the
+    smallest vertex of every component visits the components in turn,
+    so isolated vertices and many components cost no extra pass.  A
+    breadth-first order lists children in runs, in the order of their
+    parents, so the depth levels and the runs are cut from it with
+    searchsorted.
+    """
+    n = G.n
+    ncomp, label = sp.csgraph.connected_components(_adjacency(G), directed=False)
+    roots = np.unique(label, return_index=True)[1]
+    rows = np.concatenate([G.us, np.full(ncomp, n)])
+    cols = np.concatenate([G.vs, roots])
+    adj = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
+    order, pred = sp.csgraph.breadth_first_order(
+        adj, n, directed=False, return_predecessors=True
+    )
+    order = order[1:]
+    where = np.empty(n + 1, dtype=np.int64)
+    where[order] = np.arange(n)
+    where[n] = -1
+    # position in order of each vertex's parent, -1 for the roots;
+    # nondecreasing along order
+    up_pos = where[pred[order]]
+
+    levels = []
+    lo = ncomp
+    while lo < n:
+        hi = int(np.searchsorted(up_pos, lo))
+        p = up_pos[lo:hi]
+        starts = np.flatnonzero(np.concatenate([[True], p[1:] != p[:-1]]))
+        levels.append((lo, hi, starts, p[starts]))
+        lo = hi
+
+    child = order[ncomp:]
+    par = order[up_pos[ncomp:]]
+    tree = G.positions(np.minimum(child, par), np.maximum(child, par))
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[child] = par
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent_edge[child] = tree
+    intree = np.zeros(G.m, dtype=bool)
+    intree[tree] = True
+    return SpanningForest(
+        parent, parent_edge, order, levels, tree,
+        np.where(G.us[tree] == child, 1.0, -1.0), np.flatnonzero(~intree),
+    )
+
+
+def tree_currents(forest: SpanningForest, charge):
+    """Currents on the forest's edges that carry every subtree's net
+    charge to its parent.
+
+    charge is an (n, b) array, one column per problem, of the net inflow
+    other edges put on each vertex.  Row i of the result is the
+    canonical current on edge forest.tree[i]; adding these currents
+    leaves every vertex but the roots divergence-free, and a root takes
+    the total charge of its component.  The subtree sums take one
+    segmented sum per depth level, from the deepest up.
+    """
+    s = charge[forest.order]
+    for lo, hi, starts, heads in reversed(forest.levels):
+        s[heads] += np.add.reduceat(s[lo:hi], starts, axis=0)
+    return forest.up[:, None] * s[len(forest.order) - len(forest.tree):]
+
+
+def circulations(G: WeightedGraph, forest: SpanningForest, coef):
+    """Flows sum_j coef[j, t] Z_j, one column per t.
+
+    Z_j is the fundamental cycle of the non-tree edge forest.nontree[j]:
+    a unit flow along that edge in its canonical orientation, returned
+    to its start through the forest.  coef is (len(nontree), b); the
+    result is the (m, b) array of edge flows: the coefficients on the
+    non-tree edges and the tree currents of the charges they put on
+    their ends.
+    """
+    nt = forest.nontree
+    b = coef.shape[1]
+    K = np.zeros((G.m, b))
+    K[nt] = coef
+    # the charges in one bincount over the flat (vertex, column) index
+    j, t = np.nonzero(coef)
+    w = coef[j, t]
+    ends = np.concatenate([G.vs[nt[j]], G.us[nt[j]]]) * b + np.concatenate([t, t])
+    charge = np.bincount(ends, np.concatenate([w, -w]), G.n * b).reshape(G.n, b)
+    K[forest.tree] = tree_currents(forest, charge)
     return K
 
 
@@ -426,25 +499,40 @@ def verify_thompson(G: WeightedGraph, result, trials=100, seed=0, tol=1e-8):
     """Check the unit current flow minimizes dissipation.
 
     Random circulations K built from fundamental cycles must satisfy
-    <I, K> = 0 (harmonicity) and D(I + K) >= D(I).
+    <I, K> = 0 (harmonicity) and D(I + K) >= D(I).  Each trial draws
+    k in 1..3, k distinct non-tree edges and a normal coefficient for
+    each; the trials are checked in blocks of at most _TRIAL_BLOCK
+    entries per edge array, and the first failing trial raises.
+    Returns the number of trials checked, 0 for a forest.
     """
-    parent, parent_edge, nontree = _spanning_forest(G)
-    if not nontree:
+    forest = spanning_forest(G)
+    nt = len(forest.nontree)
+    if not nt:
         return 0
     rng = np.random.default_rng(seed)
     I = result.flow
+    c = G.conductances()
     D0 = dissipation(G, I)
     scale = max(D0, 1.0)
+    block = max(1, _TRIAL_BLOCK // G.m)
     checked = 0
-    for _ in range(trials):
-        k = rng.integers(1, min(4, len(nontree) + 1))
-        K = np.zeros(G.m)
-        for pos in rng.choice(len(nontree), size=k, replace=False):
-            K += rng.normal() * cycle_flow(G, parent, parent_edge, nontree[pos])
-        cross = dissipation(G, I, K)
-        if abs(cross) > tol * scale * max(1.0, float(np.abs(K).max())):
-            raise AssertionError(f"current not cycle-orthogonal: {cross}")
-        if dissipation(G, I + K) < D0 - tol * scale:
+    while checked < trials:
+        b = int(min(block, trials - checked))
+        coef = np.zeros((nt, b))
+        for t in range(b):
+            k = rng.integers(1, min(4, nt + 1))
+            for pos in rng.choice(nt, size=k, replace=False):
+                coef[pos, t] = rng.normal()
+        K = circulations(G, forest, coef)
+        cross = (K * (I / c)[:, None]).sum(axis=0)
+        skew = np.abs(cross) > tol * scale * np.maximum(1.0, np.abs(K).max(axis=0))
+        K += I[:, None]
+        lower = (K * K / c[:, None]).sum(axis=0) < D0 - tol * scale
+        bad = np.flatnonzero(skew | lower)
+        if len(bad):
+            t = bad[0]
+            if skew[t]:
+                raise AssertionError(f"current not cycle-orthogonal: {cross[t]}")
             raise AssertionError("dissipation not minimal")
-        checked += 1
+        checked += b
     return checked

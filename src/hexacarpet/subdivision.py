@@ -29,7 +29,6 @@ search of the sorted image vertices in the target level's simplex codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,15 +97,6 @@ class CapacityError(Exception):
 
 class MissingLevelError(Exception):
     """Requested level has not been built yet."""
-
-
-@dataclass(frozen=True)
-class SimplexId:
-    """A simplex addressed by (level, dimension, index)."""
-
-    level: int
-    dim: int
-    index: int
 
 
 def dihedral_elements():
@@ -475,27 +465,12 @@ class SubdivisionComplex:
     def map_tri(self, key, n, tri_id):
         return int(self.tri_images(key, n)[tri_id])
 
-    def apply_word(self, word, simplex):
-        """Apply a composition of cell maps, innermost letter last.
-
-        word = (c_1, ..., c_k) sends a level-n simplex to the level-(n+k)
-        simplex F_{c_1}(F_{c_2}(...F_{c_k}(s))).
-        """
-        level, idx = simplex.level, simplex.index
-        for c in reversed(word):
-            key = ("F", int(c))
-            if simplex.dim == 0:
-                idx = self.vertex_map(key, idx + 1)[idx]
-            elif simplex.dim == 1:
-                idx = self.edge_images(key, level)[idx]
-            else:
-                idx = self.tri_images(key, level)[idx]
-            level += 1
-        return SimplexId(level, simplex.dim, int(idx))
-
     def apply_words(self, words, dim, n, ids):
-        """apply_word over arrays of edges (dim 1) or triangles (dim 2).
+        """Compositions of cell maps over arrays of edges (dim 1) or
+        triangles (dim 2).
 
+        Word (c_1, ..., c_k), innermost letter last, sends a level-n
+        simplex s to the level-(n+k) simplex F_{c_1}(...F_{c_k}(s)).
         words is a (X, k) letter array and ids holds level-n simplex ids,
         shaped (X, M) or (M,); entry [x, j] of the result is the level-
         (n+k) image of ids[x, j] (or ids[j]) under word x.

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hexacarpet import SimplexId, analysis
+from hexacarpet import analysis
 from hexacarpet.analysis import (
     ARC_OF_MACRO,
     FRAME,
@@ -28,6 +28,7 @@ from hexacarpet.analysis import (
 )
 from hexacarpet.network import check_flow, dissipation
 from hexacarpet.subdivision import side_perm
+from test_complex import SimplexId, apply_word
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +88,13 @@ def test_y_decomposition_level_one_values(cache):
 
 
 def test_composed_flow_certificate(cache):
-    for m, n in [(1, 1), (1, 2), (2, 1)]:
+    # every split of every level up to 7
+    for m, n in [(m, t - m) for t in range(2, 8) for m in range(1, t)]:
         cf = compose_flow(cache, m, n)
-        assert cf.max_divergence <= 1e-9
-        assert abs(cf.flux - 1) < 1e-8
-        assert cf.energy <= cf.bound + 1e-8
-        assert cache.R(m + n) <= cf.energy + 1e-8
+        assert cf.max_divergence <= 1e-9, (m, n)
+        assert abs(cf.flux - 1) < 1e-8, (m, n)
+        assert cf.energy <= cf.bound + 1e-8, (m, n)
+        assert cache.R(m + n) <= cf.energy + 1e-8, (m, n)
 
 
 def test_composed_one_one_energy(cache):
@@ -104,12 +106,17 @@ def test_composed_one_one_energy(cache):
 # -- per-incidence references for the whole-array passes ---------------
 
 
+def edge_index(G):
+    """Dict from the canonical pair (u, v) to the edge position."""
+    return {(u, v): i for i, (u, v) in enumerate(zip(G.us.tolist(), G.vs.tolist()))}
+
+
 def y_decomposition_reference(cache, m, zero_tol=1e-12):
     """Triangle-by-triangle branch currents, through side first."""
     G = cache.graph("hexacarpet", m)
     F = G.meta["tri_count"]
     I = unit_flow(cache, m)
-    idx = G.edge_index()
+    idx = edge_index(G)
     a = np.zeros((F, 3))
     side = np.zeros((F, 3), dtype=np.int64)
     scale = float(np.abs(I).max())
@@ -135,7 +142,7 @@ def y_decomposition_reference(cache, m, zero_tol=1e-12):
 
 def frame_reference(C, word, y_sides):
     """The one frame symmetry matching a single triangle's sides."""
-    x_side = {k: C.apply_word(word, SimplexId(0, 1, k)).index for k in range(3)}
+    x_side = {k: apply_word(C, word, SimplexId(0, 1, k)).index for k in range(3)}
     want = {0: y_sides[0], 2: y_sides[1], 1: y_sides[2]}
     hits = [
         g for g in FRAME
@@ -158,7 +165,7 @@ def compose_flow_reference(cache, m, n):
     Gf = cache.graph("hexacarpet", m + n)
     Fn = Gn.meta["tri_count"]
     Ff = Gf.meta["tri_count"]
-    idx_f = Gf.edge_index()
+    idx_f = edge_index(Gf)
     J = np.zeros(Gf.m)
     written = np.zeros(Gf.m, dtype=np.int8)
     for x, word in enumerate(C.tri_words(m)):
@@ -167,8 +174,8 @@ def compose_flow_reference(cache, m, n):
         for i in range(Gn.m):
             gt = C.map_tri(("auto", g), n, int(Gn.us[i]))
             ge = C.map_edge(("auto", g), n, int(Gn.vs[i]) - Fn)
-            ft = C.apply_word(word, SimplexId(n, 2, gt)).index
-            fe = C.apply_word(word, SimplexId(n, 1, ge)).index
+            ft = apply_word(C, word, SimplexId(n, 2, gt)).index
+            fe = apply_word(C, word, SimplexId(n, 1, ge)).index
             pos = idx_f[(ft, Ff + fe)]
             J[pos] = -(a1 * H01[i] + a2 * H02[i])
             written[pos] += 1

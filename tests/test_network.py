@@ -1,10 +1,13 @@
 """Solver conventions and cross-checks on small networks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from hexacarpet.analysis import LevelCache
 from hexacarpet.graphs import WeightedGraph, edge_arc, stabiliser
@@ -12,14 +15,16 @@ from hexacarpet.network import (
     NotAFlowError,
     SolverError,
     check_flow,
+    circulations,
     dissipation,
     divergence,
     effective_resistance,
     energy,
-    flux,
     gradient,
     laplacian,
     oracle_resistance,
+    spanning_forest,
+    tree_currents,
     verify_thompson,
 )
 
@@ -93,7 +98,7 @@ def test_balanced_bridge_carries_no_bridge_current():
     )
     r = oracle_resistance(G)
     assert abs(r.resistance - 1.0) < 1e-13
-    pos = G.edge_index()[(1, 2)]
+    pos = G.positions([1], [2])[0]
     assert abs(r.flow[pos]) < 1e-13
 
 
@@ -115,9 +120,9 @@ def test_two_terminal_sets():
 def test_flux_and_divergence_conventions():
     G = path_graph(3)
     r = oracle_resistance(G)
-    assert abs(flux(G, r.flow, G.boundary["A"]) - 1.0) < 1e-12
-    assert abs(flux(G, r.flow, G.boundary["B"]) + 1.0) < 1e-12
     div = divergence(G, r.flow)
+    assert abs(div[list(G.boundary["A"])].sum() - 1.0) < 1e-12
+    assert abs(div[list(G.boundary["B"])].sum() + 1.0) < 1e-12
     assert np.abs(div[1:3]).max() < 1e-12
 
 
@@ -425,12 +430,121 @@ def test_deterministic_solve():
 # -- Thompson minimality ------------------------------------------------
 
 
+def cycle_flow_reference(G, forest, edge_pos):
+    """Unit circulation around the fundamental cycle of a non-tree edge,
+    walking both of its ends up to the root one edge at a time."""
+    parent, parent_edge = forest.parent, forest.parent_edge
+    K = np.zeros(G.m)
+    u, v = int(G.us[edge_pos]), int(G.vs[edge_pos])
+    K[edge_pos] = 1.0
+
+    def path_to_root(x):
+        out = []
+        while parent[x] >= 0:
+            out.append((x, int(parent[x]), int(parent_edge[x])))
+            x = int(parent[x])
+        return out
+
+    pu, pv = path_to_root(u), path_to_root(v)
+    su = {e for _, _, e in pu}
+    sv = {e for _, _, e in pv}
+    for x, p, e in pu:
+        if e in sv:
+            continue
+        # walk from v back toward u: edge (x -> p) carries flow v..u side
+        K[e] += 1.0 if int(G.us[e]) == p else -1.0
+    for x, p, e in pv:
+        if e in su:
+            continue
+        K[e] += -1.0 if int(G.us[e]) == p else 1.0
+    return K
+
+
+def forest_cases(cache):
+    rng = np.random.default_rng(61)
+    cases = [
+        random_graph(rng, int(rng.integers(2, 30)), extra=int(rng.integers(0, 12)))
+        for _ in range(20)
+    ]
+    # a square with a chord, a triangle and the isolated vertex 4
+    cases.append(WeightedGraph(
+        8, [0, 0, 1, 2, 0, 5, 5, 6], [1, 3, 2, 3, 2, 6, 7, 7], [F1] * 8,
+        {"A": {0}, "B": {2}},
+    ))
+    cases += [cache.graph("hexacarpet", n) for n in range(1, 5)]
+    return cases
+
+
+def test_spanning_forest_arrays(cache6):
+    for G in forest_cases(cache6):
+        f = spanning_forest(G)
+        adj = coo_matrix((np.ones(G.m), (G.us, G.vs)), shape=(G.n, G.n))
+        ncomp = connected_components(adj, directed=False)[0]
+        roots = np.flatnonzero(f.parent < 0)
+        assert len(roots) == ncomp and len(f.tree) == G.n - ncomp
+        assert sorted(f.order.tolist()) == list(range(G.n))
+        assert f.parent_edge[roots].tolist() == [-1] * ncomp
+        # tree and non-tree edges partition the edges
+        assert sorted(f.tree.tolist() + f.nontree.tolist()) == list(range(G.m))
+        child = f.order[ncomp:]
+        assert np.array_equal(f.parent_edge[child], f.tree)
+        ends = np.sort(np.stack([child, f.parent[child]]), axis=0)
+        assert np.array_equal(ends, np.stack([G.us[f.tree], G.vs[f.tree]]))
+        assert np.array_equal(f.up, np.where(G.us[f.tree] == child, 1.0, -1.0))
+        # the levels cover the non-roots in order, each vertex one level
+        # below its parent
+        bounds = [ncomp] + [hi for _, hi, _, _ in f.levels]
+        assert [lo for lo, _, _, _ in f.levels] == bounds[:-1] and bounds[-1] == G.n
+        depth = np.zeros(G.n, dtype=np.int64)
+        for d, (lo, hi, starts, heads) in enumerate(f.levels, 1):
+            depth[f.order[lo:hi]] = d
+            runs = np.split(f.order[lo:hi], starts[1:])
+            assert [f.parent[r].tolist() for r in runs] == [
+                [f.order[h]] * len(r) for h, r in zip(heads.tolist(), runs)
+            ]
+        assert np.array_equal(depth[child], depth[f.parent[child]] + 1)
+
+
+def test_fundamental_circulations_match_path_walk(cache6):
+    for G in forest_cases(cache6):
+        f = spanning_forest(G)
+        Z = circulations(G, f, np.eye(len(f.nontree)))
+        for j, e in enumerate(f.nontree.tolist()):
+            assert np.abs(Z[:, j] - cycle_flow_reference(G, f, e)).max() <= 1e-15
+            assert np.abs(divergence(G, Z[:, j])).max() == 0.0
+
+
+def test_tree_currents_cancel_the_charges(cache6):
+    rng = np.random.default_rng(62)
+    for G in forest_cases(cache6):
+        f = spanning_forest(G)
+        charge = rng.normal(size=(G.n, 3))
+        T = tree_currents(f, charge)
+        roots = f.parent < 0
+        for t in range(3):
+            J = np.zeros(G.m)
+            J[f.tree] = T[:, t]
+            div = divergence(G, J) + charge[:, t]
+            assert np.abs(div[~roots]).max(initial=0.0) <= 1e-12
+            # each root takes its whole tree's charge
+            assert abs(div[roots].sum() - charge[:, t].sum()) <= 1e-12
+
+
 def test_thompson_on_random_graphs():
     rng = np.random.default_rng(51)
     for _ in range(10):
         G = random_graph(rng, 12, extra=6)
         r = oracle_resistance(G)
-        assert verify_thompson(G, r, trials=20, seed=7) == 20
+        checked = verify_thompson(G, r, trials=20, seed=7)
+        assert type(checked) is int and checked == 20
+
+
+def test_thompson_on_a_tree_checks_nothing():
+    G = path_graph(4)
+    assert verify_thompson(G, oracle_resistance(G)) == 0
+    # a star with an isolated vertex: still a forest
+    H = WeightedGraph(5, [0, 0, 0], [1, 2, 3], [F1] * 3, {"A": {1}, "B": {2}})
+    assert verify_thompson(H, oracle_resistance(H)) == 0
 
 
 def test_thompson_detects_non_minimal_flow():
@@ -445,3 +559,33 @@ def test_thompson_detects_non_minimal_flow():
     )
     with pytest.raises(AssertionError):
         verify_thompson(G, bad, trials=5, seed=1)
+
+
+def test_thompson_detects_a_perturbed_hexacarpet_current(cache6):
+    G = cache6.graph("hexacarpet", 3)
+    r = cache6.result("hexacarpet", 3)
+    checked = verify_thompson(G, r)
+    assert type(checked) is int and checked == 100
+    f = spanning_forest(G)
+    coef = np.zeros((len(f.nontree), 1))
+    coef[len(coef) // 2] = 1e-3
+    bad = dataclasses.replace(r, flow=r.flow + circulations(G, f, coef)[:, 0])
+    with pytest.raises(AssertionError, match="not cycle-orthogonal"):
+        verify_thompson(G, bad)
+
+
+def test_thompson_dissipation_check_stands_alone():
+    # I is the triangle's current plus 2.9 Z, Z its one cycle.  At
+    # tol = 3 D(Z) / D(I) the orthogonality test passes every trial
+    # K = a Z, as |<I, a Z>| = 2.9 |a| D(Z) < 3 D(Z) max(1, |a|); yet
+    # D(I + a Z) < D(I) - 3 D(Z) for a in (-5.23, -0.57), which only the
+    # dissipation test catches
+    G = WeightedGraph(
+        3, [0, 0, 1], [1, 2, 2], [F1] * 3, {"A": {0}, "B": {2}}
+    )
+    r = oracle_resistance(G)
+    Z = circulations(G, spanning_forest(G), np.ones((1, 1)))[:, 0]
+    bad = dataclasses.replace(r, flow=r.flow + 2.9 * Z)
+    tol = 3 * dissipation(G, Z) / dissipation(G, bad.flow)
+    with pytest.raises(AssertionError, match="dissipation not minimal"):
+        verify_thompson(G, bad, trials=50, seed=3, tol=tol)
