@@ -105,19 +105,13 @@ def cmd_resistance(args):
     t0 = time.perf_counter()
     G = cache.graph(args.family, args.level)
     t1 = time.perf_counter()
-    res = effective_resistance(
-        G,
-        rtol=args.tol,
-        max_iter=args.max_iter,
-        allow_disconnected=args.allow_disconnected,
-    )
+    res = effective_resistance(G)
     t2 = time.perf_counter()
-    R = None if res.disconnected else res.resistance
-    row = [args.family, args.level, R, res.disconnected, res.iterations]
+    row = [args.family, args.level, res.resistance, res.disconnected, res.iterations]
     doc = {
         "family": args.family,
         "level": args.level,
-        "resistance": R,
+        "resistance": res.resistance,
         "disconnected": res.disconnected,
         "energy": res.energy,
         "iterations": res.iterations,
@@ -276,9 +270,6 @@ def build_parser():
     r = sub.add_parser("resistance", help="solve one family at one level")
     r.add_argument("--family", required=True, choices=FAMILIES)
     r.add_argument("--level", type=int, required=True)
-    r.add_argument("--tol", type=float, default=1e-10)
-    r.add_argument("--max-iter", type=int, default=None)
-    r.add_argument("--allow-disconnected", action="store_true")
     r.add_argument("--format", default="json", choices=("csv", "json"))
     r.add_argument("--out", default=None)
     r.set_defaults(fn=cmd_resistance)

@@ -35,6 +35,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .subdivision import (
     B01,
@@ -167,6 +169,7 @@ class WeightedGraph:
         self.symmetry = symmetry
         self._cfloat = None
         self._codes = None
+        self._components = None
 
     @property
     def m(self):
@@ -187,6 +190,15 @@ class WeightedGraph:
         if self._codes is None:
             self._codes = self.us * self.n + self.vs
         return self._codes
+
+    def components(self):
+        """(number of connected components, component label per vertex)."""
+        if self._components is None:
+            # edges are sorted by their smaller end, so they form CSR rows as is
+            starts = np.concatenate([[0], np.cumsum(np.bincount(self.us, minlength=self.n))])
+            adj = sp.csr_array((np.ones(self.m), self.vs, starts), shape=(self.n, self.n))
+            self._components = connected_components(adj, directed=False)
+        return self._components
 
     def positions(self, us, vs):
         """Positions of the canonical edges (us, vs), elementwise over
@@ -413,17 +425,10 @@ def cut_path_lengths(C: SubdivisionComplex, n, G=None):
     side-{0,1} arc and one on the side-{4,5} arc, every arc vertex is
     used exactly once, and the strands exhaust all 6^n triangles.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     if G is None:
         G = build_cut_graph(C, n)
     F = G.meta["tri_count"]
-    data = np.ones(G.m)
-    adj = coo_matrix(
-        (data, (G.us, G.vs)), shape=(G.n, G.n)
-    )
-    ncomp, label = connected_components(adj + adj.T, directed=False)
+    ncomp, label = G.components()
 
     # a strand is a component holding triangles; tally what each touches
     tris = np.bincount(label[:F], minlength=ncomp)
@@ -482,9 +487,6 @@ def shorted_classes(C: SubdivisionComplex, n):
     original triangle side under k-fold cell maps (k < n), all level-n
     edge vertices refining it are fused into one class, represented by
     its smallest vertex id; triangles stay alone."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     C.ensure_level(n)
     F, E = len(C.tris[n]), len(C.edges[n])
     ids = np.arange(len(C.edges[0]))
@@ -497,7 +499,7 @@ def shorted_classes(C: SubdivisionComplex, n):
             [C.edge_images(("F", c), k)[ids] for c in range(6)]
         ))
     heads, tails = np.concatenate(heads), np.concatenate(tails)
-    adj = coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(E, E))
+    adj = sp.coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(E, E))
     ncomp, label = connected_components(adj, directed=False)
     low = np.full(ncomp, E)
     np.minimum.at(low, label, np.arange(E))
@@ -506,11 +508,9 @@ def shorted_classes(C: SubdivisionComplex, n):
 
 def quotient(G: WeightedGraph, find):
     """Fuse vertices by representative: find is the array of each
-    vertex's representative, or a function giving it.  Parallel
-    conductances add, internal edges vanish.  Terminal sets must stay
-    disjoint.  The quotient inherits G's symmetry through the classes."""
-    if callable(find):
-        find = np.fromiter(map(find, range(G.n)), dtype=np.int64, count=G.n)
+    vertex's representative.  Parallel conductances add, internal edges
+    vanish.  Terminal sets must stay disjoint.  The quotient inherits
+    G's symmetry through the classes."""
     reps, vmap = np.unique(np.asarray(find, dtype=np.int64), return_inverse=True)
     a, b = vmap[G.us], vmap[G.vs]
     keep = a != b

@@ -26,11 +26,10 @@ is expanded back to every vertex, exactly symmetric or antisymmetric,
 and the resistance, energy, flow and the residual of the full interior
 system are computed on the whole graph.
 
-Passing an iteration budget max_iter selects conjugate gradients with a
-Jacobi preconditioner on the unreduced interior block instead, as an
-independent cross-check of the reduction; it raises SolverError when
-the budget runs out.  Both paths are deterministic.  A dense direct
-solver is kept alongside as a further cross-check for small graphs.
+The reduction is cross-checked by the same direct solve on the
+unreduced system (the graph without its symmetry action, so P = I) and,
+for small graphs, by a dense LAPACK solve (oracle_resistance).  The
+solve is deterministic.
 
 Thompson's principle, that the unit current has the least dissipation
 among unit flows, is checked against random circulations.  They are
@@ -56,7 +55,7 @@ import scipy.sparse.linalg as spla
 from .graphs import WeightedGraph, stabiliser
 
 class SolverError(Exception):
-    """No solution: disconnected terminals, or CG out of iterations."""
+    """No solution: the terminals lie in different components."""
 
 
 class NotAFlowError(Exception):
@@ -91,19 +90,12 @@ def laplacian(G: WeightedGraph):
 
 
 def energy(G: WeightedGraph, f, g=None):
-    """Dirichlet energy E(f, g); exact when both inputs are exact."""
-    if g is None:
-        g = f
-    if isinstance(f, np.ndarray) or isinstance(g, np.ndarray):
-        f = np.asarray(f, dtype=float)
-        g = np.asarray(g, dtype=float)
-        c = G.conductances()
-        us, vs = G.us, G.vs
-        return float(np.sum(c * (f[us] - f[vs]) * (g[us] - g[vs])))
-    total = 0
-    for u, v, c in zip(G.us, G.vs, G.cond):
-        total += c * (f[u] - f[v]) * (g[u] - g[v])
-    return total
+    """Dirichlet energy E(f, g) = sum_edges c (f(u) - f(v)) (g(u) - g(v))."""
+    f = np.asarray(f, dtype=float)
+    g = f if g is None else np.asarray(g, dtype=float)
+    c = G.conductances()
+    us, vs = G.us, G.vs
+    return float(np.sum(c * (f[us] - f[vs]) * (g[us] - g[vs])))
 
 
 def gradient(G: WeightedGraph, f):
@@ -146,13 +138,6 @@ def check_flow(G: WeightedGraph, J, sources, sinks, tol=1e-9):
     return float(sum(div[v] for v in sources))
 
 
-def _adjacency(G: WeightedGraph):
-    """The edges as a CSR array, each stored once in row us[i]."""
-    # edges are sorted by their smaller end, so they form CSR rows as is
-    starts = np.concatenate([[0], np.cumsum(np.bincount(G.us, minlength=G.n))])
-    return sp.csr_array((np.ones(G.m), G.vs, starts), shape=(G.n, G.n))
-
-
 def _active_interior(G: WeightedGraph, A, B):
     """Split vertices for the Dirichlet solve.
 
@@ -161,7 +146,7 @@ def _active_interior(G: WeightedGraph, A, B):
     Components touching only one terminal set are pinned to that value;
     components touching neither are left at zero and excluded.
     """
-    ncomp, label = sp.csgraph.connected_components(_adjacency(G), directed=False)
+    ncomp, label = G.components()
     a = np.fromiter(A, np.int64, len(A))
     b = np.fromiter(B, np.int64, len(B))
     hasA = np.zeros(ncomp, dtype=bool)
@@ -232,23 +217,12 @@ def _apply_laplacian(G: WeightedGraph, grad):
     return np.bincount(G.us, grad, G.n) - np.bincount(G.vs, grad, G.n)
 
 
-def effective_resistance(
-    G: WeightedGraph,
-    A=None,
-    B=None,
-    rtol=1e-10,
-    max_iter=None,
-    allow_disconnected=False,
-):
+def effective_resistance(G: WeightedGraph, A=None, B=None, allow_disconnected=False):
     """Effective resistance between terminal sets A and B.
 
     A and B default to the graph's named boundary sets.  Returns a
     ResistanceResult; a disconnected terminal pair yields infinite
     resistance, which is an error unless allow_disconnected is set.
-
-    The interior block is factored directly unless max_iter is given;
-    then Jacobi-preconditioned CG runs to relative residual rtol within
-    max_iter iterations or raises SolverError.  rtol only applies to CG.
     """
     A = G.boundary["A"] if A is None else frozenset(A)
     B = G.boundary["B"] if B is None else frozenset(B)
@@ -257,36 +231,25 @@ def effective_resistance(
     if A & B:
         raise ValueError("terminal sets overlap")
 
-    method = "direct" if max_iter is None else "cg"
     interior, fixed, value, connected = _active_interior(G, A, B)
     if not connected:
         if not allow_disconnected:
             raise SolverError("terminals lie in different components")
-        phi = value.copy()
-        return ResistanceResult(
-            math.inf, True, 0.0, phi, np.zeros(G.m), 0, 0.0, method
-        )
+        return ResistanceResult(math.inf, True, 0.0, value, np.zeros(G.m), 0, 0.0)
 
+    group = list(stabiliser(G, A, B).values())
+    # psi = phi - 1/2 is +-1/2 on the boundary
+    M, rhs, col, sign = _reduced_system(G, group, interior, value - 0.5 * fixed)
+    psi = np.zeros(len(interior))
+    fill = 0
+    if len(rhs):
+        x, fill = _solve_direct(M, rhs)
+        psi = sign * x[col]
+    # 1 - (1/2 + |psi|) is exact, so a swapped pair of vertices gets
+    # phi and 1 - phi bit for bit
+    half = 0.5 + np.abs(psi)
     phi = value.copy()
-    iters = fill = 0
-    if max_iter is None:
-        group = list(stabiliser(G, A, B).values())
-        # psi = phi - 1/2 is +-1/2 on the boundary
-        M, rhs, col, sign = _reduced_system(G, group, interior, value - 0.5 * fixed)
-        psi = np.zeros(len(interior))
-        if len(rhs):
-            x, fill = _solve_direct(M, rhs)
-            psi = sign * x[col]
-        # 1 - (1/2 + |psi|) is exact, so a swapped pair of vertices gets
-        # phi and 1 - phi bit for bit
-        half = 0.5 + np.abs(psi)
-        phi[interior] = np.where(psi >= 0, half, 1.0 - half)
-    else:
-        group = [(np.arange(G.n), 1)]
-        M, rhs, col, sign = _reduced_system(G, group, interior, value)
-        if len(rhs):
-            x, iters = _solve_cg(M, rhs, rtol, max_iter)
-            phi[interior] = x[col]
+    phi[interior] = np.where(psi >= 0, half, 1.0 - half)
 
     grad = gradient(G, phi)
     residual = 0.0
@@ -301,7 +264,7 @@ def effective_resistance(
     E = energy(G, phi)
     R = 1.0 / E
     return ResistanceResult(
-        R, False, E, phi, R * grad, iters, residual, method,
+        R, False, E, phi, R * grad, 0, residual, "direct",
         len(rhs), len(group), fill,
     )
 
@@ -320,32 +283,6 @@ def _solve_direct(M, rhs):
         options={"SymmetricMode": True},
     )
     return lu.solve(rhs), lu.L.nnz + lu.U.nnz
-
-
-def _solve_cg(Lii, rhs, rtol, max_iter):
-    """Jacobi-preconditioned CG from a zero start; (x, iterations)."""
-    count = 0
-
-    def cb(_):
-        nonlocal count
-        count += 1
-
-    x, info = spla.cg(
-        Lii,
-        rhs,
-        x0=np.zeros(len(rhs)),
-        M=sp.diags(1.0 / Lii.diagonal()),
-        rtol=rtol,
-        atol=0.0,
-        maxiter=max_iter,
-        callback=cb,
-    )
-    if info != 0:
-        raise SolverError(
-            f"conjugate gradients stopped after {info} iterations "
-            f"without reaching rtol={rtol}"
-        )
-    return x, count
 
 
 def oracle_resistance(G: WeightedGraph, A=None, B=None, limit=2000):
@@ -415,7 +352,7 @@ def spanning_forest(G: WeightedGraph):
     searchsorted.
     """
     n = G.n
-    ncomp, label = sp.csgraph.connected_components(_adjacency(G), directed=False)
+    ncomp, label = G.components()
     roots = np.unique(label, return_index=True)[1]
     rows = np.concatenate([G.us, np.full(ncomp, n)])
     cols = np.concatenate([G.vs, roots])

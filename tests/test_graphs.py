@@ -363,7 +363,7 @@ def test_quotient_parallel_sum():
         3, [0, 0], [1, 2], [Fraction(2), Fraction(3)],
         {"A": {0}, "B": {1, 2}},
     )
-    H = quotient(G, lambda v: 0 if v == 0 else 1)
+    H = quotient(G, np.array([0, 1, 1]))
     assert H.n == 2 and H.m == 1
     assert H.cond[0] == Fraction(5)
 
@@ -371,14 +371,14 @@ def test_quotient_parallel_sum():
 def test_quotient_drops_internal_edges():
     G = WeightedGraph(3, [0, 1], [1, 2], [Fraction(1), Fraction(1)],
                       {"A": {0}, "B": {2}})
-    H = quotient(G, lambda v: min(v, 1))
+    H = quotient(G, np.array([0, 1, 1]))
     assert H.n == 2 and H.m == 1
 
 
 def test_quotient_rejects_terminal_fusion():
     G = WeightedGraph(2, [0], [1], [Fraction(1)], {"A": {0}, "B": {1}})
     with pytest.raises(FamilyError):
-        quotient(G, lambda v: 0)
+        quotient(G, np.array([0, 0]))
 
 
 # -- exports ------------------------------------------------------------
