@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -60,6 +61,8 @@ def _manifest(args, timings):
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "timings": timings,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 

@@ -353,10 +353,12 @@ def build_hexacarpet(C: SubdivisionComplex, n):
     _require_positive_level(n)
     C.ensure_level(n)
     F = len(C.tris[n])
-    ts = C.edge_tris[n]
-    e, k = np.nonzero(ts >= 0)
+    # row by row over sorted sides: the incidences (t, F + e) come out in
+    # canonical order already
+    sides = np.sort(C.tri_edges[n], axis=1).ravel()
     return WeightedGraph(
-        F + len(C.edges[n]), ts[e, k], F + e, np.full(len(e), TWO),
+        F + len(C.edges[n]), np.repeat(np.arange(F), 3), F + sides,
+        np.full(len(sides), TWO),
         {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (3, 4))},
         {"family": "hexacarpet", "level": n, "tri_count": F}, DEN,
         _hexacarpet_action(C, n),

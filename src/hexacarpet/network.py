@@ -64,6 +64,15 @@ class NotAFlowError(Exception):
 
 @dataclass
 class ResistanceResult:
+    """One effective resistance solve.
+
+    disconnected and iterations are kept so the `resistance` CSV stays
+    byte-identical, but they no longer vary: disconnected is true only
+    for a disconnected pair solved with allow_disconnected (the CLI
+    exits 4 instead, so its column always reads false), and iterations
+    is always 0, since the direct solve does not iterate.
+    """
+
     resistance: float
     disconnected: bool
     energy: float

@@ -22,8 +22,13 @@ cell maps F_0..F_5 embedding level n into level n+1 (one per level-1
 triangle around the center), and the dihedral symmetry group of the
 hexagon acting on every level at once.  Each map is held as int64 image
 arrays, built one level at a time on first use: the vertex images, and
-per level the image ids of every edge and triangle, found by binary
-search of the sorted image vertices in the target level's simplex codes.
+per level the image ids of every edge and triangle.  Only the base level
+(0 for a cell map, 1 for a symmetry) is looked up in the target level's
+simplex codes.  Every level above it is refined from the one below: a
+map sends the children of a simplex s to the children of its image g s,
+so a half edge goes to the half of g e at the image of its endpoint, and
+a child triangle or inner edge of t to the one of g t in the slot that
+the vertex images pick out.
 """
 
 from __future__ import annotations
@@ -89,6 +94,9 @@ _REFL_H = (P0, P2, P1, B02, B01, B12, CENTER)
 _SPLIT_Q = [0, 0, 1, 1, 2, 2]
 _SPLIT_SIDE = [0, 1, 0, 2, 1, 2]
 _SPLIT_HALF = [0, 0, 1, 0, 1, 1]
+# _SLOT[q, s] is the split j with q == _SPLIT_Q[j] and s == _SPLIT_SIDE[j]
+_SLOT = np.full((3, 3), -1, dtype=np.int64)
+_SLOT[_SPLIT_Q, _SPLIT_SIDE] = np.arange(6)
 
 
 class CapacityError(Exception):
@@ -196,6 +204,13 @@ class SubdivisionComplex:
       tri_bary[n]   vertex id of the barycenter of each level-n triangle
       edge_children[n]  (E, 2) the two level-(n+1) half edges of each
                     edge, the one at its smaller endpoint first
+      tri_children[n]   (T, 6) the level-(n+1) triangles of each
+                    triangle t: slot j is (tris[n][t][q], eb, tb(t)) for
+                    q = _SPLIT_Q[j] and eb the barycenter of side
+                    _SPLIT_SIDE[j]
+      tri_inner[n]  (T, 6) the level-(n+1) edges drawn inside each
+                    triangle t: (tris[n][t][j], tb(t)) in slot j, then
+                    (barycenter of side j, tb(t)) in slot 3 + j
       edge_side[n]  boundary side 0..5 of each edge, or -1 (level >= 1)
       edge_parent[n]  the level-(n-1) edge an edge halves, or E_(n-1)
                     plus the triangle it was drawn inside; -1 at level 0
@@ -224,6 +239,8 @@ class SubdivisionComplex:
         self.edge_bary = []
         self.tri_bary = []
         self.edge_children = []
+        self.tri_children = []
+        self.tri_inner = []
         self.edge_side = [_frozen([-1, -1, -1])]
         self.edge_parent = [_frozen([-1, -1, -1])]
         self.tri_parent = [_frozen([-1])]
@@ -291,6 +308,8 @@ class SubdivisionComplex:
         first = children[side, _SPLIT_HALF]
         tcodes = (first * nv + tb[:, None]).ravel()
         torder = np.argsort(tcodes)
+        tid = np.empty_like(torder)
+        tid[torder] = np.arange(len(torder))
         new_tris = np.stack(
             [tris[:, _SPLIT_Q], eb[side], np.broadcast_to(tb[:, None], side.shape)],
             axis=-1,
@@ -298,6 +317,7 @@ class SubdivisionComplex:
         new_tri_edges = np.stack(
             [first, q_tb[:, _SPLIT_Q], eb_tb[:, _SPLIT_SIDE]], axis=-1
         ).reshape(-1, 3)[torder]
+        inner = np.concatenate([q_tb, eb_tb], axis=1)
         del eid, q_tb, eb_tb, first, side
 
         # incident triangles per edge, ascending: a stable sort of the
@@ -336,6 +356,8 @@ class SubdivisionComplex:
         self.edge_bary.append(_frozen(eb))
         self.tri_bary.append(_frozen(tb))
         self.edge_children.append(_frozen(children))
+        self.tri_children.append(_frozen(tid.reshape(T, 6)))
+        self.tri_inner.append(_frozen(inner))
         self.edge_side.append(_frozen(new_side))
         self.edge_parent.append(_frozen(new_edges[:, 1] - V))
         self.tri_parent.append(_frozen(torder // 6))
@@ -397,23 +419,62 @@ class SubdivisionComplex:
     def _map_images(self, key, n):
         """Edge and triangle image ids of the level-n simplices."""
         if (key, n) not in self._images:
-            tgt = n + (1 if key[0] == "F" else 0)
+            shift = 1 if key[0] == "F" else 0
+            tgt = n + shift
             if tgt > self.top:
                 raise MissingLevelError(
                     f"need level {tgt} built to map level {n}"
                 )
-            nv, ecodes = self.offsets[tgt], self.edge_codes[tgt]
-            vm = self.vertex_map(key, self.offsets[n])
-            ie = vm[self.edges[n]]
-            lo, hi = ie.min(axis=1), ie.max(axis=1)
-            eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
-            it = np.sort(vm[self.tris[n]], axis=1)
-            ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
-            timg = lookup_sorted(
-                self.tri_codes[tgt], ab * nv + it[:, 2], "triangle image"
-            )
-            self._images[(key, n)] = (_frozen(eimg), _frozen(timg))
+            if n <= 1 - shift:  # the base level, or below it
+                images = self._search_images(key, n, tgt)
+            else:
+                images = self._refine_images(key, n, tgt)
+            self._images[(key, n)] = tuple(map(_frozen, images))
         return self._images[(key, n)]
+
+    def _search_images(self, key, n, tgt):
+        """Images at the base level, by lookup of the image vertices in
+        the target level's simplex codes."""
+        nv, ecodes = self.offsets[tgt], self.edge_codes[tgt]
+        vm = self.vertex_map(key, self.offsets[n])
+        ie = vm[self.edges[n]]
+        lo, hi = ie.min(axis=1), ie.max(axis=1)
+        eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
+        it = np.sort(vm[self.tris[n]], axis=1)
+        ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
+        timg = lookup_sorted(self.tri_codes[tgt], ab * nv + it[:, 2], "triangle image")
+        return eimg, timg
+
+    def _refine_images(self, key, n, tgt):
+        """Images at level n from those at level n - 1: a child of a
+        simplex s maps to the matching child of the image of s."""
+        p, q = n - 1, tgt - 1
+        eimg_p, timg_p = self._map_images(key, p)
+        vm = self.vertex_map(key, self.offsets[p])
+        # pos[t, j]: the slot of vertex j's image in the sorted image of
+        # triangle t; side (a, b) goes to side pos[a] + pos[b] - 1
+        it = vm[self.tris[p]]
+        pos = (it[:, :, None] > it[:, None, :]).sum(axis=2)
+        side = pos[:, [0, 0, 1]] + pos[:, [1, 2, 2]] - 1
+
+        eimg = np.empty(len(self.edges[n]), dtype=np.int64)
+        # half s of edge e goes to half s ^ flip of g e, flip being set
+        # when the smaller end of e maps to the larger end of g e
+        ie = vm[self.edges[p]]
+        flip = ie[:, :1] > ie[:, 1:]
+        eimg[self.edge_children[p]] = np.take_along_axis(
+            self.edge_children[q][eimg_p], flip ^ np.array([[0, 1]]), axis=1
+        )
+        eimg[self.tri_inner[p]] = np.take_along_axis(
+            self.tri_inner[q][timg_p], np.concatenate([pos, 3 + side], axis=1), axis=1
+        )
+        timg = np.empty(len(self.tris[n]), dtype=np.int64)
+        timg[self.tri_children[p]] = np.take_along_axis(
+            self.tri_children[q][timg_p],
+            _SLOT[pos[:, _SPLIT_Q], side[:, _SPLIT_SIDE]],
+            axis=1,
+        )
+        return eimg, timg
 
     def vertex_map(self, key, upto=None):
         """The vertex images of a map on ids < upto, as an int64 array.

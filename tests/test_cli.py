@@ -59,6 +59,7 @@ def test_resistance_json(capsys):
     timings = doc["manifest"]["timings"]
     assert list(timings) == ["build_s", "solve_s"]
     assert min(timings.values()) >= 0
+    assert doc["manifest"]["peak_rss_mb"] > 0
 
 
 def test_resistance_json_reports_solver(capsys):
@@ -109,6 +110,7 @@ def test_rho_json_has_meta(capsys):
         assert (doc["rho_fit"] is None) == (top == "2")
         assert "d_S_upper_formula" in doc["meta"]
         assert "timings" in doc["manifest"]
+        assert doc["manifest"]["peak_rss_mb"] > 0
 
 
 def test_submult_passes(capsys):

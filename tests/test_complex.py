@@ -29,11 +29,14 @@ from hexacarpet.subdivision import (
     _F_P2,
     _SIDE_EDGES,
     _SIDE_OF_VERTEX,
+    _SPLIT_Q,
+    _SPLIT_SIDE,
     _base_perm,
     _check_int64,
     dihedral_compose,
     dihedral_elements,
     dihedral_inverse,
+    lookup_sorted,
     side_perm,
 )
 
@@ -460,6 +463,64 @@ def test_image_arrays_match_per_simplex_maps(C, R):
             assert C.tri_images(key, n).tolist() == tris
 
 
+def searched_images(C, key, n):
+    """Edge and triangle images of the level-n simplices, found by binary
+    search of the sorted image vertices in the target level's simplex
+    codes; the reference for the complex's level-by-level refinement."""
+    tgt = n + (1 if key[0] == "F" else 0)
+    nv, ecodes = C.offsets[tgt], C.edge_codes[tgt]
+    vm = C.vertex_map(key, C.offsets[n])
+    ie = vm[C.edges[n]]
+    lo, hi = ie.min(axis=1), ie.max(axis=1)
+    eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
+    it = np.sort(vm[C.tris[n]], axis=1)
+    ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
+    timg = lookup_sorted(C.tri_codes[tgt], ab * nv + it[:, 2], "triangle image")
+    return eimg, timg
+
+
+def test_refined_images_match_search():
+    # every symmetry at levels 1..6 and every cell map at 0..5; the
+    # vertex images of a level's barycenters are those of the searched
+    # edge and triangle images, so by induction the whole map agrees
+    top = 6
+    C = SubdivisionComplex()
+    C.ensure_level(top)
+    keys = [("auto", g) for g in dihedral_elements()] + [("F", c) for c in range(6)]
+    for key in keys:
+        shift = 1 if key[0] == "F" else 0
+        for n in range(1 - shift, top + 1 - shift):
+            eimg, timg = searched_images(C, key, n)
+            assert np.array_equal(C.edge_images(key, n), eimg)
+            assert np.array_equal(C.tri_images(key, n), timg)
+            tgt = n + shift
+            if tgt < top:
+                vm = np.concatenate([
+                    C.vertex_map(key, C.offsets[n]),
+                    C.edge_bary[tgt][eimg],
+                    C.tri_bary[tgt][timg],
+                ])
+                assert np.array_equal(C.vertex_map(key, C.offsets[n + 1]), vm)
+
+
+def test_child_tables_match_reference(C, R):
+    for n in range(MAXN):
+        idx, eidx = R.tri_index[n + 1], R.edge_index[n + 1]
+        children, inner = [], []
+        for t, tri in enumerate(R.tris[n]):
+            eb = [R.edge_bary[n][e] for e in R.tri_edges[n][t]]
+            tb = R.tri_bary[n][t]
+            children.append([
+                idx[tuple(sorted((tri[q], eb[s], tb)))]
+                for q, s in zip(_SPLIT_Q, _SPLIT_SIDE)
+            ])
+            inner.append([eidx[(v, tb)] for v in list(tri) + eb])
+        assert C.tri_children[n].tolist() == children
+        assert C.tri_inner[n].tolist() == inner
+    tables = [C.tri_children, C.tri_inner]
+    assert not any(t[-1].flags.writeable for t in tables)
+
+
 @dataclass(frozen=True)
 class SimplexId:
     """A simplex addressed by (level, dimension, index)."""
@@ -514,6 +575,15 @@ def test_capacity_and_missing_level():
     c.ensure_level(1)
     with pytest.raises(MissingLevelError):
         c.map_edge(("F", 0), 1, 0)
+    # above the base level the images are refined from the level below,
+    # which is built; the target level one above top is still refused
+    c = SubdivisionComplex(cap=3)
+    c.ensure_level(3)
+    assert len(c.edge_images(("F", 0), 2)) == len(c.edges[2])
+    with pytest.raises(MissingLevelError):
+        c.tri_images(("F", 0), 3)
+    with pytest.raises(MissingLevelError):
+        c.vertex_map(("F", 0), c.offsets[3])
 
 
 def test_serialization_deterministic(C):
