@@ -44,9 +44,9 @@ from .graphs import (
     edge_arc,
 )
 from .network import (
+    _checked_flow,
     check_flow,
     dissipation,
-    divergence,
     effective_resistance,
     energy,
 )
@@ -320,13 +320,7 @@ def compose_flow(cache: LevelCache, m, n, div_tol=1e-9):
     if not (np.bincount(pos, minlength=Gf.m) == 1).all():
         raise AssertionError("cells do not tile the fine incidences")
 
-    A = Gf.boundary["A"]
-    B = Gf.boundary["B"]
-    fl = check_flow(Gf, J, A, B, tol=div_tol)
-    div = divergence(Gf, J)
-    free = np.ones(Gf.n, dtype=bool)
-    for v in A | B:
-        free[v] = False
+    fl, div, free = _checked_flow(Gf, J, Gf.boundary["A"], Gf.boundary["B"], div_tol)
     maxdiv = float(np.abs(div[free]).max())
     E = dissipation(Gf, J)
     return ComposedFlow(

@@ -381,8 +381,10 @@ def cut_segments(C: SubdivisionComplex, N):
     terminal arcs.
     """
     C.ensure_level(N)
-    spokes = np.array([B01, B02]) * C.offsets[1] + CENTER
-    segs = {1: lookup_sorted(C.edge_codes[1], spokes, "spoke")}
+    # level-1 edge codes u*V + v, ascending in edge id
+    V, edges = C.offsets[1], C.edges[1]
+    spokes = np.array([B01, B02]) * V + CENTER
+    segs = {1: lookup_sorted(edges[:, 0] * V + edges[:, 1], spokes, "spoke")}
     for k in range(1, N):
         ids = segs[k]
         mirrored = C.edge_images(("auto", SIGMA_A), k)[ids]

@@ -115,11 +115,7 @@ def gradient(G: WeightedGraph, f):
 
 def divergence(G: WeightedGraph, J):
     """Net inflow per vertex."""
-    J = np.asarray(J, dtype=float)
-    div = np.zeros(G.n)
-    np.subtract.at(div, G.us, J)
-    np.add.at(div, G.vs, J)
-    return div
+    return np.bincount(G.vs, J, G.n) - np.bincount(G.us, J, G.n)
 
 
 def dissipation(G: WeightedGraph, J, K=None):
@@ -131,20 +127,26 @@ def dissipation(G: WeightedGraph, J, K=None):
     return float(np.sum(J * K / G.conductances()))
 
 
-def check_flow(G: WeightedGraph, J, sources, sinks, tol=1e-9):
-    """Assert J is divergence-free off the terminals; return flux."""
+def _checked_flow(G: WeightedGraph, J, sources, sinks, tol):
+    """(flux, divergence, mask of the non-terminal vertices) of J;
+    raises NotAFlowError where the divergence off the terminals exceeds
+    tol."""
+    a = np.fromiter(sources, np.int64)
     div = divergence(G, J)
     free = np.ones(G.n, dtype=bool)
-    for v in sources:
-        free[v] = False
-    for v in sinks:
-        free[v] = False
+    free[a] = False
+    free[np.fromiter(sinks, np.int64)] = False
     bad = np.nonzero(free & (np.abs(div) > tol))[0]
     if len(bad):
         worst = bad[np.argsort(-np.abs(div[bad]))][:10]
         detail = ", ".join(f"{v}:{div[v]:.3e}" for v in worst)
         raise NotAFlowError(f"divergence off terminals at {detail}")
-    return float(sum(div[v] for v in sources))
+    return float(div[a].sum()), div, free
+
+
+def check_flow(G: WeightedGraph, J, sources, sinks, tol=1e-9):
+    """Assert J is divergence-free off the terminals; return flux."""
+    return _checked_flow(G, J, sources, sinks, tol)[0]
 
 
 def _active_interior(G: WeightedGraph, A, B):
@@ -221,11 +223,6 @@ def _reduced_system(G: WeightedGraph, group, interior, bval):
     return M, rhs, col[interior], sign[interior]
 
 
-def _apply_laplacian(G: WeightedGraph, grad):
-    """L f over all vertices, from the edge currents grad = gradient(G, f)."""
-    return np.bincount(G.us, grad, G.n) - np.bincount(G.vs, grad, G.n)
-
-
 def effective_resistance(G: WeightedGraph, A=None, B=None, allow_disconnected=False):
     """Effective resistance between terminal sets A and B.
 
@@ -263,11 +260,10 @@ def effective_resistance(G: WeightedGraph, A=None, B=None, allow_disconnected=Fa
     grad = gradient(G, phi)
     residual = 0.0
     if len(interior):
-        # the full interior system L_II phi_I = -L_IB phi_B, edge by edge
-        rnorm = np.linalg.norm(_apply_laplacian(G, grad)[interior])
-        bnorm = np.linalg.norm(
-            _apply_laplacian(G, gradient(G, value))[interior]
-        )
+        # the full interior system L_II phi_I = -L_IB phi_B, edge by
+        # edge: L f = -divergence(gradient(f)), whose sign the norm drops
+        rnorm = np.linalg.norm(divergence(G, grad)[interior])
+        bnorm = np.linalg.norm(divergence(G, gradient(G, value))[interior])
         residual = float(rnorm / bnorm) if bnorm else 0.0
 
     E = energy(G, phi)

@@ -10,12 +10,13 @@ numpy passes, and every per-level table is a read-only int64 array.
 Vertices live in one global table shared by all levels, since sub-
 division only ever adds points: level n holds the ids below offsets[n],
 and the barycenters of its edges, then of its triangles, take the next
-ids in simplex order.  Coordinates are exact in the hexagonal embedding
-of the level-1 complex: the seven level-1 vertices form a regular
-hexagon plus its center, and every later vertex is the average of its
-parents.  The y coordinate is stored in units of sqrt(3), which keeps
-everything in Q^2, and both coordinates are int64 numerators over the
-common denominator 2*6^(n-1) of the top level n.
+ids in simplex order: offsets[n] + e for edge e and offsets[n] + E_n + t
+for triangle t, with E_n the level's edge count.  Coordinates are exact
+in the hexagonal embedding of the level-1 complex: the seven level-1
+vertices form a regular hexagon plus its center, and every later vertex
+is the average of its parents.  The y coordinate is stored in units of
+sqrt(3), which keeps everything in Q^2, and both coordinates are int64
+numerators over the common denominator 2*6^(n-1) of the top level n.
 
 The module also carries the combinatorial maps used downstream: the six
 cell maps F_0..F_5 embedding level n into level n+1 (one per level-1
@@ -129,13 +130,6 @@ def dihedral_compose(a, b):
     return ("r", (ka - kb) % 6)
 
 
-def dihedral_inverse(a):
-    t, k = a
-    if t == "r":
-        return ("r", (-k) % 6)
-    return a
-
-
 def _base_perm(elem):
     """The permutation of the seven level-1 vertex ids for a group element."""
     t, k = elem
@@ -144,9 +138,6 @@ def _base_perm(elem):
         perm = [_ROT60[p] for p in perm]
     if t == "s":
         # s_k = r_k . s_0: reflect first, then rotate
-        perm = list(range(7))
-        for _ in range(k):
-            perm = [_ROT60[p] for p in perm]
         perm = [perm[_REFL_H[i]] for i in range(7)]
     return perm
 
@@ -192,29 +183,21 @@ class SubdivisionComplex:
     """All levels 0..top of the subdivided triangle, built incrementally.
 
     Per-level data (lists indexed by level of read-only int64 arrays):
-      edges[n]      (E, 2) sorted vertex pairs, row = edge id
-      tris[n]       (T, 3) sorted vertex triples, row = triangle id
-      edge_codes[n], tri_codes[n]  the sorted lookup codes of the rows:
-                    u*V + v for an edge, edge_id(a, b)*V + c for a
-                    triangle, with V = offsets[n]
+      edges[n]      (E, 2) sorted vertex pairs, row = edge id, rows ascending
+      tris[n]       (T, 3) sorted vertex triples, row = triangle id,
+                    rows ascending
       tri_edges[n]  (T, 3) the side edge ids (ab, ac, bc) of each triangle
       edge_tris[n]  (E, 2) incident triangle ids, ascending; -1 in the
                     second column for a boundary edge
-      edge_bary[n]  vertex id of the barycenter of each level-n edge
-      tri_bary[n]   vertex id of the barycenter of each level-n triangle
       edge_children[n]  (E, 2) the two level-(n+1) half edges of each
                     edge, the one at its smaller endpoint first
-      tri_children[n]   (T, 6) the level-(n+1) triangles of each
-                    triangle t: slot j is (tris[n][t][q], eb, tb(t)) for
-                    q = _SPLIT_Q[j] and eb the barycenter of side
-                    _SPLIT_SIDE[j]
-      tri_inner[n]  (T, 6) the level-(n+1) edges drawn inside each
-                    triangle t: (tris[n][t][j], tb(t)) in slot j, then
-                    (barycenter of side j, tb(t)) in slot 3 + j
+      tri_children[n]   (T, 6) the level-(n+1) triangles of triangle t:
+                    slot j is (tris[n][t][_SPLIT_Q[j]], barycenter of
+                    side _SPLIT_SIDE[j], barycenter of t)
+      tri_inner[n]  (T, 6) the level-(n+1) edges drawn inside triangle
+                    t: (tris[n][t][j], barycenter of t) in slot j, then
+                    (barycenter of side j, barycenter of t) in slot 3 + j
       edge_side[n]  boundary side 0..5 of each edge, or -1 (level >= 1)
-      edge_parent[n]  the level-(n-1) edge an edge halves, or E_(n-1)
-                    plus the triangle it was drawn inside; -1 at level 0
-      tri_parent[n]   the level-(n-1) triangle of each triangle; -1 at 0
       offsets[n]    vertex count of level n, the first barycenter id
 
     Global vertex data, indexed by vertex id:
@@ -231,19 +214,12 @@ class SubdivisionComplex:
 
         self.edges = [_frozen([(P0, P1), (P0, P2), (P1, P2)])]
         self.tris = [_frozen([(P0, P1, P2)])]
-        # u*3 + v per edge, edge_id(p0, p1)*3 + p2 for the triangle
-        self.edge_codes = [_frozen([1, 2, 5])]
-        self.tri_codes = [_frozen([2])]
         self.tri_edges = [_frozen([(0, 1, 2)])]
         self.edge_tris = [_frozen([(0, -1)] * 3)]
-        self.edge_bary = []
-        self.tri_bary = []
         self.edge_children = []
         self.tri_children = []
         self.tri_inner = []
         self.edge_side = [_frozen([-1, -1, -1])]
-        self.edge_parent = [_frozen([-1, -1, -1])]
-        self.tri_parent = [_frozen([-1])]
         self.offsets = [3]
         self._tri_slice = {}
 
@@ -290,6 +266,7 @@ class SubdivisionComplex:
         order = np.argsort(codes)
         codes = codes[order]
         new_edges = np.stack([codes // nv, codes % nv], axis=1)
+        del codes
         eid = np.empty_like(order)
         eid[order] = np.arange(len(order))
         children = np.stack([eid[:E], eid[E:2 * E]], axis=1)
@@ -324,9 +301,9 @@ class SubdivisionComplex:
         # flattened sides keeps triangle order within each edge
         flat = new_tri_edges.ravel()
         by_edge = np.argsort(flat, kind="stable") // 3
-        count = np.bincount(flat, minlength=len(codes))
+        count = np.bincount(flat, minlength=len(new_edges))
         start = np.cumsum(count) - count
-        edge_tris = np.full((len(codes), 2), -1, dtype=np.int64)
+        edge_tris = np.full((len(new_edges), 2), -1, dtype=np.int64)
         edge_tris[:, 0] = by_edge[start]
         two = count == 2
         edge_tris[two, 1] = by_edge[start[two] + 1]
@@ -349,18 +326,12 @@ class SubdivisionComplex:
 
         self.edges.append(_frozen(new_edges))
         self.tris.append(_frozen(new_tris))
-        self.edge_codes.append(_frozen(codes))
-        self.tri_codes.append(_frozen(tcodes[torder]))
         self.tri_edges.append(_frozen(new_tri_edges))
         self.edge_tris.append(_frozen(edge_tris))
-        self.edge_bary.append(_frozen(eb))
-        self.tri_bary.append(_frozen(tb))
         self.edge_children.append(_frozen(children))
         self.tri_children.append(_frozen(tid.reshape(T, 6)))
         self.tri_inner.append(_frozen(inner))
         self.edge_side.append(_frozen(new_side))
-        self.edge_parent.append(_frozen(new_edges[:, 1] - V))
-        self.tri_parent.append(_frozen(torder // 6))
         self.offsets.append(nv)
         self.top += 1
 
@@ -369,10 +340,6 @@ class SubdivisionComplex:
     def counts(self, n):
         self.require_level(n)
         return self.offsets[n], len(self.edges[n]), len(self.tris[n])
-
-    def vertices_at(self, n):
-        """Ids of the vertices present in the level-n skeleton."""
-        return range(self.counts(n)[0])
 
     def side_vertices(self, n, side):
         """Level-n skeleton vertices on boundary side 0..5, ascending."""
@@ -400,7 +367,9 @@ class SubdivisionComplex:
                 }
                 sl = [cells[t] for t in map(tuple, self.tris[1].tolist())]
             else:
-                sl = self.tri_slice(n - 1)[self.tri_parent[n]]
+                # every child inherits its parent's slice
+                sl = np.empty(len(self.tris[n]), dtype=np.int64)
+                sl[self.tri_children[n - 1]] = self.tri_slice(n - 1)[:, None]
             self._tri_slice[n] = _frozen(sl)
         return self._tri_slice[n]
 
@@ -434,15 +403,19 @@ class SubdivisionComplex:
 
     def _search_images(self, key, n, tgt):
         """Images at the base level, by lookup of the image vertices in
-        the target level's simplex codes."""
-        nv, ecodes = self.offsets[tgt], self.edge_codes[tgt]
+        the target level's simplex codes: u*V + v for an edge (u, v) and
+        edge_id(a, b)*V + c for a triangle (a, b, c), with V = offsets[tgt].
+        Both run in id order, as the rows are sorted."""
+        nv = self.offsets[tgt]
+        ecodes = self.edges[tgt][:, 0] * nv + self.edges[tgt][:, 1]
+        tcodes = self.tri_edges[tgt][:, 0] * nv + self.tris[tgt][:, 2]
         vm = self.vertex_map(key, self.offsets[n])
         ie = vm[self.edges[n]]
         lo, hi = ie.min(axis=1), ie.max(axis=1)
         eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
         it = np.sort(vm[self.tris[n]], axis=1)
         ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
-        timg = lookup_sorted(self.tri_codes[tgt], ab * nv + it[:, 2], "triangle image")
+        timg = lookup_sorted(tcodes, ab * nv + it[:, 2], "triangle image")
         return eimg, timg
 
     def _refine_images(self, key, n, tgt):
@@ -505,9 +478,8 @@ class SubdivisionComplex:
                     f"need level {tgt + 1} built to map a level-{lvl} barycenter"
                 )
             eimg, timg = self._map_images(key, lvl)
-            arr = self._vmaps[key] = np.concatenate(
-                [arr, self.edge_bary[tgt][eimg], self.tri_bary[tgt][timg]]
-            )
+            V, E = self.offsets[tgt], len(self.edges[tgt])
+            arr = self._vmaps[key] = np.concatenate([arr, V + eimg, V + E + timg])
         arr.flags.writeable = False
         return arr[:upto]
 
@@ -578,17 +550,19 @@ class SubdivisionComplex:
         [x numerator, x denominator, y numerator, y denominator] in
         lowest terms."""
         self.require_level(n)
-        num = self.coords[: self.offsets[n]]
+        V, E, T = self.counts(n)
+        num = self.coords[:V]
         g = np.gcd(num, self.denom)
         den = self.denom // g
+        below = n < self.top
         doc = {
             "level": n,
             "vertices": np.stack([num // g, den], axis=2).reshape(-1, 4).tolist(),
             "edges": self.edges[n].tolist(),
             "triangles": self.tris[n].tolist(),
             "barycenters": {
-                "edges": self.edge_bary[n].tolist() if n < self.top else [],
-                "triangles": self.tri_bary[n].tolist() if n < self.top else [],
+                "edges": list(range(V, V + E)) if below else [],
+                "triangles": list(range(V + E, V + E + T)) if below else [],
             },
         }
         return json.dumps(doc, separators=(",", ":"), sort_keys=False)

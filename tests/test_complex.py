@@ -35,7 +35,6 @@ from hexacarpet.subdivision import (
     _check_int64,
     dihedral_compose,
     dihedral_elements,
-    dihedral_inverse,
     lookup_sorted,
     side_perm,
 )
@@ -200,6 +199,18 @@ def coord(C, v):
     return tuple(Fraction(int(c), C.denom) for c in C.coords[v])
 
 
+def vertices_at(C, n):
+    """Ids of the vertices present in the level-n skeleton."""
+    return range(C.counts(n)[0])
+
+
+def dihedral_inverse(a):
+    t, k = a
+    if t == "r":
+        return ("r", (-k) % 6)
+    return a
+
+
 def count_oracle(n):
     v, e, f = 3, 3, 1
     for _ in range(n):
@@ -231,13 +242,16 @@ def test_level_one_is_regular_hexagon(C):
 
 def test_barycenters_average_parents(C):
     # level-0 barycenters are pinned to the hexagon; all coordinates
-    # share one denominator, so the averages are integer identities
+    # share one denominator, so the averages are integer identities.
+    # The barycenter of edge e is offsets[n] + e, of triangle t
+    # offsets[n] + E + t.
     xy = C.coords
     for n in range(1, MAXN + 1):
+        V, E, T = C.counts(n)
         u, v = C.edges[n].T
-        assert np.array_equal(2 * xy[C.edge_bary[n]], xy[u] + xy[v])
+        assert np.array_equal(2 * xy[V:V + E], xy[u] + xy[v])
         a, b, c = C.tris[n].T
-        assert np.array_equal(3 * xy[C.tri_bary[n]], xy[a] + xy[b] + xy[c])
+        assert np.array_equal(3 * xy[V + E:V + E + T], xy[a] + xy[b] + xy[c])
 
 
 def test_side_counts(C):
@@ -249,7 +263,7 @@ def test_side_counts(C):
 
 def test_corner_vertices_sit_on_two_sides(C):
     for n in range(1, MAXN + 1):
-        masks = [C.vertex_sides[v] for v in C.vertices_at(n)]
+        masks = [C.vertex_sides[v] for v in vertices_at(C, n)]
         corners = [m for m in masks if bin(m).count("1") == 2]
         assert len(corners) == 6
     assert C.vertex_sides[6] == 0
@@ -269,17 +283,22 @@ def test_edge_triangle_handshake(C):
         assert total == 3 * len(C.tris[n])
 
 
-def test_edge_children_partition(C):
-    for n in range(MAXN):
-        seen = set()
-        for e, kids in enumerate(C.edge_children[n]):
-            assert len(kids) == 2
-            seen.update(kids)
-        assert len(seen) == 2 * len(C.edges[n])
-        # the remaining level-(n+1) edges were born from triangles
-        for e2 in range(len(C.edges[n + 1])):
-            from_edge = C.edge_parent[n + 1][e2] < len(C.edges[n])
-            assert (e2 in seen) == from_edge
+def test_edge_children_partition(C, R):
+    # every level-(n+1) edge is exactly one of: a half of a level-n
+    # edge, or an edge drawn inside a level-n triangle; which one, and
+    # whose, is the reference's parent
+    for n in range(MAXN + 1):
+        E1 = len(C.edges[n + 1])
+        kids = np.concatenate([C.edge_children[n].ravel(), C.tri_inner[n].ravel()])
+        assert np.array_equal(np.bincount(kids, minlength=E1), np.ones(E1))
+        parent = [None] * E1
+        for i, pair in enumerate(C.edge_children[n].tolist()):
+            for e in pair:
+                parent[e] = ("e", i)
+        for t, inner in enumerate(C.tri_inner[n].tolist()):
+            for e in inner:
+                parent[e] = ("t", t)
+        assert parent == R.edge_parent[n + 1]
 
 
 def test_macro_edge_descendants_are_the_sides(C):
@@ -385,25 +404,26 @@ def test_arrays_match_reference(C, R):
             list(ts) + [-1] * (2 - len(ts)) for ts in R.edge_tris[n]
         ]
         assert C.edge_side[n].tolist() == R.edge_side[n]
-        V = C.offsets[n]
-        assert np.array_equal(C.edge_codes[n], C.edges[n][:, 0] * V + C.edges[n][:, 1])
-        first = C.tri_edges[n][:, 0]
-        assert np.array_equal(C.tri_codes[n], first * V + C.tris[n][:, 2])
+        # the simplex codes the base-level image search looks up are
+        # ascending in id order: u*V + v, and edge_id(a, b)*V + c
+        V, E, T = C.counts(n)
+        assert (np.diff(C.edges[n][:, 0] * V + C.edges[n][:, 1]) > 0).all()
+        assert (np.diff(C.tri_edges[n][:, 0] * V + C.tris[n][:, 2]) > 0).all()
         if n <= MAXN:
             assert C.edge_children[n].tolist() == [list(c) for c in R.edge_children[n]]
-            assert C.edge_bary[n].tolist() == R.edge_bary[n]
-            assert C.tri_bary[n].tolist() == R.tri_bary[n]
+            # barycenter ids follow the edges, then the triangles
+            assert R.edge_bary[n] == list(range(V, V + E))
+            assert R.tri_bary[n] == list(range(V + E, V + E + T))
         if n >= 1:
-            E = len(R.edges[n - 1])
-            assert C.edge_parent[n].tolist() == [
-                i if kind == "e" else E + i for kind, i in R.edge_parent[n]
-            ]
-            assert C.tri_parent[n].tolist() == R.tri_parent[n]
+            # each triangle's parent is the one whose children hold it
+            parent = np.full(T, -1)
+            parent[C.tri_children[n - 1]] = np.arange(len(C.tris[n - 1]))[:, None]
+            assert parent.tolist() == R.tri_parent[n]
     assert C.vertex_sides.tolist() == R.vertex_sides
     assert [coord(C, v) for v in range(len(R.coords))] == R.coords
     # the stored denominator is the level's common one, 2 * 6^(n-1)
     assert C.denom == 2 * 6 ** MAXN
-    tables = [C.edges, C.tris, C.edge_tris, C.edge_children, C.edge_codes]
+    tables = [C.edges, C.tris, C.tri_edges, C.edge_tris, C.edge_children, C.edge_side]
     assert not any(t[-1].flags.writeable for t in tables)
 
 
@@ -468,14 +488,16 @@ def searched_images(C, key, n):
     search of the sorted image vertices in the target level's simplex
     codes; the reference for the complex's level-by-level refinement."""
     tgt = n + (1 if key[0] == "F" else 0)
-    nv, ecodes = C.offsets[tgt], C.edge_codes[tgt]
+    nv = C.offsets[tgt]
+    ecodes = C.edges[tgt][:, 0] * nv + C.edges[tgt][:, 1]
+    tcodes = C.tri_edges[tgt][:, 0] * nv + C.tris[tgt][:, 2]
     vm = C.vertex_map(key, C.offsets[n])
     ie = vm[C.edges[n]]
     lo, hi = ie.min(axis=1), ie.max(axis=1)
     eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
     it = np.sort(vm[C.tris[n]], axis=1)
     ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
-    timg = lookup_sorted(C.tri_codes[tgt], ab * nv + it[:, 2], "triangle image")
+    timg = lookup_sorted(tcodes, ab * nv + it[:, 2], "triangle image")
     return eimg, timg
 
 
@@ -495,11 +517,10 @@ def test_refined_images_match_search():
             assert np.array_equal(C.tri_images(key, n), timg)
             tgt = n + shift
             if tgt < top:
-                vm = np.concatenate([
-                    C.vertex_map(key, C.offsets[n]),
-                    C.edge_bary[tgt][eimg],
-                    C.tri_bary[tgt][timg],
-                ])
+                V, E, _ = C.counts(tgt)
+                vm = np.concatenate(
+                    [C.vertex_map(key, C.offsets[n]), V + eimg, V + E + timg]
+                )
                 assert np.array_equal(C.vertex_map(key, C.offsets[n + 1]), vm)
 
 
@@ -552,11 +573,15 @@ def test_words_address_triangles(C):
         words = C.tri_words(m)
         assert words.shape == (6 ** m, m)
         assert len(np.unique(words, axis=0)) == 6 ** m
-        sl = C.tri_slice(m)
         base = SimplexId(0, 2, 0)
         for i in range(0, 6 ** m, 11):
-            assert words[i][0] == sl[i]
             assert apply_word(C, words[i], base).index == i
+
+
+def test_tri_slice_is_outermost_letter(C):
+    # a triangle's level-1 ancestor is the cell F_c its word starts with
+    for m in range(1, MAXN + 2):
+        assert np.array_equal(C.tri_slice(m), C.tri_words(m)[:, 0])
 
 
 def test_apply_word_on_vertices(C):

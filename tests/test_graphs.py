@@ -45,7 +45,8 @@ def test_skeleton_conductances(C):
         G = build_skeleton(C, n)
         assert G.n == C.counts(n)[0]
         assert G.m == C.counts(n)[1]
-        edge = lookup_sorted(C.edge_codes[n], G.us * G.n + G.vs, "edge")
+        codes = C.edges[n][:, 0] * G.n + C.edges[n][:, 1]
+        edge = lookup_sorted(codes, G.us * G.n + G.vs, "edge")
         for e, c in zip(edge, G.cond):
             want = Fraction(1, 2) if C.edge_side[n][e] >= 0 else Fraction(1)
             assert c == want
