@@ -51,6 +51,14 @@ from .network import (
     energy,
 )
 
+# branch currents below this fraction of the largest current are solver
+# noise, snapped to zero by y_decomposition
+ZERO_TOL = 1e-12
+# slack of the cut report's float comparisons
+CUT_TOL = 1e-9
+# how far a shorted step ratio may sit from 5/4
+RATIO_TOL = 1e-3
+
 # dihedral elements by role: s2 fixes the source arc, s3 mirrors across
 # the vertical axis, s0 across the horizontal axis
 S0, S2, S3 = ("s", 0), ("s", 2), ("s", 3)
@@ -179,13 +187,13 @@ def arc_flows(cache: LevelCache, n):
         G = cache.graph("hexacarpet", n)
         I = unit_flow(cache, n)
         mirror = hex_pullback(cache, n, I, S3)
-        upper = C.tri_slice(n)[G.us] < 3
+        upper = C.tri_words(n)[G.us, 0] < 3
         H02 = np.where(upper, I, mirror)
         H01 = hex_pullback(cache, n, H02, S2)
 
         A = edge_arc(C, n, (0, 1))
-        f2 = check_flow(G, H02, A, edge_arc(C, n, (4, 5)), tol=1e-9)
-        f1 = check_flow(G, H01, A, edge_arc(C, n, (2, 3)), tol=1e-9)
+        f2 = check_flow(G, H02, A, edge_arc(C, n, (4, 5)))
+        f1 = check_flow(G, H01, A, edge_arc(C, n, (2, 3)))
         if abs(f2 - 1) > 1e-8 or abs(f1 - 1) > 1e-8:
             raise AssertionError("arc flows are not unit flows")
         cache._flows[key] = (H01, H02)
@@ -215,7 +223,7 @@ class YDecomposition:
         return float(np.sum(self.a ** 2) / 2.0)
 
 
-def y_decomposition(cache: LevelCache, m, zero_tol=1e-12):
+def y_decomposition(cache: LevelCache, m):
     C = cache.C
     G = cache.graph("hexacarpet", m)
     F = G.meta["tri_count"]
@@ -225,7 +233,7 @@ def y_decomposition(cache: LevelCache, m, zero_tol=1e-12):
     # branch currents sit far above solver noise or are true zeros;
     # snapping the noise makes the sign invariants exact
     scale = float(np.abs(I).max())
-    vals = np.where(np.abs(raw) < zero_tol * scale, 0.0, raw)
+    vals = np.where(np.abs(raw) < ZERO_TOL * scale, 0.0, raw)
     # the through side is the odd sign out: the one whose removal
     # leaves a same-signed pair; ties resolve to the smallest edge id
     same = np.stack(
@@ -283,7 +291,7 @@ class ComposedFlow:
     bound: float
 
 
-def compose_flow(cache: LevelCache, m, n, div_tol=1e-9):
+def compose_flow(cache: LevelCache, m, n):
     """Splice arc flows of level n into the level-m flow skeleton.
 
     Every level-m triangle x carries branch currents (a0, a1, a2).
@@ -320,7 +328,7 @@ def compose_flow(cache: LevelCache, m, n, div_tol=1e-9):
     if not (np.bincount(pos, minlength=Gf.m) == 1).all():
         raise AssertionError("cells do not tile the fine incidences")
 
-    fl, div, free = _checked_flow(Gf, J, Gf.boundary["A"], Gf.boundary["B"], div_tol)
+    fl, div, free = _checked_flow(Gf, J, Gf.boundary["A"], Gf.boundary["B"])
     maxdiv = float(np.abs(div[free]).max())
     E = dissipation(Gf, J)
     return ComposedFlow(
@@ -415,7 +423,7 @@ def verify_supermultiplicative(cache: LevelCache, max_total, tol=1e-8):
     return rows
 
 
-def cut_report(cache: LevelCache, max_level, tol=1e-9):
+def cut_report(cache: LevelCache, max_level):
     """Severed-graph checks per level: strand inventory, exact formula
     versus solver, and the (3/2)^n upper bounds."""
     rows = []
@@ -441,18 +449,18 @@ def cut_report(cache: LevelCache, max_level, tol=1e-9):
                 "R_hat": hat,
                 "R_hat_solver": solved,
                 "formula_gap": abs(float(hat) - solved),
-                "hat_le_pow": float(hat) <= 1.5 ** n + tol,
-                "R_le_pow": R <= 1.5 ** n + tol,
-                "monotone": solved >= uncut - tol,
+                "hat_le_pow": float(hat) <= 1.5 ** n + CUT_TOL,
+                "R_le_pow": R <= 1.5 ** n + CUT_TOL,
+                "monotone": solved >= uncut - CUT_TOL,
                 "step_ratio": (
-                    cache.R(n) <= 1.5 * cache.R(n - 1) + tol if n > 1 else True
+                    cache.R(n) <= 1.5 * cache.R(n - 1) + CUT_TOL if n > 1 else True
                 ),
             }
         )
     return rows
 
 
-def short_report(cache: LevelCache, max_level, ratio_tol=1e-3):
+def short_report(cache: LevelCache, max_level):
     """Shorted-quotient checks: R_tilde grows by almost exactly 5/4 per
     level and lower-bounds R from below."""
     rows = []
@@ -465,7 +473,7 @@ def short_report(cache: LevelCache, max_level, ratio_tol=1e-3):
                 "le_R": rt <= cache.R(n) + 1e-9,
                 "ratio": rt / cache.R_tilde(n - 1) if n > 1 else float("nan"),
                 "ratio_ok": (
-                    abs(rt / cache.R_tilde(n - 1) - 1.25) <= ratio_tol
+                    abs(rt / cache.R_tilde(n - 1) - 1.25) <= RATIO_TOL
                     if n > 1
                     else True
                 ),

@@ -92,9 +92,6 @@ def cmd_build(args):
     cache = _cache()
     if args.format == "json":
         cache.C.ensure_level(args.level)
-        if args.level + 1 <= cache.C.cap:
-            # one level deeper fills in the barycenter vertex ids
-            cache.C.ensure_level(args.level + 1)
         _emit(cache.C.to_json(args.level) + "\n", args.out)
         return 0
     G = cache.graph(args.family, args.level)
@@ -110,14 +107,16 @@ def cmd_resistance(args):
     t1 = time.perf_counter()
     res = effective_resistance(G)
     t2 = time.perf_counter()
-    row = [args.family, args.level, res.resistance, res.disconnected, res.iterations]
+    # disconnected terminals exit 4 and the direct solve does not
+    # iterate; the columns stay so the table keeps its shape
+    row = [args.family, args.level, res.resistance, False, 0]
     doc = {
         "family": args.family,
         "level": args.level,
         "resistance": res.resistance,
-        "disconnected": res.disconnected,
+        "disconnected": False,
         "energy": res.energy,
-        "iterations": res.iterations,
+        "iterations": 0,
         "residual": res.residual,
         "manifest": {
             **_manifest(args, {"build_s": t1 - t0, "solve_s": t2 - t1}),
@@ -137,12 +136,25 @@ def cmd_resistance(args):
     return 0
 
 
-def cmd_rho(args):
-    cache = _cache()
-    t0 = time.perf_counter()
-    cache.C.ensure_level(args.max_level)
+def _sweep(compute):
+    """A sweep subcommand: build the complex to --max-level, run
+    compute(cache, args) -> (csv text, JSON document, ok), append the
+    manifest to the document and report; exit 1 when a check failed."""
+
+    def run(args):
+        cache = _cache()
+        t0 = time.perf_counter()
+        cache.C.ensure_level(args.max_level)
+        csv, doc, ok = compute(cache, args)
+        doc["manifest"] = _manifest(args, {"total_s": time.perf_counter() - t0})
+        _report(args, csv, doc)
+        return 0 if ok else 1
+
+    return run
+
+
+def _rho(cache, args):
     rep = estimate_rho(cache, args.max_level)
-    dt = time.perf_counter() - t0
     doc = rep.to_json_dict()
     rho_T = rep.rho_T_fit
     doc["meta"] = {
@@ -157,17 +169,11 @@ def cmd_rho(args):
             "2.38 endpoint estimate; the discrepancy is left open"
         ),
     }
-    doc["manifest"] = _manifest(args, {"total_s": dt})
-    _report(args, rep.to_csv_text(), doc)
-    return 0
+    return rep.to_csv_text(), doc, True
 
 
-def cmd_duality(args):
-    cache = _cache()
-    t0 = time.perf_counter()
-    cache.C.ensure_level(args.max_level)
+def _duality(cache, args):
     rows = verify_duality(cache, range(1, args.max_level + 1), tol=args.tol)
-    dt = time.perf_counter() - t0
     ok = all(r[4] for r in rows)
     doc = {
         "rows": [
@@ -175,27 +181,16 @@ def cmd_duality(args):
             for n, R, RT, p, g in rows
         ],
         "pass": ok,
-        "manifest": _manifest(args, {"total_s": dt}),
     }
-    _report(args, csv_text("n,R_n,R_n_T,product,ok", rows), doc)
-    return 0 if ok else 1
+    return csv_text("n,R_n,R_n_T,product,ok", rows), doc, ok
 
 
-def cmd_submult(args):
-    cache = _cache()
-    t0 = time.perf_counter()
-    cache.C.ensure_level(args.max_level)
+def _submult(cache, args):
     rows = verify_supermultiplicative(cache, args.max_level, tol=args.tol)
-    dt = time.perf_counter() - t0
     ok = all(
         r["upper"] and r["lower"] and r["t_upper"] and r["t_lower"]
         for r in rows
     )
-    doc = {
-        "rows": rows,
-        "pass": ok,
-        "manifest": _manifest(args, {"total_s": dt}),
-    }
     csv = csv_text(
         "m,n,R_mn,R_m_R_n,upper_ok,lower_ok,t_upper_ok,t_lower_ok",
         [
@@ -204,17 +199,12 @@ def cmd_submult(args):
             for r in rows
         ],
     )
-    _report(args, csv, doc)
-    return 0 if ok else 1
+    return csv, {"rows": rows, "pass": ok}, ok
 
 
-def cmd_bounds(args):
-    cache = _cache()
-    t0 = time.perf_counter()
-    cache.C.ensure_level(args.max_level)
+def _bounds(cache, args):
     cuts = cut_report(cache, args.max_level)
     shorts, const = short_report(cache, min(args.max_level, 5))
-    dt = time.perf_counter() - t0
     ok = all(
         r["hat_le_pow"] and r["R_le_pow"] and r["monotone"]
         and r["step_ratio"] and r["formula_gap"] <= args.tol
@@ -240,15 +230,13 @@ def cmd_bounds(args):
         "short": shorts,
         "lower_bound_constant": const,
         "pass": ok,
-        "manifest": _manifest(args, {"total_s": dt}),
     }
     csv = csv_text(
         "n,strands,R_hat,R_hat_solver,R_tilde,hat_le_pow,R_le_pow,"
         "monotone,ratio_ok",
         rows,
     )
-    _report(args, csv, doc)
-    return 0 if ok else 1
+    return csv, doc, ok
 
 
 # -- argument parsing ---------------------------------------------------
@@ -277,18 +265,18 @@ def build_parser():
     r.add_argument("--out", default=None)
     r.set_defaults(fn=cmd_resistance)
 
-    for name, fn, helptext in [
-        ("rho", cmd_rho, "resistance sweep and growth-rate fit"),
-        ("duality", cmd_duality, "check R * RT = 1 per level"),
-        ("submult", cmd_submult, "check multiplicative bounds"),
-        ("bounds", cmd_bounds, "cut and short surgery estimates"),
+    for name, compute, helptext in [
+        ("rho", _rho, "resistance sweep and growth-rate fit"),
+        ("duality", _duality, "check R * RT = 1 per level"),
+        ("submult", _submult, "check multiplicative bounds"),
+        ("bounds", _bounds, "cut and short surgery estimates"),
     ]:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--max-level", type=int, default=5)
         sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--format", default="csv", choices=("csv", "json"))
         sp.add_argument("--out", default=None)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=_sweep(compute))
     return p
 
 

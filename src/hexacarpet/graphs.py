@@ -494,20 +494,19 @@ def shorted_classes(C: SubdivisionComplex, n):
     C.ensure_level(n)
     F, E = len(C.tris[n]), len(C.edges[n])
     ids = np.arange(len(C.edges[0]))
-    heads, tails = [], []
+    descs = []
     for k in range(n):
-        desc = C.edge_descendants(k, ids, n)
-        heads.append(np.repeat(desc[:, 0], desc.shape[1] - 1))
-        tails.append(desc[:, 1:].ravel())
+        descs.append(C.edge_descendants(k, ids, n))
         ids = np.unique(np.concatenate(
             [C.edge_images(("F", c), k)[ids] for c in range(6)]
         ))
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    adj = sp.coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(E, E))
-    ncomp, label = connected_components(adj, directed=False)
-    low = np.full(ncomp, E)
-    np.minimum.at(low, label, np.arange(E))
-    return np.concatenate([np.arange(F), F + low[label]])
+    # edge refinement is a forest, so the descendants of two edges are
+    # nested or disjoint, and overlapping classes merge into the coarsest
+    # one: assigning from the finest level up leaves each vertex there
+    find = np.arange(E)
+    for desc in reversed(descs):
+        find[desc] = desc.min(axis=1, keepdims=True)
+    return np.concatenate([np.arange(F), F + find])
 
 
 def quotient(G: WeightedGraph, find):

@@ -54,6 +54,12 @@ import scipy.sparse.linalg as spla
 
 from .graphs import WeightedGraph, stabiliser
 
+# largest divergence off the terminals that still counts as a flow
+FLOW_TOL = 1e-9
+# largest graph, in vertices, that oracle_resistance solves densely
+ORACLE_LIMIT = 2000
+
+
 class SolverError(Exception):
     """No solution: the terminals lie in different components."""
 
@@ -64,21 +70,12 @@ class NotAFlowError(Exception):
 
 @dataclass
 class ResistanceResult:
-    """One effective resistance solve.
-
-    disconnected and iterations are kept so the `resistance` CSV stays
-    byte-identical, but they no longer vary: disconnected is true only
-    for a disconnected pair solved with allow_disconnected (the CLI
-    exits 4 instead, so its column always reads false), and iterations
-    is always 0, since the direct solve does not iterate.
-    """
+    """One effective resistance solve."""
 
     resistance: float
-    disconnected: bool
     energy: float
     potential: np.ndarray
     flow: np.ndarray
-    iterations: int
     residual: float
     method: str = "direct"
     # size of the system solved, order of the symmetry group used to
@@ -127,16 +124,16 @@ def dissipation(G: WeightedGraph, J, K=None):
     return float(np.sum(J * K / G.conductances()))
 
 
-def _checked_flow(G: WeightedGraph, J, sources, sinks, tol):
+def _checked_flow(G: WeightedGraph, J, sources, sinks):
     """(flux, divergence, mask of the non-terminal vertices) of J;
     raises NotAFlowError where the divergence off the terminals exceeds
-    tol."""
+    FLOW_TOL."""
     a = np.fromiter(sources, np.int64)
     div = divergence(G, J)
     free = np.ones(G.n, dtype=bool)
     free[a] = False
     free[np.fromiter(sinks, np.int64)] = False
-    bad = np.nonzero(free & (np.abs(div) > tol))[0]
+    bad = np.nonzero(free & (np.abs(div) > FLOW_TOL))[0]
     if len(bad):
         worst = bad[np.argsort(-np.abs(div[bad]))][:10]
         detail = ", ".join(f"{v}:{div[v]:.3e}" for v in worst)
@@ -144,9 +141,9 @@ def _checked_flow(G: WeightedGraph, J, sources, sinks, tol):
     return float(div[a].sum()), div, free
 
 
-def check_flow(G: WeightedGraph, J, sources, sinks, tol=1e-9):
+def check_flow(G: WeightedGraph, J, sources, sinks):
     """Assert J is divergence-free off the terminals; return flux."""
-    return _checked_flow(G, J, sources, sinks, tol)[0]
+    return _checked_flow(G, J, sources, sinks)[0]
 
 
 def _active_interior(G: WeightedGraph, A, B):
@@ -223,12 +220,11 @@ def _reduced_system(G: WeightedGraph, group, interior, bval):
     return M, rhs, col[interior], sign[interior]
 
 
-def effective_resistance(G: WeightedGraph, A=None, B=None, allow_disconnected=False):
+def effective_resistance(G: WeightedGraph, A=None, B=None):
     """Effective resistance between terminal sets A and B.
 
     A and B default to the graph's named boundary sets.  Returns a
-    ResistanceResult; a disconnected terminal pair yields infinite
-    resistance, which is an error unless allow_disconnected is set.
+    ResistanceResult; a disconnected terminal pair raises SolverError.
     """
     A = G.boundary["A"] if A is None else frozenset(A)
     B = G.boundary["B"] if B is None else frozenset(B)
@@ -239,9 +235,7 @@ def effective_resistance(G: WeightedGraph, A=None, B=None, allow_disconnected=Fa
 
     interior, fixed, value, connected = _active_interior(G, A, B)
     if not connected:
-        if not allow_disconnected:
-            raise SolverError("terminals lie in different components")
-        return ResistanceResult(math.inf, True, 0.0, value, np.zeros(G.m), 0, 0.0)
+        raise SolverError("terminals lie in different components")
 
     group = list(stabiliser(G, A, B).values())
     # psi = phi - 1/2 is +-1/2 on the boundary
@@ -269,8 +263,7 @@ def effective_resistance(G: WeightedGraph, A=None, B=None, allow_disconnected=Fa
     E = energy(G, phi)
     R = 1.0 / E
     return ResistanceResult(
-        R, False, E, phi, R * grad, 0, residual, "direct",
-        len(rhs), len(group), fill,
+        R, E, phi, R * grad, residual, "direct", len(rhs), len(group), fill
     )
 
 
@@ -290,16 +283,17 @@ def _solve_direct(M, rhs):
     return lu.solve(rhs), lu.L.nnz + lu.U.nnz
 
 
-def oracle_resistance(G: WeightedGraph, A=None, B=None, limit=2000):
-    """Dense direct-solve cross-check, for graphs up to `limit` vertices."""
-    if G.n > limit:
-        raise ValueError(f"oracle limited to {limit} vertices, got {G.n}")
+def oracle_resistance(G: WeightedGraph, A=None, B=None):
+    """Dense direct-solve cross-check, for graphs up to ORACLE_LIMIT
+    vertices; a disconnected pair has infinite resistance."""
+    if G.n > ORACLE_LIMIT:
+        raise ValueError(f"oracle limited to {ORACLE_LIMIT} vertices, got {G.n}")
     A = G.boundary["A"] if A is None else frozenset(A)
     B = G.boundary["B"] if B is None else frozenset(B)
     interior, fixed, value, connected = _active_interior(G, A, B)
     if not connected:
         return ResistanceResult(
-            math.inf, True, 0.0, value.copy(), np.zeros(G.m), 0, 0.0, "dense"
+            math.inf, 0.0, value.copy(), np.zeros(G.m), 0.0, "dense"
         )
     L = laplacian(G).toarray()
     phi = value.copy()
@@ -309,16 +303,16 @@ def oracle_resistance(G: WeightedGraph, A=None, B=None, limit=2000):
         phi[interior] = np.linalg.solve(Lii, rhs)
     E = energy(G, phi)
     R = 1.0 / E
-    return ResistanceResult(
-        R, False, E, phi, R * gradient(G, phi), 0, 0.0, "dense"
-    )
+    return ResistanceResult(R, E, phi, R * gradient(G, phi), 0.0, "dense")
 
 
 # -- Thompson minimality ------------------------------------------------
 
-# float64 entries in each (edges x trials) array of a verify_thompson
-# block; bounds the check's working set whatever the number of trials
-_TRIAL_BLOCK = 1 << 16
+# float64 entries (32 MiB) in each (edges x trials) array of a
+# verify_thompson block; bounds the check's working set whatever the
+# number of trials, yet holds ~30 trials of the level-6 hexacarpet, as
+# every block walks all the BFS depth levels
+_TRIAL_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,6 @@ class SubdivisionComplex:
         self.tri_inner = []
         self.edge_side = [_frozen([-1, -1, -1])]
         self.offsets = [3]
-        self._tri_slice = {}
 
         self.coords = _frozen(_HEX[:3])
         self.denom = 2
@@ -351,27 +350,7 @@ class SubdivisionComplex:
         self.require_level(n)
         return np.nonzero(np.isin(self.edge_side[n], sides))[0]
 
-    # -- triangle ancestry ----------------------------------------------
-
-    def tri_slice(self, n):
-        """For each level-n triangle, its level-1 ancestor (0..5); n >= 1."""
-        self.require_level(n)
-        if n not in self._tri_slice:
-            if n == 1:
-                # level-1 triangle i lies in cell k iff its vertices are
-                # those of cell k = [center, corner(k), corner(k+1)]
-                order = [P0, B01, P1, B12, P2, B02]
-                cells = {
-                    tuple(sorted((CENTER, order[k], order[(k + 1) % 6]))): k
-                    for k in range(6)
-                }
-                sl = [cells[t] for t in map(tuple, self.tris[1].tolist())]
-            else:
-                # every child inherits its parent's slice
-                sl = np.empty(len(self.tris[n]), dtype=np.int64)
-                sl[self.tri_children[n - 1]] = self.tri_slice(n - 1)[:, None]
-            self._tri_slice[n] = _frozen(sl)
-        return self._tri_slice[n]
+    # -- refinement ------------------------------------------------------
 
     def edge_descendants(self, n, edge_id, m):
         """Level-m edge ids refining the level-n edge (m >= n), in order
@@ -389,12 +368,14 @@ class SubdivisionComplex:
         """Edge and triangle image ids of the level-n simplices."""
         if (key, n) not in self._images:
             shift = 1 if key[0] == "F" else 0
+            if n < 1 - shift:
+                raise ValueError(f"map {key} is defined from level {1 - shift}")
             tgt = n + shift
             if tgt > self.top:
                 raise MissingLevelError(
                     f"need level {tgt} built to map level {n}"
                 )
-            if n <= 1 - shift:  # the base level, or below it
+            if n == 1 - shift:  # the base level
                 images = self._search_images(key, n, tgt)
             else:
                 images = self._refine_images(key, n, tgt)
@@ -554,7 +535,9 @@ class SubdivisionComplex:
         num = self.coords[:V]
         g = np.gcd(num, self.denom)
         den = self.denom // g
-        below = n < self.top
+        # the barycenter ids follow the numbering, so they need no
+        # deeper level built; the cap has no barycenters
+        below = n < self.cap
         doc = {
             "level": n,
             "vertices": np.stack([num // g, den], axis=2).reshape(-1, 4).tolist(),

@@ -145,7 +145,7 @@ def test_07_cut_bounds(cache):
 
 
 def test_08_short_bounds(cache):
-    rows, _ = short_report(cache, 5, ratio_tol=1e-3)
+    rows, _ = short_report(cache, 5)
     ratios = [r["ratio"] for r in rows if r["n"] >= 3]
     ok = all(r["le_R"] for r in rows) and all(
         abs(x - 1.25) <= 1e-3 for x in ratios

@@ -50,7 +50,7 @@ def test_unit_flow_is_unit(cache):
     for n in range(1, 6):
         G = cache.graph("hexacarpet", n)
         I = unit_flow(cache, n)
-        f = check_flow(G, I, G.boundary["A"], G.boundary["B"], tol=1e-9)
+        f = check_flow(G, I, G.boundary["A"], G.boundary["B"])
         assert abs(f - 1) < 1e-9
         assert abs(dissipation(G, I) - cache.R(n)) < 1e-9
         # s2 preserves the terminal pair, r3 and s5 swap it; the flow is

@@ -373,11 +373,14 @@ def test_cell_maps_partition_triangles(C):
 
 
 def test_cell_map_lands_in_its_slice(C):
-    for n in range(1, MAXN):
-        sl = C.tri_slice(n + 1)
+    # cell c = [center, corner(c), corner(c + 1)] is the sector between
+    # 60c and 60(c + 1) degrees, which holds the centroid of every
+    # triangle inside it
+    for n in range(MAXN):
         for c in range(6):
-            for t in range(0, len(C.tris[n]), 7):
-                assert sl[C.map_tri(("F", c), n, t)] == c
+            xy = C.coords[C.tris[n + 1][C.tri_images(("F", c), n)]].sum(axis=1)
+            angle = np.degrees(np.arctan2(np.sqrt(3) * xy[:, 1], xy[:, 0]))
+            assert (np.floor(angle % 360 / 60) == c).all()
 
 
 def test_cell_maps_commute_with_refinement(C):
@@ -428,8 +431,20 @@ def test_arrays_match_reference(C, R):
 
 
 def test_to_json_matches_reference(C, R):
-    for n in range(1, MAXN + 2):
+    for n in range(1, MAXN + 1):
         assert C.to_json(n) == R.to_json(n)
+    # at the top level the barycenter ids come from the numbering alone,
+    # as if one level more were built, unless the top is the cap
+    top = 3
+    assert R.top > top
+    below_cap = SubdivisionComplex(cap=top + 1)
+    below_cap.ensure_level(top)
+    assert below_cap.to_json(top) == R.to_json(top)
+    at_cap = SubdivisionComplex(cap=top)
+    at_cap.ensure_level(top)
+    doc = json.loads(at_cap.to_json(top))
+    assert doc["barycenters"] == {"edges": [], "triangles": []}
+    assert doc == {**json.loads(R.to_json(top)), "barycenters": doc["barycenters"]}
 
 
 def test_int64_overflow_guard():
@@ -578,12 +593,6 @@ def test_words_address_triangles(C):
             assert apply_word(C, words[i], base).index == i
 
 
-def test_tri_slice_is_outermost_letter(C):
-    # a triangle's level-1 ancestor is the cell F_c its word starts with
-    for m in range(1, MAXN + 2):
-        assert np.array_equal(C.tri_slice(m), C.tri_words(m)[:, 0])
-
-
 def test_apply_word_on_vertices(C):
     # the level-0 corner p0 maps to the center under every cell map
     for c in range(6):
@@ -609,6 +618,19 @@ def test_capacity_and_missing_level():
         c.tri_images(("F", 0), 3)
     with pytest.raises(MissingLevelError):
         c.vertex_map(("F", 0), c.offsets[3])
+
+
+def test_symmetries_start_at_level_one():
+    # the dihedral action does not fix level 0, so no element maps it,
+    # not even those that happen to permute the three corners
+    c = SubdivisionComplex(cap=2)
+    c.ensure_level(2)
+    for g in (("r", 0), ("r", 1), ("s", 0)):
+        with pytest.raises(ValueError, match="defined from level 1"):
+            c.edge_images(("auto", g), 0)
+        with pytest.raises(ValueError, match="defined from level 1"):
+            c.tri_images(("auto", g), 0)
+        assert len(c.tri_images(("auto", g), 1)) == 6
 
 
 def test_serialization_deterministic(C):

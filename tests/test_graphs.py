@@ -349,6 +349,7 @@ def test_short_graph_matches_reference(C):
         assert S.boundary == boundary
         rep = shorted_classes(C, n)
         assert (rep <= np.arange(len(rep))).all()
+        assert (rep[rep] == rep).all()
 
 
 def test_short_terminal_classes(C):
