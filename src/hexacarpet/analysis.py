@@ -56,8 +56,14 @@ from .network import (
 ZERO_TOL = 1e-12
 # slack of the cut report's float comparisons
 CUT_TOL = 1e-9
+# slack of the short report's R_tilde <= R comparison
+SHORT_TOL = 1e-9
 # how far a shorted step ratio may sit from 5/4
 RATIO_TOL = 1e-3
+# how far the flux of an arc flow may sit from 1
+UNIT_TOL = 1e-8
+# top level of the short family in the sweeps
+SHORT_MAX_LEVEL = 5
 
 # dihedral elements by role: s2 fixes the source arc, s3 mirrors across
 # the vertical axis, s0 across the horizontal axis
@@ -80,7 +86,8 @@ class LevelCache:
     Every solve is the sparse direct solve in the invariant subspace of
     the terminal pair's symmetry group, so potentials and flows are
     exactly symmetric as returned and each (family, level) is solved
-    once.
+    once.  Each level's cut strands are checked once, by strands(n), and
+    R_hat(n) is their exact formula.
     """
 
     def __init__(self, cap=DEFAULT_CAP):
@@ -88,7 +95,7 @@ class LevelCache:
         self._graphs = {}
         self._results = {}
         self._flows = {}
-        self._exact = {}
+        self._strands = {}
 
     def graph(self, family, n):
         key = (family, n)
@@ -100,8 +107,8 @@ class LevelCache:
                 "cut": build_cut_graph,
                 "short": build_short_graph,
             }[family]
-            # the surgeries start from the held hexacarpet, so each
-            # level's hexacarpet is built once
+            # the surgeries cut the held hexacarpet, so each level's
+            # hexacarpet is built once
             held = (self.graph("hexacarpet", n),) if family in ("cut", "short") else ()
             self._graphs[key] = builder(self.C, n, *held)
         return self._graphs[key]
@@ -118,13 +125,14 @@ class LevelCache:
     def RT(self, n):
         return self.result("skeleton", n).resistance
 
+    def strands(self, n):
+        """The checked strand lengths of the level-n cut graph."""
+        if n not in self._strands:
+            self._strands[n] = cut_path_lengths(self.C, n, self.graph("cut", n))
+        return self._strands[n]
+
     def R_hat(self, n):
-        key = ("hat", n)
-        if key not in self._exact:
-            self._exact[key] = cut_resistance_formula(
-                self.C, n, self.graph("cut", n)
-            )
-        return self._exact[key]
+        return cut_resistance_formula(self.strands(n))
 
     def R_tilde(self, n):
         return self.result("short", n).resistance
@@ -191,10 +199,10 @@ def arc_flows(cache: LevelCache, n):
         H02 = np.where(upper, I, mirror)
         H01 = hex_pullback(cache, n, H02, S2)
 
-        A = edge_arc(C, n, (0, 1))
+        A = G.boundary["A"]
         f2 = check_flow(G, H02, A, edge_arc(C, n, (4, 5)))
         f1 = check_flow(G, H01, A, edge_arc(C, n, (2, 3)))
-        if abs(f2 - 1) > 1e-8 or abs(f1 - 1) > 1e-8:
+        if abs(f2 - 1) > UNIT_TOL or abs(f1 - 1) > UNIT_TOL:
             raise AssertionError("arc flows are not unit flows")
         cache._flows[key] = (H01, H02)
     return cache._flows[key]
@@ -428,17 +436,15 @@ def cut_report(cache: LevelCache, max_level):
     versus solver, and the (3/2)^n upper bounds."""
     rows = []
     for n in range(1, max_level + 1):
-        lengths = cut_path_lengths(cache.C, n, cache.graph("cut", n))
+        lengths = cache.strands(n)
         hat = cache.R_hat(n)
         solved = cache.result("cut", n).resistance
         R = cache.R(n)
         # severing edges can only raise resistance between the same
         # terminal pair (sides {0,1} to {4,5})
-        G = cache.graph("hexacarpet", n)
+        cut = cache.graph("cut", n)
         uncut = effective_resistance(
-            G,
-            A=edge_arc(cache.C, n, (0, 1)),
-            B=edge_arc(cache.C, n, (4, 5)),
+            cache.graph("hexacarpet", n), A=cut.boundary["A"], B=cut.boundary["B"]
         ).resistance
         rows.append(
             {
@@ -466,17 +472,14 @@ def short_report(cache: LevelCache, max_level):
     rows = []
     for n in range(1, max_level + 1):
         rt = cache.R_tilde(n)
+        ratio = rt / cache.R_tilde(n - 1) if n > 1 else float("nan")
         rows.append(
             {
                 "n": n,
                 "R_tilde": rt,
-                "le_R": rt <= cache.R(n) + 1e-9,
-                "ratio": rt / cache.R_tilde(n - 1) if n > 1 else float("nan"),
-                "ratio_ok": (
-                    abs(rt / cache.R_tilde(n - 1) - 1.25) <= RATIO_TOL
-                    if n > 1
-                    else True
-                ),
+                "le_R": rt <= cache.R(n) + SHORT_TOL,
+                "ratio": ratio,
+                "ratio_ok": n == 1 or abs(ratio - 1.25) <= RATIO_TOL,
             }
         )
     # constant for the (5/4)^n lower bound R >= c (5/4)^n
@@ -577,7 +580,7 @@ def estimate_rho(cache: LevelCache, max_level, short_max=None):
     first subdivision); the fitted rate uses levels 2..max_level.
     """
     if short_max is None:
-        short_max = min(max_level, 5)
+        short_max = min(max_level, SHORT_MAX_LEVEL)
     levels = list(range(1, max_level + 1))
     R = [cache.R(n) for n in levels]
     RT = [cache.RT(n) for n in levels]

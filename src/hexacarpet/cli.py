@@ -34,6 +34,7 @@ from .subdivision import DEFAULT_CAP, CapacityError
 from .graphs import FamilyError, to_dot, to_edgelist
 from .network import SolverError, effective_resistance
 from .analysis import (
+    SHORT_MAX_LEVEL,
     LevelCache,
     csv_text,
     cut_report,
@@ -204,7 +205,7 @@ def _submult(cache, args):
 
 def _bounds(cache, args):
     cuts = cut_report(cache, args.max_level)
-    shorts, const = short_report(cache, min(args.max_level, 5))
+    shorts, const = short_report(cache, min(args.max_level, SHORT_MAX_LEVEL))
     ok = all(
         r["hat_le_pow"] and r["R_le_pow"] and r["monotone"]
         and r["step_ratio"] and r["formula_gap"] <= args.tol
@@ -273,7 +274,8 @@ def build_parser():
     ]:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--max-level", type=int, default=5)
-        sp.add_argument("--tol", type=float, default=1e-8)
+        if compute is not _rho:  # the slack of checks; rho has none
+            sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--format", default="csv", choices=("csv", "json"))
         sp.add_argument("--out", default=None)
         sp.set_defaults(fn=_sweep(compute))

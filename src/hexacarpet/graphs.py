@@ -403,34 +403,29 @@ def cut_edge_vertices(C: SubdivisionComplex, N):
     ]))
 
 
-def build_cut_graph(C: SubdivisionComplex, n, H=None):
-    """Hexacarpet with all incidences at the severed edge vertices
-    removed; terminals are the side-{0,1} and side-{4,5} arcs, which the
-    surviving triangle strands join by disjoint paths.  H is the level-n
-    hexacarpet when the caller already holds it."""
-    G = build_hexacarpet(C, n) if H is None else H
-    F = G.meta["tri_count"]
+def build_cut_graph(C: SubdivisionComplex, n, H):
+    """The level-n hexacarpet H with all incidences at the severed edge
+    vertices removed; terminals are the side-{0,1} and side-{4,5} arcs,
+    which the surviving triangle strands join by disjoint paths."""
+    F = H.meta["tri_count"]
     # incidences run triangle -> edge vertex, so only vs can be hit
-    keep = ~np.isin(G.vs, F + cut_edge_vertices(C, n))
+    keep = ~np.isin(H.vs, F + cut_edge_vertices(C, n))
     return WeightedGraph(
-        G.n, G.us[keep], G.vs[keep], G.num[keep],
+        H.n, H.us[keep], H.vs[keep], H.num[keep],
         {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (4, 5))},
-        {**G.meta, "family": "cut"}, G.den, G.symmetry,
+        {**H.meta, "family": "cut"}, H.den, H.symmetry,
     )
 
 
-def cut_path_lengths(C: SubdivisionComplex, n, G=None):
-    """Triangle counts of the cut graph's strands, ordered along the
-    terminal arc from the corner at angle 0.  G is the level-n cut graph
-    when the caller already holds it.
+def cut_path_lengths(C: SubdivisionComplex, n, G):
+    """Triangle counts of the strands of G, the level-n cut graph,
+    ordered along the terminal arc from the corner at angle 0.
 
     Verifies the structure on the way: each strand is a simple path of
     alternating triangle / interior-edge vertices with one end on the
     side-{0,1} arc and one on the side-{4,5} arc, every arc vertex is
     used exactly once, and the strands exhaust all 6^n triangles.
     """
-    if G is None:
-        G = build_cut_graph(C, n)
     F = G.meta["tri_count"]
     ncomp, label = G.components()
 
@@ -476,11 +471,11 @@ def cut_path_lengths(C: SubdivisionComplex, n, G=None):
     return out
 
 
-def cut_resistance_formula(C: SubdivisionComplex, n, G=None):
-    """Exact strand-parallel resistance: each strand of l triangles is
-    2l hops of resistance 1/2 in series, hence resistance l.  G is the
-    level-n cut graph when the caller already holds it."""
-    return 1 / sum(Fraction(1, l) for l in cut_path_lengths(C, n, G))
+def cut_resistance_formula(lengths):
+    """Exact strand-parallel resistance of strands with the given
+    triangle counts: each strand of l triangles is 2l hops of resistance
+    1/2 in series, hence resistance l."""
+    return 1 / sum(Fraction(1, l) for l in lengths)
 
 
 # -- the short family ---------------------------------------------------
@@ -537,13 +532,12 @@ def quotient(G: WeightedGraph, find):
     return H
 
 
-def build_short_graph(C: SubdivisionComplex, n, H=None):
-    """Hexacarpet quotient that fuses each cell-map image of the three
-    original sides into a single node; terminals collapse to the fused
-    side-{0,1} arc versus the two fused nodes holding sides {3,4}.  H is
-    the level-n hexacarpet when the caller already holds it."""
-    G = build_hexacarpet(C, n) if H is None else H
-    S = quotient(G, shorted_classes(C, n))
+def build_short_graph(C: SubdivisionComplex, n, H):
+    """Quotient of the level-n hexacarpet H that fuses each cell-map
+    image of the three original sides into a single node; terminals
+    collapse to the fused side-{0,1} arc versus the two fused nodes
+    holding sides {3,4}."""
+    S = quotient(H, shorted_classes(C, n))
     S.meta["family"] = "short"
     S.meta.pop("tri_count", None)
     return S

@@ -68,9 +68,9 @@ class NotAFlowError(Exception):
     """Divergence found off the designated terminal sets."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ResistanceResult:
-    """One effective resistance solve."""
+    """One effective resistance solve; built by keyword only."""
 
     resistance: float
     energy: float
@@ -263,7 +263,8 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
     E = energy(G, phi)
     R = 1.0 / E
     return ResistanceResult(
-        R, E, phi, R * grad, residual, "direct", len(rhs), len(group), fill
+        resistance=R, energy=E, potential=phi, flow=R * grad, residual=residual,
+        unknowns=len(rhs), group_order=len(group), factor_fill=fill,
     )
 
 
@@ -291,19 +292,20 @@ def oracle_resistance(G: WeightedGraph, A=None, B=None):
     A = G.boundary["A"] if A is None else frozenset(A)
     B = G.boundary["B"] if B is None else frozenset(B)
     interior, fixed, value, connected = _active_interior(G, A, B)
-    if not connected:
-        return ResistanceResult(
-            math.inf, 0.0, value.copy(), np.zeros(G.m), 0.0, "dense"
-        )
-    L = laplacian(G).toarray()
     phi = value.copy()
-    if len(interior):
-        Lii = L[np.ix_(interior, interior)]
-        rhs = -(L[interior] @ value)
-        phi[interior] = np.linalg.solve(Lii, rhs)
-    E = energy(G, phi)
-    R = 1.0 / E
-    return ResistanceResult(R, E, phi, R * gradient(G, phi), 0.0, "dense")
+    R, E, flow = math.inf, 0.0, np.zeros(G.m)
+    if connected:
+        L = laplacian(G).toarray()
+        if len(interior):
+            Lii = L[np.ix_(interior, interior)]
+            phi[interior] = np.linalg.solve(Lii, -(L[interior] @ value))
+        E = energy(G, phi)
+        R = 1.0 / E
+        flow = R * gradient(G, phi)
+    return ResistanceResult(
+        resistance=R, energy=E, potential=phi, flow=flow, residual=0.0,
+        method="dense",
+    )
 
 
 # -- Thompson minimality ------------------------------------------------

@@ -430,15 +430,13 @@ class SubdivisionComplex:
         )
         return eimg, timg
 
-    def vertex_map(self, key, upto=None):
+    def vertex_map(self, key, upto):
         """The vertex images of a map on ids < upto, as an int64 array.
 
         key is ('F', i) for a cell map or ('auto', elem) for a dihedral
         symmetry.  Cell maps shift barycenter levels up by one, so the
         target level must already be built.
         """
-        if upto is None:
-            upto = len(self.coords)
         arr = self._vmaps.get(key)
         if arr is None:
             if key[0] == "F":

@@ -151,6 +151,15 @@ def test_bad_family_exit_code():
     assert err.value.code == 2
 
 
+def test_tol_only_on_checking_sweeps(capsys):
+    # rho checks nothing, so it has no slack to set
+    with pytest.raises(SystemExit) as err:
+        main(["rho", "--max-level", "2", "--tol", "1e-8"])
+    assert err.value.code == 2
+    # a slack below rounding fails the duality check
+    assert main(["duality", "--max-level", "3", "--tol", "1e-20"]) == 1
+
+
 def test_bad_level_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["build", "--family", "dual", "--level", "0"])

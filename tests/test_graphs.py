@@ -1,6 +1,7 @@
 """Graph family builders, surgeries and exports."""
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ def C():
     c = SubdivisionComplex()
     c.ensure_level(4)
     return c
+
+
+def cut_graph(C, n):
+    return build_cut_graph(C, n, build_hexacarpet(C, n))
+
+
+def short_graph(C, n):
+    return build_short_graph(C, n, build_hexacarpet(C, n))
+
+
+def strands(C, n):
+    return cut_path_lengths(C, n, cut_graph(C, n))
 
 
 # -- basic families -----------------------------------------------------
@@ -170,10 +183,10 @@ def test_cut_segment_counts(C):
 
 
 def test_cut_strand_lengths(C):
-    assert cut_path_lengths(C, 1) == [2, 4]
-    assert cut_path_lengths(C, 2) == [4, 8, 12, 12]
+    assert strands(C, 1) == [2, 4]
+    assert strands(C, 2) == [4, 8, 12, 12]
     for n in (1, 2, 3):
-        lengths = cut_path_lengths(C, n)
+        lengths = strands(C, n)
         assert len(lengths) == 2 ** n
         assert sum(lengths) == 6 ** n
 
@@ -181,7 +194,7 @@ def test_cut_strand_lengths(C):
 def test_cut_strand_lengths_match_walk(C):
     # reference: walk each strand from its side-{0,1} end, arc order
     for n in (1, 2, 3, 4):
-        G = build_cut_graph(C, n)
+        G = cut_graph(C, n)
         F = G.meta["tri_count"]
         adj = {v: [] for v in range(G.n)}
         for u, v in zip(G.us.tolist(), G.vs.tolist()):
@@ -199,30 +212,31 @@ def test_cut_strand_lengths_match_walk(C):
                 u, v = C.edges[n][a - F]
                 x = C.coords[u][0] + C.coords[v][0]
                 walks.append((-x, sum(1 for v in seen if v < F)))
-        assert cut_path_lengths(C, n) == [l for _, l in sorted(walks)]
+        assert cut_path_lengths(C, n, G) == [l for _, l in sorted(walks)]
 
 
 def test_cut_resistance_formula(C):
-    assert cut_resistance_formula(C, 1) == Fraction(4, 3)
-    assert cut_resistance_formula(C, 2) == Fraction(24, 13)
-    # independent harmonic sum over the strand inventory
+    assert cut_resistance_formula(strands(C, 1)) == Fraction(4, 3)
+    assert cut_resistance_formula(strands(C, 2)) == Fraction(24, 13)
+    # independent: fold the strands pairwise as parallel resistors
     for n in (1, 2, 3):
-        lengths = cut_path_lengths(C, n)
-        want = 1 / sum(Fraction(1, l) for l in lengths)
-        assert cut_resistance_formula(C, n) == want
+        lengths = strands(C, n)
+        want = reduce(lambda a, b: a * b / (a + b), map(Fraction, lengths))
+        assert cut_resistance_formula(lengths) == want
 
 
 def test_cut_graph_matches_formula(C):
     for n in (1, 2):
-        G = build_cut_graph(C, n)
+        G = cut_graph(C, n)
         r = oracle_resistance(G)
-        assert abs(r.resistance - float(cut_resistance_formula(C, n))) < 1e-10
+        want = cut_resistance_formula(cut_path_lengths(C, n, G))
+        assert abs(r.resistance - float(want)) < 1e-10
 
 
 def test_cut_graph_is_a_subgraph(C):
     n = 2
     H = build_hexacarpet(C, n)
-    G = build_cut_graph(C, n)
+    G = build_cut_graph(C, n, H)
     F = H.meta["tri_count"]
     hit = {F + e for e in cut_edge_vertices(C, n)}
     removed = sum(
@@ -276,34 +290,29 @@ def _chord_in_strand(G):
         (_chord_in_strand, "has a branch"),
     ],
 )
-def test_cut_strand_checks_reject_broken_strands(C, monkeypatch, mutate, message):
-    real = graphs.build_cut_graph
-
-    def broken(C, n):
-        G = real(C, n)
-        n_vertices, add, drop = mutate(G)
-        keep = np.ones(G.m, dtype=bool)
-        keep[drop] = False
-        return WeightedGraph(
-            n_vertices,
-            list(G.us[keep]) + [u for u, _ in add],
-            list(G.vs[keep]) + [v for _, v in add],
-            [c for c, k in zip(G.cond, keep) if k] + [Fraction(2)] * len(add),
-            G.boundary,
-            G.meta,
-        )
-
-    assert cut_path_lengths(C, 2) == [4, 8, 12, 12]
-    monkeypatch.setattr(graphs, "build_cut_graph", broken)
+def test_cut_strand_checks_reject_broken_strands(C, mutate, message):
+    G = cut_graph(C, 2)
+    assert cut_path_lengths(C, 2, G) == [4, 8, 12, 12]
+    n_vertices, add, drop = mutate(G)
+    keep = np.ones(G.m, dtype=bool)
+    keep[drop] = False
+    broken = WeightedGraph(
+        n_vertices,
+        list(G.us[keep]) + [u for u, _ in add],
+        list(G.vs[keep]) + [v for _, v in add],
+        [c for c, k in zip(G.cond, keep) if k] + [Fraction(2)] * len(add),
+        G.boundary,
+        G.meta,
+    )
     with pytest.raises(FamilyError, match=message):
-        cut_path_lengths(C, 2)
+        cut_path_lengths(C, 2, broken)
 
 
 # -- short surgery ------------------------------------------------------
 
 
 def test_short_level_one_value(C):
-    G = build_short_graph(C, 1)
+    G = short_graph(C, 1)
     r = oracle_resistance(G)
     assert abs(r.resistance - 15 / 16) < 1e-12
 
@@ -342,7 +351,7 @@ def reference_short_graph(C, n):
 
 def test_short_graph_matches_reference(C):
     for n in (1, 2, 3, 4):
-        S = build_short_graph(C, n)
+        S = short_graph(C, n)
         vmap, edges, boundary = reference_short_graph(C, n)
         assert S.meta["vertex_map"].tolist() == vmap
         assert list(zip(zip(S.us.tolist(), S.vs.tolist()), S.cond)) == edges
@@ -354,7 +363,7 @@ def test_short_graph_matches_reference(C):
 
 def test_short_terminal_classes(C):
     for n in (1, 2, 3):
-        G = build_short_graph(C, n)
+        G = short_graph(C, n)
         assert len(G.boundary["A"]) == 1
         assert len(G.boundary["B"]) == 2
 
@@ -387,7 +396,7 @@ def test_quotient_rejects_terminal_fusion():
 
 
 def test_exports_match_per_edge_format(C):
-    for G in (build_skeleton(C, 2), build_short_graph(C, 3), build_cut_graph(C, 2)):
+    for G in (build_skeleton(C, 2), short_graph(C, 3), cut_graph(C, 2)):
         want = [f"{u} {v} {c.numerator}/{c.denominator}" for u, v, c in zip(G.us, G.vs, G.cond)]
         assert to_edgelist(G).splitlines()[len(G.boundary):] == want
         dot = to_dot(G).splitlines()
@@ -443,6 +452,26 @@ def test_each_hexacarpet_is_built_once(monkeypatch):
     for family in ("cut", "short"):
         cache.graph(family, 4)
     assert sorted(built) == [1, 2, 3, 4]
+
+
+def test_each_level_strands_are_checked_once(monkeypatch):
+    checked = []
+    real = graphs.cut_path_lengths
+
+    def counting(C, n, G):
+        checked.append(n)
+        return real(C, n, G)
+
+    monkeypatch.setattr(graphs, "cut_path_lengths", counting)
+    monkeypatch.setattr(analysis, "cut_path_lengths", counting)
+    cache = LevelCache()
+    rep = estimate_rho(cache, 4)
+    rows = cut_report(cache, 4)
+    assert sorted(checked) == [1, 2, 3, 4]
+    for n, hat, row in zip(rep.levels, rep.R_hat, rows):
+        assert row["lengths"] == cache.strands(n)
+        assert row["R_hat"] == cache.R_hat(n) == cut_resistance_formula(row["lengths"])
+        assert hat == float(row["R_hat"])
 
 
 def test_edgelist_format(C):

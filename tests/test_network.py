@@ -13,6 +13,7 @@ from hexacarpet.analysis import LevelCache
 from hexacarpet.graphs import WeightedGraph, edge_arc, stabiliser
 from hexacarpet.network import (
     NotAFlowError,
+    ResistanceResult,
     SolverError,
     check_flow,
     circulations,
@@ -525,11 +526,14 @@ def test_thompson_detects_non_minimal_flow():
     r = oracle_resistance(G)
     fake = r.flow.copy()
     fake += 0.3 * np.array([1.0, -1.0, 1.0])  # add a circulation
-    bad = type(r)(
-        r.resistance, False, r.energy, r.potential, fake, 0, 0.0, "dense"
-    )
-    with pytest.raises(AssertionError):
+    bad = dataclasses.replace(r, flow=fake)
+    with pytest.raises(AssertionError, match="not cycle-orthogonal"):
         verify_thompson(G, bad, trials=5, seed=1)
+
+
+def test_resistance_result_is_built_by_keyword():
+    with pytest.raises(TypeError):
+        ResistanceResult(1.0, 1.0, np.zeros(2), np.zeros(1), 0.0)
 
 
 def test_thompson_detects_a_perturbed_hexacarpet_current(cache6):
