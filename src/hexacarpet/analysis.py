@@ -233,14 +233,13 @@ class YDecomposition:
 
 def y_decomposition(cache: LevelCache, m):
     C = cache.C
-    G = cache.graph("hexacarpet", m)
-    F = G.meta["tri_count"]
-    I = unit_flow(cache, m)
+    # the hexacarpet lists triangle x's incidences at 3x..3x+2, sides
+    # ascending
+    raw = unit_flow(cache, m).reshape(-1, 3)
     es = np.sort(C.tri_edges[m], axis=1)
-    raw = I[G.positions(np.arange(F)[:, None], F + es)]
     # branch currents sit far above solver noise or are true zeros;
     # snapping the noise makes the sign invariants exact
-    scale = float(np.abs(I).max())
+    scale = float(np.abs(raw).max())
     vals = np.where(np.abs(raw) < ZERO_TOL * scale, 0.0, raw)
     # the through side is the odd sign out: the one whose removal
     # leaves a same-signed pair; ties resolve to the smallest edge id

@@ -67,30 +67,16 @@ class FamilyError(Exception):
 class DihedralAction:
     """The dihedral group of the hexagon acting on a graph's vertices.
 
-    images(elem) computes the int64 vertex images of one group element
-    and side_bits() each vertex's bitmask of boundary sides, both from
-    the complex's map arrays.  Neither runs before a solve asks, and
-    both results are cached, so graphs on one vertex set (a hexacarpet
-    and its cut graph) share one action.
+    perm(elem) gives the int64 vertex images of one group element and
+    bits() each vertex's bitmask of boundary sides: the two callables
+    the family builder passes.  The images are read from the arrays the
+    complex caches when a solve asks, and graphs on one vertex set (a
+    hexacarpet and its cut graph) share one action.
     """
 
-    def __init__(self, images, side_bits):
-        self._images = images
-        self._side_bits = side_bits
-        self._perms = {}
-        self._bits = None
-
-    def perm(self, elem):
-        """Vertex images of a group element."""
-        if elem not in self._perms:
-            self._perms[elem] = self._images(elem)
-        return self._perms[elem]
-
-    def bits(self):
-        """Per-vertex bitmask of the boundary sides a vertex lies on."""
-        if self._bits is None:
-            self._bits = self._side_bits()
-        return self._bits
+    def __init__(self, perm, bits):
+        self.perm = perm
+        self.bits = bits
 
     def candidates(self, A, B):
         """The involutions other than the identity whose side permutation
@@ -114,17 +100,17 @@ class DihedralAction:
         vertex's class; well defined only if the classes are permuted
         whole, which stabiliser() verifies."""
 
-        def images(elem):
+        def perm(elem):
             p = np.empty(n, dtype=np.int64)
             p[vmap] = vmap[self.perm(elem)]
             return p
 
-        def side_bits():
-            bits = np.zeros(n, dtype=np.int64)
-            np.bitwise_or.at(bits, vmap, self.bits())
-            return bits
+        def bits():
+            b = np.zeros(n, dtype=np.int64)
+            np.bitwise_or.at(b, vmap, self.bits())
+            return b
 
-        return DihedralAction(images, side_bits)
+        return DihedralAction(perm, bits)
 
 
 class WeightedGraph:
@@ -134,8 +120,9 @@ class WeightedGraph:
     are exact: edge i has num[i] / den, with int64 numerators over one
     common denominator (2 for every family here).  cond is given as
     rationals, or, when den is given, as those numerators.  boundary maps
-    set names (usually "A", "B") to frozensets of vertex ids.  symmetry
-    is the DihedralAction on the vertices, or None.
+    set names (usually "A", "B") to frozensets of vertex ids.  Edge ends
+    and terminals must be vertex ids 0..n-1.  symmetry is the
+    DihedralAction on the vertices, or None.
     """
 
     def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None,
@@ -146,6 +133,8 @@ class WeightedGraph:
         hi = np.maximum(us, vs)
         if len(lo) and (lo == hi).any():
             raise FamilyError("self-loops are not allowed")
+        if len(lo) and (lo.min() < 0 or hi.max() >= n):
+            raise FamilyError(f"edge ends must be vertex ids 0..{n - 1}")
         if den is None:
             cond = [Fraction(c) for c in cond]
             den = math.lcm(*(c.denominator for c in cond))
@@ -165,10 +154,12 @@ class WeightedGraph:
         self.boundary = {
             k: frozenset(v) for k, v in (boundary or {}).items()
         }
+        for k, v in self.boundary.items():
+            if v and (min(v) < 0 or max(v) >= n):
+                raise FamilyError(f"terminal set {k} must hold vertex ids 0..{n - 1}")
         self.meta = dict(meta or {})
         self.symmetry = symmetry
         self._cfloat = None
-        self._codes = None
         self._components = None
 
     @property
@@ -185,12 +176,6 @@ class WeightedGraph:
             self._cfloat = self.num / self.den
         return self._cfloat
 
-    def codes(self):
-        """The sorted edge codes us * n + vs."""
-        if self._codes is None:
-            self._codes = self.us * self.n + self.vs
-        return self._codes
-
     def components(self):
         """(number of connected components, component label per vertex)."""
         if self._components is None:
@@ -204,7 +189,7 @@ class WeightedGraph:
         """Positions of the canonical edges (us, vs), elementwise over
         arrays; every pair must be an edge."""
         codes = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
-        return lookup_sorted(self.codes(), codes, "edge")
+        return lookup_sorted(self.us * self.n + self.vs, codes, "edge")
 
     def degrees(self):
         deg = np.zeros(self.n, dtype=np.int64)
@@ -230,10 +215,11 @@ def _automorphism_sign(G: WeightedGraph, p, inA, inB):
     if (p[p] != np.arange(G.n)).any():
         return 0
     pu, pv = p[G.us], p[G.vs]
-    codes = G.codes()
-    moved = np.minimum(pu, pv) * G.n + np.maximum(pu, pv)
-    pos = np.minimum(np.searchsorted(codes, moved), G.m - 1)
-    if G.m and ((codes[pos] != moved).any() or (G.num[pos] != G.num).any()):
+    try:
+        pos = G.positions(np.minimum(pu, pv), np.maximum(pu, pv))
+    except KeyError:
+        return 0
+    if (G.num[pos] != G.num).any():
         return 0
     a, b = inA[p], inB[p]
     if (a == inA).all() and (b == inB).all():
@@ -294,14 +280,14 @@ def _hexacarpet_action(C: SubdivisionComplex, n):
     t, edge e is vertex F + e."""
     F = len(C.tris[n])
 
-    def images(g):
+    def perm(g):
         key = ("auto", g)
         return np.concatenate([C.tri_images(key, n), F + C.edge_images(key, n)])
 
-    def side_bits():
+    def bits():
         return np.concatenate([np.zeros(F, dtype=np.int64), SIDE_BIT[C.edge_side[n]]])
 
-    return DihedralAction(images, side_bits)
+    return DihedralAction(perm, bits)
 
 
 def build_skeleton(C: SubdivisionComplex, n):
@@ -329,22 +315,26 @@ def build_dual(C: SubdivisionComplex, n):
     the side-{0,1} and side-{3,4} arcs."""
     _require_positive_level(n)
     C.ensure_level(n)
-    ts = C.edge_tris[n]
-    inner = ts[:, 1] >= 0
+    sides = C.tri_edges[n]
+    T, E = sides.shape[0], len(C.edges[n])
+    # the triangle-side incidence as CSR, turned to CSC by a counting
+    # sort: column e lists e's triangles ascending, two for an interior
+    # edge and one for a boundary edge
+    inc = sp.csc_array(sp.csr_array(
+        (np.ones(3 * T, dtype=np.int8), sides.ravel(), np.arange(0, 3 * T + 1, 3)),
+        shape=(T, E),
+    ))
+    first = inc.indptr[:-1][np.diff(inc.indptr) == 2]
+    bits = np.bitwise_or.reduce(SIDE_BIT[C.edge_side[n]][sides], axis=1)
     return WeightedGraph(
-        len(C.tris[n]), ts[inner, 0], ts[inner, 1],
-        np.full(int(inner.sum()), ONE),
+        T, inc.indices[first], inc.indices[first + 1],
+        np.full(len(first), ONE),
         {
-            "A": frozenset(ts[C.side_edges_at(n, (0, 1)), 0].tolist()),
-            "B": frozenset(ts[C.side_edges_at(n, (3, 4)), 0].tolist()),
+            "A": frozenset(np.nonzero(bits & 0b000011)[0].tolist()),
+            "B": frozenset(np.nonzero(bits & 0b011000)[0].tolist()),
         },
         {"family": "dual", "level": n}, DEN,
-        DihedralAction(
-            lambda g: C.tri_images(("auto", g), n),
-            lambda: np.bitwise_or.reduce(
-                SIDE_BIT[C.edge_side[n]][C.tri_edges[n]], axis=1
-            ),
-        ),
+        DihedralAction(lambda g: C.tri_images(("auto", g), n), lambda: bits),
     )
 
 
@@ -354,7 +344,7 @@ def build_hexacarpet(C: SubdivisionComplex, n):
     C.ensure_level(n)
     F = len(C.tris[n])
     # row by row over sorted sides: the incidences (t, F + e) come out in
-    # canonical order already
+    # canonical order already, triangle t's at positions 3t..3t+2
     sides = np.sort(C.tri_edges[n], axis=1).ravel()
     return WeightedGraph(
         F + len(C.edges[n]), np.repeat(np.arange(F), 3), F + sides,

@@ -232,6 +232,8 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
         raise ValueError("terminal sets must be nonempty")
     if A & B:
         raise ValueError("terminal sets overlap")
+    if min(A | B) < 0 or max(A | B) >= G.n:
+        raise ValueError(f"terminal ids must be vertex ids 0..{G.n - 1}")
 
     interior, fixed, value, connected = _active_interior(G, A, B)
     if not connected:

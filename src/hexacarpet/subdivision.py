@@ -146,9 +146,7 @@ def lookup_sorted(table, codes, what):
     """Positions of codes in the sorted int64 array table; every code
     must be present."""
     pos = np.searchsorted(table, codes)
-    found = pos < len(table)
-    found[found] = table[pos[found]] == codes[found]
-    if not found.all():
+    if len(pos) and (pos.max() >= len(table) or (table[pos] != codes).any()):
         raise KeyError(f"{what} not found")
     return pos
 
@@ -187,8 +185,6 @@ class SubdivisionComplex:
       tris[n]       (T, 3) sorted vertex triples, row = triangle id,
                     rows ascending
       tri_edges[n]  (T, 3) the side edge ids (ab, ac, bc) of each triangle
-      edge_tris[n]  (E, 2) incident triangle ids, ascending; -1 in the
-                    second column for a boundary edge
       edge_children[n]  (E, 2) the two level-(n+1) half edges of each
                     edge, the one at its smaller endpoint first
       tri_children[n]   (T, 6) the level-(n+1) triangles of triangle t:
@@ -204,6 +200,12 @@ class SubdivisionComplex:
       coords        (V, 2) numerators of (x, y/sqrt(3)) over denom
       vertex_sides  bitmask of incident boundary sides
 
+    The triangles of an edge are not stored: they are the rows of
+    tri_edges that hold it.  Each table is int64, so a complex built to
+    level n holds 8 * (3 E_k + 6 T_k) bytes per level k <= n, 8 *
+    (2 E_k + 12 T_k) of child tables per level k < n, and 24 bytes per
+    vertex.
+
     Maps, keyed ('F', i) or ('auto', elem), are read-only int64 arrays
     built on first use: vertex_map, edge_images and tri_images.
     """
@@ -215,7 +217,6 @@ class SubdivisionComplex:
         self.edges = [_frozen([(P0, P1), (P0, P2), (P1, P2)])]
         self.tris = [_frozen([(P0, P1, P2)])]
         self.tri_edges = [_frozen([(0, 1, 2)])]
-        self.edge_tris = [_frozen([(0, -1)] * 3)]
         self.edge_children = []
         self.tri_children = []
         self.tri_inner = []
@@ -296,17 +297,6 @@ class SubdivisionComplex:
         inner = np.concatenate([q_tb, eb_tb], axis=1)
         del eid, q_tb, eb_tb, first, side
 
-        # incident triangles per edge, ascending: a stable sort of the
-        # flattened sides keeps triangle order within each edge
-        flat = new_tri_edges.ravel()
-        by_edge = np.argsort(flat, kind="stable") // 3
-        count = np.bincount(flat, minlength=len(new_edges))
-        start = np.cumsum(count) - count
-        edge_tris = np.full((len(new_edges), 2), -1, dtype=np.int64)
-        edge_tris[:, 0] = by_edge[start]
-        two = count == 2
-        edge_tris[two, 1] = by_edge[start[two] + 1]
-
         if n == 0:
             self.coords = _frozen(_HEX)
             sides = [_SIDE_OF_VERTEX[v] for v in range(nv)]
@@ -326,7 +316,6 @@ class SubdivisionComplex:
         self.edges.append(_frozen(new_edges))
         self.tris.append(_frozen(new_tris))
         self.tri_edges.append(_frozen(new_tri_edges))
-        self.edge_tris.append(_frozen(edge_tris))
         self.edge_children.append(_frozen(children))
         self.tri_children.append(_frozen(tid.reshape(T, 6)))
         self.tri_inner.append(_frozen(inner))
@@ -533,17 +522,21 @@ class SubdivisionComplex:
         num = self.coords[:V]
         g = np.gcd(num, self.denom)
         den = self.denom // g
+        vertices = np.stack([num // g, den], axis=2).reshape(-1, 4)
         # the barycenter ids follow the numbering, so they need no
         # deeper level built; the cap has no barycenters
         below = n < self.cap
-        doc = {
-            "level": n,
-            "vertices": np.stack([num // g, den], axis=2).reshape(-1, 4).tolist(),
-            "edges": self.edges[n].tolist(),
-            "triangles": self.tris[n].tolist(),
-            "barycenters": {
-                "edges": list(range(V, V + E)) if below else [],
-                "triangles": list(range(V + E, V + E + T)) if below else [],
-            },
-        }
-        return json.dumps(doc, separators=(",", ":"), sort_keys=False)
+        bary_e = np.arange(V, V + E) if below else []
+        bary_t = np.arange(V + E, V + E + T) if below else []
+
+        def dump(table):
+            # one table at a time is held as Python lists
+            return json.dumps(np.asarray(table).tolist(), separators=(",", ":"))
+
+        return "".join([
+            f'{{"level":{n},"vertices":', dump(vertices),
+            ',"edges":', dump(self.edges[n]),
+            ',"triangles":', dump(self.tris[n]),
+            ',"barycenters":{"edges":', dump(bary_e),
+            ',"triangles":', dump(bary_t), "}}",
+        ])

@@ -17,6 +17,7 @@ from hexacarpet import (
     MissingLevelError,
     SubdivisionComplex,
 )
+from hexacarpet.graphs import ONE, build_dual
 from hexacarpet.subdivision import (
     B01,
     B02,
@@ -269,18 +270,33 @@ def test_corner_vertices_sit_on_two_sides(C):
     assert C.vertex_sides[6] == 0
 
 
+def edge_triangles(C, n):
+    """The triangles of each level-n edge, ascending, as lists: the rows
+    of tri_edges that hold it."""
+    out = [[] for _ in range(len(C.edges[n]))]
+    for t, sides in enumerate(C.tri_edges[n].tolist()):
+        for e in sides:
+            out[e].append(t)
+    return out
+
+
 def test_boundary_edges_have_one_triangle(C):
     for n in range(1, MAXN + 1):
-        ts = C.edge_tris[n]
-        assert (ts[:, 0] >= 0).all()
-        for e in range(len(ts)):
-            assert (ts[e] >= 0).sum() == (1 if C.edge_side[n][e] >= 0 else 2)
+        count = np.bincount(C.tri_edges[n].ravel(), minlength=len(C.edges[n]))
+        assert len(count) == len(C.edges[n])
+        assert (count >= 1).all()
+        for e in range(len(count)):
+            assert count[e] == (1 if C.edge_side[n][e] >= 0 else 2)
 
 
-def test_edge_triangle_handshake(C):
+def test_edge_triangle_handshake(C, R):
+    # summed over the edges, the triangles at an edge count every
+    # triangle three times: once per side, and its three sides differ
     for n in range(MAXN + 1):
-        total = (C.edge_tris[n] >= 0).sum()
-        assert total == 3 * len(C.tris[n])
+        ts = edge_triangles(C, n)
+        assert sum(map(len, ts)) == 3 * len(C.tris[n])
+        assert sum(map(len, R.edge_tris[n])) == 3 * len(C.tris[n])
+        assert all(len(set(t)) == 3 for t in C.tri_edges[n].tolist())
 
 
 def test_edge_children_partition(C, R):
@@ -403,9 +419,7 @@ def test_arrays_match_reference(C, R):
         assert C.edges[n].tolist() == [list(e) for e in R.edges[n]]
         assert C.tris[n].tolist() == [list(t) for t in R.tris[n]]
         assert C.tri_edges[n].tolist() == [list(t) for t in R.tri_edges[n]]
-        assert C.edge_tris[n].tolist() == [
-            list(ts) + [-1] * (2 - len(ts)) for ts in R.edge_tris[n]
-        ]
+        assert edge_triangles(C, n) == [list(ts) for ts in R.edge_tris[n]]
         assert C.edge_side[n].tolist() == R.edge_side[n]
         # the simplex codes the base-level image search looks up are
         # ascending in id order: u*V + v, and edge_id(a, b)*V + c
@@ -426,8 +440,53 @@ def test_arrays_match_reference(C, R):
     assert [coord(C, v) for v in range(len(R.coords))] == R.coords
     # the stored denominator is the level's common one, 2 * 6^(n-1)
     assert C.denom == 2 * 6 ** MAXN
-    tables = [C.edges, C.tris, C.tri_edges, C.edge_tris, C.edge_children, C.edge_side]
+    tables = [C.edges, C.tris, C.tri_edges, C.edge_children, C.edge_side]
     assert not any(t[-1].flags.writeable for t in tables)
+
+
+def test_dual_matches_reference(C, R):
+    # the dual joins the two triangles of every interior edge; its
+    # terminals are the triangles of the side-{0,1} and side-{3,4} edges
+    for n in range(1, MAXN + 2):
+        D = build_dual(C, n)
+        pairs = sorted(ts for ts in R.edge_tris[n] if len(ts) == 2)
+        assert D.n == len(R.tris[n])
+        assert list(zip(D.us.tolist(), D.vs.tolist())) == pairs
+        assert (D.num == ONE).all()
+        for name, sides in (("A", (0, 1)), ("B", (3, 4))):
+            assert D.boundary[name] == {
+                R.edge_tris[n][e][0]
+                for e, s in enumerate(R.edge_side[n]) if s in sides
+            }
+
+
+def table_bytes(n):
+    """Bytes of the int64 tables of a complex built to level n: per
+    level k <= n, edges (2E), tris and tri_edges (3T each) and edge_side
+    (E); per level k < n, edge_children (2E), tri_children and tri_inner
+    (6T each); per vertex, coords (2) and vertex_sides (1)."""
+    total = 0
+    for k in range(n + 1):
+        v, e, t = count_oracle(k)
+        total += 8 * (3 * e + 6 * t)
+        if k < n:
+            total += 8 * (2 * e + 12 * t)
+    return total + 24 * v
+
+
+def test_tables_match_sizing_formula():
+    # every array the complex holds, map caches aside (none is built)
+    c = SubdivisionComplex()
+    for n in range(1, 7):
+        c.ensure_level(n)
+        held = sum(
+            a.nbytes
+            for value in vars(c).values()
+            for a in (value if isinstance(value, list) else [value])
+            if isinstance(a, np.ndarray)
+        )
+        assert held == table_bytes(n)
+    assert table_bytes(8) == 229_805_184
 
 
 def test_to_json_matches_reference(C, R):
@@ -445,6 +504,16 @@ def test_to_json_matches_reference(C, R):
     doc = json.loads(at_cap.to_json(top))
     assert doc["barycenters"] == {"edges": [], "triangles": []}
     assert doc == {**json.loads(R.to_json(top)), "barycenters": doc["barycenters"]}
+
+
+def test_lookup_sorted_finds_or_raises():
+    table = np.array([2, 5, 9])
+    assert lookup_sorted(table, np.array([9, 2, 5]), "code").tolist() == [2, 0, 1]
+    assert len(lookup_sorted(table, np.array([], dtype=np.int64), "code")) == 0
+    # below, between and above the table, and an empty table
+    for t, codes in ((table, [1]), (table, [5, 6]), (table, [10, 2]), (table[:0], [0])):
+        with pytest.raises(KeyError, match="code not found"):
+            lookup_sorted(t, np.array(codes), "code")
 
 
 def test_int64_overflow_guard():

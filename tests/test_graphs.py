@@ -27,7 +27,7 @@ from hexacarpet.graphs import (
     to_dot,
     to_edgelist,
 )
-from hexacarpet.network import oracle_resistance
+from hexacarpet.network import effective_resistance, oracle_resistance
 from hexacarpet.subdivision import lookup_sorted
 
 
@@ -107,10 +107,15 @@ def test_hexacarpet_reduces_to_dual(C):
         H = build_hexacarpet(C, n)
         D = build_dual(C, n)
         F = H.meta["tri_count"]
+        # the triangles holding each edge among their sides
+        at_edge = {}
+        for t, sides in enumerate(C.tri_edges[n].tolist()):
+            for e in sides:
+                at_edge.setdefault(e, []).append(t)
         reduced = set()
-        for t0, t1 in C.edge_tris[n].tolist():
-            if t1 >= 0:
-                reduced.add((min(t0, t1), max(t0, t1)))
+        for ts in at_edge.values():
+            if len(ts) == 2:
+                reduced.add((min(ts), max(ts)))
         dual_edges = {
             (int(u), int(v)) for u, v in zip(D.us, D.vs)
         }
@@ -136,6 +141,20 @@ def test_canonical_edge_order():
 def test_self_loops_rejected():
     with pytest.raises(FamilyError):
         WeightedGraph(2, [1], [1], [Fraction(1)])
+
+
+def test_vertex_ids_outside_the_graph_rejected():
+    for us, vs in (([0, 1], [1, 5]), ([0, -1], [1, 2]), ([0], [3])):
+        with pytest.raises(FamilyError, match="vertex ids"):
+            WeightedGraph(3, us, vs, [Fraction(1)] * len(us))
+    for A, B in (({0}, {7}), ({-1}, {2})):
+        with pytest.raises(FamilyError, match="vertex ids"):
+            WeightedGraph(3, [0, 1], [1, 2], [Fraction(1)] * 2, {"A": A, "B": B})
+    G = WeightedGraph(3, [0, 1], [1, 2], [Fraction(1)] * 2, {"A": {0}, "B": {2}})
+    for A, B in (({0}, {7}), ({-1}, {2}), ({0}, {3})):
+        with pytest.raises(ValueError, match="vertex ids"):
+            effective_resistance(G, A, B)
+    assert effective_resistance(G).resistance == pytest.approx(2.0)
 
 
 def test_conductances_must_be_exact_as_floats():
