@@ -7,8 +7,8 @@ quantities per level n:
   R(n)        hexacarpet resistance, side-{0,1} arc to side-{3,4} arc
   RT(n)       skeleton resistance, side-2 chain to side-5 chain
   R_hat(n)    exact strand formula for the severed (cut) hexacarpet
-  R_tilde(n)  resistance after fusing all cell-map images of the
-              original triangle sides (the shorted quotient)
+  R_tilde(n)  resistance after fusing the refinement of each edge of
+              a coarser level (the shorted quotient)
 
 Duality says R(n) * RT(n) = 1.  The cut and short surgeries sandwich
 R(n) between c (5/4)^n and (3/2)^n, and the flow/potential machinery
@@ -19,9 +19,11 @@ below turns level products into the multiplicative bounds
 The upper bound is certified constructively: compose_flow builds an
 explicit unit flow on level m+n out of a level-m flow skeleton and two
 arc-to-arc unit flows on level n, and its energy is the certificate.
-Flow transport and splicing are whole-array passes over the map image
-arrays of the complex: incidences are moved by fancy indexing and found
-by binary search of their codes in the target graph.
+Flow transport and splicing are whole-array passes: a level-n flow is
+moved by the symmetry image arrays of the complex, carried into every
+level-m triangle by the complex's embedding of level n in it, and its
+incidences are found by binary search of their codes in the target
+graph.
 """
 
 from __future__ import annotations
@@ -183,8 +185,10 @@ def arc_flows(cache: LevelCache, n):
     """Unit flows from the side-{0,1} arc to each adjacent arc.
 
     H02 joins sides {0,1} to sides {4,5}: it equals the symmetrized
-    standard flow on the upper half-plane (triangles whose level-1 cell
-    is 0, 1 or 2) and its vertical-mirror pullback on the lower half.
+    standard flow on the upper half-plane (triangles whose centroid lies
+    above the horizontal axis, which is made of level-1 edges, so no
+    triangle straddles it) and its vertical-mirror pullback on the lower
+    half.
     Divergence cancels along the horizontal seam because the standard
     flow is odd under the half turn.  H01 = H02 o s2 joins {0,1} to
     {2,3}.  Both have energy R(n).
@@ -195,7 +199,7 @@ def arc_flows(cache: LevelCache, n):
         G = cache.graph("hexacarpet", n)
         I = unit_flow(cache, n)
         mirror = hex_pullback(cache, n, I, S3)
-        upper = C.tri_words(n)[G.us, 0] < 3
+        upper = C.coords[C.tris[n][G.us], 1].sum(axis=1) > 0
         H02 = np.where(upper, I, mirror)
         H01 = hex_pullback(cache, n, H02, S2)
 
@@ -257,21 +261,20 @@ def y_decomposition(cache: LevelCache, m):
     return YDecomposition(m, a, side)
 
 
-def _frame_for(cache: LevelCache, words, y_sides):
+def _frame_for(x_side, y_sides):
     """Per level-m triangle, the index into FRAME of the unique
     side-permuting symmetry g aligning the arc flows with its branch
     currents.
 
-    words is the (X, m) letter array of the triangles and y_sides the
-    (X, 3) level-m edge ids (a0_side, a1_side, a2_side).  The source arc
-    (refining original edge 0) must land on the through side, the H01
-    sink arc (edge 2) on the a1 side and the H02 sink arc (edge 1) on
-    the a2 side; the frame group hits each assignment once.
+    x_side is the (X, 3) array of level-m edge ids that the embedding
+    of each triangle makes of the original sides (ab, ac, bc), and
+    y_sides the (X, 3) level-m edge ids (a0_side, a1_side, a2_side).
+    The source arc (refining original edge 0) must land on the through
+    side, the H01 sink arc (edge 2) on the a1 side and the H02 sink arc
+    (edge 1) on the a2 side; the frame group hits each assignment once.
     """
-    # x_side[x, j]: the image of original edge j in triangle x
-    x_side = cache.C.apply_words(words, 1, 0, np.arange(3))
     want = np.asarray(y_sides)[:, [0, 2, 1]]
-    hits = np.zeros((len(words), len(FRAME)), dtype=bool)
+    hits = np.zeros((len(x_side), len(FRAME)), dtype=bool)
     for i, g in enumerate(FRAME):
         sp = side_perm(g)
         # g carries the arc of original edge k onto that of edge j[k]
@@ -281,9 +284,7 @@ def _frame_for(cache: LevelCache, words, y_sides):
     if len(bad):
         x = int(bad[0])
         found = [g for g, h in zip(FRAME, hits[x]) if h]
-        raise AssertionError(
-            f"frame not unique for word {tuple(words[x].tolist())}: {found}"
-        )
+        raise AssertionError(f"frame not unique for triangle {x}: {found}")
     return hits.argmax(axis=1)
 
 
@@ -316,15 +317,15 @@ def compose_flow(cache: LevelCache, m, n):
     Gf = cache.graph("hexacarpet", m + n)
     Fn = Gn.meta["tri_count"]
     Ff = Gf.meta["tri_count"]
-    words = C.tri_words(m)
-    frame = _frame_for(cache, words, Y.side)[:, None]
+    es, ts = C.embed(m, n)
+    frame = _frame_for(C.tri_edges[m], Y.side)[:, None]
 
     # row x: the level-n incidences transported by x's frame, then
-    # carried into x by its word
+    # carried into x by its embedding
     gt = np.stack([C.tri_images(("auto", g), n) for g in FRAME])[frame, Gn.us]
     ge = np.stack([C.edge_images(("auto", g), n) for g in FRAME])[frame, Gn.vs - Fn]
-    ft = C.apply_words(words, 2, n, gt)
-    fe = C.apply_words(words, 1, n, ge)
+    ft = np.take_along_axis(ts, gt, axis=1)
+    fe = np.take_along_axis(es, ge, axis=1)
     pos = Gf.positions(ft, Ff + fe).ravel()
     # a1, a2 count current leaving x through its branch sides, while
     # the arc flows deposit into their source arc, so the splice flips

@@ -475,16 +475,11 @@ def shorted_classes(C: SubdivisionComplex, n):
     """Representatives of the hexacarpet vertices: for every image of an
     original triangle side under k-fold cell maps (k < n), all level-n
     edge vertices refining it are fused into one class, represented by
-    its smallest vertex id; triangles stay alone."""
+    its smallest vertex id; triangles stay alone.  Those images are the
+    sides of all level-k triangles, which is every level-k edge."""
     C.ensure_level(n)
     F, E = len(C.tris[n]), len(C.edges[n])
-    ids = np.arange(len(C.edges[0]))
-    descs = []
-    for k in range(n):
-        descs.append(C.edge_descendants(k, ids, n))
-        ids = np.unique(np.concatenate(
-            [C.edge_images(("F", c), k)[ids] for c in range(6)]
-        ))
+    descs = [C.edge_descendants(k, np.arange(len(C.edges[k])), n) for k in range(n)]
     # edge refinement is a forest, so the descendants of two edges are
     # nested or disjoint, and overlapping classes merge into the coarsest
     # one: assigning from the finest level up leaves each vertex there

@@ -220,12 +220,9 @@ def _reduced_system(G: WeightedGraph, group, interior, bval):
     return M, rhs, col[interior], sign[interior]
 
 
-def effective_resistance(G: WeightedGraph, A=None, B=None):
-    """Effective resistance between terminal sets A and B.
-
-    A and B default to the graph's named boundary sets.  Returns a
-    ResistanceResult; a disconnected terminal pair raises SolverError.
-    """
+def _terminals(G: WeightedGraph, A, B):
+    """The terminal sets A and B, defaulting to the graph's named
+    boundary sets; they must be nonempty, disjoint sets of vertex ids."""
     A = G.boundary["A"] if A is None else frozenset(A)
     B = G.boundary["B"] if B is None else frozenset(B)
     if not A or not B:
@@ -234,7 +231,16 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
         raise ValueError("terminal sets overlap")
     if min(A | B) < 0 or max(A | B) >= G.n:
         raise ValueError(f"terminal ids must be vertex ids 0..{G.n - 1}")
+    return A, B
 
+
+def effective_resistance(G: WeightedGraph, A=None, B=None):
+    """Effective resistance between terminal sets A and B.
+
+    A and B default to the graph's named boundary sets.  Returns a
+    ResistanceResult; a disconnected terminal pair raises SolverError.
+    """
+    A, B = _terminals(G, A, B)
     interior, fixed, value, connected = _active_interior(G, A, B)
     if not connected:
         raise SolverError("terminals lie in different components")
@@ -288,11 +294,11 @@ def _solve_direct(M, rhs):
 
 def oracle_resistance(G: WeightedGraph, A=None, B=None):
     """Dense direct-solve cross-check, for graphs up to ORACLE_LIMIT
-    vertices; a disconnected pair has infinite resistance."""
+    vertices; it refuses the terminal sets that effective_resistance
+    refuses, and a disconnected pair has infinite resistance."""
     if G.n > ORACLE_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_LIMIT} vertices, got {G.n}")
-    A = G.boundary["A"] if A is None else frozenset(A)
-    B = G.boundary["B"] if B is None else frozenset(B)
+    A, B = _terminals(G, A, B)
     interior, fixed, value, connected = _active_interior(G, A, B)
     phi = value.copy()
     R, E, flow = math.inf, 0.0, np.zeros(G.m)

@@ -18,6 +18,10 @@ is the average of its parents.  The y coordinate is stored in units of
 sqrt(3), which keeps everything in Q^2, and both coordinates are int64
 numerators over the common denominator 2*6^(n-1) of the top level n.
 
+The children tables also address the refinement of any triangle
+directly: embed(m, n) gives the level-(m+n) images of the level-n
+simplices inside every level-m triangle, slot for slot.
+
 The module also carries the combinatorial maps used downstream: the six
 cell maps F_0..F_5 embedding level n into level n+1 (one per level-1
 triangle around the center), and the dihedral symmetry group of the
@@ -230,7 +234,6 @@ class SubdivisionComplex:
         # map images, built a level at a time on first use
         self._vmaps = {}  # map key -> vertex images of ids < len
         self._images = {}  # (map key, level) -> (edge images, tri images)
-        self._words = {}
 
     # -- construction ---------------------------------------------------
 
@@ -351,6 +354,29 @@ class SubdivisionComplex:
             ids = self.edge_children[k][ids]
         return ids.reshape(np.shape(edge_id) + (-1,))
 
+    def embed(self, m, n):
+        """The level-(m+n) images of the level-n edges and triangles
+        inside every level-m triangle, as (T_m, E_n) and (T_m, T_n) id
+        arrays.
+
+        Row x holds the images under the affine map of the level-0
+        triangle onto x that keeps the vertex order.  A new vertex always
+        takes a larger id than its parents, so every child of a triangle
+        lists its corner, side barycenter and own barycenter in that
+        order, and the map sends each child slot to the same child slot:
+        the images refine a level at a time through the children tables.
+        """
+        self.require_level(m + n)
+        es, ts = self.tri_edges[m], np.arange(len(self.tris[m]))[:, None]
+        for k in range(n):
+            e = np.empty((len(ts), len(self.edges[k + 1])), dtype=np.int64)
+            e[:, self.edge_children[k]] = self.edge_children[m + k][es]
+            e[:, self.tri_inner[k]] = self.tri_inner[m + k][ts]
+            t = np.empty((len(ts), len(self.tris[k + 1])), dtype=np.int64)
+            t[:, self.tri_children[k]] = self.tri_children[m + k][ts]
+            es, ts = e, t
+        return es, ts
+
     # -- vertex maps -----------------------------------------------------
 
     def _map_images(self, key, n):
@@ -458,58 +484,6 @@ class SubdivisionComplex:
     def tri_images(self, key, n):
         """Image triangle ids of all level-n triangles."""
         return self._map_images(key, n)[1]
-
-    def map_edge(self, key, n, edge_id):
-        """Image edge id of a level-n edge (level n+1 for cell maps)."""
-        return int(self.edge_images(key, n)[edge_id])
-
-    def map_tri(self, key, n, tri_id):
-        return int(self.tri_images(key, n)[tri_id])
-
-    def apply_words(self, words, dim, n, ids):
-        """Compositions of cell maps over arrays of edges (dim 1) or
-        triangles (dim 2).
-
-        Word (c_1, ..., c_k), innermost letter last, sends a level-n
-        simplex s to the level-(n+k) simplex F_{c_1}(...F_{c_k}(s)).
-        words is a (X, k) letter array and ids holds level-n simplex ids,
-        shaped (X, M) or (M,); entry [x, j] of the result is the level-
-        (n+k) image of ids[x, j] (or ids[j]) under word x.
-        """
-        images = self.edge_images if dim == 1 else self.tri_images
-        out = np.asarray(ids)
-        for j in range(words.shape[1] - 1, -1, -1):
-            table = np.stack([images(("F", c), n) for c in range(6)])
-            out = table[words[:, j, None], out]
-            n += 1
-        return out
-
-    def tri_words(self, m):
-        """The (6^m, m) array of cell letters addressing each level-m
-        triangle.
-
-        The word of the image of the level-0 triangle under
-        F_{c_1} . ... . F_{c_m} is (c_1, ..., c_m); every level-m
-        triangle arises exactly once.
-        """
-        self.require_level(m)
-        if m not in self._words:
-            cur = np.zeros((1, 0), dtype=np.int64)
-            for k in range(1, m + 1):
-                imgs = [self.tri_images(("F", c), k - 1) for c in range(6)]
-                hits = np.bincount(np.concatenate(imgs), minlength=len(self.tris[k]))
-                if (hits != 1).any():
-                    raise AssertionError(
-                        f"cell maps do not tile the level-{k} triangles"
-                    )
-                nxt = np.empty((len(self.tris[k]), k), dtype=np.int64)
-                for c, j in enumerate(imgs):
-                    nxt[j, 0] = c
-                    nxt[j, 1:] = cur
-                cur = nxt
-            cur.flags.writeable = False
-            self._words[m] = cur
-        return self._words[m]
 
     # -- serialization ---------------------------------------------------
 

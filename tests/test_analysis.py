@@ -1,5 +1,6 @@
 """Flows, decompositions, bounds and the scaling fit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -168,12 +169,13 @@ def compose_flow_reference(cache, m, n):
     idx_f = edge_index(Gf)
     J = np.zeros(Gf.m)
     written = np.zeros(Gf.m, dtype=np.int8)
-    for x, word in enumerate(C.tri_words(m)):
+    for word in itertools.product(range(6), repeat=m):
+        x = apply_word(C, word, SimplexId(0, 2, 0)).index
         g = frame_reference(C, word, Y.side[x])
         a1, a2 = Y.a[x][1], Y.a[x][2]
         for i in range(Gn.m):
-            gt = C.map_tri(("auto", g), n, int(Gn.us[i]))
-            ge = C.map_edge(("auto", g), n, int(Gn.vs[i]) - Fn)
+            gt = C.tri_images(("auto", g), n)[Gn.us[i]]
+            ge = C.edge_images(("auto", g), n)[Gn.vs[i] - Fn]
             ft = apply_word(C, word, SimplexId(n, 2, gt)).index
             fe = apply_word(C, word, SimplexId(n, 1, ge)).index
             pos = idx_f[(ft, Ff + fe)]
@@ -201,31 +203,19 @@ def test_composed_flow_matches_reference(cache):
 # -- the certificate's own consistency checks ---------------------------
 
 
-def _alias_cell_map(monkeypatch, C, level, letter, like):
-    """Make the images of cell map F_letter at one level those of F_like."""
-    edges, tris = C.edge_images, C.tri_images
-
-    def swap(key, n):
-        return (("F", like) if key == ("F", letter) and n == level else key), n
-
-    monkeypatch.setattr(C, "edge_images", lambda key, n: edges(*swap(key, n)))
-    monkeypatch.setattr(C, "tri_images", lambda key, n: tris(*swap(key, n)))
-
-
 def test_compose_flow_rejects_overlapping_cells(monkeypatch):
     fresh = LevelCache(cap=3)
-    # cells whose innermost letter is 1 land on top of those with 0
-    _alias_cell_map(monkeypatch, fresh.C, 1, 1, 0)
+    real = fresh.C.embed
+
+    def aliased(m, n):
+        # the refinement of triangle 1 lands on top of that of triangle 0
+        es, ts = (a.copy() for a in real(m, n))
+        es[1], ts[1] = es[0], ts[0]
+        return es, ts
+
+    monkeypatch.setattr(fresh.C, "embed", aliased)
     with pytest.raises(AssertionError, match="do not tile the fine"):
         compose_flow(fresh, 1, 1)
-
-
-def test_tri_words_rejects_duplicate_images(monkeypatch):
-    fresh = LevelCache(cap=3)
-    fresh.C.ensure_level(2)
-    _alias_cell_map(monkeypatch, fresh.C, 0, 1, 0)
-    with pytest.raises(AssertionError, match="do not tile the level-1"):
-        fresh.C.tri_words(2)
 
 
 def test_compose_flow_rejects_non_unique_frame(monkeypatch):

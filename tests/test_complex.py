@@ -366,7 +366,7 @@ def test_side_perm_matches_edge_action(C):
         sp = side_perm(elem)
         for e in range(len(C.edges[n])):
             s = C.edge_side[n][e]
-            img = C.map_edge(("auto", elem), n, e)
+            img = C.edge_images(("auto", elem), n)[e]
             expect = -1 if s < 0 else sp[s]
             assert C.edge_side[n][img] == expect
 
@@ -374,7 +374,7 @@ def test_side_perm_matches_edge_action(C):
 def test_symmetries_are_edge_bijections(C):
     n = 3
     for elem in dihedral_elements():
-        imgs = {C.map_edge(("auto", elem), n, e) for e in range(len(C.edges[n]))}
+        imgs = {C.edge_images(("auto", elem), n)[e] for e in range(len(C.edges[n]))}
         assert len(imgs) == len(C.edges[n])
 
 
@@ -383,7 +383,7 @@ def test_cell_maps_partition_triangles(C):
         imgs = []
         for c in range(6):
             imgs.extend(
-                C.map_tri(("F", c), n, t) for t in range(len(C.tris[n]))
+                C.tri_images(("F", c), n)[t] for t in range(len(C.tris[n]))
             )
         assert sorted(imgs) == list(range(6 * len(C.tris[n])))
 
@@ -403,9 +403,9 @@ def test_cell_maps_commute_with_refinement(C):
     for n in range(1, 3):
         for c in range(6):
             for e in range(len(C.edges[n])):
-                ie = C.map_edge(("F", c), n, e)
+                ie = C.edge_images(("F", c), n)[e]
                 kids = {
-                    C.map_edge(("F", c), n + 1, k)
+                    C.edge_images(("F", c), n + 1)[k]
                     for k in C.edge_children[n][e]
                 }
                 assert kids == set(C.edge_children[n + 1][ie])
@@ -652,14 +652,37 @@ def apply_word(C, word, simplex):
     return SimplexId(level, simplex.dim, int(idx))
 
 
-def test_words_address_triangles(C):
-    for m in (1, 2, 3):
-        words = C.tri_words(m)
-        assert words.shape == (6 ** m, m)
-        assert len(np.unique(words, axis=0)) == 6 ** m
-        base = SimplexId(0, 2, 0)
-        for i in range(0, 6 ** m, 11):
-            assert apply_word(C, words[i], base).index == i
+def test_embedding_tiles_each_level(C):
+    for m in range(4):
+        es, ts = C.embed(m, 0)
+        assert np.array_equal(es, C.tri_edges[m])
+        assert np.array_equal(ts.ravel(), np.arange(len(C.tris[m])))
+        for n in range(4 - m):
+            es, ts = C.embed(m, n)
+            assert ts.shape == (len(C.tris[m]), len(C.tris[n]))
+            assert es.shape == (len(C.tris[m]), len(C.edges[n]))
+            # every fine triangle lies in one coarse triangle, and every
+            # fine edge in one, or on the side shared by two
+            assert (np.bincount(ts.ravel(), minlength=len(C.tris[m + n])) == 1).all()
+            hits = np.bincount(es.ravel(), minlength=len(C.edges[m + n]))
+            assert ((hits == 1) | (hits == 2)).all()
+
+
+def test_embedding_matches_cell_maps():
+    # the embedding keeps the vertex order, so it sends p0, p1, p2 to
+    # cell c's two corners and then its center, the largest id; F_c
+    # sends p0 to the center, and the turn r2 first cycles p0 -> p1 ->
+    # p2 -> p0, so F_c r2 does the same
+    c6 = SubdivisionComplex(cap=6)
+    c6.ensure_level(6)
+    for n in range(1, 6):
+        es, ts = c6.embed(1, n)
+        r2e = c6.edge_images(("auto", ("r", 2)), n)
+        r2t = c6.tri_images(("auto", ("r", 2)), n)
+        for c in range(6):
+            x = c6.tri_images(("F", c), 0)[0]
+            assert np.array_equal(ts[x], c6.tri_images(("F", c), n)[r2t])
+            assert np.array_equal(es[x], c6.edge_images(("F", c), n)[r2e])
 
 
 def test_apply_word_on_vertices(C):
@@ -677,7 +700,7 @@ def test_capacity_and_missing_level():
         c.require_level(1)
     c.ensure_level(1)
     with pytest.raises(MissingLevelError):
-        c.map_edge(("F", 0), 1, 0)
+        c.edge_images(("F", 0), 1)[0]
     # above the base level the images are refined from the level below,
     # which is built; the target level one above top is still refused
     c = SubdivisionComplex(cap=3)

@@ -188,8 +188,8 @@ def reference_cut_segments(C, N):
         for c in range(6):
             for lvl, e in prev:
                 if c not in (2, 3):
-                    e = C.map_edge(("auto", graphs.SIGMA_A), lvl, e)
-                out.add((lvl + 1, C.map_edge(("F", c), lvl, e)))
+                    e = C.edge_images(("auto", graphs.SIGMA_A), lvl)[e]
+                out.add((lvl + 1, int(C.edge_images(("F", c), lvl)[e])))
     return out
 
 
@@ -354,7 +354,10 @@ def reference_short_graph(C, n):
             for d in desc[1:]:
                 ra, rb = sorted((find(F + desc[0]), find(F + d)))
                 parent[rb] = ra
-        img = {(lvl + 1, C.map_edge(("F", c), lvl, e)) for c in range(6) for lvl, e in img}
+        img = {
+            (lvl + 1, int(C.edge_images(("F", c), lvl)[e]))
+            for c in range(6) for lvl, e in img
+        }
     reps = sorted({find(v) for v in range(F + E)})
     new_id = {r: i for i, r in enumerate(reps)}
     acc = {}

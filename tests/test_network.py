@@ -188,6 +188,20 @@ def test_disconnected_terminals():
     assert math.isinf(oracle_resistance(G).resistance)
 
 
+def test_oracle_refuses_what_the_solver_refuses():
+    G = path_graph(2)
+    for A, B, why in (
+        ({0, 1}, {1, 2}, "overlap"),
+        ({0}, {7}, "vertex ids"),
+        ({-1}, {2}, "vertex ids"),
+        (set(), {2}, "nonempty"),
+        ({0}, set(), "nonempty"),
+    ):
+        for solve in (effective_resistance, oracle_resistance):
+            with pytest.raises(ValueError, match=why):
+                solve(G, A, B)
+
+
 def test_stray_component_is_pinned():
     # an A-only island must not disturb the main solve
     G = WeightedGraph(
