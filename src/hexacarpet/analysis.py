@@ -162,12 +162,9 @@ def hex_pullback(cache: LevelCache, n, J, elem):
     Incidence edges are canonically triangle -> edge-vertex, and the
     symmetry preserves that typing, so no orientation signs appear.
     """
-    C = cache.C
     G = cache.graph("hexacarpet", n)
-    F = G.meta["tri_count"]
-    gt = C.tri_images(("auto", elem), n)[G.us]
-    ge = C.edge_images(("auto", elem), n)[G.vs - F]
-    return J[G.positions(gt, F + ge)]
+    p = G.symmetry.perm(elem)
+    return J[G.positions(p[G.us], p[G.vs])]
 
 
 def unit_flow(cache: LevelCache, n):
@@ -322,10 +319,9 @@ def compose_flow(cache: LevelCache, m, n):
 
     # row x: the level-n incidences transported by x's frame, then
     # carried into x by its embedding
-    gt = np.stack([C.tri_images(("auto", g), n) for g in FRAME])[frame, Gn.us]
-    ge = np.stack([C.edge_images(("auto", g), n) for g in FRAME])[frame, Gn.vs - Fn]
-    ft = np.take_along_axis(ts, gt, axis=1)
-    fe = np.take_along_axis(es, ge, axis=1)
+    moves = np.stack([Gn.symmetry.perm(g) for g in FRAME])
+    ft = np.take_along_axis(ts, moves[frame, Gn.us], axis=1)
+    fe = np.take_along_axis(es, moves[frame, Gn.vs] - Fn, axis=1)
     pos = Gf.positions(ft, Ff + fe).ravel()
     # a1, a2 count current leaving x through its branch sides, while
     # the arc flows deposit into their source arc, so the splice flips
@@ -355,7 +351,9 @@ class PotentialDecomposition:
     chain and 1 on the side-3 chain; the symmetric solve makes it
     exactly invariant under s1, the reflection fixing both chains.
     u, v, w are its pullbacks to level n-1 under the cell maps of the
-    slices at angles 0-60, 60-120 and 300-360.
+    slices at angles 0-60, 60-120 and 300-360: the embeddings of level
+    n-1 in the level-1 triangles on sides 0, 1 and 5, after the turn r4,
+    which sends p0 to p2 and so to the center of the hexagon.
     Energy splits as E(phi) = 2 E(u) + 4 E(v) with E(u, v - w) = 0, and
     E(phi) equals the reciprocal skeleton resistance.
     """
@@ -378,12 +376,15 @@ def potential_decomposition(cache: LevelCache, n):
     phi = effective_resistance(G, A=A, B=B).potential
 
     Gm = cache.graph("skeleton", n - 1)
-    nm = Gm.n
-    u = phi[C.vertex_map(("F", 0), nm)]
-    v = phi[C.vertex_map(("F", 1), nm)]
-    w = phi[C.vertex_map(("F", 5), nm)]
-
-    sigma = C.vertex_map(("auto", S0), nm)
+    # each level-1 triangle has one boundary edge; cell[s] is the one on
+    # side s.  The embedding keeps the vertex order, so it sends each
+    # corner of a level-(n-1) triangle to the same corner of its image.
+    cell = np.argsort(C.edge_side[1][C.tri_edges[1]].max(axis=1))
+    ts = C.embed(1, n - 1)[1][cell[[0, 1, 5]]]
+    vm = np.empty((3, Gm.n), dtype=np.int64)
+    vm[:, C.tris[n - 1]] = C.tris[n][ts]
+    u, v, w = phi[vm[:, C.vertex_map(("r", 4), n - 1)]]
+    sigma = C.vertex_map(S0, n - 1)
     sym_u = float(np.abs(u - u[sigma]).max())
     sym_vw = float(np.abs(w - v[sigma]).max())
 

@@ -51,7 +51,6 @@ from .subdivision import (
 )
 
 IDENTITY = ("r", 0)
-SIGMA_A = ("s", 2)  # reflection fixing the corner between sides 0 and 1
 
 # family conductances as numerators over DEN
 DEN = 2
@@ -281,8 +280,7 @@ def _hexacarpet_action(C: SubdivisionComplex, n):
     F = len(C.tris[n])
 
     def perm(g):
-        key = ("auto", g)
-        return np.concatenate([C.tri_images(key, n), F + C.edge_images(key, n)])
+        return np.concatenate([C.tri_images(g, n), F + C.edge_images(g, n)])
 
     def bits():
         return np.concatenate([np.zeros(F, dtype=np.int64), SIDE_BIT[C.edge_side[n]]])
@@ -304,7 +302,7 @@ def build_skeleton(C: SubdivisionComplex, n):
         },
         {"family": "skeleton", "level": n}, DEN,
         DihedralAction(
-            lambda g: C.vertex_map(("auto", g), C.offsets[n]),
+            lambda g: C.vertex_map(g, n),
             lambda: C.vertex_sides[: C.offsets[n]],
         ),
     )
@@ -334,7 +332,7 @@ def build_dual(C: SubdivisionComplex, n):
             "B": frozenset(np.nonzero(bits & 0b011000)[0].tolist()),
         },
         {"family": "dual", "level": n}, DEN,
-        DihedralAction(lambda g: C.tri_images(("auto", g), n), lambda: bits),
+        DihedralAction(lambda g: C.tri_images(g, n), lambda: bits),
     )
 
 
@@ -364,10 +362,11 @@ def cut_segments(C: SubdivisionComplex, N):
 
     The base pattern is the pair of level-1 spokes from the hexagon
     center to the corners between sides 0/1 and 4/5.  Each level adds
-    images of the previous pattern in all six cells; the four cells
-    under sides 0, 1, 4, 5 take a reflected copy (reflect across the
-    axis through those two corners first) so that severed lines always
-    terminate on cell interfaces or on sides 2, 3, never on the
+    images of the previous pattern in all six level-1 triangles, carried
+    in by the rows of embed(1, k).  The two triangles with an edge on
+    side 2 or 3 take the ('r', 4) image of the pattern and the other
+    four its ('s', 0) image, a mirrored copy, so that severed lines
+    always terminate on cell interfaces or on sides 2, 3, never on the
     terminal arcs.
     """
     C.ensure_level(N)
@@ -375,13 +374,15 @@ def cut_segments(C: SubdivisionComplex, N):
     V, edges = C.offsets[1], C.edges[1]
     spokes = np.array([B01, B02]) * V + CENTER
     segs = {1: lookup_sorted(edges[:, 0] * V + edges[:, 1], spokes, "spoke")}
+    turned = np.isin(C.edge_side[1][C.tri_edges[1]], (2, 3)).any(axis=1)[:, None]
     for k in range(1, N):
+        es = C.embed(1, k)[0]
         ids = segs[k]
-        mirrored = C.edge_images(("auto", SIGMA_A), k)[ids]
-        segs[k + 1] = np.unique(np.concatenate([
-            C.edge_images(("F", c), k)[ids if c in (2, 3) else mirrored]
-            for c in range(6)
-        ]))
+        segs[k + 1] = np.unique(np.where(
+            turned,
+            es[:, C.edge_images(("r", 4), k)[ids]],
+            es[:, C.edge_images(("s", 0), k)[ids]],
+        ))
     return segs
 
 

@@ -20,20 +20,20 @@ numerators over the common denominator 2*6^(n-1) of the top level n.
 
 The children tables also address the refinement of any triangle
 directly: embed(m, n) gives the level-(m+n) images of the level-n
-simplices inside every level-m triangle, slot for slot.
+simplices inside every level-m triangle, slot for slot.  Its rows at
+m = 1 are the six cell maps of the self-similarity, one per level-1
+triangle around the center.
 
-The module also carries the combinatorial maps used downstream: the six
-cell maps F_0..F_5 embedding level n into level n+1 (one per level-1
-triangle around the center), and the dihedral symmetry group of the
-hexagon acting on every level at once.  Each map is held as int64 image
-arrays, built one level at a time on first use: the vertex images, and
-per level the image ids of every edge and triangle.  Only the base level
-(0 for a cell map, 1 for a symmetry) is looked up in the target level's
-simplex codes.  Every level above it is refined from the one below: a
-map sends the children of a simplex s to the children of its image g s,
-so a half edge goes to the half of g e at the image of its endpoint, and
-a child triangle or inner edge of t to the one of g t in the slot that
-the vertex images pick out.
+The other maps used downstream are the dihedral symmetries of the
+hexagon, acting on every level from 1 up and keyed by the group
+element.  Each is held as int64 image arrays, built one level at a time
+on first use: the vertex images, and per level the image ids of every
+edge and triangle.  Level 1 is looked up in its own simplex codes.
+Every level above it is refined from the one below: a symmetry sends
+the children of a simplex s to the children of its image g s, so a half
+edge goes to the half of g e at the image of its endpoint, and a child
+triangle or inner edge of t to the one of g t in the slot that the
+vertex images pick out.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ _SIDE_OF_VERTEX = {
 }
 # the bitmask of side s at index s, and 0 at index -1 (no side)
 SIDE_BIT = np.array([1, 2, 4, 8, 16, 32, 0], dtype=np.int64)
-
-# Cell maps F_i: the i-th level-1 triangle is [center, corner(i), corner(i+1)]
-# going counterclockwise from p0.  On the level-0 vertices: p0 -> center,
-# p1 -> first corner, p2 -> second corner of cell i.
-_F_P1 = (P0, P1, P1, P2, P2, P0)
-_F_P2 = (B01, B01, B12, B12, B02, B02)
 
 # Dihedral group of the hexagon on the seven level-1 vertex ids.
 # rot60 rotates by +60 degrees, refl_h reflects across the x axis.
@@ -136,6 +130,8 @@ def dihedral_compose(a, b):
 
 def _base_perm(elem):
     """The permutation of the seven level-1 vertex ids for a group element."""
+    if elem not in dihedral_elements():
+        raise ValueError(f"{elem!r} is not a dihedral element ('r', k) or ('s', k), k < 6")
     t, k = elem
     perm = list(range(7))
     for _ in range(k):
@@ -210,8 +206,8 @@ class SubdivisionComplex:
     (2 E_k + 12 T_k) of child tables per level k < n, and 24 bytes per
     vertex.
 
-    Maps, keyed ('F', i) or ('auto', elem), are read-only int64 arrays
-    built on first use: vertex_map, edge_images and tri_images.
+    The dihedral symmetries, keyed by element, are read-only int64
+    arrays built on first use: vertex_map, edge_images and tri_images.
     """
 
     def __init__(self, cap=DEFAULT_CAP):
@@ -231,9 +227,9 @@ class SubdivisionComplex:
         self.denom = 2
         self.vertex_sides = _frozen([0, 0, 0])
 
-        # map images, built a level at a time on first use
-        self._vmaps = {}  # map key -> vertex images of ids < len
-        self._images = {}  # (map key, level) -> (edge images, tri images)
+        # symmetry images, built a level at a time on first use
+        self._vmaps = {}  # element -> vertex images of ids < len
+        self._images = {}  # (element, level) -> (edge images, tri images)
 
     # -- construction ---------------------------------------------------
 
@@ -248,6 +244,8 @@ class SubdivisionComplex:
             self._subdivide()
 
     def require_level(self, n):
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
         if n > self.top:
             raise MissingLevelError(f"level {n} not built (top is {self.top})")
 
@@ -348,6 +346,9 @@ class SubdivisionComplex:
         """Level-m edge ids refining the level-n edge (m >= n), in order
         along the edge from its smaller endpoint; for an array of edge
         ids, one row per edge."""
+        if m < n:
+            raise ValueError(f"level {m} is coarser than the edges' level {n}")
+        self.require_level(n)
         self.require_level(m)
         ids = np.asarray(edge_id, dtype=np.int64)
         for k in range(n, m):
@@ -366,6 +367,8 @@ class SubdivisionComplex:
         order, and the map sends each child slot to the same child slot:
         the images refine a level at a time through the children tables.
         """
+        if min(m, n) < 0:
+            raise ValueError(f"cannot embed level {n} in level {m}")
         self.require_level(m + n)
         es, ts = self.tri_edges[m], np.arange(len(self.tris[m]))[:, None]
         for k in range(n):
@@ -377,49 +380,41 @@ class SubdivisionComplex:
             es, ts = e, t
         return es, ts
 
-    # -- vertex maps -----------------------------------------------------
+    # -- symmetries ------------------------------------------------------
 
-    def _map_images(self, key, n):
-        """Edge and triangle image ids of the level-n simplices."""
-        if (key, n) not in self._images:
-            shift = 1 if key[0] == "F" else 0
-            if n < 1 - shift:
-                raise ValueError(f"map {key} is defined from level {1 - shift}")
-            tgt = n + shift
-            if tgt > self.top:
-                raise MissingLevelError(
-                    f"need level {tgt} built to map level {n}"
-                )
-            if n == 1 - shift:  # the base level
-                images = self._search_images(key, n, tgt)
-            else:
-                images = self._refine_images(key, n, tgt)
-            self._images[(key, n)] = tuple(map(_frozen, images))
-        return self._images[(key, n)]
+    def _map_images(self, g, n):
+        """Edge and triangle image ids of the level-n simplices under g."""
+        if (g, n) not in self._images:
+            if n < 1:
+                raise ValueError(f"the symmetry {g} is defined from level 1")
+            self.require_level(n)
+            images = self._search_images(g) if n == 1 else self._refine_images(g, n)
+            self._images[(g, n)] = tuple(map(_frozen, images))
+        return self._images[(g, n)]
 
-    def _search_images(self, key, n, tgt):
-        """Images at the base level, by lookup of the image vertices in
-        the target level's simplex codes: u*V + v for an edge (u, v) and
-        edge_id(a, b)*V + c for a triangle (a, b, c), with V = offsets[tgt].
-        Both run in id order, as the rows are sorted."""
-        nv = self.offsets[tgt]
-        ecodes = self.edges[tgt][:, 0] * nv + self.edges[tgt][:, 1]
-        tcodes = self.tri_edges[tgt][:, 0] * nv + self.tris[tgt][:, 2]
-        vm = self.vertex_map(key, self.offsets[n])
-        ie = vm[self.edges[n]]
+    def _search_images(self, g):
+        """Level-1 images, by lookup of the image vertices in the level's
+        simplex codes: u*V + v for an edge (u, v) and edge_id(a, b)*V + c
+        for a triangle (a, b, c), with V = offsets[1].  Both run in id
+        order, as the rows are sorted."""
+        nv, edges, tris = self.offsets[1], self.edges[1], self.tris[1]
+        ecodes = edges[:, 0] * nv + edges[:, 1]
+        tcodes = self.tri_edges[1][:, 0] * nv + tris[:, 2]
+        vm = self.vertex_map(g, 1)
+        ie = vm[edges]
         lo, hi = ie.min(axis=1), ie.max(axis=1)
         eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
-        it = np.sort(vm[self.tris[n]], axis=1)
+        it = np.sort(vm[tris], axis=1)
         ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
         timg = lookup_sorted(tcodes, ab * nv + it[:, 2], "triangle image")
         return eimg, timg
 
-    def _refine_images(self, key, n, tgt):
+    def _refine_images(self, g, n):
         """Images at level n from those at level n - 1: a child of a
         simplex s maps to the matching child of the image of s."""
-        p, q = n - 1, tgt - 1
-        eimg_p, timg_p = self._map_images(key, p)
-        vm = self.vertex_map(key, self.offsets[p])
+        p = n - 1
+        eimg_p, timg_p = self._map_images(g, p)
+        vm = self.vertex_map(g, p)
         # pos[t, j]: the slot of vertex j's image in the sorted image of
         # triangle t; side (a, b) goes to side pos[a] + pos[b] - 1
         it = vm[self.tris[p]]
@@ -432,58 +427,44 @@ class SubdivisionComplex:
         ie = vm[self.edges[p]]
         flip = ie[:, :1] > ie[:, 1:]
         eimg[self.edge_children[p]] = np.take_along_axis(
-            self.edge_children[q][eimg_p], flip ^ np.array([[0, 1]]), axis=1
+            self.edge_children[p][eimg_p], flip ^ np.array([[0, 1]]), axis=1
         )
         eimg[self.tri_inner[p]] = np.take_along_axis(
-            self.tri_inner[q][timg_p], np.concatenate([pos, 3 + side], axis=1), axis=1
+            self.tri_inner[p][timg_p], np.concatenate([pos, 3 + side], axis=1), axis=1
         )
         timg = np.empty(len(self.tris[n]), dtype=np.int64)
         timg[self.tri_children[p]] = np.take_along_axis(
-            self.tri_children[q][timg_p],
+            self.tri_children[p][timg_p],
             _SLOT[pos[:, _SPLIT_Q], side[:, _SPLIT_SIDE]],
             axis=1,
         )
         return eimg, timg
 
-    def vertex_map(self, key, upto):
-        """The vertex images of a map on ids < upto, as an int64 array.
-
-        key is ('F', i) for a cell map or ('auto', elem) for a dihedral
-        symmetry.  Cell maps shift barycenter levels up by one, so the
-        target level must already be built.
-        """
-        arr = self._vmaps.get(key)
+    def vertex_map(self, g, n):
+        """The images of the level-n vertex ids (below offsets[n]) under
+        the dihedral element g, as an int64 array."""
+        if n < 1:
+            raise ValueError(f"the symmetry {g} is defined from level 1")
+        self.require_level(n)
+        arr = self._vmaps.get(g)
         if arr is None:
-            if key[0] == "F":
-                # defined a priori on the level-0 corners only
-                base = [CENTER, _F_P1[key[1]], _F_P2[key[1]]]
-            else:
-                # the dihedral action is defined on levels >= 1; the base
-                # covers all seven level-1 ids (it does not fix level 0)
-                base = _base_perm(key[1])
-            arr = self._vmaps[key] = np.array(base, dtype=np.int64)
-        shift = 1 if key[0] == "F" else 0
-        while len(arr) < upto:
-            # the next ids are the level-lvl barycenters, edges first
-            lvl = self.offsets.index(len(arr))
-            tgt = lvl + shift
-            if tgt + 1 > self.top:
-                raise MissingLevelError(
-                    f"need level {tgt + 1} built to map a level-{lvl} barycenter"
-                )
-            eimg, timg = self._map_images(key, lvl)
-            V, E = self.offsets[tgt], len(self.edges[tgt])
-            arr = self._vmaps[key] = np.concatenate([arr, V + eimg, V + E + timg])
-        arr.flags.writeable = False
-        return arr[:upto]
+            # the base covers all seven level-1 ids
+            arr = self._vmaps[g] = _frozen(_base_perm(g))
+        while len(arr) < self.offsets[n]:
+            # the next ids are the level-k barycenters, edges first
+            k = self.offsets.index(len(arr))
+            eimg, timg = self._map_images(g, k)
+            V, E = self.offsets[k], len(self.edges[k])
+            arr = self._vmaps[g] = _frozen(np.concatenate([arr, V + eimg, V + E + timg]))
+        return arr[: self.offsets[n]]
 
-    def edge_images(self, key, n):
-        """Image edge ids of all level-n edges (level n+1 for cell maps)."""
-        return self._map_images(key, n)[0]
+    def edge_images(self, g, n):
+        """Image edge ids of all level-n edges under g."""
+        return self._map_images(g, n)[0]
 
-    def tri_images(self, key, n):
-        """Image triangle ids of all level-n triangles."""
-        return self._map_images(key, n)[1]
+    def tri_images(self, g, n):
+        """Image triangle ids of all level-n triangles under g."""
+        return self._map_images(g, n)[1]
 
     # -- serialization ---------------------------------------------------
 

@@ -29,7 +29,7 @@ from hexacarpet.analysis import (
 )
 from hexacarpet.network import check_flow, dissipation
 from hexacarpet.subdivision import side_perm
-from test_complex import SimplexId, apply_word
+from test_complex import CellMaps, SimplexId, apply_word
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +141,9 @@ def y_decomposition_reference(cache, m, zero_tol=1e-12):
     return a, side
 
 
-def frame_reference(C, word, y_sides):
+def frame_reference(F, word, y_sides):
     """The one frame symmetry matching a single triangle's sides."""
-    x_side = {k: apply_word(C, word, SimplexId(0, 1, k)).index for k in range(3)}
+    x_side = {k: apply_word(F, word, SimplexId(0, 1, k)).index for k in range(3)}
     want = {0: y_sides[0], 2: y_sides[1], 1: y_sides[2]}
     hits = [
         g for g in FRAME
@@ -160,6 +160,7 @@ def frame_reference(C, word, y_sides):
 def compose_flow_reference(cache, m, n):
     """The spliced flow, one cell and one incidence at a time."""
     C = cache.C
+    F = CellMaps(C)
     Y = y_decomposition(cache, m)
     H01, H02 = arc_flows(cache, n)
     Gn = cache.graph("hexacarpet", n)
@@ -170,14 +171,14 @@ def compose_flow_reference(cache, m, n):
     J = np.zeros(Gf.m)
     written = np.zeros(Gf.m, dtype=np.int8)
     for word in itertools.product(range(6), repeat=m):
-        x = apply_word(C, word, SimplexId(0, 2, 0)).index
-        g = frame_reference(C, word, Y.side[x])
+        x = apply_word(F, word, SimplexId(0, 2, 0)).index
+        g = frame_reference(F, word, Y.side[x])
         a1, a2 = Y.a[x][1], Y.a[x][2]
         for i in range(Gn.m):
-            gt = C.tri_images(("auto", g), n)[Gn.us[i]]
-            ge = C.edge_images(("auto", g), n)[Gn.vs[i] - Fn]
-            ft = apply_word(C, word, SimplexId(n, 2, gt)).index
-            fe = apply_word(C, word, SimplexId(n, 1, ge)).index
+            gt = C.tri_images(g, n)[Gn.us[i]]
+            ge = C.edge_images(g, n)[Gn.vs[i] - Fn]
+            ft = apply_word(F, word, SimplexId(n, 2, gt)).index
+            fe = apply_word(F, word, SimplexId(n, 1, ge)).index
             pos = idx_f[(ft, Ff + fe)]
             J[pos] = -(a1 * H01[i] + a2 * H02[i])
             written[pos] += 1

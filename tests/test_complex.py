@@ -26,8 +26,6 @@ from hexacarpet.subdivision import (
     P0,
     P1,
     P2,
-    _F_P1,
-    _F_P2,
     _SIDE_EDGES,
     _SIDE_OF_VERTEX,
     _SPLIT_Q,
@@ -51,6 +49,13 @@ HEX = {
     B02: (Fraction(1, 2), Fraction(-1, 2)),
     CENTER: (Fraction(0), Fraction(0)),
 }
+
+# The cell map F_c embeds level n in level n + 1 inside the level-1
+# triangle c = [center, corner(c), corner(c + 1)], the corners counted
+# counterclockwise from p0.  On the level-0 vertices: p0 -> center,
+# p1 -> F_P1[c], p2 -> F_P2[c].
+F_P1 = (P0, P1, P1, P2, P2, P0)
+F_P2 = (B01, B01, B12, B12, B02, B02)
 
 
 class ReferenceComplex:
@@ -350,7 +355,7 @@ def test_symmetries_act_by_isometries(C):
     sample = rng.integers(0, nv, size=40)
     for elem in dihedral_elements():
         t, k = elem
-        arr = C.vertex_map(("auto", elem), nv)
+        arr = C.vertex_map(elem, MAXN)
         for vid in sample:
             q = coord(C, vid)
             if t == "s":
@@ -366,7 +371,7 @@ def test_side_perm_matches_edge_action(C):
         sp = side_perm(elem)
         for e in range(len(C.edges[n])):
             s = C.edge_side[n][e]
-            img = C.edge_images(("auto", elem), n)[e]
+            img = C.edge_images(elem, n)[e]
             expect = -1 if s < 0 else sp[s]
             assert C.edge_side[n][img] == expect
 
@@ -374,41 +379,42 @@ def test_side_perm_matches_edge_action(C):
 def test_symmetries_are_edge_bijections(C):
     n = 3
     for elem in dihedral_elements():
-        imgs = {C.edge_images(("auto", elem), n)[e] for e in range(len(C.edges[n]))}
+        imgs = {C.edge_images(elem, n)[e] for e in range(len(C.edges[n]))}
         assert len(imgs) == len(C.edges[n])
+
+
+# The cell maps of the complex are the rows of embed(1, n), one per
+# level-1 triangle; test_embedding_matches_cell_maps pins each row to
+# the test-side F_c.
 
 
 def test_cell_maps_partition_triangles(C):
     for n in range(MAXN):
-        imgs = []
-        for c in range(6):
-            imgs.extend(
-                C.tri_images(("F", c), n)[t] for t in range(len(C.tris[n]))
-            )
-        assert sorted(imgs) == list(range(6 * len(C.tris[n])))
+        ts = C.embed(1, n)[1]
+        assert sorted(ts.ravel().tolist()) == list(range(6 * len(C.tris[n])))
 
 
 def test_cell_map_lands_in_its_slice(C):
-    # cell c = [center, corner(c), corner(c + 1)] is the sector between
-    # 60c and 60(c + 1) degrees, which holds the centroid of every
-    # triangle inside it
+    # the level-1 triangle on side c is the sector between 60c and
+    # 60(c + 1) degrees, which holds the centroid of every triangle
+    # inside it
+    side = C.edge_side[1][C.tri_edges[1]].max(axis=1)
+    assert sorted(side.tolist()) == list(range(6))
     for n in range(MAXN):
-        for c in range(6):
-            xy = C.coords[C.tris[n + 1][C.tri_images(("F", c), n)]].sum(axis=1)
+        ts = C.embed(1, n)[1]
+        for x in range(6):
+            xy = C.coords[C.tris[n + 1][ts[x]]].sum(axis=1)
             angle = np.degrees(np.arctan2(np.sqrt(3) * xy[:, 1], xy[:, 0]))
-            assert (np.floor(angle % 360 / 60) == c).all()
+            assert (np.floor(angle % 360 / 60) == side[x]).all()
 
 
 def test_cell_maps_commute_with_refinement(C):
     for n in range(1, 3):
-        for c in range(6):
+        es, fine = C.embed(1, n)[0], C.embed(1, n + 1)[0]
+        for x in range(6):
             for e in range(len(C.edges[n])):
-                ie = C.edge_images(("F", c), n)[e]
-                kids = {
-                    C.edge_images(("F", c), n + 1)[k]
-                    for k in C.edge_children[n][e]
-                }
-                assert kids == set(C.edge_children[n + 1][ie])
+                kids = {fine[x][k] for k in C.edge_children[n][e]}
+                assert kids == set(C.edge_children[n + 1][es[x][e]])
 
 
 def test_arrays_match_reference(C, R):
@@ -528,11 +534,12 @@ def test_int64_overflow_guard():
 
 def reference_vertex_map(R, key, upto):
     """Vertex images extended one barycenter at a time, in birth order,
-    by looking up each mapped parent simplex in the level dicts."""
+    by looking up each mapped parent simplex in the level dicts.  key is
+    a dihedral element, or ("F", c) for the cell map F_c."""
     if key[0] == "F":
-        arr, shift = [CENTER, _F_P1[key[1]], _F_P2[key[1]]], 1
+        arr, shift = [CENTER, F_P1[key[1]], F_P2[key[1]]], 1
     else:
-        arr, shift = list(_base_perm(key[1])), 0
+        arr, shift = list(_base_perm(key)), 0
     for vid in range(len(arr), upto):
         kind, lvl, idx = R.births[vid]
         tgt = lvl + shift
@@ -547,13 +554,20 @@ def reference_vertex_map(R, key, upto):
 
 
 def test_image_arrays_match_per_simplex_maps(C, R):
-    keys = [("F", c) for c in range(6)] + [("auto", g) for g in dihedral_elements()]
-    for key in keys:
+    # the symmetries of the complex, and the test-side cell maps
+    F = CellMaps(C)
+    for key in [("F", c) for c in range(6)] + dihedral_elements():
         shift = 1 if key[0] == "F" else 0
         for n in range(1 - shift, MAXN + 1 - shift):
+            if shift:
+                vm, (eimg, timg) = F.vertex_map(key[1], n), F.images(key[1], n)
+            else:
+                vm, eimg, timg = (
+                    C.vertex_map(key, n), C.edge_images(key, n), C.tri_images(key, n)
+                )
             nv = C.counts(n)[0]
             arr = reference_vertex_map(R, key, nv)
-            assert C.vertex_map(key, nv).tolist() == arr[:nv]
+            assert vm.tolist() == arr[:nv]
             tgt = n + shift
             edges = [
                 R.edge_index[tgt][tuple(sorted((arr[u], arr[v])))]
@@ -563,19 +577,18 @@ def test_image_arrays_match_per_simplex_maps(C, R):
                 R.tri_index[tgt][tuple(sorted(arr[q] for q in t))]
                 for t in R.tris[n]
             ]
-            assert C.edge_images(key, n).tolist() == edges
-            assert C.tri_images(key, n).tolist() == tris
+            assert eimg.tolist() == edges
+            assert timg.tolist() == tris
 
 
-def searched_images(C, key, n):
-    """Edge and triangle images of the level-n simplices, found by binary
-    search of the sorted image vertices in the target level's simplex
-    codes; the reference for the complex's level-by-level refinement."""
-    tgt = n + (1 if key[0] == "F" else 0)
+def searched_images(C, vm, n, tgt):
+    """Edge and triangle images of the level-n simplices under the
+    vertex images vm, found by binary search of the sorted image
+    vertices in the level-tgt simplex codes; the reference for the
+    complex's level-by-level refinement, and the test-side cell maps."""
     nv = C.offsets[tgt]
     ecodes = C.edges[tgt][:, 0] * nv + C.edges[tgt][:, 1]
     tcodes = C.tri_edges[tgt][:, 0] * nv + C.tris[tgt][:, 2]
-    vm = C.vertex_map(key, C.offsets[n])
     ie = vm[C.edges[n]]
     lo, hi = ie.min(axis=1), ie.max(axis=1)
     eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
@@ -586,26 +599,21 @@ def searched_images(C, key, n):
 
 
 def test_refined_images_match_search():
-    # every symmetry at levels 1..6 and every cell map at 0..5; the
-    # vertex images of a level's barycenters are those of the searched
-    # edge and triangle images, so by induction the whole map agrees
+    # every symmetry at levels 1..6; the vertex images of a level's
+    # barycenters are those of the searched edge and triangle images, so
+    # by induction the whole map agrees
     top = 6
     C = SubdivisionComplex()
     C.ensure_level(top)
-    keys = [("auto", g) for g in dihedral_elements()] + [("F", c) for c in range(6)]
-    for key in keys:
-        shift = 1 if key[0] == "F" else 0
-        for n in range(1 - shift, top + 1 - shift):
-            eimg, timg = searched_images(C, key, n)
-            assert np.array_equal(C.edge_images(key, n), eimg)
-            assert np.array_equal(C.tri_images(key, n), timg)
-            tgt = n + shift
-            if tgt < top:
-                V, E, _ = C.counts(tgt)
-                vm = np.concatenate(
-                    [C.vertex_map(key, C.offsets[n]), V + eimg, V + E + timg]
-                )
-                assert np.array_equal(C.vertex_map(key, C.offsets[n + 1]), vm)
+    for g in dihedral_elements():
+        for n in range(1, top + 1):
+            eimg, timg = searched_images(C, C.vertex_map(g, n), n, n)
+            assert np.array_equal(C.edge_images(g, n), eimg)
+            assert np.array_equal(C.tri_images(g, n), timg)
+            if n < top:
+                V, E, _ = C.counts(n)
+                vm = np.concatenate([C.vertex_map(g, n), V + eimg, V + E + timg])
+                assert np.array_equal(C.vertex_map(g, n + 1), vm)
 
 
 def test_child_tables_match_reference(C, R):
@@ -635,19 +643,46 @@ class SimplexId:
     index: int
 
 
-def apply_word(C, word, simplex):
-    """Apply a composition of cell maps one letter at a time, innermost
-    letter last: word (c_1, ..., c_k) sends a level-n simplex s to the
-    level-(n+k) simplex F_{c_1}(F_{c_2}(...F_{c_k}(s)))."""
+class CellMaps:
+    """The cell maps F_0..F_5 of a complex, built from the corner tables
+    F_P1, F_P2 a level at a time: F_c sends level n into level n + 1,
+    and its images at each level are found by searched_images in the
+    level above.  They never go through embed, which they check."""
+
+    def __init__(self, C):
+        self.C = C
+        self._vm = {c: np.array([CENTER, F_P1[c], F_P2[c]]) for c in range(6)}
+        self._images = {}
+
+    def vertex_map(self, c, n):
+        """The level-(n+1) images of the level-n vertex ids under F_c."""
+        offsets = self.C.offsets
+        while len(self._vm[c]) < offsets[n]:
+            # the next ids are the level-k barycenters, edges first
+            k = offsets.index(len(self._vm[c]))
+            eimg, timg = self.images(c, k)
+            V, E = offsets[k + 1], len(self.C.edges[k + 1])
+            self._vm[c] = np.concatenate([self._vm[c], V + eimg, V + E + timg])
+        return self._vm[c][: offsets[n]]
+
+    def images(self, c, n):
+        """The level-(n+1) edge and triangle images of the level-n
+        simplices under F_c."""
+        if (c, n) not in self._images:
+            self._images[(c, n)] = searched_images(self.C, self.vertex_map(c, n), n, n + 1)
+        return self._images[(c, n)]
+
+
+def apply_word(F, word, simplex):
+    """Apply a composition of the cell maps F (a CellMaps) one letter at
+    a time, innermost letter last: word (c_1, ..., c_k) sends a level-n
+    simplex s to the level-(n+k) simplex F_{c_1}(F_{c_2}(...F_{c_k}(s)))."""
     level, idx = simplex.level, simplex.index
     for c in reversed(word):
-        key = ("F", int(c))
         if simplex.dim == 0:
-            idx = C.vertex_map(key, idx + 1)[idx]
-        elif simplex.dim == 1:
-            idx = C.edge_images(key, level)[idx]
+            idx = F.vertex_map(int(c), level)[idx]
         else:
-            idx = C.tri_images(key, level)[idx]
+            idx = F.images(int(c), level)[simplex.dim - 1][idx]
         level += 1
     return SimplexId(level, simplex.dim, int(idx))
 
@@ -675,20 +710,25 @@ def test_embedding_matches_cell_maps():
     # p2 -> p0, so F_c r2 does the same
     c6 = SubdivisionComplex(cap=6)
     c6.ensure_level(6)
+    F = CellMaps(c6)
+    # cell c is level-1 triangle cells[c], and every row is some cell
+    cells = [int(F.images(c, 0)[1][0]) for c in range(6)]
+    assert sorted(cells) == list(range(6))
     for n in range(1, 6):
         es, ts = c6.embed(1, n)
-        r2e = c6.edge_images(("auto", ("r", 2)), n)
-        r2t = c6.tri_images(("auto", ("r", 2)), n)
-        for c in range(6):
-            x = c6.tri_images(("F", c), 0)[0]
-            assert np.array_equal(ts[x], c6.tri_images(("F", c), n)[r2t])
-            assert np.array_equal(es[x], c6.edge_images(("F", c), n)[r2e])
+        r2e = c6.edge_images(("r", 2), n)
+        r2t = c6.tri_images(("r", 2), n)
+        for c, x in enumerate(cells):
+            eimg, timg = F.images(c, n)
+            assert np.array_equal(ts[x], timg[r2t])
+            assert np.array_equal(es[x], eimg[r2e])
 
 
 def test_apply_word_on_vertices(C):
     # the level-0 corner p0 maps to the center under every cell map
+    F = CellMaps(C)
     for c in range(6):
-        img = apply_word(C, (c,), SimplexId(0, 0, 0))
+        img = apply_word(F, (c,), SimplexId(0, 0, 0))
         assert img.index == 6
 
 
@@ -700,16 +740,16 @@ def test_capacity_and_missing_level():
         c.require_level(1)
     c.ensure_level(1)
     with pytest.raises(MissingLevelError):
-        c.edge_images(("F", 0), 1)[0]
-    # above the base level the images are refined from the level below,
-    # which is built; the target level one above top is still refused
+        c.edge_images(("s", 0), 2)
+    # above level 1 the images are refined from the level below; a level
+    # above the top is refused even when the one below it is built
     c = SubdivisionComplex(cap=3)
-    c.ensure_level(3)
-    assert len(c.edge_images(("F", 0), 2)) == len(c.edges[2])
+    c.ensure_level(2)
+    assert len(c.edge_images(("s", 0), 2)) == len(c.edges[2])
     with pytest.raises(MissingLevelError):
-        c.tri_images(("F", 0), 3)
+        c.tri_images(("s", 0), 3)
     with pytest.raises(MissingLevelError):
-        c.vertex_map(("F", 0), c.offsets[3])
+        c.vertex_map(("s", 0), 3)
 
 
 def test_symmetries_start_at_level_one():
@@ -719,10 +759,50 @@ def test_symmetries_start_at_level_one():
     c.ensure_level(2)
     for g in (("r", 0), ("r", 1), ("s", 0)):
         with pytest.raises(ValueError, match="defined from level 1"):
-            c.edge_images(("auto", g), 0)
+            c.edge_images(g, 0)
         with pytest.raises(ValueError, match="defined from level 1"):
-            c.tri_images(("auto", g), 0)
-        assert len(c.tri_images(("auto", g), 1)) == 6
+            c.tri_images(g, 0)
+        with pytest.raises(ValueError, match="defined from level 1"):
+            c.vertex_map(g, 0)
+        assert len(c.tri_images(g, 1)) == 6
+        assert c.vertex_map(g, 1).tolist() == _base_perm(g)
+
+
+def test_maps_refuse_what_is_not_a_dihedral_element():
+    # a wrapped key must not map as the identity, nor ('r', 7) as
+    # ('r', 1) under a cache entry of its own
+    c = SubdivisionComplex(cap=2)
+    c.ensure_level(2)
+    for bad in (("auto", ("x", 0)), ("auto", ("r", 1)), ("r", 7), ("s", -1), ("t", 0)):
+        with pytest.raises(ValueError, match="not a dihedral element"):
+            c.edge_images(bad, 2)
+        with pytest.raises(ValueError, match="not a dihedral element"):
+            c.vertex_map(bad, 1)
+        with pytest.raises(ValueError, match="not a dihedral element"):
+            side_perm(bad)
+    assert c._images == {} and c._vmaps == {}
+
+
+def test_levels_out_of_range_are_refused():
+    c = SubdivisionComplex(cap=3)
+    c.ensure_level(3)
+    # a negative level would read the top level from the end of a list
+    for call in (
+        lambda: c.counts(-1),
+        lambda: c.side_vertices(-1, 0),
+        lambda: c.side_edges_at(-1, 0),
+        lambda: c.to_json(-1),
+        lambda: c.edge_descendants(-1, [0], 1),
+    ):
+        with pytest.raises(ValueError, match="negative"):
+            call()
+    for m, n in ((2, -1), (-1, 2), (-1, -1)):
+        with pytest.raises(ValueError, match="cannot embed"):
+            c.embed(m, n)
+    # descendants live at finer levels only
+    with pytest.raises(ValueError, match="coarser"):
+        c.edge_descendants(3, [0, 1], 1)
+    assert c.edge_descendants(2, [0, 1], 2).tolist() == [[0], [1]]
 
 
 def test_serialization_deterministic(C):

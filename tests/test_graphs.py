@@ -29,6 +29,9 @@ from hexacarpet.graphs import (
 )
 from hexacarpet.network import effective_resistance, oracle_resistance
 from hexacarpet.subdivision import lookup_sorted
+from test_complex import CellMaps
+
+SIGMA_A = ("s", 2)  # reflection fixing the corner between sides 0 and 1
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +182,10 @@ def test_drop_edges():
 
 
 def reference_cut_segments(C, N):
-    """(level, edge) pairs grown one segment and one map call at a time."""
+    """(level, edge) pairs grown one segment and one map call at a time:
+    the cell maps F_c under sides 2 and 3 take each segment as it is,
+    the other four its mirror image under SIGMA_A."""
+    F = CellMaps(C)
     # the level-1 spokes from the center (6) to b01 (3) and b02 (4)
     segs = {(1, C.edges[1].tolist().index([b, 6])) for b in (3, 4)}
     out = set(segs)
@@ -188,8 +194,8 @@ def reference_cut_segments(C, N):
         for c in range(6):
             for lvl, e in prev:
                 if c not in (2, 3):
-                    e = C.edge_images(("auto", graphs.SIGMA_A), lvl)[e]
-                out.add((lvl + 1, int(C.edge_images(("F", c), lvl)[e])))
+                    e = C.edge_images(SIGMA_A, lvl)[e]
+                out.add((lvl + 1, int(F.images(c, lvl)[0][e])))
     return out
 
 
@@ -340,6 +346,7 @@ def reference_short_graph(C, n):
     """Union-find over single edges and a Fraction dict for the quotient."""
     H = build_hexacarpet(C, n)
     F, E = len(C.tris[n]), len(C.edges[n])
+    cells = CellMaps(C)
     parent = list(range(F + E))
 
     def find(x):
@@ -355,7 +362,7 @@ def reference_short_graph(C, n):
                 ra, rb = sorted((find(F + desc[0]), find(F + d)))
                 parent[rb] = ra
         img = {
-            (lvl + 1, int(C.edge_images(("F", c), lvl)[e]))
+            (lvl + 1, int(cells.images(c, lvl)[0][e]))
             for c in range(6) for lvl, e in img
         }
     reps = sorted({find(v) for v in range(F + E)})
