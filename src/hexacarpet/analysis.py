@@ -18,10 +18,11 @@ below turns level products into the multiplicative bounds
 
 The upper bound is certified constructively: compose_flow builds an
 explicit unit flow on level m+n out of a level-m flow skeleton and two
-arc-to-arc unit flows on level n, and its energy is the certificate.
-Flow transport and splicing are whole-array passes: a level-n flow is
-moved by the symmetry image arrays of the complex, carried into every
-level-m triangle by the complex's embedding of level n in it, and its
+side-to-side unit flows on level n, and its energy is the certificate.
+Splicing is one whole-array pass: each level-m triangle reads its two
+flows off a table of the six flows between the original triangle's
+sides, by the slots of its branch sides in tri_edges; the complex's
+embedding of level n carries them into the triangle, and their
 incidences are found by binary search of their codes in the target
 graph.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subdivision import DEFAULT_CAP, SubdivisionComplex, side_perm
+from .subdivision import DEFAULT_CAP, SubdivisionComplex, dihedral_elements
 from .graphs import (
     WeightedGraph,
     build_cut_graph,
@@ -67,19 +68,9 @@ UNIT_TOL = 1e-8
 # top level of the short family in the sweeps
 SHORT_MAX_LEVEL = 5
 
-# dihedral elements by role: s2 fixes the source arc, s3 mirrors across
-# the vertical axis, s0 across the horizontal axis
-S0, S2, S3 = ("s", 0), ("s", 2), ("s", 3)
-
-# the six symmetries permuting the three original triangle sides; they
-# act simply transitively on assignments of the three boundary arcs
-FRAME = [("r", 0), ("r", 2), ("r", 4), ("s", 0), ("s", 2), ("s", 4)]
-
-# boundary arcs by the original side they refine: the level-0 edge
-# (p0,p1) carries hexagon sides {0,1}, (p1,p2) sides {2,3}, (p0,p2)
-# sides {4,5}
-ARC_OF_MACRO = {0: (0, 1), 2: (2, 3), 1: (4, 5)}
-MACRO_OF_ARC = {frozenset(v): k for k, v in ARC_OF_MACRO.items()}
+# dihedral elements by role: s3 mirrors across the vertical axis, s0
+# across the horizontal axis
+S0, S3 = ("s", 0), ("s", 3)
 
 
 class LevelCache:
@@ -96,7 +87,6 @@ class LevelCache:
         self.C = SubdivisionComplex(cap)
         self._graphs = {}
         self._results = {}
-        self._flows = {}
         self._strands = {}
 
     def graph(self, family, n):
@@ -178,35 +168,48 @@ def unit_flow(cache: LevelCache, n):
     return cache.result("hexacarpet", n).flow
 
 
-def arc_flows(cache: LevelCache, n):
-    """Unit flows from the side-{0,1} arc to each adjacent arc.
+def side_flows(cache: LevelCache, n):
+    """Unit flows between the sides of the original triangle on the
+    level-n hexacarpet, as a (3, 3, edges) array.
 
-    H02 joins sides {0,1} to sides {4,5}: it equals the symmetrized
-    standard flow on the upper half-plane (triangles whose centroid lies
-    above the horizontal axis, which is made of level-1 edges, so no
-    triangle straddles it) and its vertical-mirror pullback on the lower
-    half.
-    Divergence cancels along the horizontal seam because the standard
-    flow is odd under the half turn.  H01 = H02 o s2 joins {0,1} to
-    {2,3}.  Both have energy R(n).
+    K[s, d] joins side s to side d, sides in the level-0 tri_edges order
+    (ab, ac, bc), whose arcs are hexagon sides {0,1}, {4,5} and {2,3}:
+    check_flow(G, K[s, d], arc of s, arc of d) is 1.  K[s, s] is 0.
+
+    K[0, 1] is the symmetrized standard flow on the upper half-plane
+    (triangles whose centroid lies above the horizontal axis, which is
+    made of level-1 edges, so no triangle straddles it) and its
+    vertical-mirror pullback on the lower half; divergence cancels
+    along the seam because the standard flow is odd under the half
+    turn.  The six symmetries keeping the original triangle carry it
+    onto the other five, each of energy R(n): g sends the flow from ab
+    to ac to the flow from g ab to g ac, side (a, b) being slot
+    a + b - 1.
     """
-    key = ("arcs", n)
-    if key not in cache._flows:
-        C = cache.C
-        G = cache.graph("hexacarpet", n)
-        I = unit_flow(cache, n)
-        mirror = hex_pullback(cache, n, I, S3)
-        upper = C.coords[C.tris[n][G.us], 1].sum(axis=1) > 0
-        H02 = np.where(upper, I, mirror)
-        H01 = hex_pullback(cache, n, H02, S2)
+    C = cache.C
+    G = cache.graph("hexacarpet", n)
+    I = unit_flow(cache, n)
+    mirror = hex_pullback(cache, n, I, S3)
+    upper = C.coords[C.tris[n][G.us], 1].sum(axis=1) > 0
+    H02 = np.where(upper, I, mirror)
+    if abs(check_flow(G, H02, G.boundary["A"], edge_arc(C, n, (4, 5))) - 1) > UNIT_TOL:
+        raise AssertionError("the side flow is not a unit flow")
 
-        A = G.boundary["A"]
-        f2 = check_flow(G, H02, A, edge_arc(C, n, (4, 5)))
-        f1 = check_flow(G, H01, A, edge_arc(C, n, (2, 3)))
-        if abs(f2 - 1) > UNIT_TOL or abs(f1 - 1) > UNIT_TOL:
-            raise AssertionError("arc flows are not unit flows")
-        cache._flows[key] = (H01, H02)
-    return cache._flows[key]
+    K = np.zeros((3, 3, G.m))
+    for g in dihedral_elements():
+        a, b, c = C.vertex_map(g, 1)[:3]
+        if sorted((a, b, c)) == [0, 1, 2]:
+            p = G.symmetry.perm(g)
+            K[a + b - 1, a + c - 1, G.positions(p[G.us], p[G.vs])] = H02
+    return K
+
+
+def arc_flows(cache: LevelCache, n):
+    """Unit flows from the side-{0,1} arc to each adjacent arc: H01 to
+    sides {2,3} and H02 to sides {4,5}, as K[0, 2] and K[0, 1] of
+    side_flows."""
+    K = side_flows(cache, n)
+    return K[0, 2], K[0, 1]
 
 
 # -- Y-decomposition and flow composition -------------------------------
@@ -258,33 +261,6 @@ def y_decomposition(cache: LevelCache, m):
     return YDecomposition(m, a, side)
 
 
-def _frame_for(x_side, y_sides):
-    """Per level-m triangle, the index into FRAME of the unique
-    side-permuting symmetry g aligning the arc flows with its branch
-    currents.
-
-    x_side is the (X, 3) array of level-m edge ids that the embedding
-    of each triangle makes of the original sides (ab, ac, bc), and
-    y_sides the (X, 3) level-m edge ids (a0_side, a1_side, a2_side).
-    The source arc (refining original edge 0) must land on the through
-    side, the H01 sink arc (edge 2) on the a1 side and the H02 sink arc
-    (edge 1) on the a2 side; the frame group hits each assignment once.
-    """
-    want = np.asarray(y_sides)[:, [0, 2, 1]]
-    hits = np.zeros((len(x_side), len(FRAME)), dtype=bool)
-    for i, g in enumerate(FRAME):
-        sp = side_perm(g)
-        # g carries the arc of original edge k onto that of edge j[k]
-        j = [MACRO_OF_ARC[frozenset(sp[s] for s in ARC_OF_MACRO[k])] for k in range(3)]
-        hits[:, i] = (x_side[:, j] == want).all(axis=1)
-    bad = np.nonzero(hits.sum(axis=1) != 1)[0]
-    if len(bad):
-        x = int(bad[0])
-        found = [g for g, h in zip(FRAME, hits[x]) if h]
-        raise AssertionError(f"frame not unique for triangle {x}: {found}")
-    return hits.argmax(axis=1)
-
-
 @dataclass
 class ComposedFlow:
     m: int
@@ -297,36 +273,45 @@ class ComposedFlow:
 
 
 def compose_flow(cache: LevelCache, m, n):
-    """Splice arc flows of level n into the level-m flow skeleton.
+    """Splice side flows of level n into the level-m flow skeleton.
 
-    Every level-m triangle x carries branch currents (a0, a1, a2).
-    Inside the level-(m+n) refinement of x we install
-    a1 * H01 + a2 * H02, transported so that the common source arc of
-    the two flows lands on x's through side.  Currents then match
+    Every level-m triangle x carries branch currents (a0, a1, a2) on
+    its sides (through, a1 side, a2 side).  Its embedding sends original
+    side slot k (ab, ac, bc) to x's side tri_edges[m][x, k], so with t,
+    j1, j2 the slots of those three sides, the refinement of x gets
+    a1 * K[t, j1] + a2 * K[t, j2] of side_flows.  Currents then match
     across cell interfaces (the arcs all carry one symmetric flux
     profile), producing a unit flow on level m+n whose energy is at
     most 4/3 R(m) R(n): the certificate for the upper resistance bound.
     """
     C = cache.C
     Y = y_decomposition(cache, m)
-    H01, H02 = arc_flows(cache, n)
+    K = side_flows(cache, n)
     Gn = cache.graph("hexacarpet", n)
     Gf = cache.graph("hexacarpet", m + n)
     Fn = Gn.meta["tri_count"]
     Ff = Gf.meta["tri_count"]
     es, ts = C.embed(m, n)
-    frame = _frame_for(C.tri_edges[m], Y.side)[:, None]
 
-    # row x: the level-n incidences transported by x's frame, then
-    # carried into x by its embedding
-    moves = np.stack([Gn.symmetry.perm(g) for g in FRAME])
-    ft = np.take_along_axis(ts, moves[frame, Gn.us], axis=1)
-    fe = np.take_along_axis(es, moves[frame, Gn.vs] - Fn, axis=1)
-    pos = Gf.positions(ft, Ff + fe).ravel()
+    # hit[x, k, s]: branch side k of x is its side in slot s.  A
+    # triangle's sides are distinct edges, so the branch sides name
+    # them once each exactly when every slot is hit once.
+    hit = Y.side[:, :, None] == C.tri_edges[m][:, None, :]
+    bad = np.nonzero((hit.sum(axis=1) != 1).any(axis=1))[0]
+    if len(bad):
+        x = int(bad[0])
+        raise AssertionError(
+            f"branch sides {Y.side[x].tolist()} of triangle {x} are not"
+            f" its sides {C.tri_edges[m][x].tolist()}"
+        )
+    t, j1, j2 = hit.argmax(axis=2).T
+
+    # row x: the level-n incidences carried into x by its embedding
+    pos = Gf.positions(ts[:, Gn.us], Ff + es[:, Gn.vs - Fn]).ravel()
     # a1, a2 count current leaving x through its branch sides, while
-    # the arc flows deposit into their source arc, so the splice flips
+    # the side flows deposit into their source arc, so the splice flips
     # sign to keep the fine flow coarse-oriented
-    spliced = -(Y.a[:, 1:2] * H01 + Y.a[:, 2:3] * H02)
+    spliced = -(Y.a[:, 1:2] * K[t, j1] + Y.a[:, 2:3] * K[t, j2])
     J = np.zeros(Gf.m)
     J[pos] = spliced.ravel()
     if not (np.bincount(pos, minlength=Gf.m) == 1).all():

@@ -191,10 +191,7 @@ class WeightedGraph:
         return lookup_sorted(self.us * self.n + self.vs, codes, "edge")
 
     def degrees(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.us, 1)
-        np.add.at(deg, self.vs, 1)
-        return deg
+        return np.bincount(self.us, minlength=self.n) + np.bincount(self.vs, minlength=self.n)
 
     def drop_edges(self, positions):
         """A copy without the edges at the given positions."""
@@ -440,9 +437,8 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     pendant = (G.degrees() == 1) & (np.arange(G.n) >= F) & ~ends
     core = strand[label] & ~pendant
     inner = core[G.us] & core[G.vs]
-    core_deg = np.zeros(G.n, dtype=np.int64)
-    np.add.at(core_deg, G.us[inner], 1)
-    np.add.at(core_deg, G.vs[inner], 1)
+    core_deg = np.bincount(G.us[inner], minlength=G.n)
+    core_deg += np.bincount(G.vs[inner], minlength=G.n)
     if ((core_deg == 1) != (core & ends)).any():
         raise FamilyError("cut strand is not a simple terminal path")
     if (core & ~ends & (core_deg != 2)).any():

@@ -234,6 +234,8 @@ class SubdivisionComplex:
     # -- construction ---------------------------------------------------
 
     def ensure_level(self, n):
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
         if n > self.cap:
             raise CapacityError(
                 f"level {n} exceeds cap {self.cap}; raise the cap to proceed"

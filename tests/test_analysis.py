@@ -8,9 +8,6 @@ import pytest
 
 from hexacarpet import analysis
 from hexacarpet.analysis import (
-    ARC_OF_MACRO,
-    FRAME,
-    MACRO_OF_ARC,
     LevelCache,
     YDecomposition,
     arc_flows,
@@ -21,15 +18,27 @@ from hexacarpet.analysis import (
     potential_decomposition,
     rho_fit_upto,
     short_report,
+    side_flows,
     spectral_dimension,
     unit_flow,
     verify_duality,
     verify_supermultiplicative,
     y_decomposition,
 )
+from hexacarpet.graphs import edge_arc
 from hexacarpet.network import check_flow, dissipation
 from hexacarpet.subdivision import side_perm
 from test_complex import CellMaps, SimplexId, apply_word
+
+# boundary arcs by the original side they refine: the level-0 edge
+# (p0,p1) carries hexagon sides {0,1}, (p1,p2) sides {2,3}, (p0,p2)
+# sides {4,5}
+ARC_OF_MACRO = {0: (0, 1), 2: (2, 3), 1: (4, 5)}
+MACRO_OF_ARC = {frozenset(v): k for k, v in ARC_OF_MACRO.items()}
+
+# the six symmetries permuting the three original triangle sides; they
+# act simply transitively on assignments of the three boundary arcs
+FRAME = [("r", 0), ("r", 2), ("r", 4), ("s", 0), ("s", 2), ("s", 4)]
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +78,28 @@ def test_arc_flows_have_standard_energy(cache):
         assert abs(dissipation(G, H02) - cache.R(n)) < 1e-8
         # cross energy bounded by the common energy (Cauchy-Schwarz)
         assert abs(dissipation(G, H01, H02)) <= cache.R(n) + 1e-9
+
+
+def test_side_flows(cache):
+    for n in range(1, 5):
+        K = side_flows(cache, n)
+        G = cache.graph("hexacarpet", n)
+        for s, d in itertools.permutations(range(3), 2):
+            arcs = (edge_arc(cache.C, n, ARC_OF_MACRO[k]) for k in (s, d))
+            assert abs(check_flow(G, K[s, d], *arcs) - 1) < 1e-9, (n, s, d)
+            assert abs(dissipation(G, K[s, d]) - cache.R(n)) <= 1e-12 * cache.R(n)
+        for s in range(3):
+            assert not K[s, s].any()
+        H01, H02 = arc_flows(cache, n)
+        assert np.array_equal(K[0, 2], H01)
+        assert np.array_equal(K[0, 1], H02)
+        # the paper's arc flows: the standard flow mirrored onto the lower
+        # half-plane, and its s2 image, which fixes the source arc
+        I = unit_flow(cache, n)
+        upper = cache.C.coords[cache.C.tris[n][G.us], 1].sum(axis=1) > 0
+        ref02 = np.where(upper, I, hex_pullback(cache, n, I, ("s", 3)))
+        assert np.array_equal(K[0, 1], ref02)
+        assert np.array_equal(K[0, 2], hex_pullback(cache, n, ref02, ("s", 2)))
 
 
 def test_y_decomposition_invariants(cache):
@@ -219,19 +250,26 @@ def test_compose_flow_rejects_overlapping_cells(monkeypatch):
         compose_flow(fresh, 1, 1)
 
 
-def test_compose_flow_rejects_non_unique_frame(monkeypatch):
+def test_compose_flow_rejects_branch_sides_off_the_triangle(monkeypatch):
     fresh = LevelCache(cap=3)
     real = analysis.y_decomposition
+    corruptions = [
+        # one triangle's three branch sides coincide
+        lambda side: side[3, 0],
+        # one triangle's branch sides are another triangle's sides
+        lambda side: side[0, ::-1],
+    ]
+    for corrupt in corruptions:
 
-    def corrupted(cache, m):
-        Y = real(cache, m)
-        side = Y.side.copy()
-        side[3] = side[3, 0]  # one triangle's three branch sides coincide
-        return YDecomposition(Y.level, Y.a, side)
+        def corrupted(cache, m):
+            Y = real(cache, m)
+            side = Y.side.copy()
+            side[3] = corrupt(Y.side)
+            return YDecomposition(Y.level, Y.a, side)
 
-    monkeypatch.setattr(analysis, "y_decomposition", corrupted)
-    with pytest.raises(AssertionError, match="frame not unique"):
-        compose_flow(fresh, 1, 1)
+        monkeypatch.setattr(analysis, "y_decomposition", corrupted)
+        with pytest.raises(AssertionError, match="of triangle 3 are not its sides"):
+            compose_flow(fresh, 1, 1)
 
 
 def test_potential_decomposition(cache):

@@ -788,6 +788,7 @@ def test_levels_out_of_range_are_refused():
     c.ensure_level(3)
     # a negative level would read the top level from the end of a list
     for call in (
+        lambda: c.ensure_level(-3),
         lambda: c.counts(-1),
         lambda: c.side_vertices(-1, 0),
         lambda: c.side_edges_at(-1, 0),
