@@ -193,15 +193,6 @@ class WeightedGraph:
     def degrees(self):
         return np.bincount(self.us, minlength=self.n) + np.bincount(self.vs, minlength=self.n)
 
-    def drop_edges(self, positions):
-        """A copy without the edges at the given positions."""
-        keep = np.ones(self.m, dtype=bool)
-        keep[np.asarray(positions, dtype=np.int64)] = False
-        return WeightedGraph(
-            self.n, self.us[keep], self.vs[keep], self.num[keep],
-            self.boundary, self.meta, self.den, self.symmetry,
-        )
-
 
 def _automorphism_sign(G: WeightedGraph, p, inA, inB):
     """+1 if the vertex images p are an involutive automorphism of G

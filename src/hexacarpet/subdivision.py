@@ -26,14 +26,17 @@ triangle around the center.
 
 The other maps used downstream are the dihedral symmetries of the
 hexagon, acting on every level from 1 up and keyed by the group
-element.  Each is held as int64 image arrays, built one level at a time
-on first use: the vertex images, and per level the image ids of every
-edge and triangle.  Level 1 is looked up in its own simplex codes.
-Every level above it is refined from the one below: a symmetry sends
-the children of a simplex s to the children of its image g s, so a half
-edge goes to the half of g e at the image of its endpoint, and a child
-triangle or inner edge of t to the one of g t in the slot that the
-vertex images pick out.
+element.  Each is held as the int64 image ids of every edge and
+triangle, built one level at a time on first use; the vertex images
+are the seven level-1 ones followed by those of each level's
+barycenters, which are the edge and triangle images.  Levels 1 and 2
+are looked up in their own simplex codes.  Every level above is refined
+from the one below by the step embed takes, each child going to the
+child of g s in the same slot.  That is exact from level 2 up: there
+every triangle is (older vertex, edge barycenter, triangle barycenter)
+and every edge joins two kinds of vertex, and g keeps each kind, so it
+keeps the sorted vertex order.  On level 1 it does not, as r1 sends
+corners to side barycenters.
 """
 
 from __future__ import annotations
@@ -93,9 +96,6 @@ _REFL_H = (P0, P2, P1, B02, B01, B12, CENTER)
 _SPLIT_Q = [0, 0, 1, 1, 2, 2]
 _SPLIT_SIDE = [0, 1, 0, 2, 1, 2]
 _SPLIT_HALF = [0, 0, 1, 0, 1, 1]
-# _SLOT[q, s] is the split j with q == _SPLIT_Q[j] and s == _SPLIT_SIDE[j]
-_SLOT = np.full((3, 3), -1, dtype=np.int64)
-_SLOT[_SPLIT_Q, _SPLIT_SIDE] = np.arange(6)
 
 
 class CapacityError(Exception):
@@ -207,7 +207,8 @@ class SubdivisionComplex:
     vertex.
 
     The dihedral symmetries, keyed by element, are read-only int64
-    arrays built on first use: vertex_map, edge_images and tri_images.
+    arrays: edge_images and tri_images, cached on first use, and
+    vertex_map, put together from them.
     """
 
     def __init__(self, cap=DEFAULT_CAP):
@@ -228,7 +229,6 @@ class SubdivisionComplex:
         self.vertex_sides = _frozen([0, 0, 0])
 
         # symmetry images, built a level at a time on first use
-        self._vmaps = {}  # element -> vertex images of ids < len
         self._images = {}  # (element, level) -> (edge images, tri images)
 
     # -- construction ---------------------------------------------------
@@ -357,6 +357,18 @@ class SubdivisionComplex:
             ids = self.edge_children[k][ids]
         return ids.reshape(np.shape(edge_id) + (-1,))
 
+    def _refine(self, es, ts, k, j):
+        """The level-(j+1) images of the level-(k+1) edges and triangles,
+        from the level-j images es and ts of the level-k ones, leading
+        axes kept: every child goes to the child of the image in the
+        same slot."""
+        e = np.empty(es.shape[:-1] + (len(self.edges[k + 1]),), dtype=np.int64)
+        e[..., self.edge_children[k]] = self.edge_children[j][es]
+        e[..., self.tri_inner[k]] = self.tri_inner[j][ts]
+        t = np.empty(ts.shape[:-1] + (len(self.tris[k + 1]),), dtype=np.int64)
+        t[..., self.tri_children[k]] = self.tri_children[j][ts]
+        return e, t
+
     def embed(self, m, n):
         """The level-(m+n) images of the level-n edges and triangles
         inside every level-m triangle, as (T_m, E_n) and (T_m, T_n) id
@@ -374,12 +386,7 @@ class SubdivisionComplex:
         self.require_level(m + n)
         es, ts = self.tri_edges[m], np.arange(len(self.tris[m]))[:, None]
         for k in range(n):
-            e = np.empty((len(ts), len(self.edges[k + 1])), dtype=np.int64)
-            e[:, self.edge_children[k]] = self.edge_children[m + k][es]
-            e[:, self.tri_inner[k]] = self.tri_inner[m + k][ts]
-            t = np.empty((len(ts), len(self.tris[k + 1])), dtype=np.int64)
-            t[:, self.tri_children[k]] = self.tri_children[m + k][ts]
-            es, ts = e, t
+            es, ts = self._refine(es, ts, k, m + k)
         return es, ts
 
     # -- symmetries ------------------------------------------------------
@@ -390,19 +397,22 @@ class SubdivisionComplex:
             if n < 1:
                 raise ValueError(f"the symmetry {g} is defined from level 1")
             self.require_level(n)
-            images = self._search_images(g) if n == 1 else self._refine_images(g, n)
+            if n <= 2:
+                images = self._search_images(g, n)
+            else:
+                images = self._refine(*self._map_images(g, n - 1), n - 1, n - 1)
             self._images[(g, n)] = tuple(map(_frozen, images))
         return self._images[(g, n)]
 
-    def _search_images(self, g):
-        """Level-1 images, by lookup of the image vertices in the level's
+    def _search_images(self, g, n):
+        """Level-n images, by lookup of the image vertices in the level's
         simplex codes: u*V + v for an edge (u, v) and edge_id(a, b)*V + c
-        for a triangle (a, b, c), with V = offsets[1].  Both run in id
+        for a triangle (a, b, c), with V = offsets[n].  Both run in id
         order, as the rows are sorted."""
-        nv, edges, tris = self.offsets[1], self.edges[1], self.tris[1]
+        nv, edges, tris = self.offsets[n], self.edges[n], self.tris[n]
         ecodes = edges[:, 0] * nv + edges[:, 1]
-        tcodes = self.tri_edges[1][:, 0] * nv + tris[:, 2]
-        vm = self.vertex_map(g, 1)
+        tcodes = self.tri_edges[n][:, 0] * nv + tris[:, 2]
+        vm = self.vertex_map(g, n)
         ie = vm[edges]
         lo, hi = ie.min(axis=1), ie.max(axis=1)
         eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
@@ -411,54 +421,19 @@ class SubdivisionComplex:
         timg = lookup_sorted(tcodes, ab * nv + it[:, 2], "triangle image")
         return eimg, timg
 
-    def _refine_images(self, g, n):
-        """Images at level n from those at level n - 1: a child of a
-        simplex s maps to the matching child of the image of s."""
-        p = n - 1
-        eimg_p, timg_p = self._map_images(g, p)
-        vm = self.vertex_map(g, p)
-        # pos[t, j]: the slot of vertex j's image in the sorted image of
-        # triangle t; side (a, b) goes to side pos[a] + pos[b] - 1
-        it = vm[self.tris[p]]
-        pos = (it[:, :, None] > it[:, None, :]).sum(axis=2)
-        side = pos[:, [0, 0, 1]] + pos[:, [1, 2, 2]] - 1
-
-        eimg = np.empty(len(self.edges[n]), dtype=np.int64)
-        # half s of edge e goes to half s ^ flip of g e, flip being set
-        # when the smaller end of e maps to the larger end of g e
-        ie = vm[self.edges[p]]
-        flip = ie[:, :1] > ie[:, 1:]
-        eimg[self.edge_children[p]] = np.take_along_axis(
-            self.edge_children[p][eimg_p], flip ^ np.array([[0, 1]]), axis=1
-        )
-        eimg[self.tri_inner[p]] = np.take_along_axis(
-            self.tri_inner[p][timg_p], np.concatenate([pos, 3 + side], axis=1), axis=1
-        )
-        timg = np.empty(len(self.tris[n]), dtype=np.int64)
-        timg[self.tri_children[p]] = np.take_along_axis(
-            self.tri_children[p][timg_p],
-            _SLOT[pos[:, _SPLIT_Q], side[:, _SPLIT_SIDE]],
-            axis=1,
-        )
-        return eimg, timg
-
     def vertex_map(self, g, n):
         """The images of the level-n vertex ids (below offsets[n]) under
-        the dihedral element g, as an int64 array."""
+        the dihedral element g, as a read-only int64 array."""
         if n < 1:
             raise ValueError(f"the symmetry {g} is defined from level 1")
         self.require_level(n)
-        arr = self._vmaps.get(g)
-        if arr is None:
-            # the base covers all seven level-1 ids
-            arr = self._vmaps[g] = _frozen(_base_perm(g))
-        while len(arr) < self.offsets[n]:
-            # the next ids are the level-k barycenters, edges first
-            k = self.offsets.index(len(arr))
+        # the seven level-1 ids, then each level's barycenters, edges first
+        parts = [_base_perm(g)]
+        for k in range(1, n):
             eimg, timg = self._map_images(g, k)
             V, E = self.offsets[k], len(self.edges[k])
-            arr = self._vmaps[g] = _frozen(np.concatenate([arr, V + eimg, V + E + timg]))
-        return arr[: self.offsets[n]]
+            parts += [V + eimg, V + E + timg]
+        return _frozen(np.concatenate(parts))
 
     def edge_images(self, g, n):
         """Image edge ids of all level-n edges under g."""

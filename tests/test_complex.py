@@ -724,6 +724,29 @@ def test_embedding_matches_cell_maps():
             assert np.array_equal(es[x], eimg[r2e])
 
 
+def test_symmetries_commute_with_embedding():
+    # g sends the level-j simplex in slot i of triangle x to the one in
+    # slot i of g x once the triangles are (older vertex, edge
+    # barycenter, triangle barycenter), from level 2 up.  A level-1
+    # triangle is (corner, side barycenter, center), and only the
+    # elements that keep the corners p0, p1, p2 keep that order
+    c6 = SubdivisionComplex(cap=6)
+    c6.ensure_level(6)
+    keep = {("r", 0), ("r", 2), ("r", 4), ("s", 0), ("s", 2), ("s", 4)}
+    assert keep == {
+        g for g in dihedral_elements() if sorted(c6.vertex_map(g, 1)[:3]) == [0, 1, 2]
+    }
+    for m in (1, 2, 3):
+        for j in range(1, 7 - m):
+            es, ts = c6.embed(m, j)
+            commute = {
+                g for g in dihedral_elements()
+                if np.array_equal(c6.tri_images(g, m + j)[ts], ts[c6.tri_images(g, m)])
+                and np.array_equal(c6.edge_images(g, m + j)[es], es[c6.tri_images(g, m)])
+            }
+            assert commute == (keep if m == 1 else set(dihedral_elements())), (m, j)
+
+
 def test_apply_word_on_vertices(C):
     # the level-0 corner p0 maps to the center under every cell map
     F = CellMaps(C)
@@ -741,7 +764,7 @@ def test_capacity_and_missing_level():
     c.ensure_level(1)
     with pytest.raises(MissingLevelError):
         c.edge_images(("s", 0), 2)
-    # above level 1 the images are refined from the level below; a level
+    # above level 2 the images are refined from the level below; a level
     # above the top is refused even when the one below it is built
     c = SubdivisionComplex(cap=3)
     c.ensure_level(2)
@@ -780,7 +803,7 @@ def test_maps_refuse_what_is_not_a_dihedral_element():
             c.vertex_map(bad, 1)
         with pytest.raises(ValueError, match="not a dihedral element"):
             side_perm(bad)
-    assert c._images == {} and c._vmaps == {}
+    assert c._images == {}
 
 
 def test_levels_out_of_range_are_refused():
