@@ -67,19 +67,21 @@ def _manifest(args, timings):
     }
 
 
-def _emit(text, out):
+def _emit(out, *texts):
+    """Write the texts one after another to the file out, or to stdout
+    when out is empty; they are not joined first."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _report(args, csv, doc):
     """Emit a subcommand's result: the CSV text or the JSON document,
     as --format asks."""
     text = csv if args.format == "csv" else json.dumps(doc, indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(args.out, text)
 
 
 def _cache():
@@ -93,11 +95,11 @@ def cmd_build(args):
     cache = _cache()
     if args.format == "json":
         cache.C.ensure_level(args.level)
-        _emit(cache.C.to_json(args.level) + "\n", args.out)
+        _emit(args.out, cache.C.to_json(args.level), "\n")
         return 0
     G = cache.graph(args.family, args.level)
     text = to_edgelist(G) if args.format == "edgelist" else to_dot(G)
-    _emit(text, args.out)
+    _emit(args.out, text)
     return 0
 
 

@@ -27,6 +27,12 @@ DihedralAction on its vertices, read lazily from the complex's map
 image arrays.  stabiliser() picks the elements that fix or swap a
 terminal pair and keeps only those it verifies as automorphisms of the
 actual graph; the solver uses them to reduce its unknowns.
+
+The exports to_edgelist and to_dot hand the edges to the text writer
+subdivision.format_rows as one IntRows table: the columns us and vs,
+and a tail per row picked by its conductance numerator, each label
+text made once.  The boundary header and the dot preamble are its
+leading strings, so no export joins its text afterwards.
 """
 
 from __future__ import annotations
@@ -43,9 +49,11 @@ from .subdivision import (
     B02,
     CENTER,
     SIDE_BIT,
+    IntRows,
     SubdivisionComplex,
     dihedral_compose,
     dihedral_elements,
+    format_rows,
     lookup_sorted,
     side_perm,
 )
@@ -519,56 +527,11 @@ def build_short_graph(C: SubdivisionComplex, n, H):
 # -- exports ------------------------------------------------------------
 
 
-def _put_digits(x, table, keep):
-    """Write the decimal digits of the non-negative ints x right-aligned
-    into the byte columns table, marking the significant ones in keep;
-    x is used as scratch.  Each digit is made in a contiguous row, then
-    all are copied across at once."""
-    width = table.shape[1]
-    digits = np.empty((width, len(x)), dtype=np.uint8)
-    big = np.empty((width, len(x)), dtype=bool)
-    big[-1] = True
-    q, d = np.empty_like(x), np.empty_like(x)
-    for j in range(width - 1, -1, -1):
-        np.divmod(x, 10, out=(q, d))
-        np.add(d, 48, out=digits[j], casting="unsafe")
-        if j:
-            np.greater(q, 0, out=big[j - 1])
-        x, q = q, x
-    table[:] = digits.T
-    keep[:] = big.T
-
-
-def _edge_lines(G: WeightedGraph, head, mid, label):
-    """One line head + u + mid + v + label(conductance) per edge, as a
-    string.  The bytes are laid out in one table, row per edge: the
-    digits of u and v come from integer arithmetic on the edge arrays,
-    the label text is encoded once per distinct conductance, and one
-    boolean compaction drops the padding."""
-    vals = np.unique(G.num)
-    texts = [label(Fraction(p, G.den)).encode("ascii") for p in vals.tolist()]
-    slot = np.searchsorted(vals, G.num)
-    digits = [len(str(int(x.max()))) if len(x) else 1 for x in (G.us, G.vs)]
-    widths = [len(head), digits[0], len(mid), digits[1], max(map(len, texts), default=0)]
-    ends = np.cumsum(widths)
-    table = np.zeros((G.m, ends[-1]), dtype=np.uint8)
-    keep = np.zeros((G.m, ends[-1]), dtype=bool)
-    cols = [slice(e - w, e) for e, w in zip(ends, widths)]
-    for c, text in ((cols[0], head), (cols[2], mid)):
-        table[:, c] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        keep[:, c] = True
-    # int32 halves the cost of the digit arithmetic where it suffices
-    small = np.int32 if G.n < 2 ** 31 else np.int64
-    _put_digits(G.us.astype(small), table[:, cols[1]], keep[:, cols[1]])
-    _put_digits(G.vs.astype(small), table[:, cols[3]], keep[:, cols[3]])
-    labels = np.zeros((len(texts), widths[4]), dtype=np.uint8)
-    used = np.zeros((len(texts), widths[4]), dtype=bool)
-    for i, t in enumerate(texts):
-        labels[i, : len(t)] = np.frombuffer(t, dtype=np.uint8)
-        used[i, : len(t)] = True
-    table[:, cols[4]] = np.take(labels, slot, axis=0)
-    keep[:, cols[4]] = np.take(used, slot, axis=0)
-    return table[keep].tobytes().decode("ascii")
+def _edge_rows(G: WeightedGraph, head, mid, label):
+    """The rows head + u + mid + v + label(conductance), one per edge,
+    each label text made once per distinct conductance."""
+    tails = {p: label(Fraction(p, G.den)) for p in np.unique(G.num).tolist()}
+    return IntRows((G.us, G.vs), (head, mid), tails, G.num)
 
 
 def to_edgelist(G: WeightedGraph):
@@ -578,9 +541,9 @@ def to_edgelist(G: WeightedGraph):
     for name in sorted(G.boundary):
         members = " ".join(str(v) for v in sorted(G.boundary[name]))
         lines.append(f"#boundary {name}: {members}\n")
-    text = "".join(lines) + _edge_lines(
-        G, "", " ", lambda c: f" {c.numerator}/{c.denominator}\n"
-    )
+    text = format_rows([
+        "".join(lines), _edge_rows(G, "", " ", lambda c: f" {c.numerator}/{c.denominator}\n")
+    ])
     return text or "\n"
 
 
@@ -593,7 +556,7 @@ def to_dot(G: WeightedGraph):
         lines.append(f'  {v} [color="red"];')
     for v in sorted(B):
         lines.append(f'  {v} [color="blue"];')
-    edges = _edge_lines(
+    edges = _edge_rows(
         G, "  ", " -- ", lambda c: f' [label="{c.numerator}/{c.denominator}"];\n'
     )
-    return "\n".join(lines) + "\n" + edges + "}\n"
+    return format_rows(["".join(line + "\n" for line in lines), edges, "}\n"])

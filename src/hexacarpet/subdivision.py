@@ -37,11 +37,19 @@ every triangle is (older vertex, edge barycenter, triangle barycenter)
 and every edge joins two kinds of vertex, and g keeps each kind, so it
 keeps the sorted vertex order.  On level 1 it does not, as r1 sends
 corners to side barycenters.
+
+Text output, this module's to_json and the graph exports alike, goes
+through one writer, format_rows: literal strings and IntRows tables of
+int columns (signed), each row with fixed separators and a tail picked
+from a few texts.  It counts the exact byte length, fills one uint8
+buffer a block of _TEXT_BLOCK rows at a time, digits from integer
+arithmetic, and decodes it once, so an export holds about two copies of
+its text at its peak: the buffer and the string.
 """
 
 from __future__ import annotations
 
-import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -455,20 +463,166 @@ class SubdivisionComplex:
         g = np.gcd(num, self.denom)
         den = self.denom // g
         vertices = np.stack([num // g, den], axis=2).reshape(-1, 4)
+        del g, den
         # the barycenter ids follow the numbering, so they need no
         # deeper level built; the cap has no barycenters
         below = n < self.cap
-        bary_e = np.arange(V, V + E) if below else []
-        bary_t = np.arange(V + E, V + E + T) if below else []
+        bary_e = np.arange(V, V + E) if below else np.arange(0)
+        bary_t = np.arange(V + E, V + E + T) if below else np.arange(0)
 
-        def dump(table):
-            # one table at a time is held as Python lists
-            return json.dumps(np.asarray(table).tolist(), separators=(",", ":"))
+        def pairs(table):
+            # [a,b,...] per row, rows joined by commas
+            seps = ("[",) + (",",) * (table.shape[1] - 1)
+            return IntRows(tuple(table.T), seps, {0: "]"}, between=",")
 
-        return "".join([
-            f'{{"level":{n},"vertices":', dump(vertices),
-            ',"edges":', dump(self.edges[n]),
-            ',"triangles":', dump(self.tris[n]),
-            ',"barycenters":{"edges":', dump(bary_e),
-            ',"triangles":', dump(bary_t), "}}",
+        def ids(column):
+            return IntRows((column,), ("",), {0: ""}, between=",")
+
+        return format_rows([
+            f'{{"level":{n},"vertices":[', pairs(vertices),
+            '],"edges":[', pairs(self.edges[n]),
+            '],"triangles":[', pairs(self.tris[n]),
+            '],"barycenters":{"edges":[', ids(bary_e),
+            '],"triangles":[', ids(bary_t), "]}}",
         ])
+
+
+# -- text output ----------------------------------------------------------
+
+# rows per block of format_rows: a block's scratch, some 80 bytes a row,
+# stays near 1 MB, and the level-7 exports time the same from 2^13 to
+# 2^16 rows a block
+_TEXT_BLOCK = 1 << 14
+
+
+class IntRows(NamedTuple):
+    """A table of integer rows for format_rows.
+
+    Row i reads seps[0], cols[0][i], seps[1], cols[1][i], ... and then
+    its tail tails[key[i]], or the one text in tails when key is None;
+    the rows are joined by between.  The columns are int arrays of one
+    length, and may hold negative values.
+    """
+
+    cols: tuple
+    seps: tuple
+    tails: dict
+    key: np.ndarray | None = None
+    between: str = ""
+
+
+def _ascii(text):
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+def _blocks(rows):
+    """The (start, stop) row ranges of the blocks, each with the row
+    positions of its tails in the sorted keys."""
+    m = len(rows.cols[0])
+    keys = np.array(sorted(rows.tails), dtype=np.int64)
+    key = rows.key if rows.key is not None else np.broadcast_to(keys[:1], (m,))
+    for a in range(0, m, _TEXT_BLOCK):
+        b = min(a + _TEXT_BLOCK, m)
+        yield a, b, np.searchsorted(keys, key[a:b])
+
+
+def _rows_size(rows):
+    """The exact byte length of the rows' text."""
+    m = len(rows.cols[0])
+    tails = np.array([len(rows.tails[k]) for k in sorted(rows.tails)])
+    size = m * len("".join(rows.seps)) + max(m - 1, 0) * len(rows.between)
+    for a, b, slot in _blocks(rows):
+        size += int(tails[slot].sum())
+        for col in rows.cols:
+            # a digit per power of ten up to |x|, and a sign if x < 0
+            x = col[a:b]
+            ax = np.abs(x)
+            size += b - a + np.count_nonzero(x < 0)
+            top, p = int(ax.max()), 10
+            while p <= top:
+                size += np.count_nonzero(ax >= p)
+                p *= 10
+    return size
+
+
+def _fill_rows(rows, buf, pos):
+    """Write the rows' text into the uint8 buffer buf from pos on and
+    return the position after it.  Each block is laid out as a byte
+    table, a row per row, and one boolean compaction drops the padding:
+    the digits of a column are right-aligned behind its sign."""
+    between, seps = _ascii(rows.between), [_ascii(s) for s in rows.seps]
+    texts = [_ascii(rows.tails[k]) for k in sorted(rows.tails)]
+    tails = np.zeros((len(texts), max(map(len, texts), default=0)), dtype=np.uint8)
+    used = np.zeros(tails.shape, dtype=bool)
+    for i, t in enumerate(texts):
+        tails[i, : len(t)] = t
+        used[i, : len(t)] = True
+    for a, b, slot in _blocks(rows):
+        xs = [col[a:b] for col in rows.cols]
+        signs = [int(x.min() < 0) for x in xs]
+        widths = [len(str(max(int(x.max()), -int(x.min())))) for x in xs]
+        width = (len(between) + sum(len(s) for s in seps) + sum(signs)
+                 + sum(widths) + tails.shape[1])
+        table = np.empty((b - a, width), dtype=np.uint8)
+        keep = np.empty((b - a, width), dtype=bool)
+        c = 0
+
+        def put(text):
+            nonlocal c
+            table[:, c : c + len(text)] = text
+            keep[:, c : c + len(text)] = True
+            c += len(text)
+
+        put(between)
+        if a == 0:
+            keep[0, : len(between)] = False
+        for x, sep, sign, w in zip(xs, seps, signs, widths):
+            put(sep)
+            if sign:
+                table[:, c] = ord("-")
+                np.less(x, 0, out=keep[:, c])
+                c += 1
+            # int32 halves the cost of the digit arithmetic where it
+            # suffices; a floor division and a multiply-add beat divmod
+            v = np.empty(b - a, dtype=np.int32 if w < 10 else np.int64)
+            np.abs(x, out=v, casting="unsafe")
+            q, d = np.empty_like(v), np.empty_like(v)
+            keep[:, c + w - 1] = True
+            for j in range(c + w - 1, c - 1, -1):
+                np.floor_divide(v, 10, out=q)
+                np.multiply(q, -10, out=d)
+                np.add(d, v, out=d)
+                np.add(d, ord("0"), out=table[:, j], casting="unsafe")
+                if j > c:
+                    np.greater(q, 0, out=keep[:, j - 1])
+                v, q = q, v
+            c += w
+        table[:, c:] = np.take(tails, slot, axis=0)
+        keep[:, c:] = np.take(used, slot, axis=0)
+        out = table[keep]
+        buf[pos : pos + len(out)] = out
+        pos += len(out)
+    return pos
+
+
+def format_rows(parts):
+    """The text of parts, a sequence of strings and IntRows tables, one
+    after the other.
+
+    The exact byte length is counted first; then one uint8 buffer is
+    filled, a block of _TEXT_BLOCK rows at a time, and decoded once, so
+    the buffer and the returned string are the only full-size arrays
+    made.  The digits come from integer arithmetic on the columns, and
+    each tail is encoded once.
+    """
+    size = sum(len(p) if isinstance(p, str) else _rows_size(p) for p in parts)
+    buf = np.empty(size, dtype=np.uint8)
+    pos = 0
+    for part in parts:
+        if isinstance(part, str):
+            buf[pos : pos + len(part)] = _ascii(part)
+            pos += len(part)
+        else:
+            pos = _fill_rows(part, buf, pos)
+    assert pos == size
+    return str(buf.data, "ascii")

@@ -17,6 +17,7 @@ from hexacarpet import (
     MissingLevelError,
     SubdivisionComplex,
 )
+from hexacarpet import subdivision
 from hexacarpet.graphs import ONE, build_dual
 from hexacarpet.subdivision import (
     B01,
@@ -31,9 +32,11 @@ from hexacarpet.subdivision import (
     _SPLIT_Q,
     _SPLIT_SIDE,
     _base_perm,
+    IntRows,
     _check_int64,
     dihedral_compose,
     dihedral_elements,
+    format_rows,
     lookup_sorted,
     side_perm,
 )
@@ -510,6 +513,44 @@ def test_to_json_matches_reference(C, R):
     doc = json.loads(at_cap.to_json(top))
     assert doc["barycenters"] == {"edges": [], "triangles": []}
     assert doc == {**json.loads(R.to_json(top)), "barycenters": doc["barycenters"]}
+
+
+def json_by_lists(C, n):
+    # the document with each table turned into Python lists for json
+    V, E, T = C.counts(n)
+    num = C.coords[:V]
+    g = np.gcd(num, C.denom)
+    vertices = np.stack([num // g, C.denom // g], axis=2).reshape(-1, 4)
+    below = n < C.cap
+    doc = {
+        "level": n,
+        "vertices": vertices.tolist(),
+        "edges": C.edges[n].tolist(),
+        "triangles": C.tris[n].tolist(),
+        "barycenters": {
+            "edges": list(range(V, V + E)) if below else [],
+            "triangles": list(range(V + E, V + E + T)) if below else [],
+        },
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_to_json_is_exact_across_text_blocks(monkeypatch, block):
+    monkeypatch.setattr(subdivision, "_TEXT_BLOCK", block)
+    below_cap = SubdivisionComplex(cap=4)
+    below_cap.ensure_level(3)
+    at_cap = SubdivisionComplex(cap=3)
+    at_cap.ensure_level(3)
+    for c, n in ((below_cap, 1), (below_cap, 2), (below_cap, 3), (at_cap, 3)):
+        assert c.to_json(n) == json_by_lists(c, n)
+    # negative values of every digit count, up to the int64 extremes
+    rng = np.random.default_rng(7)
+    table = rng.integers(-(10 ** 18), 10 ** 18, (40, 3)) // 10 ** rng.integers(0, 19, (40, 3))
+    table[:2] = [[0, -1, 9], [np.iinfo(np.int64).max, -np.iinfo(np.int64).max, -10]]
+    rows = IntRows(tuple(table.T), ("[", ",", ","), {0: "]"}, between=",")
+    text = format_rows(["[", rows, "]"])
+    assert text == json.dumps(table.tolist(), separators=(",", ":"))
 
 
 def test_lookup_sorted_finds_or_raises():

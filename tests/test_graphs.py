@@ -1,5 +1,6 @@
 """Graph family builders, surgeries and exports."""
 
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from hexacarpet import SubdivisionComplex, analysis, graphs
+from hexacarpet import SubdivisionComplex, analysis, graphs, subdivision
 from hexacarpet.analysis import LevelCache, cut_report, estimate_rho
 from hexacarpet.graphs import (
     FamilyError,
@@ -454,8 +455,20 @@ def _reference_edgelist(G):
     return "\n".join(lines) + "\n"
 
 
-def test_exports_match_per_edge_format_on_odd_graphs():
-    cases = [
+def _reference_dot(G):
+    # one f-string per line, as the exports were first written
+    lines = ["graph G {", "  node [shape=point];"]
+    lines += [f'  {v} [color="red"];' for v in sorted(G.boundary.get("A", ()))]
+    lines += [f'  {v} [color="blue"];' for v in sorted(G.boundary.get("B", ()))]
+    lines += [
+        f'  {u} -- {v} [label="{c.numerator}/{c.denominator}"];'
+        for u, v, c in zip(G.us.tolist(), G.vs.tolist(), G.cond)
+    ]
+    return "\n".join(lines) + "\n}\n"
+
+
+def _odd_graphs():
+    return [
         WeightedGraph(3, [], [], [], {}),
         WeightedGraph(3, [], [], [], {"A": {0}, "B": {2}}),
         # ids across digit widths, unequal widths of u and v, rationals
@@ -465,7 +478,10 @@ def test_exports_match_per_edge_format_on_odd_graphs():
             {"A": {0, 9}, "B": {1000}},
         ),
     ]
-    for G in cases:
+
+
+def test_exports_match_per_edge_format_on_odd_graphs():
+    for G in _odd_graphs():
         assert to_edgelist(G) == _reference_edgelist(G)
         dot = to_dot(G).splitlines()
         body = [l for l in _reference_edgelist(G).splitlines() if l and l[0] != "#"]
@@ -473,6 +489,29 @@ def test_exports_match_per_edge_format_on_odd_graphs():
             f'  {w.split()[0]} -- {w.split()[1]} [label="{w.split()[2]}"];' for w in body
         ]
         assert dot[-1] == "}"
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_exports_are_exact_across_text_blocks(C, monkeypatch, block):
+    monkeypatch.setattr(subdivision, "_TEXT_BLOCK", block)
+    builds = (build_skeleton, build_dual, build_hexacarpet, cut_graph, short_graph)
+    for G in [build(C, n) for n in (1, 2, 3) for build in builds] + _odd_graphs():
+        assert to_edgelist(G) == _reference_edgelist(G)
+        assert to_dot(G) == _reference_dot(G)
+
+
+def test_exports_hold_at_most_three_copies_of_their_text():
+    # tracemalloc sees numpy's buffers as well as the strings
+    cache = LevelCache()
+    G = cache.graph("hexacarpet", 6)
+    for export in (lambda: to_edgelist(G), lambda: cache.C.to_json(6)):
+        tracemalloc.start()
+        try:
+            text = export()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
 
 def test_each_hexacarpet_is_built_once(monkeypatch):
