@@ -10,8 +10,9 @@ Subcommands:
   bounds      cut and short surgery estimates per level
 
 Exit codes: 0 success / checks pass, 1 a verification verdict failed,
-2 bad configuration, 3 level exceeds the cap, 4 solver failure.  The
-environment variable HEXACARPET_CAP overrides the default level cap.
+2 bad configuration or an unwritable --out, 3 level exceeds the cap,
+4 solver failure.  The environment variable HEXACARPET_CAP overrides
+the default level cap.
 
 CSV output is deterministic byte-for-byte across runs; wall-clock
 timings appear only in JSON manifests.
@@ -299,6 +300,9 @@ def main(argv=None):
         return 4
     except (FamilyError, ValueError) as exc:
         print(f"config: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -32,7 +32,9 @@ The exports to_edgelist and to_dot hand the edges to the text writer
 subdivision.format_rows as one IntRows table: the columns us and vs,
 and a tail per row picked by its conductance numerator, each label
 text made once.  The boundary header and the dot preamble are its
-leading strings, so no export joins its text afterwards.
+leading strings.  The writer decodes each block of rows to a string as
+it fills and joins them with these strings once, so no export joins
+its text afterwards.
 """
 
 from __future__ import annotations
@@ -412,6 +414,12 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     alternating triangle / interior-edge vertices with one end on the
     side-{0,1} arc and one on the side-{4,5} arc, every arc vertex is
     used exactly once, and the strands exhaust all 6^n triangles.
+
+    Measured, not yet derived: strand i has 2^n s(2i + 1) triangles,
+    with s Stern's diatomic sequence (Calkin and Wilf, "Recounting the
+    rationals", Amer. Math. Monthly 2000), so the s(2i + 1) sum to 3^n.
+    The tests check this at levels up to 6; deriving it from
+    cut_segments' r4/s0 rule is still open.
     """
     F = G.meta["tri_count"]
     ncomp, label = G.components()

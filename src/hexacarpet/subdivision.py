@@ -41,10 +41,10 @@ corners to side barycenters.
 Text output, this module's to_json and the graph exports alike, goes
 through one writer, format_rows: literal strings and IntRows tables of
 int columns (signed), each row with fixed separators and a tail picked
-from a few texts.  It counts the exact byte length, fills one uint8
-buffer a block of _TEXT_BLOCK rows at a time, digits from integer
-arithmetic, and decodes it once, so an export holds about two copies of
-its text at its peak: the buffer and the string.
+from a few texts.  It writes a block of _TEXT_BLOCK rows at a time,
+digits from integer arithmetic, decodes each block to a string as it
+fills and joins the strings once, so an export holds about two copies
+of its text at its peak: the block strings and the joined string.
 """
 
 from __future__ import annotations
@@ -515,49 +515,24 @@ def _ascii(text):
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
-def _blocks(rows):
-    """The (start, stop) row ranges of the blocks, each with the row
-    positions of its tails in the sorted keys."""
+def _row_blocks(rows):
+    """The rows' text, a string per block of _TEXT_BLOCK rows.  Each
+    block is laid out as a byte table, a row per row, and one boolean
+    compaction drops the padding: the digits of a column are
+    right-aligned behind its sign."""
     m = len(rows.cols[0])
-    keys = np.array(sorted(rows.tails), dtype=np.int64)
+    keys = sorted(rows.tails)
     key = rows.key if rows.key is not None else np.broadcast_to(keys[:1], (m,))
-    for a in range(0, m, _TEXT_BLOCK):
-        b = min(a + _TEXT_BLOCK, m)
-        yield a, b, np.searchsorted(keys, key[a:b])
-
-
-def _rows_size(rows):
-    """The exact byte length of the rows' text."""
-    m = len(rows.cols[0])
-    tails = np.array([len(rows.tails[k]) for k in sorted(rows.tails)])
-    size = m * len("".join(rows.seps)) + max(m - 1, 0) * len(rows.between)
-    for a, b, slot in _blocks(rows):
-        size += int(tails[slot].sum())
-        for col in rows.cols:
-            # a digit per power of ten up to |x|, and a sign if x < 0
-            x = col[a:b]
-            ax = np.abs(x)
-            size += b - a + np.count_nonzero(x < 0)
-            top, p = int(ax.max()), 10
-            while p <= top:
-                size += np.count_nonzero(ax >= p)
-                p *= 10
-    return size
-
-
-def _fill_rows(rows, buf, pos):
-    """Write the rows' text into the uint8 buffer buf from pos on and
-    return the position after it.  Each block is laid out as a byte
-    table, a row per row, and one boolean compaction drops the padding:
-    the digits of a column are right-aligned behind its sign."""
     between, seps = _ascii(rows.between), [_ascii(s) for s in rows.seps]
-    texts = [_ascii(rows.tails[k]) for k in sorted(rows.tails)]
+    texts = [_ascii(rows.tails[k]) for k in keys]
     tails = np.zeros((len(texts), max(map(len, texts), default=0)), dtype=np.uint8)
     used = np.zeros(tails.shape, dtype=bool)
     for i, t in enumerate(texts):
         tails[i, : len(t)] = t
         used[i, : len(t)] = True
-    for a, b, slot in _blocks(rows):
+    for a in range(0, m, _TEXT_BLOCK):
+        b = min(a + _TEXT_BLOCK, m)
+        slot = np.searchsorted(keys, key[a:b])
         xs = [col[a:b] for col in rows.cols]
         signs = [int(x.min() < 0) for x in xs]
         widths = [len(str(max(int(x.max()), -int(x.min())))) for x in xs]
@@ -599,30 +574,24 @@ def _fill_rows(rows, buf, pos):
             c += w
         table[:, c:] = np.take(tails, slot, axis=0)
         keep[:, c:] = np.take(used, slot, axis=0)
-        out = table[keep]
-        buf[pos : pos + len(out)] = out
-        pos += len(out)
-    return pos
+        yield str(table[keep].data, "ascii")
 
 
 def format_rows(parts):
     """The text of parts, a sequence of strings and IntRows tables, one
     after the other.
 
-    The exact byte length is counted first; then one uint8 buffer is
-    filled, a block of _TEXT_BLOCK rows at a time, and decoded once, so
-    the buffer and the returned string are the only full-size arrays
-    made.  The digits come from integer arithmetic on the columns, and
-    each tail is encoded once.
+    Each table is written a block of _TEXT_BLOCK rows at a time, and
+    each block is decoded to a string as soon as it is filled; the
+    strings are joined once, so the block strings and the returned
+    string are the only full-size copies of the text.  The digits come
+    from integer arithmetic on the columns, and each tail is encoded
+    once.
     """
-    size = sum(len(p) if isinstance(p, str) else _rows_size(p) for p in parts)
-    buf = np.empty(size, dtype=np.uint8)
-    pos = 0
+    texts = []
     for part in parts:
         if isinstance(part, str):
-            buf[pos : pos + len(part)] = _ascii(part)
-            pos += len(part)
+            texts.append(part)
         else:
-            pos = _fill_rows(part, buf, pos)
-    assert pos == size
-    return str(buf.data, "ascii")
+            texts += _row_blocks(part)
+    return "".join(texts)

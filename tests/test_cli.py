@@ -166,6 +166,18 @@ def test_bad_level_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["duality", "--max-level", "2"],
+    ["build", "--family", "dual", "--level", "1"],
+])
+def test_unwritable_out_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and str(path) in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "g.edges"
     code = main(

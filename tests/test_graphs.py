@@ -218,6 +218,14 @@ def test_cut_segment_counts(C):
         assert pairs == reference_cut_segments(C, n)
 
 
+def stern(k):
+    """Stern's diatomic sequence: s(0) = 0, s(1) = 1, s(2k) = s(k) and
+    s(2k + 1) = s(k) + s(k + 1)."""
+    if k < 2:
+        return k
+    return stern(k // 2) + (stern(k // 2 + 1) if k % 2 else 0)
+
+
 def test_cut_strand_lengths(C):
     assert strands(C, 1) == [2, 4]
     assert strands(C, 2) == [4, 8, 12, 12]
@@ -225,6 +233,13 @@ def test_cut_strand_lengths(C):
         lengths = strands(C, n)
         assert len(lengths) == 2 ** n
         assert sum(lengths) == 6 ** n
+    # strand i of level n has 2^n s(2i + 1) triangles
+    deep = SubdivisionComplex()
+    deep.ensure_level(6)
+    for n in range(1, 7):
+        a = [stern(2 * i + 1) for i in range(2 ** n)]
+        assert strands(deep, n) == [2 ** n * x for x in a]
+        assert sum(a) == 3 ** n
 
 
 def test_cut_strand_lengths_match_walk(C):
@@ -504,7 +519,9 @@ def test_exports_hold_at_most_three_copies_of_their_text():
     # tracemalloc sees numpy's buffers as well as the strings
     cache = LevelCache()
     G = cache.graph("hexacarpet", 6)
-    for export in (lambda: to_edgelist(G), lambda: cache.C.to_json(6)):
+    for export in (
+        lambda: to_edgelist(G), lambda: to_dot(G), lambda: cache.C.to_json(6)
+    ):
         tracemalloc.start()
         try:
             text = export()
