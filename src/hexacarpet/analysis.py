@@ -23,8 +23,8 @@ Splicing is one whole-array pass: each level-m triangle reads its two
 flows off a table of the six flows between the original triangle's
 sides, by the slots of its branch sides in tri_edges; the complex's
 embedding of level n carries them into the triangle, and their
-incidences are found by binary search of their codes in the target
-graph.
+incidences are matched to the target graph's, every one exactly once
+(WeightedGraph.match).
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def hex_pullback(cache: LevelCache, n, J, elem):
     """
     G = cache.graph("hexacarpet", n)
     p = G.symmetry.perm(elem)
-    return J[G.positions(p[G.us], p[G.vs])]
+    return J[G.match(p[G.us], p[G.vs])]
 
 
 def unit_flow(cache: LevelCache, n):
@@ -200,7 +200,7 @@ def side_flows(cache: LevelCache, n):
         a, b, c = C.vertex_map(g, 1)[:3]
         if sorted((a, b, c)) == [0, 1, 2]:
             p = G.symmetry.perm(g)
-            K[a + b - 1, a + c - 1, G.positions(p[G.us], p[G.vs])] = H02
+            K[a + b - 1, a + c - 1, G.match(p[G.us], p[G.vs])] = H02
     return K
 
 
@@ -306,16 +306,18 @@ def compose_flow(cache: LevelCache, m, n):
         )
     t, j1, j2 = hit.argmax(axis=2).T
 
-    # row x: the level-n incidences carried into x by its embedding
-    pos = Gf.positions(ts[:, Gn.us], Ff + es[:, Gn.vs - Fn]).ravel()
+    # row x: the level-n incidences carried into x by its embedding,
+    # which together must be every fine incidence once
+    try:
+        pos = Gf.match(ts[:, Gn.us].ravel(), (Ff + es[:, Gn.vs - Fn]).ravel())
+    except KeyError:
+        raise AssertionError("cells do not tile the fine incidences") from None
     # a1, a2 count current leaving x through its branch sides, while
     # the side flows deposit into their source arc, so the splice flips
     # sign to keep the fine flow coarse-oriented
     spliced = -(Y.a[:, 1:2] * K[t, j1] + Y.a[:, 2:3] * K[t, j2])
     J = np.zeros(Gf.m)
     J[pos] = spliced.ravel()
-    if not (np.bincount(pos, minlength=Gf.m) == 1).all():
-        raise AssertionError("cells do not tile the fine incidences")
 
     fl, div, free = _checked_flow(Gf, J, Gf.boundary["A"], Gf.boundary["B"])
     maxdiv = float(np.abs(div[free]).max())

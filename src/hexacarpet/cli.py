@@ -10,9 +10,9 @@ Subcommands:
   bounds      cut and short surgery estimates per level
 
 Exit codes: 0 success / checks pass, 1 a verification verdict failed,
-2 bad configuration or an unwritable --out, 3 level exceeds the cap,
-4 solver failure.  The environment variable HEXACARPET_CAP overrides
-the default level cap.
+2 bad configuration or an unwritable --out (refused before anything is
+built), 3 level exceeds the cap, 4 solver failure.  The environment
+variable HEXACARPET_CAP overrides the default level cap.
 
 CSV output is deterministic byte-for-byte across runs; wall-clock
 timings appear only in JSON manifests.
@@ -66,6 +66,17 @@ def _manifest(args, timings):
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+
+
+def _probe_out(path):
+    """Raise OSError now if path cannot be opened for writing, leaving
+    the file system as it was, so that an unwritable --out is refused
+    before anything is built."""
+    fresh = not os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if fresh:
+        os.remove(path)
 
 
 def _emit(out, *texts):
@@ -291,6 +302,8 @@ def main(argv=None):
     if getattr(args, "level", 1) < 1 or getattr(args, "max_level", 1) < 1:
         parser.exit(2, "levels start at 1\n")
     try:
+        if args.out:
+            _probe_out(args.out)
         return args.fn(args)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)

@@ -28,6 +28,15 @@ image arrays.  stabiliser() picks the elements that fix or swap a
 terminal pair and keeps only those it verifies as automorphisms of the
 actual graph; the solver uses them to reduce its unknowns.
 
+An edge map is checked by one exact match, WeightedGraph.match: the
+codes u*n + v of the mapped edges are sorted stably, near-linear since
+they come in long ascending runs, and must equal the graph's own
+sorted codes, every edge once; the inverse of the sort gives each
+edge's image position as int32.  The stabiliser keeps these edge
+images for its generators, and the flow pullbacks and the splice of
+analysis use the same match.  positions() stays for edge sets that
+are not a permutation of the edges, such as a spanning tree.
+
 The exports to_edgelist and to_dot hand the edges to the text writer
 subdivision.format_rows as one IntRows table: the columns us and vs,
 and a tail per row picked by its conductance numerator, each label
@@ -200,62 +209,106 @@ class WeightedGraph:
         codes = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
         return lookup_sorted(self.us * self.n + self.vs, codes, "edge")
 
+    def match(self, us, vs):
+        """Positions of the canonical edges (us, vs), which must be every
+        edge of the graph exactly once, else KeyError: the images of a
+        permutation of the edges, as int32.
+
+        The codes u*n + v of the mapped edges are sorted stably, which
+        is near-linear for the long ascending runs they come in, and
+        compared with the graph's own codes, which are sorted; the
+        positions are the inverse of the sort.
+        """
+        m = self.m
+        if len(us) != m or len(vs) != m:
+            raise KeyError(f"{len(us)} mapped edges for {m} edges")
+        codes = np.asarray(us, dtype=np.int64) * self.n
+        codes += np.asarray(vs, dtype=np.int64)
+        order = np.argsort(codes, kind="stable")
+        found = codes[order]
+        # the codes' buffer takes the graph's own codes
+        np.multiply(self.us, self.n, out=codes)
+        codes += self.vs
+        if (found != codes).any():
+            raise KeyError("the mapped edges are not the edges, each once")
+        pos = np.empty(m, dtype=np.int32 if m < 2 ** 31 else np.int64)
+        pos[order] = np.arange(m, dtype=pos.dtype)
+        return pos
+
     def degrees(self):
         return np.bincount(self.us, minlength=self.n) + np.bincount(self.vs, minlength=self.n)
 
 
-def _automorphism_sign(G: WeightedGraph, p, inA, inB):
-    """+1 if the vertex images p are an involutive automorphism of G
-    fixing A and B, -1 if one swapping them, else 0."""
-    if len(p) != G.n or (G.n and (p.min() < 0 or p.max() >= G.n)):
-        return 0
-    if (p[p] != np.arange(G.n)).any():
-        return 0
+def _automorphism(G: WeightedGraph, p, a, b, inA, inB):
+    """(sign, edge images) of the vertex images p: sign +1 if p is an
+    involutive automorphism of G fixing the terminal sets A and B, -1 if
+    one swapping them, else 0 with no edge images.  a and b list the
+    terminal ids, inA and inB are their masks over the vertices; the
+    edge images are the int32 positions of the images of the edges."""
+    if len(p) != G.n:
+        return 0, None
+    try:
+        # a negative image wraps, but no involution holds one: p[i] = -k
+        # needs p[n - k] = i, and then p[p[n - k]] = -k is not n - k
+        if (p[p] != np.arange(G.n)).any():
+            return 0, None
+    except IndexError:
+        return 0, None
+    # p is a bijection now, so p(A) within A means p(A) = A
+    if inA[p[a]].all() and inB[p[b]].all():
+        sign = 1
+    elif inB[p[a]].all() and inA[p[b]].all():
+        sign = -1
+    else:
+        return 0, None
     pu, pv = p[G.us], p[G.vs]
     try:
-        pos = G.positions(np.minimum(pu, pv), np.maximum(pu, pv))
+        edges = G.match(np.minimum(pu, pv), np.maximum(pu, pv))
     except KeyError:
-        return 0
-    if (G.num[pos] != G.num).any():
-        return 0
-    a, b = inA[p], inB[p]
-    if (a == inA).all() and (b == inB).all():
-        return 1
-    if (a == inB).all() and (b == inA).all():
-        return -1
-    return 0
+        return 0, None
+    if (G.num[edges] != G.num).any():
+        return 0, None
+    return sign, edges
 
 
 def stabiliser(G: WeightedGraph, A, B):
     """The symmetries of G that fix the terminal pair (A, B) or swap it.
 
-    Returns a dict from dihedral element to (vertex images, sign), the
-    sign +1 for an element fixing A and B and -1 for one swapping them.
-    The candidates come from G.symmetry, and each is kept only if it is
-    an involution of the vertices that maps the edges onto themselves
-    with equal conductances and fixes or swaps (A, B).  Products of the
-    kept elements close the group, a commuting set of involutions of
-    order 1, 2 or 4; without a symmetry it is the identity alone.
+    Returns a dict from dihedral element to (vertex images, sign, edge
+    images), the sign +1 for an element fixing A and B and -1 for one
+    swapping them.  The candidates come from G.symmetry, and each is
+    kept only if it is an involution of the vertices that maps the edges
+    onto themselves with equal conductances (WeightedGraph.match) and
+    fixes or swaps (A, B).  Products of the kept elements close the
+    group, a commuting set of involutions of order 1, 2 or 4; without a
+    symmetry it is the identity alone.  Only the kept elements, the
+    group's generators, carry their int32 edge images; the identity and
+    the products carry None, so no more than the generators' images are
+    held.
     """
-    group = {IDENTITY: (np.arange(G.n), 1)}
+    group = {IDENTITY: (np.arange(G.n), 1, None)}
     if G.symmetry is None:
         return group
+    a = np.fromiter(A, np.int64, len(A))
+    b = np.fromiter(B, np.int64, len(B))
     inA = np.zeros(G.n, dtype=bool)
-    inA[np.fromiter(A, np.int64, len(A))] = True
+    inA[a] = True
     inB = np.zeros(G.n, dtype=bool)
-    inB[np.fromiter(B, np.int64, len(B))] = True
+    inB[b] = True
     for g in G.symmetry.candidates(A, B):
         if g in group or any(
             dihedral_compose(g, h) != dihedral_compose(h, g) for h in group
         ):
             continue
         p = G.symmetry.perm(g)
-        sign = _automorphism_sign(G, p, inA, inB)
+        sign, edges = _automorphism(G, p, a, b, inA, inB)
         if sign:
-            group.update({
-                dihedral_compose(g, h): (p[q], sign * s)
-                for h, (q, s) in list(group.items())
-            })
+            products = {
+                dihedral_compose(g, h): (p[q], sign * s, None)
+                for h, (q, s, _) in group.items() if h != IDENTITY
+            }
+            group[g] = (p, sign, edges)
+            group.update(products)
     return group
 
 
@@ -538,7 +591,11 @@ def build_short_graph(C: SubdivisionComplex, n, H):
 def _edge_rows(G: WeightedGraph, head, mid, label):
     """The rows head + u + mid + v + label(conductance), one per edge,
     each label text made once per distinct conductance."""
-    tails = {p: label(Fraction(p, G.den)) for p in np.unique(G.num).tolist()}
+    # the distinct numerators by sorting and comparing neighbours, which
+    # is several times faster than np.unique's hash path here
+    num = np.sort(G.num)
+    distinct = np.concatenate([num[:1], num[1:][num[1:] != num[:-1]]])
+    tails = {p: label(Fraction(p, G.den)) for p in distinct.tolist()}
     return IntRows((G.us, G.vs), (head, mid), tails, G.num)
 
 

@@ -21,10 +21,17 @@ one unknown per orbit of interior vertices, and a vertex that a swapping
 element fixes is pinned at psi = 0.  The projected interior block
 P^T L P, with a quarter of the unknowns for the Klein four-groups of the
 skeleton, dual and hexacarpet, is factored with a sparse LU (SuperLU,
-symmetric mode); a graph without symmetries gets P = I.  The potential
-is expanded back to every vertex, exactly symmetric or antisymmetric,
-and the resistance, energy, flow and the residual of the full interior
-system are computed on the whole graph.
+symmetric mode); a graph without symmetries gets P = I.  P^T L P and
+P^T b are assembled over the orbits of the edges, not the edges: the
+edges of one orbit add equal terms, so the smallest edge of each orbit
+adds its terms times the orbit's size.  The orbits come from the
+generators' int32 edge images, which the stabiliser's check leaves
+behind.  Every term is a small dyadic rational (halves, signs +-1,
+boundary values +-1/2), so the sums, and with them the matrix, the LU
+and every output, are bitwise those of the edge-by-edge assembly.  The
+potential is expanded back to every vertex, exactly symmetric or
+antisymmetric, and the resistance, energy, flow and the residual of the
+full interior system are computed on the whole graph.
 
 The reduction is cross-checked by the same direct solve on the
 unreduced system (the graph without its symmetry action, so P = I) and,
@@ -175,37 +182,51 @@ def _active_interior(G: WeightedGraph, A, B):
 
 def _reduced_system(G: WeightedGraph, group, interior, bval):
     """The interior block of the Dirichlet problem projected onto the
-    group's invariant subspace, in one COO pass over the edges.
+    group's invariant subspace, in one COO pass over the edge orbits.
 
-    group is a list of (vertex images, sign), the identity first, and
-    bval holds the boundary values.  An interior vertex v carries
-    sign[v] * x[col[v]], where col numbers the orbits by their smallest
-    vertex and sign relates v to that vertex; sign is 0 where a swapping
-    element fixes v.  Returns (P^T L P as CSC, P^T b, col, sign), the
-    last two over interior.
+    group is a list of (vertex images, sign, edge images), the identity
+    (np.arange) first, with the int32 edge images of the generators and
+    None for the rest (graphs.stabiliser), and bval holds the boundary
+    values.  An interior vertex v carries sign[v] * x[col[v]], where col
+    numbers the orbits by their smallest vertex and sign relates v to
+    that vertex; sign is 0 where a swapping element fixes v.  The edges
+    of one orbit add equal terms to P^T L P and P^T b, so each orbit
+    adds its smallest edge's terms times its size; every term is a
+    small dyadic rational, so the sums are exact in any order.  Returns
+    (P^T L P as CSC, P^T b, col, sign), the last two over interior.
     """
-    ids = np.arange(G.n)
+    ids = group[0][0]
     unknown = np.zeros(G.n, dtype=bool)
     unknown[interior] = True
-    rep, sign = ids, np.ones(G.n)
-    for p, s in group[1:]:
+    rep, sign = ids.copy(), np.ones(G.n)
+    for p, s, _ in group[1:]:
         lower = p < rep
-        rep = np.where(lower, p, rep)
-        sign = np.where(lower, s, sign)
+        np.copyto(rep, p, where=lower)
+        np.copyto(sign, s, where=lower)
         if s < 0:
             unknown &= p != ids
     sign[~unknown] = 0.0
-    slot = np.cumsum(unknown & (rep == ids)) - 1
+    slot = np.cumsum(unknown & (rep == ids), dtype=np.int32) - 1
     k = int(slot[-1]) + 1 if G.n else 0
-    col = np.where(unknown, slot[rep], 0).astype(np.int32)
+    col = np.where(unknown, slot[rep], 0)
     if not k:
         return sp.csc_matrix((0, 0)), np.zeros(0), col[interior], sign[interior]
 
-    c = G.conductances()
-    cu, cv = col[G.us], col[G.vs]
-    su, sv = sign[G.us], sign[G.vs]
+    # the smallest edge of each orbit and the orbit's size: the
+    # generators commute, so each one carries the orbits of those before
+    # it onto orbits, and the orbit of an edge and of its image merge
+    orbit = np.arange(G.m, dtype=np.int32 if G.m < 2 ** 31 else np.int64)
+    for _, _, e in group:
+        if e is not None:
+            np.minimum(orbit, orbit[e], out=orbit)
+    size = np.bincount(orbit)
+    reps = np.flatnonzero(size)
+    c = G.conductances()[reps] * size[reps]
+    us, vs = G.us[reps], G.vs[reps]
+    cu, cv = col[us], col[vs]
+    su, sv = sign[us], sign[vs]
     diag = np.bincount(cu, c * (su != 0), k) + np.bincount(cv, c * (sv != 0), k)
-    rhs = np.bincount(cu, c * su * bval[G.vs], k) + np.bincount(cv, c * sv * bval[G.us], k)
+    rhs = np.bincount(cu, c * su * bval[vs], k) + np.bincount(cv, c * sv * bval[us], k)
     both = (su != 0) & (sv != 0)
     off = -(c * su * sv)[both]
     cu, cv = cu[both], cv[both]
@@ -259,7 +280,9 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
     phi = value.copy()
     phi[interior] = np.where(psi >= 0, half, 1.0 - half)
 
-    grad = gradient(G, phi)
+    # gradient(G, phi), keeping the differences for the energy
+    drop = phi[G.us] - phi[G.vs]
+    grad = G.conductances() * drop
     residual = 0.0
     if len(interior):
         # the full interior system L_II phi_I = -L_IB phi_B, edge by
@@ -268,7 +291,8 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
         bnorm = np.linalg.norm(divergence(G, gradient(G, value))[interior])
         residual = float(rnorm / bnorm) if bnorm else 0.0
 
-    E = energy(G, phi)
+    # energy(G, phi), its products taken in the same order
+    E = float(np.sum(grad * drop))
     R = 1.0 / E
     return ResistanceResult(
         resistance=R, energy=E, potential=phi, flow=R * grad, residual=residual,

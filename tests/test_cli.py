@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hexacarpet import analysis
+from hexacarpet import SubdivisionComplex, analysis
 from hexacarpet.cli import main
 
 
@@ -170,12 +170,28 @@ def test_bad_level_exit_code():
     ["duality", "--max-level", "2"],
     ["build", "--family", "dual", "--level", "1"],
 ])
-def test_unwritable_out_exit_code(tmp_path, capsys, argv):
+def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # the path is refused before any level is built
+    def build(self, n):
+        raise AssertionError("a level was built for an unwritable --out")
+
+    monkeypatch.setattr(SubdivisionComplex, "ensure_level", build)
     path = tmp_path / "missing" / "x.csv"
     assert main(argv + ["--out", str(path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and str(path) in err
+
+
+def test_refused_run_leaves_out_alone(tmp_path, capsys):
+    # checking that --out is writable neither leaves a new file behind
+    # nor touches an existing one
+    fresh, kept = tmp_path / "fresh.edges", tmp_path / "kept.edges"
+    kept.write_text("old\n")
+    for path in (fresh, kept):
+        argv = ["build", "--family", "dual", "--level", "99", "--out", str(path)]
+        assert main(argv) == 3
+    assert not fresh.exists() and kept.read_text() == "old\n"
 
 
 def test_out_file(tmp_path, capsys):

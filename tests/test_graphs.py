@@ -189,6 +189,33 @@ def test_drop_edges():
     assert H.cond == [Fraction(1), Fraction(2)]
 
 
+def test_match_inverts_an_edge_permutation():
+    # a 4-cycle with a chord
+    G = WeightedGraph(4, [0, 1, 2, 0, 0], [1, 2, 3, 3, 2], [Fraction(1)] * 5)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        perm = rng.permutation(G.m)
+        pos = G.match(G.us[perm], G.vs[perm])
+        assert pos.dtype == np.int32
+        assert pos.tolist() == perm.tolist()
+        assert pos.tolist() == G.positions(G.us[perm], G.vs[perm]).tolist()
+    empty = WeightedGraph(2, [], [], [])
+    assert empty.match([], []).tolist() == []
+
+
+@pytest.mark.parametrize("us,vs", [
+    ([0, 1, 2, 0, 1], [1, 2, 3, 3, 3]),  # edge (0, 2) missing for a non-edge
+    ([0, 1, 2, 0, 0], [1, 2, 3, 3, 3]),  # edge (0, 3) twice, (0, 2) missing
+    ([0, 1, 2, 0], [1, 2, 3, 3]),  # one edge short
+    ([0, 1, 2, 0, 0, 0], [1, 2, 3, 3, 2, 2]),  # one edge over
+    ([0, 1, 2, 0, 0], [1, 2, 3, 3]),  # ends of unequal counts
+], ids=["non-edge", "edge-twice", "short", "over", "unequal-ends"])
+def test_match_refuses_anything_but_every_edge_once(us, vs):
+    G = WeightedGraph(4, [0, 1, 2, 0, 0], [1, 2, 3, 3, 2], [Fraction(1)] * 5)
+    with pytest.raises(KeyError):
+        G.match(np.array(us), np.array(vs))
+
+
 # -- cut surgery --------------------------------------------------------
 
 

@@ -2,15 +2,18 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hexacarpet.analysis import LevelCache
 from hexacarpet.graphs import WeightedGraph, edge_arc, stabiliser
+from hexacarpet.subdivision import dihedral_compose
 from hexacarpet.network import (
     NotAFlowError,
     ResistanceResult,
@@ -27,6 +30,7 @@ from hexacarpet.network import (
     tree_currents,
     verify_thompson,
 )
+from hexacarpet.network import _active_interior, _reduced_system
 
 F1 = Fraction(1)
 
@@ -272,7 +276,7 @@ def test_stabiliser_group_orders(cache6):
             group = stabiliser(G, G.boundary["A"], G.boundary["B"])
             assert len(group) == len(want) + 1, (family, n)
             assert group.pop(("r", 0))[1] == 1
-            assert {g: s for g, (_, s) in group.items()} == want
+            assert {g: s for g, (_, s, _) in group.items()} == want
 
 
 def test_stabiliser_follows_the_terminals(cache6):
@@ -282,7 +286,7 @@ def test_stabiliser_follows_the_terminals(cache6):
         G = cache6.graph("hexacarpet", n)
         A, B = edge_arc(C, n, (0, 1)), edge_arc(C, n, (4, 5))
         group = stabiliser(G, A, B)
-        assert {g: s for g, (_, s) in group.items()} == {("r", 0): 1, ("s", 0): -1}
+        assert {g: s for g, (_, s, _) in group.items()} == {("r", 0): 1, ("s", 0): -1}
         red = effective_resistance(G, A=A, B=B)
         full = effective_resistance(plain_copy(G), A=A, B=B)
         assert red.group_order == 2
@@ -312,7 +316,7 @@ def test_potential_is_exactly_symmetric(cache6):
         live = G.degrees() > 0
         group = stabiliser(G, A, B)
         assert len(group) > 1, (family, n)
-        for g, (p, sign) in group.items():
+        for g, (p, sign, _) in group.items():
             want = phi if sign > 0 else 1.0 - phi
             assert np.array_equal(phi[p][live], want[live]), (family, n, g)
 
@@ -378,7 +382,7 @@ def test_stabiliser_rejects_false_candidates():
         ([4, 3, 2, 1, 0], {3}, {ident: 1}),  # moves the terminals
     ]:
         H = plain_copy(G, symmetry=Action(images))
-        assert {g: s for g, (_, s) in stabiliser(H, {0}, B).items()} == want
+        assert {g: s for g, (_, s, _) in stabiliser(H, {0}, B).items()} == want
         R = effective_resistance(H, A={0}, B=B).resistance
         assert abs(R - max(B)) < 1e-12
 
@@ -390,6 +394,134 @@ def test_stabiliser_rejects_false_candidates():
     )
     assert list(stabiliser(star, {0}, {4, 5, 6})) == [ident]
     assert abs(effective_resistance(star).resistance - 2 / 3) < 1e-12
+
+
+def test_stabiliser_rejects_negative_images():
+    # a negative image indexes from the end; -1 in place of 4 would
+    # still pair the reversal's ends by index, yet it is no involution
+    class Action:
+        def candidates(self, A, B):
+            return [("s", 0)]
+
+        def perm(self, g):
+            return np.array([-1, 3, 2, 1, 0])
+
+    H = plain_copy(path_graph(4), symmetry=Action())
+    assert list(stabiliser(H, {0}, {4})) == [("r", 0)]
+
+
+def test_stabiliser_edge_images(cache6):
+    # the generators carry the positions of their edges' images; the
+    # identity and the products carry none, and composing the
+    # generators' images gives theirs
+    ident = ("r", 0)
+    for family in FAMILIES:
+        for n in range(1, 6):
+            G = cache6.graph(family, n)
+            group = stabiliser(G, G.boundary["A"], G.boundary["B"])
+            gens = {g: e for g, (_, _, e) in group.items() if e is not None}
+            assert gens and ident not in gens, (family, n)
+            assert all(e.dtype == np.int32 for e in gens.values())
+            images = {ident: np.arange(G.m), **gens}
+            if len(gens) == 2:
+                (a, ea), (b, eb) = gens.items()
+                images[dihedral_compose(a, b)] = ea[eb]
+            assert set(images) == set(group), (family, n)
+            for g, (p, _, _) in group.items():
+                pu, pv = p[G.us], p[G.vs]
+                want = G.positions(np.minimum(pu, pv), np.maximum(pu, pv))
+                assert np.array_equal(images[g], want), (family, n, g)
+
+
+def all_edge_system(G, group, interior, bval):
+    """network._reduced_system as it was before the orbit assembly: one
+    COO pass over every edge, so each orbit adds its terms edge by edge."""
+    ids = np.arange(G.n)
+    unknown = np.zeros(G.n, dtype=bool)
+    unknown[interior] = True
+    rep, sign = ids, np.ones(G.n)
+    for p, s, *_ in group[1:]:
+        lower = p < rep
+        rep = np.where(lower, p, rep)
+        sign = np.where(lower, s, sign)
+        if s < 0:
+            unknown &= p != ids
+    sign[~unknown] = 0.0
+    slot = np.cumsum(unknown & (rep == ids)) - 1
+    k = int(slot[-1]) + 1 if G.n else 0
+    col = np.where(unknown, slot[rep], 0).astype(np.int32)
+    if not k:
+        return sp.csc_matrix((0, 0)), np.zeros(0), col[interior], sign[interior]
+
+    c = G.conductances()
+    cu, cv = col[G.us], col[G.vs]
+    su, sv = sign[G.us], sign[G.vs]
+    diag = np.bincount(cu, c * (su != 0), k) + np.bincount(cv, c * (sv != 0), k)
+    rhs = np.bincount(cu, c * su * bval[G.vs], k) + np.bincount(cv, c * sv * bval[G.us], k)
+    both = (su != 0) & (sv != 0)
+    off = -(c * su * sv)[both]
+    cu, cv = cu[both], cv[both]
+    diagonal = np.arange(k, dtype=np.int32)
+    M = sp.coo_array(
+        (
+            np.concatenate([off, off, diag]),
+            (np.concatenate([cu, cv, diagonal]), np.concatenate([cv, cu, diagonal])),
+        ),
+        shape=(k, k),
+    ).tocsc()
+    return M, rhs, col[interior], sign[interior]
+
+
+def test_orbit_assembly_matches_all_edges(cache6):
+    C = cache6.C
+    cases = [
+        (cache6.graph(family, n), None, None)
+        for family in FAMILIES
+        for n in range(1, 6)
+    ]
+    for n in range(1, 6):
+        # the skeleton pair of potential_decomposition and the
+        # hexacarpet between the cut graph's arcs
+        cases += [
+            (cache6.graph("skeleton", n), frozenset(C.side_vertices(n, 0).tolist()),
+             frozenset(C.side_vertices(n, 3).tolist())),
+            (cache6.graph("hexacarpet", n), edge_arc(C, n, (0, 1)), edge_arc(C, n, (4, 5))),
+        ]
+    for G, A, B in cases:
+        A = G.boundary["A"] if A is None else A
+        B = G.boundary["B"] if B is None else B
+        interior, fixed, value, _ = _active_interior(G, A, B)
+        group = list(stabiliser(G, A, B).values())
+        assert len(group) > 1
+        bval = value - 0.5 * fixed
+        M, rhs, col, sign = _reduced_system(G, group, interior, bval)
+        W, want_rhs, want_col, want_sign = all_edge_system(G, group, interior, bval)
+        where = (G.meta["family"], G.meta["level"], len(A))
+        assert M.format == W.format and M.shape == W.shape, where
+        for got, want in [
+            (M.indptr, W.indptr), (M.indices, W.indices), (M.data, W.data),
+            (rhs, want_rhs), (col, want_col), (sign, want_sign),
+        ]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), where
+
+
+def test_solve_memory_peak(cache6):
+    # the level-6 hexacarpet solve holds at most 23 float arrays over
+    # the edges at once: the edge images are int32 and only the
+    # generators' are kept.  A fresh copy of the graph has nothing
+    # cached; its components and the complex's symmetry images are made
+    # first, so the peak is the solve's own.
+    H = cache6.graph("hexacarpet", 6)
+    G = plain_copy(H, symmetry=H.symmetry)
+    stabiliser(G, G.boundary["A"], G.boundary["B"])
+    G.components()
+    tracemalloc.start()
+    try:
+        effective_resistance(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23 * 8 * G.m, peak / (8 * G.m)
 
 
 def test_solver_statistics(cache6):
