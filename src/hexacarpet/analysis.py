@@ -79,8 +79,9 @@ class LevelCache:
     Every solve is the sparse direct solve in the invariant subspace of
     the terminal pair's symmetry group, so potentials and flows are
     exactly symmetric as returned and each (family, level) is solved
-    once.  Each level's cut strands are checked once, by strands(n), and
-    R_hat(n) is their exact formula.
+    once, by result(family, n); only cut_report's uncut hexacarpet, a
+    pair of its own, is solved elsewhere.  Each level's cut strands are
+    checked once, by strands(n), and R_hat(n) is their exact formula.
     """
 
     def __init__(self, cap=DEFAULT_CAP):
@@ -335,8 +336,9 @@ class PotentialDecomposition:
     """Slice potentials of the skeleton problem in the rotated frame.
 
     phi is harmonic on the level-n skeleton with value 0 on the side-0
-    chain and 1 on the side-3 chain; the symmetric solve makes it
-    exactly invariant under s1, the reflection fixing both chains.
+    chain and 1 on the side-3 chain: the cached standard potential
+    turned by r4, so nothing is solved here.  It is exactly invariant
+    under s1, the reflection fixing both chains.
     u, v, w are its pullbacks to level n-1 under the cell maps of the
     slices at angles 0-60, 60-120 and 300-360: the embeddings of level
     n-1 in the level-1 triangles on sides 0, 1 and 5, after the turn r4,
@@ -358,9 +360,9 @@ class PotentialDecomposition:
 def potential_decomposition(cache: LevelCache, n):
     C = cache.C
     G = cache.graph("skeleton", n)
-    A = frozenset(C.side_vertices(n, 0).tolist())
-    B = frozenset(C.side_vertices(n, 3).tolist())
-    phi = effective_resistance(G, A=A, B=B).potential
+    # r4 sends side 2 to side 0 and side 5 to side 3
+    phi = np.empty(G.n)
+    phi[C.vertex_map(("r", 4), n)] = cache.result("skeleton", n).potential
 
     Gm = cache.graph("skeleton", n - 1)
     # each level-1 triangle has one boundary edge; cell[s] is the one on

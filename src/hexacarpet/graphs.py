@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,15 +133,18 @@ class DihedralAction:
 
 
 class WeightedGraph:
-    """Undirected multigraph-free weighted graph with named terminal sets.
+    """Undirected weighted graph with named terminal sets and at most
+    one edge between two vertices.
 
     Edges are stored in canonical orientation us[i] < vs[i].  Conductances
     are exact: edge i has num[i] / den, with int64 numerators over one
     common denominator (2 for every family here).  cond is given as
     rationals, or, when den is given, as those numerators.  boundary maps
     set names (usually "A", "B") to frozensets of vertex ids.  Edge ends
-    and terminals must be vertex ids 0..n-1.  symmetry is the
-    DihedralAction on the vertices, or None.
+    must be vertex ids 0..n-1, and terminals integer ones; a repeated
+    pair of edge ends, a parallel edge, raises FamilyError.  Edges given
+    in canonical order already are stored without a sort.  symmetry is
+    the DihedralAction on the vertices, or None.
     """
 
     def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None,
@@ -161,20 +165,24 @@ class WeightedGraph:
         # float views divide two exactly representable integers
         if den > _EXACT or (len(num) and np.abs(num).max() > _EXACT):
             raise FamilyError("conductances need numerators and a denominator below 2^53")
-        # lo * n + hi orders the pairs as (lo, hi) does, and a stable sort
-        # keeps ties in input order, so this is the lexsort by (lo, hi)
-        order = np.argsort(lo * int(n) + hi, kind="stable")
+        # lo * n + hi orders the pairs as (lo, hi) does; edges handed
+        # over in that order already are kept as they are, and a repeated
+        # pair is a parallel edge
+        codes = lo * int(n) + hi
+        if not (codes[1:] > codes[:-1]).all():
+            order = np.argsort(codes, kind="stable")
+            lo, hi, num, codes = lo[order], hi[order], num[order], codes[order]
+            if (codes[1:] == codes[:-1]).any():
+                raise FamilyError("parallel edges are not allowed")
         self.n = int(n)
-        self.us = lo[order]
-        self.vs = hi[order]
-        self.num = num[order]
+        self.us, self.vs, self.num = lo, hi, num
         self.den = int(den)
         self.boundary = {
             k: frozenset(v) for k, v in (boundary or {}).items()
         }
         for k, v in self.boundary.items():
-            if v and (min(v) < 0 or max(v) >= n):
-                raise FamilyError(f"terminal set {k} must hold vertex ids 0..{n - 1}")
+            if not all(isinstance(x, Integral) and 0 <= x < n for x in v):
+                raise FamilyError(f"terminal set {k} must hold integer vertex ids 0..{n - 1}")
         self.meta = dict(meta or {})
         self.symmetry = symmetry
         self._cfloat = None

@@ -33,10 +33,10 @@ potential is expanded back to every vertex, exactly symmetric or
 antisymmetric, and the resistance, energy, flow and the residual of the
 full interior system are computed on the whole graph.
 
-The reduction is cross-checked by the same direct solve on the
-unreduced system (the graph without its symmetry action, so P = I) and,
-for small graphs, by a dense LAPACK solve (oracle_resistance).  The
-solve is deterministic.
+This is the library's one solver.  The tests cross-check it against
+the same direct solve on the unreduced system (the graph without its
+symmetry action, so P = I) and, for small graphs, against a dense LAPACK
+solve that they keep as their reference.  The solve is deterministic.
 
 Thompson's principle, that the unit current has the least dissipation
 among unit flows, is checked against random circulations.  They are
@@ -52,8 +52,8 @@ check's memory does not grow with edges times trials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,8 +63,6 @@ from .graphs import WeightedGraph, stabiliser
 
 # largest divergence off the terminals that still counts as a flow
 FLOW_TOL = 1e-9
-# largest graph, in vertices, that oracle_resistance solves densely
-ORACLE_LIMIT = 2000
 
 
 class SolverError(Exception):
@@ -84,22 +82,11 @@ class ResistanceResult:
     potential: np.ndarray
     flow: np.ndarray
     residual: float
-    method: str = "direct"
     # size of the system solved, order of the symmetry group used to
     # reduce it, and nonzeros of the LU factors (0 without a factor)
     unknowns: int = 0
     group_order: int = 1
     factor_fill: int = 0
-
-
-def laplacian(G: WeightedGraph):
-    """Weighted graph Laplacian as CSR."""
-    c = G.conductances()
-    us, vs = G.us, G.vs
-    rows = np.concatenate([us, vs, us, vs])
-    cols = np.concatenate([vs, us, us, vs])
-    vals = np.concatenate([-c, -c, c, c])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(G.n, G.n))
 
 
 def energy(G: WeightedGraph, f, g=None):
@@ -243,15 +230,16 @@ def _reduced_system(G: WeightedGraph, group, interior, bval):
 
 def _terminals(G: WeightedGraph, A, B):
     """The terminal sets A and B, defaulting to the graph's named
-    boundary sets; they must be nonempty, disjoint sets of vertex ids."""
+    boundary sets; they must be nonempty, disjoint sets of integer
+    vertex ids."""
     A = G.boundary["A"] if A is None else frozenset(A)
     B = G.boundary["B"] if B is None else frozenset(B)
     if not A or not B:
         raise ValueError("terminal sets must be nonempty")
     if A & B:
         raise ValueError("terminal sets overlap")
-    if min(A | B) < 0 or max(A | B) >= G.n:
-        raise ValueError(f"terminal ids must be vertex ids 0..{G.n - 1}")
+    if not all(isinstance(v, Integral) and 0 <= v < G.n for v in A | B):
+        raise ValueError(f"terminal ids must be integer vertex ids 0..{G.n - 1}")
     return A, B
 
 
@@ -314,30 +302,6 @@ def _solve_direct(M, rhs):
         options={"SymmetricMode": True},
     )
     return lu.solve(rhs), lu.L.nnz + lu.U.nnz
-
-
-def oracle_resistance(G: WeightedGraph, A=None, B=None):
-    """Dense direct-solve cross-check, for graphs up to ORACLE_LIMIT
-    vertices; it refuses the terminal sets that effective_resistance
-    refuses, and a disconnected pair has infinite resistance."""
-    if G.n > ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to {ORACLE_LIMIT} vertices, got {G.n}")
-    A, B = _terminals(G, A, B)
-    interior, fixed, value, connected = _active_interior(G, A, B)
-    phi = value.copy()
-    R, E, flow = math.inf, 0.0, np.zeros(G.m)
-    if connected:
-        L = laplacian(G).toarray()
-        if len(interior):
-            Lii = L[np.ix_(interior, interior)]
-            phi[interior] = np.linalg.solve(Lii, -(L[interior] @ value))
-        E = energy(G, phi)
-        R = 1.0 / E
-        flow = R * gradient(G, phi)
-    return ResistanceResult(
-        resistance=R, energy=E, potential=phi, flow=flow, residual=0.0,
-        method="dense",
-    )
 
 
 # -- Thompson minimality ------------------------------------------------

@@ -30,9 +30,9 @@ from hexacarpet.network import (
     divergence,
     effective_resistance,
     gradient,
-    oracle_resistance,
     verify_thompson,
 )
+from oracle import oracle_resistance
 from test_graphs import drop_edges
 
 MAX_LEVEL = 6

@@ -26,7 +26,7 @@ from hexacarpet.analysis import (
     y_decomposition,
 )
 from hexacarpet.graphs import edge_arc
-from hexacarpet.network import check_flow, dissipation
+from hexacarpet.network import check_flow, dissipation, effective_resistance, energy
 from hexacarpet.subdivision import side_perm
 from test_complex import CellMaps, SimplexId, apply_word
 
@@ -281,6 +281,48 @@ def test_potential_decomposition(cache):
         assert P.sym_u == 0.0
         assert P.sym_vw == 0.0
         assert abs(P.E_w - P.E_v) < 1e-12
+
+
+def sides_03_energies(cache, n):
+    """E(phi), E(u), E(v), E(w) and E(u, v - w) of potential_decomposition,
+    phi from a fresh solve between the side-0 and side-3 chains of the
+    level-n skeleton and sliced as potential_decomposition slices it."""
+    C = cache.C
+    G = cache.graph("skeleton", n)
+    A = frozenset(C.side_vertices(n, 0).tolist())
+    B = frozenset(C.side_vertices(n, 3).tolist())
+    phi = effective_resistance(G, A=A, B=B).potential
+    Gm = cache.graph("skeleton", n - 1)
+    cell = np.argsort(C.edge_side[1][C.tri_edges[1]].max(axis=1))
+    ts = C.embed(1, n - 1)[1][cell[[0, 1, 5]]]
+    vm = np.empty((3, Gm.n), dtype=np.int64)
+    vm[:, C.tris[n - 1]] = C.tris[n][ts]
+    u, v, w = phi[vm[:, C.vertex_map(("r", 4), n - 1)]]
+    return [energy(G, phi), energy(Gm, u), energy(Gm, v), energy(Gm, w),
+            energy(Gm, u, v - w)]
+
+
+def test_sliced_potentials_solve_nothing(monkeypatch):
+    # the side-0 to side-3 potential is the cached standard skeleton
+    # potential turned by r4; no problem is solved for it
+    fresh = LevelCache()
+    levels = range(2, 6)
+    for n in levels:
+        fresh.RT(n)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("potential_decomposition solved a problem")
+
+    monkeypatch.setattr(analysis, "effective_resistance", no_solve)
+    for n in levels:
+        P = potential_decomposition(fresh, n)
+        want = sides_03_energies(fresh, n)
+        got = [P.E_phi, P.E_u, P.E_v, P.E_w, P.cross]
+        # the cross term vanishes, so it is held to the scale of E(u)
+        scale = [abs(x) for x in want[:4]] + [want[1]]
+        for g, x, s in zip(got, want, scale):
+            assert abs(g - x) <= 1e-12 * s, (n, got, want)
+        assert P.sym_u == P.sym_vw == 0.0
 
 
 def test_supermultiplicative(cache):

@@ -1,0 +1,63 @@
+"""Recorded CLI outputs: the CSV text byte for byte and the key tree of
+each JSON document, whose values (timings among them) may vary.
+
+The files under tests/golden/ are written by running this module as a
+script, PYTHONPATH=src python tests/test_golden.py; a change that means
+to alter an output rewrites them and says so.
+"""
+
+import io
+import json
+import pathlib
+from contextlib import redirect_stdout
+
+import pytest
+
+from hexacarpet.cli import FAMILIES, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name -> argv; each runs once as CSV and once as JSON
+RUNS = {
+    **{cmd: [cmd, "--max-level", "4"] for cmd in ("rho", "duality", "submult", "bounds")},
+    **{
+        f"resistance-{family}": ["resistance", "--family", family, "--level", "3"]
+        for family in FAMILIES
+    },
+}
+
+
+def key_tree(doc):
+    """The document with every scalar replaced by None."""
+    if isinstance(doc, dict):
+        return {k: key_tree(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [key_tree(v) for v in doc]
+    return None
+
+
+def outputs(name):
+    """(CSV text, key tree of the JSON document) of one recorded run."""
+    texts = []
+    for fmt in ("csv", "json"):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(RUNS[name] + ["--format", fmt]) == 0
+        texts.append(buf.getvalue())
+    return texts[0], key_tree(json.loads(texts[1]))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_outputs_match_the_recorded_ones(name):
+    csv, keys = outputs(name)
+    assert csv.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert keys == json.loads((GOLDEN / "keys.json").read_text())[name]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    trees = {}
+    for name in sorted(RUNS):
+        csv, trees[name] = outputs(name)
+        (GOLDEN / f"{name}.csv").write_bytes(csv.encode())
+    (GOLDEN / "keys.json").write_text(json.dumps(trees, indent=1, sort_keys=True) + "\n")

@@ -28,8 +28,9 @@ from hexacarpet.graphs import (
     to_dot,
     to_edgelist,
 )
-from hexacarpet.network import effective_resistance, oracle_resistance
+from hexacarpet.network import effective_resistance
 from hexacarpet.subdivision import lookup_sorted
+from oracle import oracle_resistance
 from test_complex import CellMaps
 
 SIGMA_A = ("s", 2)  # reflection fixing the corner between sides 0 and 1
@@ -142,6 +143,31 @@ def test_canonical_edge_order():
     assert list(G.vs) == [2, 2, 3]
 
 
+def test_parallel_edges_rejected():
+    # (0, 1) twice, in either orientation
+    for us, vs in (([0, 0, 1], [1, 1, 2]), ([0, 1, 1], [1, 0, 2])):
+        with pytest.raises(FamilyError, match="parallel"):
+            WeightedGraph(3, us, vs, [Fraction(1)] * 3)
+
+
+def test_shuffled_and_canonical_edge_lists_agree():
+    # a canonical list is kept as given, any other is sorted into it
+    rng = np.random.default_rng(5)
+    S = build_skeleton(SubdivisionComplex(), 2)
+    # distinct numerators, so that each edge's is seen to follow it
+    G = WeightedGraph(S.n, S.us, S.vs, 1 + np.arange(S.m), den=S.den)
+    for _ in range(3):
+        perm = rng.permutation(G.m)
+        flip = rng.random(G.m) < 0.5
+        H = WeightedGraph(
+            G.n, np.where(flip, G.vs, G.us)[perm], np.where(flip, G.us, G.vs)[perm],
+            G.num[perm], den=G.den,
+        )
+        for got, want in ((H.us, S.us), (H.vs, S.vs), (H.num, G.num)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert G.num.tolist() == list(range(1, G.m + 1))
+
+
 def test_self_loops_rejected():
     with pytest.raises(FamilyError):
         WeightedGraph(2, [1], [1], [Fraction(1)])
@@ -151,11 +177,11 @@ def test_vertex_ids_outside_the_graph_rejected():
     for us, vs in (([0, 1], [1, 5]), ([0, -1], [1, 2]), ([0], [3])):
         with pytest.raises(FamilyError, match="vertex ids"):
             WeightedGraph(3, us, vs, [Fraction(1)] * len(us))
-    for A, B in (({0}, {7}), ({-1}, {2})):
+    for A, B in (({0}, {7}), ({-1}, {2}), ({0.5}, {2})):
         with pytest.raises(FamilyError, match="vertex ids"):
             WeightedGraph(3, [0, 1], [1, 2], [Fraction(1)] * 2, {"A": A, "B": B})
     G = WeightedGraph(3, [0, 1], [1, 2], [Fraction(1)] * 2, {"A": {0}, "B": {2}})
-    for A, B in (({0}, {7}), ({-1}, {2}), ({0}, {3})):
+    for A, B in (({0}, {7}), ({-1}, {2}), ({0}, {3}), ({0}, {1.5})):
         with pytest.raises(ValueError, match="vertex ids"):
             effective_resistance(G, A, B)
     assert effective_resistance(G).resistance == pytest.approx(2.0)
