@@ -36,6 +36,7 @@ import numpy as np
 
 from .subdivision import DEFAULT_CAP, SubdivisionComplex, dihedral_elements
 from .graphs import (
+    FamilyError,
     WeightedGraph,
     build_cut_graph,
     build_dual,
@@ -93,17 +94,21 @@ class LevelCache:
     def graph(self, family, n):
         key = (family, n)
         if key not in self._graphs:
-            builder = {
+            builders = {
                 "skeleton": build_skeleton,
                 "dual": build_dual,
                 "hexacarpet": build_hexacarpet,
                 "cut": build_cut_graph,
                 "short": build_short_graph,
-            }[family]
+            }
+            if family not in builders:
+                raise FamilyError(
+                    f"unknown family {family!r}; the families are {', '.join(builders)}"
+                )
             # the surgeries cut the held hexacarpet, so each level's
             # hexacarpet is built once
             held = (self.graph("hexacarpet", n),) if family in ("cut", "short") else ()
-            self._graphs[key] = builder(self.C, n, *held)
+            self._graphs[key] = builders[family](self.C, n, *held)
         return self._graphs[key]
 
     def result(self, family, n):
@@ -220,17 +225,17 @@ def arc_flows(cache: LevelCache, n):
 class YDecomposition:
     """Per-triangle branch currents of the symmetrized unit flow.
 
-    For triangle x with side edge ids e0, e1, e2 (ordered so that the
-    through side comes first), a[x] = (a0, a1, a2) are the currents
-    from x into those edge vertices.  They sum to zero, a1 and a2 share
-    a sign, and the dissipation identity sum(a^2) / 2 = R(m) holds
-    because every incidence has resistance 1/2 and belongs to exactly
-    one triangle.
+    For triangle x, slot[x] = (s0, s1, s2) are the slots in
+    tri_edges[m][x] of its three sides, the through side first, and
+    a[x] = (a0, a1, a2) are the currents from x into those edge
+    vertices.  They sum to zero, a1 and a2 share a sign, and the
+    dissipation identity sum(a^2) / 2 = R(m) holds because every
+    incidence has resistance 1/2 and belongs to exactly one triangle.
     """
 
     level: int
     a: np.ndarray
-    side: np.ndarray
+    slot: np.ndarray
 
     def energy(self):
         return float(np.sum(self.a ** 2) / 2.0)
@@ -241,7 +246,6 @@ def y_decomposition(cache: LevelCache, m):
     # the hexacarpet lists triangle x's incidences at 3x..3x+2, sides
     # ascending
     raw = unit_flow(cache, m).reshape(-1, 3)
-    es = np.sort(C.tri_edges[m], axis=1)
     # branch currents sit far above solver noise or are true zeros;
     # snapping the noise makes the sign invariants exact
     scale = float(np.abs(raw).max())
@@ -258,8 +262,9 @@ def y_decomposition(cache: LevelCache, m):
         raise AssertionError(f"no through side at triangle {x}: {vals[x].tolist()}")
     order = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])[same.argmax(axis=1)]
     a = np.take_along_axis(vals, order, axis=1)
-    side = np.take_along_axis(es, order, axis=1)
-    return YDecomposition(m, a, side)
+    # the sorted sides' slots, in the same order
+    slot = np.take_along_axis(np.argsort(C.tri_edges[m], axis=1), order, axis=1)
+    return YDecomposition(m, a, slot)
 
 
 @dataclass
@@ -279,11 +284,14 @@ def compose_flow(cache: LevelCache, m, n):
     Every level-m triangle x carries branch currents (a0, a1, a2) on
     its sides (through, a1 side, a2 side).  Its embedding sends original
     side slot k (ab, ac, bc) to x's side tri_edges[m][x, k], so with t,
-    j1, j2 the slots of those three sides, the refinement of x gets
-    a1 * K[t, j1] + a2 * K[t, j2] of side_flows.  Currents then match
-    across cell interfaces (the arcs all carry one symmetric flux
+    j1, j2 the slots of those three sides, Y.slot[x], the refinement of
+    x gets a1 * K[t, j1] + a2 * K[t, j2] of side_flows.  Currents then
+    match across cell interfaces (the arcs all carry one symmetric flux
     profile), producing a unit flow on level m+n whose energy is at
     most 4/3 R(m) R(n): the certificate for the upper resistance bound.
+    A slot names one of x's own sides by construction; a slot repeated
+    on a branch that carries current leaves divergence off the
+    terminals, which the flow check refuses with NotAFlowError.
     """
     C = cache.C
     Y = y_decomposition(cache, m)
@@ -293,19 +301,7 @@ def compose_flow(cache: LevelCache, m, n):
     Fn = Gn.meta["tri_count"]
     Ff = Gf.meta["tri_count"]
     es, ts = C.embed(m, n)
-
-    # hit[x, k, s]: branch side k of x is its side in slot s.  A
-    # triangle's sides are distinct edges, so the branch sides name
-    # them once each exactly when every slot is hit once.
-    hit = Y.side[:, :, None] == C.tri_edges[m][:, None, :]
-    bad = np.nonzero((hit.sum(axis=1) != 1).any(axis=1))[0]
-    if len(bad):
-        x = int(bad[0])
-        raise AssertionError(
-            f"branch sides {Y.side[x].tolist()} of triangle {x} are not"
-            f" its sides {C.tri_edges[m][x].tolist()}"
-        )
-    t, j1, j2 = hit.argmax(axis=2).T
+    t, j1, j2 = Y.slot.T
 
     # row x: the level-n incidences carried into x by its embedding,
     # which together must be every fine incidence once

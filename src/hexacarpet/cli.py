@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import resource
 import sys
@@ -301,6 +302,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "level", 1) < 1 or getattr(args, "max_level", 1) < 1:
         parser.exit(2, "levels start at 1\n")
+    # nan fails both comparisons
+    if not 0 <= getattr(args, "tol", 0.0) < math.inf:
+        parser.exit(2, "--tol must be a finite number >= 0\n")
     try:
         if args.out:
             _probe_out(args.out)

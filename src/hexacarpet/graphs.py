@@ -1,6 +1,6 @@
 """Weighted graph families over the subdivided triangle.
 
-Four families per level n >= 1:
+Five families per level n >= 1:
 
   skeleton    the 1-skeleton of the level-n complex; interior edges get
               conductance 1, boundary edges 1/2 (a boundary edge borders
@@ -132,25 +132,34 @@ class DihedralAction:
         return DihedralAction(perm, bits)
 
 
+def _integers(values, what):
+    """values as int64; FamilyError unless integers (or empty)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise FamilyError(f"{what} must be integers")
+    return a.astype(np.int64, copy=False)
+
+
 class WeightedGraph:
     """Undirected weighted graph with named terminal sets and at most
     one edge between two vertices.
 
     Edges are stored in canonical orientation us[i] < vs[i].  Conductances
     are exact: edge i has num[i] / den, with int64 numerators over one
-    common denominator (2 for every family here).  cond is given as
-    rationals, or, when den is given, as those numerators.  boundary maps
-    set names (usually "A", "B") to frozensets of vertex ids.  Edge ends
-    must be vertex ids 0..n-1, and terminals integer ones; a repeated
-    pair of edge ends, a parallel edge, raises FamilyError.  Edges given
-    in canonical order already are stored without a sort.  symmetry is
-    the DihedralAction on the vertices, or None.
+    common denominator (2 for every family here).  cond gives one per
+    edge, as rationals, or, when den is given, as those numerators:
+    integers > 0 over an integer den >= 1.  boundary maps set names
+    (usually "A", "B") to frozensets of vertex ids.  Edge ends and
+    terminals must be integer vertex ids 0..n-1.  A bad conductance or a
+    repeated pair of edge ends, a parallel edge, raises FamilyError.
+    Edges given in canonical order already are stored without a sort.
+    symmetry is the DihedralAction on the vertices, or None.
     """
 
     def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None,
                  symmetry=None):
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        us = _integers(us, "edge ends")
+        vs = _integers(vs, "edge ends")
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
         if len(lo) and (lo == hi).any():
@@ -161,9 +170,13 @@ class WeightedGraph:
             cond = [Fraction(c) for c in cond]
             den = math.lcm(*(c.denominator for c in cond))
             cond = [c.numerator * (den // c.denominator) for c in cond]
-        num = np.asarray(cond, dtype=np.int64)
+        elif not isinstance(den, Integral) or den < 1:
+            raise FamilyError("the conductance denominator must be an integer >= 1")
+        num = _integers(cond, "conductance numerators")
+        if len(num) != len(lo) or (len(num) and num.min() <= 0):
+            raise FamilyError("conductances must be positive, one per edge")
         # float views divide two exactly representable integers
-        if den > _EXACT or (len(num) and np.abs(num).max() > _EXACT):
+        if den > _EXACT or (len(num) and num.max() > _EXACT):
             raise FamilyError("conductances need numerators and a denominator below 2^53")
         # lo * n + hi orders the pairs as (lo, hi) does; edges handed
         # over in that order already are kept as they are, and a repeated
@@ -191,11 +204,6 @@ class WeightedGraph:
     @property
     def m(self):
         return len(self.num)
-
-    @property
-    def cond(self):
-        """The exact conductances as a list of Fractions."""
-        return [Fraction(p, self.den) for p in self.num.tolist()]
 
     def conductances(self):
         if self._cfloat is None:
@@ -573,13 +581,11 @@ def quotient(G: WeightedGraph, find):
     }
     if boundary.get("A", frozenset()) & boundary.get("B", frozenset()):
         raise FamilyError("quotient fuses the two terminal sets")
-    H = WeightedGraph(
+    return WeightedGraph(
         len(reps), codes // len(reps), codes % len(reps), num,
         boundary, G.meta, G.den,
         None if G.symmetry is None else G.symmetry.induced(vmap, len(reps)),
     )
-    H.meta["vertex_map"] = vmap
-    return H
 
 
 def build_short_graph(C: SubdivisionComplex, n, H):

@@ -40,9 +40,9 @@ solve that they keep as their reference.  The solve is deterministic.
 
 Thompson's principle, that the unit current has the least dissipation
 among unit flows, is checked against random circulations.  They are
-built from one breadth-first spanning forest held as arrays (parents,
-parent-edge positions, the vertices grouped by depth, and the non-tree
-edges, one fundamental cycle each).  A circulation is its coefficients
+built from one breadth-first spanning forest held as arrays (the
+vertices grouped by depth in runs of common parent, each one's edge to
+its parent, and the non-tree edges, one fundamental cycle each).  A circulation is its coefficients
 on the non-tree edges plus the tree currents that return the charges
 those put on the edge ends; the tree currents are subtree sums, taken
 one depth level at a time from the deepest up for a whole block of
@@ -317,20 +317,16 @@ _TRIAL_BLOCK = 1 << 22
 class SpanningForest:
     """A breadth-first spanning forest of a graph, as arrays.
 
-    Each component is rooted at its smallest vertex.  parent[v] and
-    parent_edge[v] are v's parent and the position of the edge to it,
-    -1 at a root.  order lists the vertices by depth, the roots first;
-    levels[d] = (lo, hi, starts, heads) holds depth d + 1, the vertices
-    order[lo:hi], which come in runs of common parent starting at the
-    offsets starts, heads being the positions in order of those runs'
-    parents.  tree[i] is the parent edge of order[roots + i], and up[i]
+    Each component is rooted at its smallest vertex.  order lists the
+    vertices by depth, the roots first; levels[d] = (lo, hi, starts,
+    heads) holds depth d + 1, the vertices order[lo:hi], which come in
+    runs of common parent starting at the offsets starts, heads being
+    the positions in order of those runs' parents.  tree[i] is the parent edge of order[roots + i], and up[i]
     is +1 where that edge's canonical orientation runs from child to
     parent, -1 where it runs the other way.  nontree holds the
     positions of the remaining edges, one fundamental cycle each.
     """
 
-    parent: np.ndarray
-    parent_edge: np.ndarray
     order: np.ndarray
     levels: list
     tree: np.ndarray
@@ -377,14 +373,10 @@ def spanning_forest(G: WeightedGraph):
     child = order[ncomp:]
     par = order[up_pos[ncomp:]]
     tree = G.positions(np.minimum(child, par), np.maximum(child, par))
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[child] = par
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    parent_edge[child] = tree
     intree = np.zeros(G.m, dtype=bool)
     intree[tree] = True
     return SpanningForest(
-        parent, parent_edge, order, levels, tree,
+        order, levels, tree,
         np.where(G.us[tree] == child, 1.0, -1.0), np.flatnonzero(~intree),
     )
 

@@ -26,7 +26,13 @@ from hexacarpet.analysis import (
     y_decomposition,
 )
 from hexacarpet.graphs import edge_arc
-from hexacarpet.network import check_flow, dissipation, effective_resistance, energy
+from hexacarpet.network import (
+    NotAFlowError,
+    check_flow,
+    dissipation,
+    effective_resistance,
+    energy,
+)
 from hexacarpet.subdivision import side_perm
 from test_complex import CellMaps, SimplexId, apply_word
 
@@ -143,6 +149,11 @@ def edge_index(G):
     return {(u, v): i for i, (u, v) in enumerate(zip(G.us.tolist(), G.vs.tolist()))}
 
 
+def branch_sides(C, Y):
+    """The edge ids of the branch sides named by Y's slots."""
+    return np.take_along_axis(C.tri_edges[Y.level], Y.slot, axis=1)
+
+
 def y_decomposition_reference(cache, m, zero_tol=1e-12):
     """Triangle-by-triangle branch currents, through side first."""
     G = cache.graph("hexacarpet", m)
@@ -194,6 +205,7 @@ def compose_flow_reference(cache, m, n):
     F = CellMaps(C)
     Y = y_decomposition(cache, m)
     H01, H02 = arc_flows(cache, n)
+    sides = branch_sides(C, Y)
     Gn = cache.graph("hexacarpet", n)
     Gf = cache.graph("hexacarpet", m + n)
     Fn = Gn.meta["tri_count"]
@@ -203,7 +215,7 @@ def compose_flow_reference(cache, m, n):
     written = np.zeros(Gf.m, dtype=np.int8)
     for word in itertools.product(range(6), repeat=m):
         x = apply_word(F, word, SimplexId(0, 2, 0)).index
-        g = frame_reference(F, word, Y.side[x])
+        g = frame_reference(F, word, sides[x])
         a1, a2 = Y.a[x][1], Y.a[x][2]
         for i in range(Gn.m):
             gt = C.tri_images(g, n)[Gn.us[i]]
@@ -222,7 +234,7 @@ def test_y_decomposition_matches_reference(cache):
         Y = y_decomposition(cache, m)
         a, side = y_decomposition_reference(cache, m)
         assert np.array_equal(Y.a, a)
-        assert np.array_equal(Y.side, side)
+        assert np.array_equal(branch_sides(cache.C, Y), side)
 
 
 def test_composed_flow_matches_reference(cache):
@@ -251,25 +263,21 @@ def test_compose_flow_rejects_overlapping_cells(monkeypatch):
 
 
 def test_compose_flow_rejects_branch_sides_off_the_triangle(monkeypatch):
-    fresh = LevelCache(cap=3)
-    real = analysis.y_decomposition
-    corruptions = [
-        # one triangle's three branch sides coincide
-        lambda side: side[3, 0],
-        # one triangle's branch sides are another triangle's sides
-        lambda side: side[0, ::-1],
-    ]
-    for corrupt in corruptions:
-
-        def corrupted(cache, m):
-            Y = real(cache, m)
-            side = Y.side.copy()
-            side[3] = corrupt(Y.side)
-            return YDecomposition(Y.level, Y.a, side)
-
-        monkeypatch.setattr(analysis, "y_decomposition", corrupted)
-        with pytest.raises(AssertionError, match="of triangle 3 are not its sides"):
-            compose_flow(fresh, 1, 1)
+    # at m = 2 triangle x carries current on all three branches; naming
+    # one of its sides twice splices a flow that leaves divergence.  At
+    # m = 1 every triangle has a zero branch, where a repeat is harmless.
+    fresh = LevelCache(cap=4)
+    Y = y_decomposition(fresh, 2)
+    x = int(np.flatnonzero((Y.a != 0).all(axis=1))[0])
+    for k, j in itertools.permutations(range(3), 2):
+        slot = Y.slot.copy()
+        slot[x, k] = slot[x, j]
+        monkeypatch.setattr(
+            analysis, "y_decomposition",
+            lambda cache, m, slot=slot: YDecomposition(m, Y.a, slot),
+        )
+        with pytest.raises(NotAFlowError, match="divergence off terminals"):
+            compose_flow(fresh, 2, 1)
 
 
 def test_potential_decomposition(cache):

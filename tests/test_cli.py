@@ -1,11 +1,17 @@
 """Command line behavior: formats, determinism, exit codes."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
 from hexacarpet import SubdivisionComplex, analysis
-from hexacarpet.cli import main
+from hexacarpet.analysis import LevelCache
+from hexacarpet.cli import build_parser, main
+from hexacarpet.network import SolverError
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -158,6 +164,55 @@ def test_tol_only_on_checking_sweeps(capsys):
     assert err.value.code == 2
     # a slack below rounding fails the duality check
     assert main(["duality", "--max-level", "3", "--tol", "1e-20"]) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_exit_code(tol, capsys, monkeypatch):
+    # refused before anything is built
+    def build(self, n):
+        raise AssertionError("a level was built for a bad --tol")
+
+    monkeypatch.setattr(SubdivisionComplex, "ensure_level", build)
+    with pytest.raises(SystemExit) as err:
+        main(["duality", "--max-level", "1", "--tol", tol])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--tol" in captured.err
+
+
+def test_zero_tol_still_runs(capsys):
+    # the level-1 product is 1 to within rounding, not exactly
+    assert main(["duality", "--max-level", "1", "--tol", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("n,R_n,R_n_T,product,ok\n") and out.endswith(",false\n")
+
+
+def test_bad_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("HEXACARPET_CAP", "abc")
+    assert main(["duality", "--max-level", "2"]) == 2
+    assert capsys.readouterr().err.startswith("config:")
+
+
+def test_solver_failure_exit_code(capsys, monkeypatch):
+    def fail(self, family, n):
+        raise SolverError("terminals lie in different components")
+
+    monkeypatch.setattr(LevelCache, "result", fail)
+    assert main(["resistance", "--family", "hexacarpet", "--level", "1"]) == 4
+    assert capsys.readouterr().err.startswith("solver:")
+
+
+def test_readme_commands_parse():
+    # every command line the README shows is one the parser accepts
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [l.split("#", 1)[0].strip() for l in block.splitlines()]
+    commands = [shlex.split(l)[1:] for l in lines if l.startswith("hexacarpet ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_bad_level_exit_code():

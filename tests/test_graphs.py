@@ -33,6 +33,7 @@ from hexacarpet.subdivision import lookup_sorted
 from oracle import oracle_resistance
 from test_complex import CellMaps
 
+F1 = Fraction(1)
 SIGMA_A = ("s", 2)  # reflection fixing the corner between sides 0 and 1
 
 
@@ -41,6 +42,11 @@ def C():
     c = SubdivisionComplex()
     c.ensure_level(4)
     return c
+
+
+def fractions(G):
+    """G's exact conductances as a list of Fractions."""
+    return [Fraction(p, G.den) for p in G.num.tolist()]
 
 
 def cut_graph(C, n):
@@ -65,7 +71,7 @@ def test_skeleton_conductances(C):
         assert G.m == C.counts(n)[1]
         codes = C.edges[n][:, 0] * G.n + C.edges[n][:, 1]
         edge = lookup_sorted(codes, G.us * G.n + G.vs, "edge")
-        for e, c in zip(edge, G.cond):
+        for e, c in zip(edge, fractions(G)):
             want = Fraction(1, 2) if C.edge_side[n][e] >= 0 else Fraction(1)
             assert c == want
 
@@ -82,7 +88,7 @@ def test_dual_level_one_is_six_cycle(C):
     G = build_dual(C, 1)
     assert G.n == 6 and G.m == 6
     assert (G.degrees() == 2).all()
-    assert all(c == 1 for c in G.cond)
+    assert all(c == 1 for c in fractions(G))
 
 
 def test_dual_counts(C):
@@ -100,7 +106,7 @@ def test_hexacarpet_counts(C):
         boundary_edges = 6 * 2 ** (n - 1)
         assert G.n == 6 ** n + E
         assert G.m == 2 * E - boundary_edges
-        assert all(c == 2 for c in G.cond)
+        assert all(c == 2 for c in fractions(G))
         assert len(G.boundary["A"]) == 2 ** n
         assert len(G.boundary["B"]) == 2 ** n
 
@@ -125,7 +131,7 @@ def test_hexacarpet_reduces_to_dual(C):
             (int(u), int(v)) for u, v in zip(D.us, D.vs)
         }
         assert reduced == dual_edges
-        assert all(c == 1 for c in D.cond)
+        assert all(c == 1 for c in fractions(D))
 
 
 def test_families_reject_level_zero(C):
@@ -187,11 +193,47 @@ def test_vertex_ids_outside_the_graph_rejected():
     assert effective_resistance(G).resistance == pytest.approx(2.0)
 
 
+def test_fractional_edge_ends_rejected():
+    # once truncated silently to the edges (0, 1) and (1, 2)
+    with pytest.raises(FamilyError, match="edge ends must be integers"):
+        WeightedGraph(3, [0.5, 1.9], [1.2, 2.0], [1, 1])
+    # an empty edge list is valid on both input paths
+    assert WeightedGraph(3, [], [], []).m == 0
+    assert WeightedGraph(3, [], [], [], den=2).m == 0
+
+
+def test_fractional_numerators_rejected():
+    # once truncated to [0, 1], a zero-conductance edge
+    with pytest.raises(FamilyError, match="numerators must be integers"):
+        WeightedGraph(3, [0, 1], [1, 2], [0.5, 1.5], den=2)
+
+
+def test_denominator_must_be_a_positive_integer():
+    # den = 0 once gave infinite conductances
+    for den in (0, -2, 2.0):
+        with pytest.raises(FamilyError, match="denominator must be an integer >= 1"):
+            WeightedGraph(3, [0, 1], [1, 2], [1, 1], den=den)
+
+
+def test_nonpositive_conductances_rejected():
+    # once a singular factor (-1) or a division by zero (0) in the solve
+    for cond, den in (([-1, 2], 2), ([0, 2], 2), ([Fraction(-1, 2), F1], None), ([0, F1], None)):
+        with pytest.raises(FamilyError, match="conductances must be positive"):
+            WeightedGraph(3, [0, 1], [1, 2], cond, {"A": {0}, "B": {2}}, den=den)
+
+
+def test_one_conductance_per_edge():
+    # a short list once built a graph of one conductance and two edges
+    for cond in ([2], [2, 2, 2]):
+        with pytest.raises(FamilyError, match="one per edge"):
+            WeightedGraph(3, [0, 1], [1, 2], cond, den=2)
+
+
 def test_conductances_must_be_exact_as_floats():
     # float views divide numerator by denominator, exact below 2^53
     G = WeightedGraph(3, [0, 1], [1, 2], [Fraction(1, 3), Fraction(5, 7)])
     assert G.conductances().tolist() == [1 / 3, 5 / 7]
-    assert G.cond == [Fraction(1, 3), Fraction(5, 7)]
+    assert fractions(G) == [Fraction(1, 3), Fraction(5, 7)]
     with pytest.raises(FamilyError):
         WeightedGraph(2, [0], [1], [Fraction(1, 2 ** 60)])
 
@@ -212,7 +254,7 @@ def test_drop_edges():
     H = drop_edges(G, pos)
     assert H.m == 2
     assert list(zip(H.us.tolist(), H.vs.tolist())) == [(0, 1), (1, 2)]
-    assert H.cond == [Fraction(1), Fraction(2)]
+    assert fractions(H) == [Fraction(1), Fraction(2)]
 
 
 def test_match_inverts_an_edge_permutation():
@@ -404,7 +446,7 @@ def test_cut_strand_checks_reject_broken_strands(C, mutate, message):
         n_vertices,
         list(G.us[keep]) + [u for u, _ in add],
         list(G.vs[keep]) + [v for _, v in add],
-        [c for c, k in zip(G.cond, keep) if k] + [Fraction(2)] * len(add),
+        [c for c, k in zip(fractions(G), keep) if k] + [Fraction(2)] * len(add),
         G.boundary,
         G.meta,
     )
@@ -447,7 +489,7 @@ def reference_short_graph(C, n):
     reps = sorted({find(v) for v in range(F + E)})
     new_id = {r: i for i, r in enumerate(reps)}
     acc = {}
-    for u, v, c in zip(H.us.tolist(), H.vs.tolist(), H.cond):
+    for u, v, c in zip(H.us.tolist(), H.vs.tolist(), fractions(H)):
         a, b = sorted((new_id[find(u)], new_id[find(v)]))
         if a != b:
             acc[(a, b)] = acc.get((a, b), Fraction(0)) + c
@@ -461,10 +503,12 @@ def test_short_graph_matches_reference(C):
     for n in (1, 2, 3, 4):
         S = short_graph(C, n)
         vmap, edges, boundary = reference_short_graph(C, n)
-        assert S.meta["vertex_map"].tolist() == vmap
-        assert list(zip(zip(S.us.tolist(), S.vs.tolist()), S.cond)) == edges
-        assert S.boundary == boundary
+        # the quotient numbers the classes by representative
         rep = shorted_classes(C, n)
+        classes = np.unique(rep, return_inverse=True)[1]
+        assert classes.tolist() == vmap
+        assert list(zip(zip(S.us.tolist(), S.vs.tolist()), fractions(S))) == edges
+        assert S.boundary == boundary
         assert (rep <= np.arange(len(rep))).all()
         assert (rep[rep] == rep).all()
 
@@ -484,7 +528,7 @@ def test_quotient_parallel_sum():
     )
     H = quotient(G, np.array([0, 1, 1]))
     assert H.n == 2 and H.m == 1
-    assert H.cond[0] == Fraction(5)
+    assert fractions(H)[0] == Fraction(5)
 
 
 def test_quotient_drops_internal_edges():
@@ -505,7 +549,7 @@ def test_quotient_rejects_terminal_fusion():
 
 def test_exports_match_per_edge_format(C):
     for G in (build_skeleton(C, 2), short_graph(C, 3), cut_graph(C, 2)):
-        want = [f"{u} {v} {c.numerator}/{c.denominator}" for u, v, c in zip(G.us, G.vs, G.cond)]
+        want = [f"{u} {v} {c.numerator}/{c.denominator}" for u, v, c in zip(G.us, G.vs, fractions(G))]
         assert to_edgelist(G).splitlines()[len(G.boundary):] == want
         dot = to_dot(G).splitlines()
         assert [l for l in dot if " -- " in l] == [
@@ -519,7 +563,7 @@ def _reference_edgelist(G):
         f"#boundary {name}: " + " ".join(str(v) for v in sorted(G.boundary[name]))
         for name in sorted(G.boundary)
     ]
-    lines += [f"{u} {v} {c.numerator}/{c.denominator}" for u, v, c in zip(G.us.tolist(), G.vs.tolist(), G.cond)]
+    lines += [f"{u} {v} {c.numerator}/{c.denominator}" for u, v, c in zip(G.us.tolist(), G.vs.tolist(), fractions(G))]
     return "\n".join(lines) + "\n"
 
 
@@ -530,7 +574,7 @@ def _reference_dot(G):
     lines += [f'  {v} [color="blue"];' for v in sorted(G.boundary.get("B", ()))]
     lines += [
         f'  {u} -- {v} [label="{c.numerator}/{c.denominator}"];'
-        for u, v, c in zip(G.us.tolist(), G.vs.tolist(), G.cond)
+        for u, v, c in zip(G.us.tolist(), G.vs.tolist(), fractions(G))
     ]
     return "\n".join(lines) + "\n}\n"
 
@@ -584,6 +628,11 @@ def test_exports_hold_at_most_three_copies_of_their_text():
         assert peak <= 3 * len(text)
 
 
+def test_unknown_family_is_a_family_error():
+    with pytest.raises(FamilyError, match="skeleton, dual, hexacarpet, cut, short"):
+        LevelCache().graph("bogus", 2)
+
+
 def test_each_hexacarpet_is_built_once(monkeypatch):
     built = []
     real = graphs.build_hexacarpet
@@ -633,7 +682,7 @@ def test_edgelist_format(C):
     u, v, c = body[0].split()
     num, den = c.split("/")
     assert int(u) < int(v)
-    assert Fraction(int(num), int(den)) == G.cond[0]
+    assert Fraction(int(num), int(den)) == fractions(G)[0]
 
 
 def test_dot_format(C):

@@ -547,10 +547,22 @@ def test_deterministic_solve():
 # -- Thompson minimality ------------------------------------------------
 
 
+def forest_parents(G, forest):
+    """(parent, parent_edge) of every vertex, -1 at a root, read off the
+    forest's depth levels and tree edges."""
+    parent = np.full(G.n, -1, dtype=np.int64)
+    parent_edge = np.full(G.n, -1, dtype=np.int64)
+    for lo, hi, starts, heads in forest.levels:
+        runs = np.diff(np.append(starts, hi - lo))
+        parent[forest.order[lo:hi]] = np.repeat(forest.order[heads], runs)
+    parent_edge[forest.order[G.n - len(forest.tree):]] = forest.tree
+    return parent, parent_edge
+
+
 def cycle_flow_reference(G, forest, edge_pos):
     """Unit circulation around the fundamental cycle of a non-tree edge,
     walking both of its ends up to the root one edge at a time."""
-    parent, parent_edge = forest.parent, forest.parent_edge
+    parent, parent_edge = forest_parents(G, forest)
     K = np.zeros(G.m)
     u, v = int(G.us[edge_pos]), int(G.vs[edge_pos])
     K[edge_pos] = 1.0
@@ -595,31 +607,29 @@ def forest_cases(cache):
 def test_spanning_forest_arrays(cache6):
     for G in forest_cases(cache6):
         f = spanning_forest(G)
+        parent, parent_edge = forest_parents(G, f)
         adj = coo_matrix((np.ones(G.m), (G.us, G.vs)), shape=(G.n, G.n))
         ncomp = connected_components(adj, directed=False)[0]
-        roots = np.flatnonzero(f.parent < 0)
+        roots = np.flatnonzero(parent < 0)
         assert len(roots) == ncomp and len(f.tree) == G.n - ncomp
         assert sorted(f.order.tolist()) == list(range(G.n))
-        assert f.parent_edge[roots].tolist() == [-1] * ncomp
+        assert parent_edge[roots].tolist() == [-1] * ncomp
         # tree and non-tree edges partition the edges
         assert sorted(f.tree.tolist() + f.nontree.tolist()) == list(range(G.m))
         child = f.order[ncomp:]
-        assert np.array_equal(f.parent_edge[child], f.tree)
-        ends = np.sort(np.stack([child, f.parent[child]]), axis=0)
+        ends = np.sort(np.stack([child, parent[child]]), axis=0)
         assert np.array_equal(ends, np.stack([G.us[f.tree], G.vs[f.tree]]))
         assert np.array_equal(f.up, np.where(G.us[f.tree] == child, 1.0, -1.0))
-        # the levels cover the non-roots in order, each vertex one level
-        # below its parent
+        # the levels cover the non-roots in order, in runs whose parents
+        # come in order too, each vertex one level below its parent
         bounds = [ncomp] + [hi for _, hi, _, _ in f.levels]
         assert [lo for lo, _, _, _ in f.levels] == bounds[:-1] and bounds[-1] == G.n
         depth = np.zeros(G.n, dtype=np.int64)
         for d, (lo, hi, starts, heads) in enumerate(f.levels, 1):
             depth[f.order[lo:hi]] = d
-            runs = np.split(f.order[lo:hi], starts[1:])
-            assert [f.parent[r].tolist() for r in runs] == [
-                [f.order[h]] * len(r) for h, r in zip(heads.tolist(), runs)
-            ]
-        assert np.array_equal(depth[child], depth[f.parent[child]] + 1)
+            assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < hi - lo
+            assert (np.diff(heads) > 0).all()
+        assert np.array_equal(depth[child], depth[parent[child]] + 1)
 
 
 def test_fundamental_circulations_match_path_walk(cache6):
@@ -637,7 +647,7 @@ def test_tree_currents_cancel_the_charges(cache6):
         f = spanning_forest(G)
         charge = rng.normal(size=(G.n, 3))
         T = tree_currents(f, charge)
-        roots = f.parent < 0
+        roots = forest_parents(G, f)[0] < 0
         for t in range(3):
             J = np.zeros(G.m)
             J[f.tree] = T[:, t]
