@@ -69,6 +69,15 @@ UNIT_TOL = 1e-8
 # top level of the short family in the sweeps
 SHORT_MAX_LEVEL = 5
 
+# the graph families by name, in the order the command line lists them
+BUILDERS = {
+    "skeleton": build_skeleton,
+    "dual": build_dual,
+    "hexacarpet": build_hexacarpet,
+    "cut": build_cut_graph,
+    "short": build_short_graph,
+}
+
 # dihedral elements by role: s3 mirrors across the vertical axis, s0
 # across the horizontal axis
 S0, S3 = ("s", 0), ("s", 3)
@@ -94,21 +103,14 @@ class LevelCache:
     def graph(self, family, n):
         key = (family, n)
         if key not in self._graphs:
-            builders = {
-                "skeleton": build_skeleton,
-                "dual": build_dual,
-                "hexacarpet": build_hexacarpet,
-                "cut": build_cut_graph,
-                "short": build_short_graph,
-            }
-            if family not in builders:
+            if family not in BUILDERS:
                 raise FamilyError(
-                    f"unknown family {family!r}; the families are {', '.join(builders)}"
+                    f"unknown family {family!r}; the families are {', '.join(BUILDERS)}"
                 )
             # the surgeries cut the held hexacarpet, so each level's
             # hexacarpet is built once
             held = (self.graph("hexacarpet", n),) if family in ("cut", "short") else ()
-            self._graphs[key] = builders[family](self.C, n, *held)
+            self._graphs[key] = BUILDERS[family](self.C, n, *held)
         return self._graphs[key]
 
     def result(self, family, n):
@@ -298,8 +300,7 @@ def compose_flow(cache: LevelCache, m, n):
     K = side_flows(cache, n)
     Gn = cache.graph("hexacarpet", n)
     Gf = cache.graph("hexacarpet", m + n)
-    Fn = Gn.meta["tri_count"]
-    Ff = Gf.meta["tri_count"]
+    Fn, Ff = len(C.tris[n]), len(C.tris[m + n])
     es, ts = C.embed(m, n)
     t, j1, j2 = Y.slot.T
 
@@ -458,7 +459,7 @@ def short_report(cache: LevelCache, max_level):
     rows = []
     for n in range(1, max_level + 1):
         rt = cache.R_tilde(n)
-        ratio = rt / cache.R_tilde(n - 1) if n > 1 else float("nan")
+        ratio = rt / cache.R_tilde(n - 1) if n > 1 else None
         rows.append(
             {
                 "n": n,
@@ -477,7 +478,7 @@ def short_report(cache: LevelCache, max_level):
 
 
 def _csv_cell(x):
-    if x is None or (isinstance(x, float) and x != x):
+    if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -488,8 +489,8 @@ def _csv_cell(x):
 
 def csv_text(header, rows):
     """The header line, then one line per row.  Every table is written
-    through here: floats as %.17g, bools as true/false, None and NaN as
-    empty cells, anything else as str."""
+    through here: floats as %.17g, bools as true/false, None (a missing
+    value) as an empty cell, anything else as str."""
     return "\n".join([header, *(",".join(map(_csv_cell, r)) for r in rows)]) + "\n"
 
 
@@ -513,10 +514,8 @@ class ScalingReport:
     d_S: float
 
     def ratios(self):
-        out = [float("nan")]
-        for i in range(1, len(self.R)):
-            out.append(self.R[i] / self.R[i - 1])
-        return out
+        """The step ratios R(n) / R(n - 1), None at the first level."""
+        return [None] + [b / a for a, b in zip(self.R, self.R[1:])]
 
     def to_csv_text(self):
         rows = []

@@ -36,6 +36,7 @@ from .subdivision import DEFAULT_CAP, CapacityError
 from .graphs import FamilyError, to_dot, to_edgelist
 from .network import SolverError
 from .analysis import (
+    BUILDERS,
     SHORT_MAX_LEVEL,
     LevelCache,
     csv_text,
@@ -47,7 +48,7 @@ from .analysis import (
     verify_supermultiplicative,
 )
 
-FAMILIES = ("skeleton", "dual", "hexacarpet", "cut", "short")
+FAMILIES = tuple(BUILDERS)
 
 
 def _manifest(args, timings):

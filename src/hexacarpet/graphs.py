@@ -19,8 +19,8 @@ hexacarpet joins the edge vertices of sides {0,1} to those of sides
 corner at angle 60k degrees.
 
 Conductances are exact: int64 numerators over a common denominator
-(halves for every family, and sums of halves in quotients); float views
-are derived on demand.
+(halves for every family, and sums of halves in quotients); the float
+view divides them on every call.  Triangle counts come from the complex.
 
 Every family carries the dihedral symmetry group of the hexagon as a
 DihedralAction on its vertices, read lazily from the complex's map
@@ -150,14 +150,16 @@ class WeightedGraph:
     edge, as rationals, or, when den is given, as those numerators:
     integers > 0 over an integer den >= 1.  boundary maps set names
     (usually "A", "B") to frozensets of vertex ids.  Edge ends and
-    terminals must be integer vertex ids 0..n-1.  A bad conductance or a
-    repeated pair of edge ends, a parallel edge, raises FamilyError.
+    terminals must be integer vertex ids 0..n-1, n an integer >= 0.  A
+    bad count, conductance or parallel edge raises FamilyError.
     Edges given in canonical order already are stored without a sort.
     symmetry is the DihedralAction on the vertices, or None.
     """
 
     def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None,
                  symmetry=None):
+        if not isinstance(n, Integral) or n < 0:
+            raise FamilyError(f"the vertex count must be an integer >= 0, not {n!r}")
         us = _integers(us, "edge ends")
         vs = _integers(vs, "edge ends")
         lo = np.minimum(us, vs)
@@ -198,7 +200,6 @@ class WeightedGraph:
                 raise FamilyError(f"terminal set {k} must hold integer vertex ids 0..{n - 1}")
         self.meta = dict(meta or {})
         self.symmetry = symmetry
-        self._cfloat = None
         self._components = None
 
     @property
@@ -206,9 +207,7 @@ class WeightedGraph:
         return len(self.num)
 
     def conductances(self):
-        if self._cfloat is None:
-            self._cfloat = self.num / self.den
-        return self._cfloat
+        return self.num / self.den
 
     def components(self):
         """(number of connected components, component label per vertex)."""
@@ -359,19 +358,24 @@ def build_skeleton(C: SubdivisionComplex, n):
     """1-skeleton of level n with terminals the side-2 / side-5 chains."""
     _require_positive_level(n)
     C.ensure_level(n)
-    edges = C.edges[n]
+    edges, side = C.edges[n], C.edge_side[n]
+
+    def bits():
+        # a vertex's sides are those of the boundary edges ending at it
+        on = side >= 0
+        b = np.zeros(C.offsets[n], dtype=np.int64)
+        np.bitwise_or.at(b, edges[on], SIDE_BIT[side[on], None])
+        return b
+
     return WeightedGraph(
         C.counts(n)[0], edges[:, 0], edges[:, 1],
-        np.where(C.edge_side[n] < 0, ONE, HALF),
+        np.where(side < 0, ONE, HALF),
         {
             "A": frozenset(C.side_vertices(n, 2).tolist()),
             "B": frozenset(C.side_vertices(n, 5).tolist()),
         },
         {"family": "skeleton", "level": n}, DEN,
-        DihedralAction(
-            lambda g: C.vertex_map(g, n),
-            lambda: C.vertex_sides[: C.offsets[n]],
-        ),
+        DihedralAction(lambda g: C.vertex_map(g, n), bits),
     )
 
 
@@ -415,7 +419,7 @@ def build_hexacarpet(C: SubdivisionComplex, n):
         F + len(C.edges[n]), np.repeat(np.arange(F), 3), F + sides,
         np.full(len(sides), TWO),
         {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (3, 4))},
-        {"family": "hexacarpet", "level": n, "tri_count": F}, DEN,
+        {"family": "hexacarpet", "level": n}, DEN,
         _hexacarpet_action(C, n),
     )
 
@@ -465,7 +469,7 @@ def build_cut_graph(C: SubdivisionComplex, n, H):
     """The level-n hexacarpet H with all incidences at the severed edge
     vertices removed; terminals are the side-{0,1} and side-{4,5} arcs,
     which the surviving triangle strands join by disjoint paths."""
-    F = H.meta["tri_count"]
+    F = len(C.tris[n])
     # incidences run triangle -> edge vertex, so only vs can be hit
     keep = ~np.isin(H.vs, F + cut_edge_vertices(C, n))
     return WeightedGraph(
@@ -490,7 +494,7 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     The tests check this at levels up to 6; deriving it from
     cut_segments' r4/s0 rule is still open.
     """
-    F = G.meta["tri_count"]
+    F = len(C.tris[n])
     ncomp, label = G.components()
 
     # a strand is a component holding triangles; tally what each touches
@@ -595,7 +599,6 @@ def build_short_graph(C: SubdivisionComplex, n, H):
     holding sides {3,4}."""
     S = quotient(H, shorted_classes(C, n))
     S.meta["family"] = "short"
-    S.meta.pop("tri_count", None)
     return S
 
 

@@ -36,7 +36,9 @@ child of g s in the same slot.  That is exact from level 2 up: there
 every triangle is (older vertex, edge barycenter, triangle barycenter)
 and every edge joins two kinds of vertex, and g keeps each kind, so it
 keeps the sorted vertex order.  On level 1 it does not, as r1 sends
-corners to side barycenters.
+corners to side barycenters.  The group law, dihedral_compose, is a
+table read off the level-1 vertex permutations at import.  The boundary
+is recorded once, as each edge's side; a side's vertices are its ends.
 
 Text output, this module's to_json and the graph exports alike, goes
 through one writer, format_rows: literal strings and IntRows tables of
@@ -80,16 +82,6 @@ _SIDE_EDGES = {
     (P0, B02): 5,
 }
 
-# Sides incident to each hexagon corner, as bitmasks.
-_SIDE_OF_VERTEX = {
-    P0: (1 << 0) | (1 << 5),
-    B01: (1 << 0) | (1 << 1),
-    P1: (1 << 1) | (1 << 2),
-    B12: (1 << 2) | (1 << 3),
-    P2: (1 << 3) | (1 << 4),
-    B02: (1 << 4) | (1 << 5),
-    CENTER: 0,
-}
 # the bitmask of side s at index s, and 0 at index -1 (no side)
 SIDE_BIT = np.array([1, 2, 4, 8, 16, 32, 0], dtype=np.int64)
 
@@ -123,19 +115,6 @@ def dihedral_elements():
     return [("r", k) for k in range(6)] + [("s", k) for k in range(6)]
 
 
-def dihedral_compose(a, b):
-    """Composition a after b in the dihedral group of the hexagon."""
-    ta, ka = a
-    tb, kb = b
-    if ta == "r" and tb == "r":
-        return ("r", (ka + kb) % 6)
-    if ta == "r" and tb == "s":
-        return ("s", (ka + kb) % 6)
-    if ta == "s" and tb == "r":
-        return ("s", (ka - kb) % 6)
-    return ("r", (ka - kb) % 6)
-
-
 def _base_perm(elem):
     """The permutation of the seven level-1 vertex ids for a group element."""
     if elem not in dihedral_elements():
@@ -148,6 +127,21 @@ def _base_perm(elem):
         # s_k = r_k . s_0: reflect first, then rotate
         perm = [perm[_REFL_H[i]] for i in range(7)]
     return perm
+
+
+# the group law, a after b for every pair, read off the permutations of
+# the level-1 vertex ids: v goes to a(b(v))
+_PERMS = {g: _base_perm(g) for g in dihedral_elements()}
+_NAMED = {tuple(p): g for g, p in _PERMS.items()}
+_PRODUCT = {
+    (a, b): _NAMED[tuple(pa[v] for v in pb)]
+    for a, pa in _PERMS.items() for b, pb in _PERMS.items()
+}
+
+
+def dihedral_compose(a, b):
+    """Composition a after b in the dihedral group of the hexagon."""
+    return _PRODUCT[a, b]
 
 
 def lookup_sorted(table, codes, what):
@@ -206,13 +200,13 @@ class SubdivisionComplex:
 
     Global vertex data, indexed by vertex id:
       coords        (V, 2) numerators of (x, y/sqrt(3)) over denom
-      vertex_sides  bitmask of incident boundary sides
 
     The triangles of an edge are not stored: they are the rows of
-    tri_edges that hold it.  Each table is int64, so a complex built to
-    level n holds 8 * (3 E_k + 6 T_k) bytes per level k <= n, 8 *
-    (2 E_k + 12 T_k) of child tables per level k < n, and 24 bytes per
-    vertex.
+    tri_edges that hold it; nor are a vertex's boundary sides, which
+    side_vertices reads off edge_side.  Each table is int64, so a
+    complex built to level n holds 8 * (3 E_k + 6 T_k) bytes per level
+    k <= n, 8 * (2 E_k + 12 T_k) of child tables per level k < n, and 16
+    bytes per vertex.
 
     The dihedral symmetries, keyed by element, are read-only int64
     arrays: edge_images and tri_images, cached on first use, and
@@ -234,7 +228,6 @@ class SubdivisionComplex:
 
         self.coords = _frozen(_HEX[:3])
         self.denom = 2
-        self.vertex_sides = _frozen([0, 0, 0])
 
         # symmetry images, built a level at a time on first use
         self._images = {}  # (element, level) -> (edge images, tri images)
@@ -310,7 +303,6 @@ class SubdivisionComplex:
 
         if n == 0:
             self.coords = _frozen(_HEX)
-            sides = [_SIDE_OF_VERTEX[v] for v in range(nv)]
         else:
             c = self.coords
             self.coords = _frozen(np.concatenate([
@@ -319,10 +311,6 @@ class SubdivisionComplex:
                 2 * c[tris].sum(axis=1),
             ]))
             self.denom *= 6
-            sides = np.concatenate(
-                [self.vertex_sides, SIDE_BIT[old_side], np.zeros(T, dtype=np.int64)]
-            )
-        self.vertex_sides = _frozen(sides)
 
         self.edges.append(_frozen(new_edges))
         self.tris.append(_frozen(new_tris))
@@ -341,9 +329,11 @@ class SubdivisionComplex:
         return self.offsets[n], len(self.edges[n]), len(self.tris[n])
 
     def side_vertices(self, n, side):
-        """Level-n skeleton vertices on boundary side 0..5, ascending."""
+        """Level-n vertices on boundary side 0..5, ascending: its edges' ends."""
         self.require_level(n)
-        return np.nonzero(self.vertex_sides[: self.offsets[n]] >> side & 1)[0]
+        if side not in range(6):
+            raise ValueError(f"{side!r} is not a boundary side 0..5")
+        return np.unique(self.edges[n][self.edge_side[n] == side])
 
     def side_edges_at(self, n, sides):
         """Level-n edge ids on a boundary side, or on any of several."""

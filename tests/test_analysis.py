@@ -157,7 +157,7 @@ def branch_sides(C, Y):
 def y_decomposition_reference(cache, m, zero_tol=1e-12):
     """Triangle-by-triangle branch currents, through side first."""
     G = cache.graph("hexacarpet", m)
-    F = G.meta["tri_count"]
+    F = len(cache.C.tris[m])
     I = unit_flow(cache, m)
     idx = edge_index(G)
     a = np.zeros((F, 3))
@@ -208,8 +208,7 @@ def compose_flow_reference(cache, m, n):
     sides = branch_sides(C, Y)
     Gn = cache.graph("hexacarpet", n)
     Gf = cache.graph("hexacarpet", m + n)
-    Fn = Gn.meta["tri_count"]
-    Ff = Gf.meta["tri_count"]
+    Fn, Ff = len(C.tris[n]), len(C.tris[m + n])
     idx_f = edge_index(Gf)
     J = np.zeros(Gf.m)
     written = np.zeros(Gf.m, dtype=np.int8)

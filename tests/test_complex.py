@@ -28,7 +28,6 @@ from hexacarpet.subdivision import (
     P1,
     P2,
     _SIDE_EDGES,
-    _SIDE_OF_VERTEX,
     _SPLIT_Q,
     _SPLIT_SIDE,
     _base_perm,
@@ -59,6 +58,17 @@ HEX = {
 # p1 -> F_P1[c], p2 -> F_P2[c].
 F_P1 = (P0, P1, P1, P2, P2, P0)
 F_P2 = (B01, B01, B12, B12, B02, B02)
+
+# Sides incident to each hexagon corner, as bitmasks.
+SIDE_OF_VERTEX = {
+    P0: (1 << 0) | (1 << 5),
+    B01: (1 << 0) | (1 << 1),
+    P1: (1 << 1) | (1 << 2),
+    B12: (1 << 2) | (1 << 3),
+    P2: (1 << 3) | (1 << 4),
+    B02: (1 << 4) | (1 << 5),
+    CENTER: 0,
+}
 
 
 class ReferenceComplex:
@@ -157,7 +167,7 @@ class ReferenceComplex:
                 self.vertex_sides[u] |= 1 << s
                 self.vertex_sides[v] |= 1 << s
         if n == 0:
-            for vid, mask in _SIDE_OF_VERTEX.items():
+            for vid, mask in SIDE_OF_VERTEX.items():
                 self.vertex_sides[vid] = mask
 
         self.edges.append(edge_list)
@@ -208,11 +218,6 @@ def coord(C, v):
     return tuple(Fraction(int(c), C.denom) for c in C.coords[v])
 
 
-def vertices_at(C, n):
-    """Ids of the vertices present in the level-n skeleton."""
-    return range(C.counts(n)[0])
-
-
 def dihedral_inverse(a):
     t, k = a
     if t == "r":
@@ -238,10 +243,19 @@ def test_euler_characteristic(C):
         assert v - e + f == 1
 
 
+def side_masks(C, n):
+    """The bitmask of boundary sides of each level-n vertex, from
+    side_vertices."""
+    masks = np.zeros(C.counts(n)[0], dtype=np.int64)
+    for s in range(6):
+        masks[C.side_vertices(n, s)] |= 1 << s
+    return masks
+
+
 def test_level_one_is_regular_hexagon(C):
     # six boundary vertices on the unit circle (y is stored over sqrt 3,
     # so the squared radius is x^2 + 3 y^2), center at the origin
-    on_circle = [v for v in range(7) if C.vertex_sides[v]]
+    on_circle = np.nonzero(side_masks(C, 1))[0].tolist()
     assert len(on_circle) == 6
     for v in on_circle:
         x, y = coord(C, v)
@@ -270,12 +284,19 @@ def test_side_counts(C):
             assert len(C.side_vertices(n, s)) == 2 ** (n - 1) + 1
 
 
+def test_side_vertices_refuses_a_non_side(C):
+    # -1 marks the edges on no side, whose ends are not a side's vertices
+    for side in (-1, 6):
+        with pytest.raises(ValueError, match="not a boundary side"):
+            C.side_vertices(2, side)
+
+
 def test_corner_vertices_sit_on_two_sides(C):
     for n in range(1, MAXN + 1):
-        masks = [C.vertex_sides[v] for v in vertices_at(C, n)]
-        corners = [m for m in masks if bin(m).count("1") == 2]
+        masks = side_masks(C, n)
+        corners = [m for m in masks.tolist() if bin(m).count("1") == 2]
         assert len(corners) == 6
-    assert C.vertex_sides[6] == 0
+        assert masks[CENTER] == 0
 
 
 def edge_triangles(C, n):
@@ -345,6 +366,29 @@ def test_dihedral_group_table():
         assert dihedral_compose(a, dihedral_inverse(a)) == ("r", 0)
         for b in elems:
             assert dihedral_compose(a, b) in elems
+
+
+def dihedral_compose_reference(a, b):
+    """a after b by the algebra of rotations r_k and reflections s_k."""
+    ta, ka = a
+    tb, kb = b
+    if ta == "r" and tb == "r":
+        return ("r", (ka + kb) % 6)
+    if ta == "r" and tb == "s":
+        return ("s", (ka + kb) % 6)
+    if ta == "s" and tb == "r":
+        return ("s", (ka - kb) % 6)
+    return ("r", (ka - kb) % 6)
+
+
+def test_dihedral_compose_matches_algebra_and_vertex_action():
+    elems = dihedral_elements()
+    for a in elems:
+        for b in elems:
+            ab = dihedral_compose(a, b)
+            assert ab == dihedral_compose_reference(a, b)
+            pa, pb = _base_perm(a), _base_perm(b)
+            assert _base_perm(ab) == [pa[pb[v]] for v in range(7)]
 
 
 def rot60(p):
@@ -445,7 +489,11 @@ def test_arrays_match_reference(C, R):
             parent = np.full(T, -1)
             parent[C.tri_children[n - 1]] = np.arange(len(C.tris[n - 1]))[:, None]
             assert parent.tolist() == R.tri_parent[n]
-    assert C.vertex_sides.tolist() == R.vertex_sides
+    for n in range(1, MAXN + 2):
+        V = C.counts(n)[0]
+        for s in range(6):
+            want = [v for v in range(V) if R.vertex_sides[v] >> s & 1]
+            assert C.side_vertices(n, s).tolist() == want
     assert [coord(C, v) for v in range(len(R.coords))] == R.coords
     # the stored denominator is the level's common one, 2 * 6^(n-1)
     assert C.denom == 2 * 6 ** MAXN
@@ -473,14 +521,14 @@ def table_bytes(n):
     """Bytes of the int64 tables of a complex built to level n: per
     level k <= n, edges (2E), tris and tri_edges (3T each) and edge_side
     (E); per level k < n, edge_children (2E), tri_children and tri_inner
-    (6T each); per vertex, coords (2) and vertex_sides (1)."""
+    (6T each); per vertex, coords (2)."""
     total = 0
     for k in range(n + 1):
         v, e, t = count_oracle(k)
         total += 8 * (3 * e + 6 * t)
         if k < n:
             total += 8 * (2 * e + 12 * t)
-    return total + 24 * v
+    return total + 16 * v
 
 
 def test_tables_match_sizing_formula():
@@ -495,7 +543,7 @@ def test_tables_match_sizing_formula():
             if isinstance(a, np.ndarray)
         )
         assert held == table_bytes(n)
-    assert table_bytes(8) == 229_805_184
+    assert table_bytes(8) == 223_083_640
 
 
 def test_to_json_matches_reference(C, R):

@@ -1,5 +1,7 @@
 """Recorded CLI outputs: the CSV text byte for byte and the key tree of
-each JSON document, whose values (timings among them) may vary.
+each JSON document, whose values (timings among them) may vary.  Each
+document must be strict JSON (RFC 8259): NaN and the infinities are
+refused, both here and when the recordings are written.
 
 The files under tests/golden/ are written by running this module as a
 script, PYTHONPATH=src python tests/test_golden.py; a change that means
@@ -27,6 +29,12 @@ RUNS = {
 }
 
 
+def refuse_constant(name):
+    """parse_constant hook of json.loads: NaN, Infinity and -Infinity
+    are not JSON."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def key_tree(doc):
     """The document with every scalar replaced by None."""
     if isinstance(doc, dict):
@@ -44,7 +52,7 @@ def outputs(name):
         with redirect_stdout(buf):
             assert main(RUNS[name] + ["--format", fmt]) == 0
         texts.append(buf.getvalue())
-    return texts[0], key_tree(json.loads(texts[1]))
+    return texts[0], key_tree(json.loads(texts[1], parse_constant=refuse_constant))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -117,12 +117,12 @@ def test_hexacarpet_reduces_to_dual(C):
     for n in (1, 2, 3):
         H = build_hexacarpet(C, n)
         D = build_dual(C, n)
-        F = H.meta["tri_count"]
-        # the triangles holding each edge among their sides
+        F = len(C.tris[n])
+        # the triangle neighbours of each edge vertex
         at_edge = {}
-        for t, sides in enumerate(C.tri_edges[n].tolist()):
-            for e in sides:
-                at_edge.setdefault(e, []).append(t)
+        for t, v in zip(H.us.tolist(), H.vs.tolist()):
+            assert t < F <= v
+            at_edge.setdefault(v, []).append(t)
         reduced = set()
         for ts in at_edge.values():
             if len(ts) == 2:
@@ -200,6 +200,16 @@ def test_fractional_edge_ends_rejected():
     # an empty edge list is valid on both input paths
     assert WeightedGraph(3, [], [], []).m == 0
     assert WeightedGraph(3, [], [], [], den=2).m == 0
+
+
+@pytest.mark.parametrize("n", [2.5, -1, "3"])
+def test_vertex_count_must_be_a_nonnegative_integer(n):
+    # 2.5 was once truncated to 2, -1 kept, and "3" raised numpy's
+    # UFuncTypeError; a graph with no vertex and no edge stays valid
+    edges = ([], []) if n == -1 else ([0], [1])
+    with pytest.raises(FamilyError, match="vertex count must be an integer >= 0"):
+        WeightedGraph(n, *edges, [1] * len(edges[0]), den=1)
+    assert WeightedGraph(0, [], [], [], den=1).n == 0
 
 
 def test_fractional_numerators_rejected():
@@ -341,7 +351,7 @@ def test_cut_strand_lengths_match_walk(C):
     # reference: walk each strand from its side-{0,1} end, arc order
     for n in (1, 2, 3, 4):
         G = cut_graph(C, n)
-        F = G.meta["tri_count"]
+        F = len(C.tris[n])
         adj = {v: [] for v in range(G.n)}
         for u, v in zip(G.us.tolist(), G.vs.tolist()):
             adj[u].append(v)
@@ -383,7 +393,7 @@ def test_cut_graph_is_a_subgraph(C):
     n = 2
     H = build_hexacarpet(C, n)
     G = build_cut_graph(C, n, H)
-    F = H.meta["tri_count"]
+    F = len(C.tris[n])
     hit = {F + e for e in cut_edge_vertices(C, n)}
     removed = sum(
         1 for u, v in zip(H.us, H.vs) if u in hit or v in hit
@@ -394,10 +404,11 @@ def test_cut_graph_is_a_subgraph(C):
 
 
 def _strand_of_triangle(G):
-    """Component label of each triangle vertex of a cut graph."""
+    """Component label of each triangle vertex of a cut graph: the
+    6^n vertices of lowest id at level n."""
     adj = coo_matrix((np.ones(G.m), (G.us, G.vs)), shape=(G.n, G.n))
     _, label = connected_components(adj + adj.T, directed=False)
-    return label[: G.meta["tri_count"]]
+    return label[: 6 ** G.meta["level"]]
 
 
 def _join_strands(G):
@@ -642,7 +653,7 @@ def test_each_hexacarpet_is_built_once(monkeypatch):
         return real(C, n)
 
     monkeypatch.setattr(graphs, "build_hexacarpet", counting)
-    monkeypatch.setattr(analysis, "build_hexacarpet", counting)
+    monkeypatch.setitem(analysis.BUILDERS, "hexacarpet", counting)
     cache = LevelCache()
     estimate_rho(cache, 4, short_max=4)
     cut_report(cache, 4)
