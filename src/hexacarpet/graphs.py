@@ -20,7 +20,9 @@ corner at angle 60k degrees.
 
 Conductances are exact: int64 numerators over a common denominator
 (halves for every family, and sums of halves in quotients); the float
-view divides them on every call.  Triangle counts come from the complex.
+view divides them on every call.  The hexacarpet and the dual, each of
+one conductance, hold their numerators as one read-only zero-stride
+value.  Triangle counts come from the complex.
 
 Every family carries the dihedral symmetry group of the hexagon as a
 DihedralAction on its vertices, read lazily from the complex's map
@@ -32,9 +34,11 @@ An edge map is checked by one exact match, WeightedGraph.match: the
 codes u*n + v of the mapped edges are sorted stably, near-linear since
 they come in long ascending runs, and must equal the graph's own
 sorted codes, every edge once; the inverse of the sort gives each
-edge's image position as int32.  The stabiliser keeps these edge
-images for its generators, and the flow pullbacks and the splice of
-analysis use the same match.  positions() stays for edge sets that
+edge's image position as int32.  The stabiliser builds the codes of
+its images in place, so a check holds one code array, the sort order,
+the sorted codes and the positions.  It keeps these edge images for
+its generators, and the flow pullbacks and the splice of analysis use
+the same match.  positions() stays for edge sets that
 are not a permutation of the edges, such as a spanning tree.
 
 The exports to_edgelist and to_dot hand the edges to the text writer
@@ -87,10 +91,10 @@ class DihedralAction:
     """The dihedral group of the hexagon acting on a graph's vertices.
 
     perm(elem) gives the int64 vertex images of one group element and
-    bits() each vertex's bitmask of boundary sides: the two callables
-    the family builder passes.  The images are read from the arrays the
-    complex caches when a solve asks, and graphs on one vertex set (a
-    hexacarpet and its cut graph) share one action.
+    bits(ids) the bitmasks of boundary sides of the vertices ids: the two
+    callables the family builder passes.  The images are read from the
+    arrays the complex caches when a solve asks, and graphs on one
+    vertex set (a hexacarpet and its cut graph) share one action.
     """
 
     def __init__(self, perm, bits):
@@ -101,7 +105,7 @@ class DihedralAction:
         """The involutions other than the identity whose side permutation
         carries the sides of (A, B) to those of (A, B) or of (B, A)."""
         a, b = (
-            int(np.bitwise_or.reduce(self.bits()[np.fromiter(S, np.int64, len(S))]))
+            int(np.bitwise_or.reduce(self.bits(np.fromiter(S, np.int64, len(S)))))
             for S in (A, B)
         )
         out = []
@@ -124,10 +128,11 @@ class DihedralAction:
             p[vmap] = vmap[self.perm(elem)]
             return p
 
-        def bits():
+        def bits(ids):
+            members = np.flatnonzero(np.isin(vmap, ids))
             b = np.zeros(n, dtype=np.int64)
-            np.bitwise_or.at(b, vmap, self.bits())
-            return b
+            np.bitwise_or.at(b, vmap[members], self.bits(members))
+            return b[ids]
 
         return DihedralAction(perm, bits)
 
@@ -152,8 +157,12 @@ class WeightedGraph:
     (usually "A", "B") to frozensets of vertex ids.  Edge ends and
     terminals must be integer vertex ids 0..n-1, n an integer >= 0.  A
     bad count, conductance or parallel edge raises FamilyError.
-    Edges given in canonical order already are stored without a sort.
-    symmetry is the DihedralAction on the vertices, or None.
+    Edges given in canonical order already are stored without a sort,
+    and without a copy where the ends are contiguous int64 arrays.
+    int64 numerators are kept as given, so one conductance for every
+    edge may come as a zero-stride np.broadcast_to value, which a sort
+    leaves as it is.  symmetry is the DihedralAction on the vertices,
+    or None.
     """
 
     def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None,
@@ -162,11 +171,13 @@ class WeightedGraph:
             raise FamilyError(f"the vertex count must be an integer >= 0, not {n!r}")
         us = _integers(us, "edge ends")
         vs = _integers(vs, "edge ends")
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        if len(lo) and (lo == hi).any():
-            raise FamilyError("self-loops are not allowed")
-        if len(lo) and (lo.min() < 0 or hi.max() >= n):
+        if (us < vs).all():
+            us, vs = np.ascontiguousarray(us), np.ascontiguousarray(vs)
+        else:
+            us, vs = np.minimum(us, vs), np.maximum(us, vs)
+            if (us == vs).any():
+                raise FamilyError("self-loops are not allowed")
+        if len(us) and (us.min() < 0 or vs.max() >= n):
             raise FamilyError(f"edge ends must be vertex ids 0..{n - 1}")
         if den is None:
             cond = [Fraction(c) for c in cond]
@@ -175,22 +186,31 @@ class WeightedGraph:
         elif not isinstance(den, Integral) or den < 1:
             raise FamilyError("the conductance denominator must be an integer >= 1")
         num = _integers(cond, "conductance numerators")
-        if len(num) != len(lo) or (len(num) and num.min() <= 0):
+        if len(num) != len(us) or (len(num) and num.min() <= 0):
             raise FamilyError("conductances must be positive, one per edge")
         # float views divide two exactly representable integers
         if den > _EXACT or (len(num) and num.max() > _EXACT):
             raise FamilyError("conductances need numerators and a denominator below 2^53")
-        # lo * n + hi orders the pairs as (lo, hi) does; edges handed
-        # over in that order already are kept as they are, and a repeated
-        # pair is a parallel edge
-        codes = lo * int(n) + hi
-        if not (codes[1:] > codes[:-1]).all():
+        # edges handed over in (lo, hi) order already are kept as they
+        # are; else the codes lo * n + hi, which order the pairs alike,
+        # are sorted, and a repeated pair is a parallel edge.  Equal
+        # numerators need no reordering.
+        rises = us[1:] > us[:-1]
+        rises |= (us[1:] == us[:-1]) & (vs[1:] > vs[:-1])
+        if not rises.all():
+            codes = us * int(n)
+            codes += vs
             order = np.argsort(codes, kind="stable")
-            lo, hi, num, codes = lo[order], hi[order], num[order], codes[order]
+            codes = codes[order]
             if (codes[1:] == codes[:-1]).any():
                 raise FamilyError("parallel edges are not allowed")
+            del codes
+            us = us[order]
+            vs = vs[order]
+            if num.min() != num.max():
+                num = num[order]
         self.n = int(n)
-        self.us, self.vs, self.num = lo, hi, num
+        self.us, self.vs, self.num = us, vs, num
         self.den = int(den)
         self.boundary = {
             k: frozenset(v) for k, v in (boundary or {}).items()
@@ -212,9 +232,14 @@ class WeightedGraph:
     def components(self):
         """(number of connected components, component label per vertex)."""
         if self._components is None:
-            # edges are sorted by their smaller end, so they form CSR rows as is
-            starts = np.concatenate([[0], np.cumsum(np.bincount(self.us, minlength=self.n))])
-            adj = sp.csr_array((np.ones(self.m), self.vs, starts), shape=(self.n, self.n))
+            # edges are sorted by their smaller end, so they form CSR rows
+            # as is; int32 indices and float data are what scipy works
+            # on, so it takes them without a copy
+            starts = np.zeros(self.n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(self.us, minlength=self.n), out=starts[1:])
+            adj = sp.csr_array(
+                (np.ones(self.m), self.vs.astype(np.int32), starts), shape=(self.n, self.n)
+            )
             self._components = connected_components(adj, directed=False)
         return self._components
 
@@ -234,11 +259,17 @@ class WeightedGraph:
         compared with the graph's own codes, which are sorted; the
         positions are the inverse of the sort.
         """
-        m = self.m
-        if len(us) != m or len(vs) != m:
-            raise KeyError(f"{len(us)} mapped edges for {m} edges")
+        if len(us) != self.m or len(vs) != self.m:
+            raise KeyError(f"{len(us)} mapped edges for {self.m} edges")
         codes = np.asarray(us, dtype=np.int64) * self.n
         codes += np.asarray(vs, dtype=np.int64)
+        return self._match_codes(codes)
+
+    def _match_codes(self, codes):
+        """match() on the int64 codes u*n + v of the mapped edges, one
+        per edge; their buffer is overwritten.  Besides it the match
+        holds the sort order, the sorted codes and the int32 positions."""
+        m = self.m
         order = np.argsort(codes, kind="stable")
         found = codes[order]
         # the codes' buffer takes the graph's own codes
@@ -246,6 +277,7 @@ class WeightedGraph:
         codes += self.vs
         if (found != codes).any():
             raise KeyError("the mapped edges are not the edges, each once")
+        del found
         pos = np.empty(m, dtype=np.int32 if m < 2 ** 31 else np.int64)
         pos[order] = np.arange(m, dtype=pos.dtype)
         return pos
@@ -276,9 +308,18 @@ def _automorphism(G: WeightedGraph, p, a, b, inA, inB):
         sign = -1
     else:
         return 0, None
-    pu, pv = p[G.us], p[G.vs]
+    # the codes lo*n + hi of the image edges, built in place: the ends
+    # are swapped (three xors) where the image runs from high to low
+    codes, hi = p[G.us], p[G.vs]
+    down = hi < codes
+    np.bitwise_xor(codes, hi, out=codes, where=down)
+    np.bitwise_xor(hi, codes, out=hi, where=down)
+    np.bitwise_xor(codes, hi, out=codes, where=down)
+    codes *= G.n
+    codes += hi
+    del hi
     try:
-        edges = G.match(np.minimum(pu, pv), np.maximum(pu, pv))
+        edges = G._match_codes(codes)
     except KeyError:
         return 0, None
     if (G.num[edges] != G.num).any():
@@ -348,8 +389,11 @@ def _hexacarpet_action(C: SubdivisionComplex, n):
     def perm(g):
         return np.concatenate([C.tri_images(g, n), F + C.edge_images(g, n)])
 
-    def bits():
-        return np.concatenate([np.zeros(F, dtype=np.int64), SIDE_BIT[C.edge_side[n]]])
+    def bits(ids):
+        side = np.full(len(ids), -1)
+        edge = ids >= F
+        side[edge] = C.edge_side[n][ids[edge] - F]
+        return SIDE_BIT[side]
 
     return DihedralAction(perm, bits)
 
@@ -360,13 +404,16 @@ def build_skeleton(C: SubdivisionComplex, n):
     C.ensure_level(n)
     edges, side = C.edges[n], C.edge_side[n]
 
-    def bits():
-        # a vertex's sides are those of the boundary edges ending at it
-        on = side >= 0
+    def bits(ids):
+        # a vertex's sides are those of the boundary edges ending at it,
+        # the level-n halves of the six level-1 sides
+        on = C.edge_descendants(1, C.side_edges_at(1, range(6)), n).ravel()
         b = np.zeros(C.offsets[n], dtype=np.int64)
         np.bitwise_or.at(b, edges[on], SIDE_BIT[side[on], None])
-        return b
+        return b[ids]
 
+    # the columns of the edge table are contiguous, so the graph keeps
+    # them as its edge ends
     return WeightedGraph(
         C.counts(n)[0], edges[:, 0], edges[:, 1],
         np.where(side < 0, ONE, HALF),
@@ -388,22 +435,33 @@ def build_dual(C: SubdivisionComplex, n):
     T, E = sides.shape[0], len(C.edges[n])
     # the triangle-side incidence as CSR, turned to CSC by a counting
     # sort: column e lists e's triangles ascending, two for an interior
-    # edge and one for a boundary edge
+    # edge and one for a boundary edge; int32 indices, which scipy
+    # keeps as they are
     inc = sp.csc_array(sp.csr_array(
-        (np.ones(3 * T, dtype=np.int8), sides.ravel(), np.arange(0, 3 * T + 1, 3)),
+        (
+            np.ones(3 * T, dtype=np.int8),
+            sides.ravel().astype(np.int32),
+            np.arange(0, 3 * T + 1, 3, dtype=np.int32),
+        ),
         shape=(T, E),
     ))
     first = inc.indptr[:-1][np.diff(inc.indptr) == 2]
-    bits = np.bitwise_or.reduce(SIDE_BIT[C.edge_side[n]][sides], axis=1)
+    us, vs = inc.indices[first], inc.indices[first + 1]
+    del inc, first
+    side_bit = SIDE_BIT[C.edge_side[n]]
+    bits = side_bit[sides[:, 0]]
+    bits |= side_bit[sides[:, 1]]
+    bits |= side_bit[sides[:, 2]]
+    del side_bit
     return WeightedGraph(
-        T, inc.indices[first], inc.indices[first + 1],
-        np.full(len(first), ONE),
+        T, us, vs,
+        np.broadcast_to(np.int64(ONE), len(us)),
         {
             "A": frozenset(np.nonzero(bits & 0b000011)[0].tolist()),
             "B": frozenset(np.nonzero(bits & 0b011000)[0].tolist()),
         },
         {"family": "dual", "level": n}, DEN,
-        DihedralAction(lambda g: C.tri_images(g, n), lambda: bits),
+        DihedralAction(lambda g: C.tri_images(g, n), lambda ids: bits[ids]),
     )
 
 
@@ -413,11 +471,24 @@ def build_hexacarpet(C: SubdivisionComplex, n):
     C.ensure_level(n)
     F = len(C.tris[n])
     # row by row over sorted sides: the incidences (t, F + e) come out in
-    # canonical order already, triangle t's at positions 3t..3t+2
-    sides = np.sort(C.tri_edges[n], axis=1).ravel()
+    # canonical order already, triangle t's at positions 3t..3t+2; the
+    # rows are sorted a column at a time, the middle side being the sum
+    # of the three less the smallest and the largest
+    a, b, c = C.tri_edges[n].T
+    vs = np.empty(3 * F, dtype=np.int64)
+    lo, mid, hi = vs.reshape(F, 3).T
+    np.minimum(a, b, out=lo)
+    np.minimum(lo, c, out=lo)
+    np.maximum(a, b, out=hi)
+    np.maximum(hi, c, out=hi)
+    np.add(a, b, out=mid)
+    mid += c
+    mid -= lo
+    mid -= hi
+    vs += F
     return WeightedGraph(
-        F + len(C.edges[n]), np.repeat(np.arange(F), 3), F + sides,
-        np.full(len(sides), TWO),
+        F + len(C.edges[n]), np.repeat(np.arange(F), 3), vs,
+        np.broadcast_to(np.int64(TWO), len(vs)),
         {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (3, 4))},
         {"family": "hexacarpet", "level": n}, DEN,
         _hexacarpet_action(C, n),

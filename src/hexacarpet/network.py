@@ -33,6 +33,15 @@ potential is expanded back to every vertex, exactly symmetric or
 antisymmetric, and the resistance, energy, flow and the residual of the
 full interior system are computed on the whole graph.
 
+Working set.  Besides the graph and the LU factors (SuperLU's own
+memory), the solve holds at most 12 float arrays over the edges at
+once, 12 * 8m bytes, on the level-6 hexacarpet (test_solve_memory_peak;
+10.8 measured).  The stabiliser's match builds the image codes in
+place, the group's vertex and edge images are dropped once the orbits
+are read off them, the assembly holds arrays over the orbits only, the
+flow and energy are formed in place, and the right-hand side's norm
+sums only the edges whose ends differ in boundary value.
+
 This is the library's one solver.  The tests cross-check it against
 the same direct solve on the unreduced system (the graph without its
 symmetry action, so P = I) and, for small graphs, against a dense LAPACK
@@ -47,7 +56,9 @@ on the non-tree edges plus the tree currents that return the charges
 those put on the edge ends; the tree currents are subtree sums, taken
 one depth level at a time from the deepest up for a whole block of
 trials at once.  Blocks hold a bounded number of entries, so the
-check's memory does not grow with edges times trials.
+check's memory does not grow with edges times trials; a block holds its
+circulations K (edges x trials), their coefficients and one (vertices x
+trials) array of charges, in which the subtree sums are taken.
 """
 
 from __future__ import annotations
@@ -167,20 +178,20 @@ def _active_interior(G: WeightedGraph, A, B):
     return interior, fixed, value, connected
 
 
-def _reduced_system(G: WeightedGraph, group, interior, bval):
-    """The interior block of the Dirichlet problem projected onto the
-    group's invariant subspace, in one COO pass over the edge orbits.
+def _orbits(G: WeightedGraph, group, interior):
+    """The orbits of the vertices and edges under the group, as
+    _reduced_system takes them: (k, col, sign, reps, size).
 
     group is a list of (vertex images, sign, edge images), the identity
     (np.arange) first, with the int32 edge images of the generators and
-    None for the rest (graphs.stabiliser), and bval holds the boundary
-    values.  An interior vertex v carries sign[v] * x[col[v]], where col
-    numbers the orbits by their smallest vertex and sign relates v to
-    that vertex; sign is 0 where a swapping element fixes v.  The edges
-    of one orbit add equal terms to P^T L P and P^T b, so each orbit
-    adds its smallest edge's terms times its size; every term is a
-    small dyadic rational, so the sums are exact in any order.  Returns
-    (P^T L P as CSC, P^T b, col, sign), the last two over interior.
+    None for the rest (graphs.stabiliser).  An interior vertex v carries
+    sign[v] * x[col[v]], where col numbers the k orbits by their
+    smallest vertex and sign relates v to that vertex; sign is 0 where a
+    swapping element fixes v and off the interior.  reps lists the
+    smallest edge of each edge orbit, ascending, and size the orbit's
+    size: the generators commute, so each one carries the orbits of
+    those before it onto orbits, and the orbit of an edge and of its
+    image merge.
     """
     ids = group[0][0]
     unknown = np.zeros(G.n, dtype=bool)
@@ -196,19 +207,33 @@ def _reduced_system(G: WeightedGraph, group, interior, bval):
     slot = np.cumsum(unknown & (rep == ids), dtype=np.int32) - 1
     k = int(slot[-1]) + 1 if G.n else 0
     col = np.where(unknown, slot[rep], 0)
-    if not k:
-        return sp.csc_matrix((0, 0)), np.zeros(0), col[interior], sign[interior]
+    del rep, slot, unknown
 
-    # the smallest edge of each orbit and the orbit's size: the
-    # generators commute, so each one carries the orbits of those before
-    # it onto orbits, and the orbit of an edge and of its image merge
     orbit = np.arange(G.m, dtype=np.int32 if G.m < 2 ** 31 else np.int64)
     for _, _, e in group:
         if e is not None:
             np.minimum(orbit, orbit[e], out=orbit)
     size = np.bincount(orbit)
     reps = np.flatnonzero(size)
-    c = G.conductances()[reps] * size[reps]
+    return k, col, sign, reps, size[reps]
+
+
+def _reduced_system(G: WeightedGraph, orbits, interior, bval):
+    """The interior block of the Dirichlet problem projected onto the
+    group's invariant subspace, in one COO pass over the edge orbits.
+
+    orbits is what _orbits gives, and bval holds the boundary values.
+    The edges of one orbit add equal terms to P^T L P and P^T b, so each
+    orbit adds its smallest edge's terms times its size; every term is
+    a small dyadic rational, so the sums are exact in any order.
+    Returns (P^T L P as CSC, P^T b, col, sign), the last two over
+    interior.  Besides col and sign it holds arrays over the orbits
+    only, each dropped once read.
+    """
+    k, col, sign, reps, size = orbits
+    if not k:
+        return sp.csc_matrix((0, 0)), np.zeros(0), col[interior], sign[interior]
+    c = G.num[reps] / G.den * size
     us, vs = G.us[reps], G.vs[reps]
     cu, cv = col[us], col[vs]
     su, sv = sign[us], sign[vs]
@@ -217,6 +242,7 @@ def _reduced_system(G: WeightedGraph, group, interior, bval):
     both = (su != 0) & (sv != 0)
     off = -(c * su * sv)[both]
     cu, cv = cu[both], cv[both]
+    del c, us, vs, su, sv, both
     diagonal = np.arange(k, dtype=np.int32)
     M = sp.coo_array(
         (
@@ -224,8 +250,9 @@ def _reduced_system(G: WeightedGraph, group, interior, bval):
             (np.concatenate([cu, cv, diagonal]), np.concatenate([cv, cu, diagonal])),
         ),
         shape=(k, k),
-    ).tocsc()
-    return M, rhs, col[interior], sign[interior]
+    )
+    del off, cu, cv, diag, diagonal
+    return M.tocsc(), rhs, col[interior], sign[interior]
 
 
 def _terminals(G: WeightedGraph, A, B):
@@ -254,38 +281,59 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
     if not connected:
         raise SolverError("terminals lie in different components")
 
-    group = list(stabiliser(G, A, B).values())
     # psi = phi - 1/2 is +-1/2 on the boundary
-    M, rhs, col, sign = _reduced_system(G, group, interior, value - 0.5 * fixed)
-    psi = np.zeros(len(interior))
-    fill = 0
-    if len(rhs):
-        x, fill = _solve_direct(M, rhs)
-        psi = sign * x[col]
+    psi, unknowns, group_order, fill = _reduced_solve(G, A, B, interior, value - 0.5 * fixed)
     # 1 - (1/2 + |psi|) is exact, so a swapped pair of vertices gets
     # phi and 1 - phi bit for bit
     half = 0.5 + np.abs(psi)
     phi = value.copy()
     phi[interior] = np.where(psi >= 0, half, 1.0 - half)
 
-    # gradient(G, phi), keeping the differences for the energy
-    drop = phi[G.us] - phi[G.vs]
-    grad = G.conductances() * drop
+    # gradient(G, phi), keeping the differences for the energy; the
+    # products in place are those of gradient() and energy()
+    drop = phi[G.us]
+    drop -= phi[G.vs]
+    grad = G.conductances()
+    grad *= drop
     residual = 0.0
     if len(interior):
         # the full interior system L_II phi_I = -L_IB phi_B, edge by
-        # edge: L f = -divergence(gradient(f)), whose sign the norm drops
+        # edge: L f = -divergence(gradient(f)), whose sign the norm
+        # drops; the boundary values' gradient vanishes off the edges
+        # whose ends differ in value, and its exact zeros add nothing
         rnorm = np.linalg.norm(divergence(G, grad)[interior])
-        bnorm = np.linalg.norm(divergence(G, gradient(G, value))[interior])
+        step = np.flatnonzero(value[G.us] != value[G.vs])
+        us, vs = G.us[step], G.vs[step]
+        J = G.num[step] / G.den * (value[us] - value[vs])
+        bnorm = np.linalg.norm((np.bincount(vs, J, G.n) - np.bincount(us, J, G.n))[interior])
         residual = float(rnorm / bnorm) if bnorm else 0.0
 
     # energy(G, phi), its products taken in the same order
-    E = float(np.sum(grad * drop))
+    drop *= grad
+    E = float(np.sum(drop))
     R = 1.0 / E
+    grad *= R
     return ResistanceResult(
-        resistance=R, energy=E, potential=phi, flow=R * grad, residual=residual,
-        unknowns=len(rhs), group_order=len(group), factor_fill=fill,
+        resistance=R, energy=E, potential=phi, flow=grad, residual=residual,
+        unknowns=unknowns, group_order=group_order, factor_fill=fill,
     )
+
+
+def _reduced_solve(G: WeightedGraph, A, B, interior, bval):
+    """The solve in the invariant subspace of the stabiliser of (A, B):
+    (psi over interior, unknowns, group order, factor nonzeros).  The
+    group's vertex and edge images are dropped once the orbits are
+    read off them, before the assembly and the factorisation."""
+    group = list(stabiliser(G, A, B).values())
+    group_order = len(group)
+    orbits = _orbits(G, group, interior)
+    del group
+    M, rhs, col, sign = _reduced_system(G, orbits, interior, bval)
+    del orbits
+    if not len(rhs):
+        return np.zeros(len(interior)), 0, group_order, 0
+    x, fill = _solve_direct(M, rhs)
+    return sign * x[col], len(rhs), group_order, fill
 
 
 def _solve_direct(M, rhs):
@@ -386,16 +434,19 @@ def tree_currents(forest: SpanningForest, charge):
     charge to its parent.
 
     charge is an (n, b) array, one column per problem, of the net inflow
-    other edges put on each vertex.  Row i of the result is the
-    canonical current on edge forest.tree[i]; adding these currents
-    leaves every vertex but the roots divergence-free, and a root takes
-    the total charge of its component.  The subtree sums take one
-    segmented sum per depth level, from the deepest up.
+    other edges put on each vertex, its rows in forest order: row i is
+    vertex forest.order[i].  The sums are taken in charge, which is
+    overwritten, and the result is a view of it: row i is the canonical
+    current on edge forest.tree[i].  Adding these currents leaves every
+    vertex but the roots divergence-free, and a root takes the total
+    charge of its component.  The subtree sums take one segmented sum
+    per depth level, from the deepest up.
     """
-    s = charge[forest.order]
     for lo, hi, starts, heads in reversed(forest.levels):
-        s[heads] += np.add.reduceat(s[lo:hi], starts, axis=0)
-    return forest.up[:, None] * s[len(forest.order) - len(forest.tree):]
+        charge[heads] += np.add.reduceat(charge[lo:hi], starts, axis=0)
+    currents = charge[len(forest.order) - len(forest.tree):]
+    currents *= forest.up[:, None]
+    return currents
 
 
 def circulations(G: WeightedGraph, forest: SpanningForest, coef):
@@ -406,16 +457,20 @@ def circulations(G: WeightedGraph, forest: SpanningForest, coef):
     to its start through the forest.  coef is (len(nontree), b); the
     result is the (m, b) array of edge flows: the coefficients on the
     non-tree edges and the tree currents of the charges they put on
-    their ends.
+    their ends.  Besides the result and coef it holds one (n, b) array,
+    the charges.
     """
     nt = forest.nontree
     b = coef.shape[1]
     K = np.zeros((G.m, b))
     K[nt] = coef
-    # the charges in one bincount over the flat (vertex, column) index
+    # the charges in one bincount over the flat (position in forest
+    # order, column) index, the layout tree_currents sums in
+    rank = np.empty(G.n, dtype=np.int64)
+    rank[forest.order] = np.arange(G.n)
     j, t = np.nonzero(coef)
     w = coef[j, t]
-    ends = np.concatenate([G.vs[nt[j]], G.us[nt[j]]]) * b + np.concatenate([t, t])
+    ends = rank[np.concatenate([G.vs[nt[j]], G.us[nt[j]]])] * b + np.concatenate([t, t])
     charge = np.bincount(ends, np.concatenate([w, -w]), G.n * b).reshape(G.n, b)
     K[forest.tree] = tree_currents(forest, charge)
     return K
@@ -428,7 +483,10 @@ def verify_thompson(G: WeightedGraph, result, trials=100, seed=0, tol=1e-8):
     <I, K> = 0 (harmonicity) and D(I + K) >= D(I).  Each trial draws
     k in 1..3, k distinct non-tree edges and a normal coefficient for
     each; the trials are checked in blocks of at most _TRIAL_BLOCK
-    entries per edge array, and the first failing trial raises.
+    entries per edge array, and the first failing trial raises.  A
+    block holds K, the coefficients and, while K is built, one (n, b)
+    array of charges; the cross terms are one product with I / c, and
+    D(I + K) is summed from K itself, overwritten.
     Returns the number of trials checked, 0 for a forest.
     """
     forest = spanning_forest(G)
@@ -450,10 +508,14 @@ def verify_thompson(G: WeightedGraph, result, trials=100, seed=0, tol=1e-8):
             for pos in rng.choice(nt, size=k, replace=False):
                 coef[pos, t] = rng.normal()
         K = circulations(G, forest, coef)
-        cross = (K * (I / c)[:, None]).sum(axis=0)
-        skew = np.abs(cross) > tol * scale * np.maximum(1.0, np.abs(K).max(axis=0))
+        cross = (I / c) @ K
+        # the column maxima of |K|
+        kmax = np.maximum(K.max(axis=0), -K.min(axis=0))
+        skew = np.abs(cross) > tol * scale * np.maximum(1.0, kmax)
         K += I[:, None]
-        lower = (K * K / c[:, None]).sum(axis=0) < D0 - tol * scale
+        np.square(K, out=K)
+        K /= c[:, None]
+        lower = K.sum(axis=0) < D0 - tol * scale
         bad = np.flatnonzero(skew | lower)
         if len(bad):
             t = bad[0]

@@ -183,7 +183,8 @@ class SubdivisionComplex:
     """All levels 0..top of the subdivided triangle, built incrementally.
 
     Per-level data (lists indexed by level of read-only int64 arrays):
-      edges[n]      (E, 2) sorted vertex pairs, row = edge id, rows ascending
+      edges[n]      (E, 2) sorted vertex pairs, row = edge id, rows
+                    ascending; column-major, so each column is contiguous
       tris[n]       (T, 3) sorted vertex triples, row = triangle id,
                     rows ascending
       tri_edges[n]  (T, 3) the side edge ids (ab, ac, bc) of each triangle
@@ -217,7 +218,7 @@ class SubdivisionComplex:
         self.cap = cap
         self.top = 0
 
-        self.edges = [_frozen([(P0, P1), (P0, P2), (P1, P2)])]
+        self.edges = [_frozen(np.asfortranarray([(P0, P1), (P0, P2), (P1, P2)]))]
         self.tris = [_frozen([(P0, P1, P2)])]
         self.tri_edges = [_frozen([(0, 1, 2)])]
         self.edge_children = []
@@ -269,7 +270,10 @@ class SubdivisionComplex:
         )
         order = np.argsort(codes)
         codes = codes[order]
-        new_edges = np.stack([codes // nv, codes % nv], axis=1)
+        # column-major, so that each end's column is contiguous
+        new_edges = np.empty((2, len(codes)), dtype=np.int64)
+        np.divmod(codes, nv, out=tuple(new_edges))
+        new_edges = new_edges.T
         del codes
         eid = np.empty_like(order)
         eid[order] = np.arange(len(order))

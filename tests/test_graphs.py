@@ -111,6 +111,64 @@ def test_hexacarpet_counts(C):
         assert len(G.boundary["B"]) == 2 ** n
 
 
+def test_family_builds_keep_their_tables_as_views(C):
+    # the skeleton's ends are the columns of the complex's edge table;
+    # the hexacarpet and dual hold their one numerator once
+    for n in (1, 2, 3, 4):
+        S = build_skeleton(C, n)
+        assert np.shares_memory(S.us, C.edges[n]) and np.shares_memory(S.vs, C.edges[n])
+        for G in (build_hexacarpet(C, n), build_dual(C, n)):
+            assert G.num.strides == (0,) and not G.num.flags.writeable
+
+
+def reference_bits(C, G):
+    """Each vertex's bitmask of boundary sides over the whole graph, from
+    every edge's side."""
+    n, family = G.meta["level"], G.meta["family"]
+    side_bit = subdivision.SIDE_BIT[C.edge_side[n]]
+    if family == "skeleton":
+        b = np.zeros(G.n, dtype=np.int64)
+        on = C.edge_side[n] >= 0
+        np.bitwise_or.at(b, C.edges[n][on], side_bit[on, None])
+        return b
+    if family == "dual":
+        return np.bitwise_or.reduce(side_bit[C.tri_edges[n]], axis=1)
+    carpet = np.concatenate([np.zeros(len(C.tris[n]), dtype=np.int64), side_bit])
+    if family != "short":
+        return carpet
+    vmap = np.unique(shorted_classes(C, n), return_inverse=True)[1]
+    b = np.zeros(G.n, dtype=np.int64)
+    np.bitwise_or.at(b, vmap, carpet)
+    return b
+
+
+def test_symmetry_bits_of_the_ids_asked(C):
+    rng = np.random.default_rng(9)
+    builds = (build_skeleton, build_dual, build_hexacarpet, cut_graph, short_graph)
+    for G in [build(C, n) for n in (1, 2, 3, 4) for build in builds]:
+        want = reference_bits(C, G)
+        some = rng.choice(G.n, size=min(G.n, 40), replace=False)
+        for ids in (np.arange(G.n), some, np.zeros(0, dtype=np.int64)):
+            got = G.symmetry.bits(ids)
+            assert np.array_equal(got, want[ids]), G.meta
+
+
+def test_family_build_memory_peaks():
+    # traced peaks of the level-6 builds in 8 bytes per edge built: the
+    # hexacarpet writes its sorted sides as its edge ends, and the dual
+    # sorts its edges once, its int32 incidence dropped first
+    c = SubdivisionComplex()
+    c.ensure_level(6)
+    for build, bound in ((build_hexacarpet, 2.8), (build_dual, 7.5)):
+        tracemalloc.start()
+        try:
+            G = build(c, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * G.m, (build.__name__, peak / (8 * G.m))
+
+
 def test_hexacarpet_reduces_to_dual(C):
     # shorting through every interior degree-2 edge vertex replaces two
     # resistance-1/2 hops with one unit resistor: exactly the dual graph
@@ -172,6 +230,17 @@ def test_shuffled_and_canonical_edge_lists_agree():
         for got, want in ((H.us, S.us), (H.vs, S.vs), (H.num, G.num)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
     assert G.num.tolist() == list(range(1, G.m + 1))
+
+
+def test_equal_numerators_are_kept_through_the_sort():
+    # one numerator for every edge, as one zero-stride value: sorting
+    # the edges leaves it as it is
+    S = build_skeleton(SubdivisionComplex(), 2)
+    perm = np.random.default_rng(6).permutation(S.m)
+    num = np.broadcast_to(np.int64(3), S.m)
+    G = WeightedGraph(S.n, S.vs[perm], S.us[perm], num, den=2)
+    assert np.array_equal(G.us, S.us) and np.array_equal(G.vs, S.vs)
+    assert G.num.strides == (0,) and G.num.tolist() == [3] * S.m
 
 
 def test_self_loops_rejected():

@@ -28,7 +28,7 @@ from hexacarpet.network import (
     tree_currents,
     verify_thompson,
 )
-from hexacarpet.network import _active_interior, _reduced_system
+from hexacarpet.network import _active_interior, _orbits, _reduced_system
 from oracle import laplacian, oracle_resistance
 
 F1 = Fraction(1)
@@ -494,7 +494,7 @@ def test_orbit_assembly_matches_all_edges(cache6):
         group = list(stabiliser(G, A, B).values())
         assert len(group) > 1
         bval = value - 0.5 * fixed
-        M, rhs, col, sign = _reduced_system(G, group, interior, bval)
+        M, rhs, col, sign = _reduced_system(G, _orbits(G, group, interior), interior, bval)
         W, want_rhs, want_col, want_sign = all_edge_system(G, group, interior, bval)
         where = (G.meta["family"], G.meta["level"], len(A))
         assert M.format == W.format and M.shape == W.shape, where
@@ -506,11 +506,13 @@ def test_orbit_assembly_matches_all_edges(cache6):
 
 
 def test_solve_memory_peak(cache6):
-    # the level-6 hexacarpet solve holds at most 23 float arrays over
+    # the level-6 hexacarpet solve holds at most 12 float arrays over
     # the edges at once: the edge images are int32 and only the
-    # generators' are kept.  A fresh copy of the graph has nothing
-    # cached; its components and the complex's symmetry images are made
-    # first, so the peak is the solve's own.
+    # generators' are kept, the match builds its codes in place, and
+    # the group's images are dropped once the orbits are read.  A fresh
+    # copy of the graph has nothing cached; its components and the
+    # complex's symmetry images are made first, so the peak is the
+    # solve's own.
     H = cache6.graph("hexacarpet", 6)
     G = plain_copy(H, symmetry=H.symmetry)
     stabiliser(G, G.boundary["A"], G.boundary["B"])
@@ -521,7 +523,23 @@ def test_solve_memory_peak(cache6):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 23 * 8 * G.m, peak / (8 * G.m)
+    assert peak <= 12 * 8 * G.m, peak / (8 * G.m)
+
+
+def test_thompson_memory_peak(cache6):
+    # a block of b trials holds K (m x b), its coefficients and, while
+    # K is built, the charges (n x b); at level 4 the 100 trials are one
+    # block
+    G = cache6.graph("hexacarpet", 4)
+    r = cache6.result("hexacarpet", 4)
+    tracemalloc.start()
+    try:
+        checked = verify_thompson(G, r, trials=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == 100
+    assert peak <= 2.4 * 8 * G.m * 100, peak / (8 * G.m * 100)
 
 
 def test_solver_statistics(cache6):
@@ -646,7 +664,7 @@ def test_tree_currents_cancel_the_charges(cache6):
     for G in forest_cases(cache6):
         f = spanning_forest(G)
         charge = rng.normal(size=(G.n, 3))
-        T = tree_currents(f, charge)
+        T = tree_currents(f, charge[f.order])
         roots = forest_parents(G, f)[0] < 0
         for t in range(3):
             J = np.zeros(G.m)
