@@ -198,7 +198,7 @@ def side_flows(cache: LevelCache, n):
     G = cache.graph("hexacarpet", n)
     I = unit_flow(cache, n)
     mirror = hex_pullback(cache, n, I, S3)
-    upper = C.coords[C.tris[n][G.us], 1].sum(axis=1) > 0
+    upper = (C.coords[C.tri_vertices(n), 1].sum(axis=1) > 0)[G.us]
     H02 = np.where(upper, I, mirror)
     if abs(check_flow(G, H02, G.boundary["A"], edge_arc(C, n, (4, 5))) - 1) > UNIT_TOL:
         raise AssertionError("the side flow is not a unit flow")
@@ -244,9 +244,8 @@ class YDecomposition:
 
 
 def y_decomposition(cache: LevelCache, m):
-    C = cache.C
-    # the hexacarpet lists triangle x's incidences at 3x..3x+2, sides
-    # ascending
+    # the hexacarpet lists triangle x's incidences at 3x..3x+2, in the
+    # order of tri_edges[m][x], whose rows ascend
     raw = unit_flow(cache, m).reshape(-1, 3)
     # branch currents sit far above solver noise or are true zeros;
     # snapping the noise makes the sign invariants exact
@@ -263,10 +262,8 @@ def y_decomposition(cache: LevelCache, m):
         x = int(none[0])
         raise AssertionError(f"no through side at triangle {x}: {vals[x].tolist()}")
     order = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])[same.argmax(axis=1)]
-    a = np.take_along_axis(vals, order, axis=1)
-    # the sorted sides' slots, in the same order
-    slot = np.take_along_axis(np.argsort(C.tri_edges[m], axis=1), order, axis=1)
-    return YDecomposition(m, a, slot)
+    # incidence j is side slot j, so the slots are the order itself
+    return YDecomposition(m, np.take_along_axis(vals, order, axis=1), order)
 
 
 @dataclass
@@ -300,7 +297,7 @@ def compose_flow(cache: LevelCache, m, n):
     K = side_flows(cache, n)
     Gn = cache.graph("hexacarpet", n)
     Gf = cache.graph("hexacarpet", m + n)
-    Fn, Ff = len(C.tris[n]), len(C.tris[m + n])
+    Fn, Ff = len(C.tri_edges[n]), len(C.tri_edges[m + n])
     es, ts = C.embed(m, n)
     t, j1, j2 = Y.slot.T
 
@@ -365,10 +362,11 @@ def potential_decomposition(cache: LevelCache, n):
     # each level-1 triangle has one boundary edge; cell[s] is the one on
     # side s.  The embedding keeps the vertex order, so it sends each
     # corner of a level-(n-1) triangle to the same corner of its image.
-    cell = np.argsort(C.edge_side[1][C.tri_edges[1]].max(axis=1))
-    ts = C.embed(1, n - 1)[1][cell[[0, 1, 5]]]
+    on = C.boundary_index(1)[[0, 1, 5]]
+    cell = (C.tri_edges[1] == on[:, :, None]).any(axis=2).argmax(axis=1)
+    ts = C.embed(1, n - 1)[1][cell]
     vm = np.empty((3, Gm.n), dtype=np.int64)
-    vm[:, C.tris[n - 1]] = C.tris[n][ts]
+    vm[:, C.tri_vertices(n - 1)] = C.tri_vertices(n)[ts]
     u, v, w = phi[vm[:, C.vertex_map(("r", 4), n - 1)]]
     sigma = C.vertex_map(S0, n - 1)
     sym_u = float(np.abs(u - u[sigma]).max())

@@ -20,15 +20,16 @@ corner at angle 60k degrees.
 
 Conductances are exact: int64 numerators over a common denominator
 (halves for every family, and sums of halves in quotients); the float
-view divides them on every call.  The hexacarpet and the dual, each of
-one conductance, hold their numerators as one read-only zero-stride
-value.  Triangle counts come from the complex.
+view divides them on every call.  The hexacarpet, its cut graph and
+the dual, each of one conductance, hold their numerators as one
+read-only zero-stride value.  Triangle counts come from the complex.
 
 Every family carries the dihedral symmetry group of the hexagon as a
 DihedralAction on its vertices, read lazily from the complex's map
-image arrays.  stabiliser() picks the elements that fix or swap a
-terminal pair and keeps only those it verifies as automorphisms of the
-actual graph; the solver uses them to reduce its unknowns.
+image arrays, and reads the side bits of the vertices asked off the
+complex's boundary table.  stabiliser() picks the elements that fix or
+swap a terminal pair and keeps only those it verifies as automorphisms
+of the actual graph; the solver uses them to reduce its unknowns.
 
 An edge map is checked by one exact match, WeightedGraph.match: the
 codes u*n + v of the mapped edges are sorted stably, near-linear since
@@ -93,8 +94,9 @@ class DihedralAction:
     perm(elem) gives the int64 vertex images of one group element and
     bits(ids) the bitmasks of boundary sides of the vertices ids: the two
     callables the family builder passes.  The images are read from the
-    arrays the complex caches when a solve asks, and graphs on one
-    vertex set (a hexacarpet and its cut graph) share one action.
+    arrays the complex caches when a solve asks, the bits from its
+    boundary table, and graphs on one vertex set (a hexacarpet and its
+    cut graph) share one action.
     """
 
     def __init__(self, perm, bits):
@@ -368,6 +370,12 @@ def stabiliser(G: WeightedGraph, A, B):
     return group
 
 
+def _one_valued(num):
+    """Whether the numerators num are one value; min and max copy no
+    zero-stride array."""
+    return len(num) > 0 and num.min() == num.max()
+
+
 def _require_positive_level(n):
     if n < 1:
         raise FamilyError("graph families start at level 1")
@@ -378,45 +386,51 @@ def _require_positive_level(n):
 
 def edge_arc(C: SubdivisionComplex, n, sides):
     """Hexacarpet edge-vertex ids along the given boundary sides."""
-    return frozenset((len(C.tris[n]) + C.side_edges_at(n, sides)).tolist())
+    # inserted ascending, so that the set iterates in id order
+    on = np.sort(C.boundary_index(n)[list(sides)], axis=None)
+    return frozenset((len(C.tri_edges[n]) + on).tolist())
+
+
+def _side_bits(C: SubdivisionComplex, n, ids):
+    """The side bitmask of each level-n edge id in ids, 0 off the
+    boundary, looked up in the boundary table."""
+    table = C.boundary_index(n)
+    order = np.argsort(table, axis=None)
+    on = table.ravel()[order]
+    pos = np.minimum(np.searchsorted(on, ids), len(on) - 1)
+    return np.where(on[pos] == ids, SIDE_BIT[order[pos] // table.shape[1]], 0)
 
 
 def _hexacarpet_action(C: SubdivisionComplex, n):
     """The dihedral action on hexacarpet vertices: triangle t is vertex
     t, edge e is vertex F + e."""
-    F = len(C.tris[n])
+    F = len(C.tri_edges[n])
 
     def perm(g):
         return np.concatenate([C.tri_images(g, n), F + C.edge_images(g, n)])
 
-    def bits(ids):
-        side = np.full(len(ids), -1)
-        edge = ids >= F
-        side[edge] = C.edge_side[n][ids[edge] - F]
-        return SIDE_BIT[side]
-
-    return DihedralAction(perm, bits)
+    # a triangle's id less F is negative, on no side
+    return DihedralAction(perm, lambda ids: _side_bits(C, n, ids - F))
 
 
 def build_skeleton(C: SubdivisionComplex, n):
     """1-skeleton of level n with terminals the side-2 / side-5 chains."""
     _require_positive_level(n)
     C.ensure_level(n)
-    edges, side = C.edges[n], C.edge_side[n]
+    edges = C.edges[n]
 
     def bits(ids):
-        # a vertex's sides are those of the boundary edges ending at it,
-        # the level-n halves of the six level-1 sides
-        on = C.edge_descendants(1, C.side_edges_at(1, range(6)), n).ravel()
+        # a vertex's sides are those of the boundary edges ending at it
         b = np.zeros(C.offsets[n], dtype=np.int64)
-        np.bitwise_or.at(b, edges[on], SIDE_BIT[side[on], None])
+        np.bitwise_or.at(b, edges[C.boundary_index(n)], SIDE_BIT[:6, None, None])
         return b[ids]
 
+    num = np.full(len(edges), ONE)
+    num[C.boundary_index(n)] = HALF
     # the columns of the edge table are contiguous, so the graph keeps
     # them as its edge ends
     return WeightedGraph(
-        C.counts(n)[0], edges[:, 0], edges[:, 1],
-        np.where(side < 0, ONE, HALF),
+        C.counts(n)[0], edges[:, 0], edges[:, 1], num,
         {
             "A": frozenset(C.side_vertices(n, 2).tolist()),
             "B": frozenset(C.side_vertices(n, 5).tolist()),
@@ -447,21 +461,23 @@ def build_dual(C: SubdivisionComplex, n):
     ))
     first = inc.indptr[:-1][np.diff(inc.indptr) == 2]
     us, vs = inc.indices[first], inc.indices[first + 1]
+    # a boundary edge's one triangle, by side; the terminal sets are
+    # inserted ascending, so that they iterate in id order
+    outer = inc.indices[inc.indptr[C.boundary_index(n)]]
     del inc, first
-    side_bit = SIDE_BIT[C.edge_side[n]]
-    bits = side_bit[sides[:, 0]]
-    bits |= side_bit[sides[:, 1]]
-    bits |= side_bit[sides[:, 2]]
-    del side_bit
+
+    def bits(ids):
+        return np.bitwise_or.reduce(_side_bits(C, n, sides[ids]), axis=1)
+
     return WeightedGraph(
         T, us, vs,
         np.broadcast_to(np.int64(ONE), len(us)),
         {
-            "A": frozenset(np.nonzero(bits & 0b000011)[0].tolist()),
-            "B": frozenset(np.nonzero(bits & 0b011000)[0].tolist()),
+            "A": frozenset(np.sort(outer[[0, 1]], axis=None).tolist()),
+            "B": frozenset(np.sort(outer[[3, 4]], axis=None).tolist()),
         },
         {"family": "dual", "level": n}, DEN,
-        DihedralAction(lambda g: C.tri_images(g, n), lambda ids: bits[ids]),
+        DihedralAction(lambda g: C.tri_images(g, n), bits),
     )
 
 
@@ -469,23 +485,10 @@ def build_hexacarpet(C: SubdivisionComplex, n):
     """Triangle-edge incidence graph, conductance 2 per incidence."""
     _require_positive_level(n)
     C.ensure_level(n)
-    F = len(C.tris[n])
-    # row by row over sorted sides: the incidences (t, F + e) come out in
-    # canonical order already, triangle t's at positions 3t..3t+2; the
-    # rows are sorted a column at a time, the middle side being the sum
-    # of the three less the smallest and the largest
-    a, b, c = C.tri_edges[n].T
-    vs = np.empty(3 * F, dtype=np.int64)
-    lo, mid, hi = vs.reshape(F, 3).T
-    np.minimum(a, b, out=lo)
-    np.minimum(lo, c, out=lo)
-    np.maximum(a, b, out=hi)
-    np.maximum(hi, c, out=hi)
-    np.add(a, b, out=mid)
-    mid += c
-    mid -= lo
-    mid -= hi
-    vs += F
+    F = len(C.tri_edges[n])
+    # the rows of tri_edges ascend, so the incidences (t, F + e) come out
+    # in canonical order already, triangle t's at positions 3t..3t+2
+    vs = C.tri_edges[n].ravel() + F
     return WeightedGraph(
         F + len(C.edges[n]), np.repeat(np.arange(F), 3), vs,
         np.broadcast_to(np.int64(TWO), len(vs)),
@@ -516,7 +519,7 @@ def cut_segments(C: SubdivisionComplex, N):
     V, edges = C.offsets[1], C.edges[1]
     spokes = np.array([B01, B02]) * V + CENTER
     segs = {1: lookup_sorted(edges[:, 0] * V + edges[:, 1], spokes, "spoke")}
-    turned = np.isin(C.edge_side[1][C.tri_edges[1]], (2, 3)).any(axis=1)[:, None]
+    turned = np.isin(C.tri_edges[1], C.boundary_index(1)[[2, 3]]).any(axis=1)[:, None]
     for k in range(1, N):
         es = C.embed(1, k)[0]
         ids = segs[k]
@@ -540,11 +543,13 @@ def build_cut_graph(C: SubdivisionComplex, n, H):
     """The level-n hexacarpet H with all incidences at the severed edge
     vertices removed; terminals are the side-{0,1} and side-{4,5} arcs,
     which the surviving triangle strands join by disjoint paths."""
-    F = len(C.tris[n])
+    F = len(C.tri_edges[n])
     # incidences run triangle -> edge vertex, so only vs can be hit
     keep = ~np.isin(H.vs, F + cut_edge_vertices(C, n))
     return WeightedGraph(
-        H.n, H.us[keep], H.vs[keep], H.num[keep],
+        H.n, H.us[keep], H.vs[keep],
+        np.broadcast_to(H.num[:1], np.count_nonzero(keep)) if _one_valued(H.num)
+        else H.num[keep],
         {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (4, 5))},
         {**H.meta, "family": "cut"}, H.den, H.symmetry,
     )
@@ -565,7 +570,7 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     The tests check this at levels up to 6; deriving it from
     cut_segments' r4/s0 rule is still open.
     """
-    F = len(C.tris[n])
+    F = len(C.tri_edges[n])
     ncomp, label = G.components()
 
     # a strand is a component holding triangles; tally what each touches
@@ -626,7 +631,7 @@ def shorted_classes(C: SubdivisionComplex, n):
     its smallest vertex id; triangles stay alone.  Those images are the
     sides of all level-k triangles, which is every level-k edge."""
     C.ensure_level(n)
-    F, E = len(C.tris[n]), len(C.edges[n])
+    F, E = len(C.tri_edges[n]), len(C.edges[n])
     descs = [C.edge_descendants(k, np.arange(len(C.edges[k])), n) for k in range(n)]
     # edge refinement is a forest, so the descendants of two edges are
     # nested or disjoint, and overlapping classes merge into the coarsest
@@ -648,7 +653,7 @@ def quotient(G: WeightedGraph, find):
     lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
     codes, slot = np.unique(lo * len(reps) + hi, return_inverse=True)
     num = np.zeros(len(codes), dtype=np.int64)
-    np.add.at(num, slot, G.num[keep])
+    np.add.at(num, slot, G.num[0] if _one_valued(G.num) else G.num[keep])
     new_id = vmap.tolist()
     boundary = {
         name: frozenset(new_id[v] for v in vset)
@@ -681,7 +686,7 @@ def _edge_rows(G: WeightedGraph, head, mid, label):
     each label text made once per distinct conductance."""
     # the distinct numerators by sorting and comparing neighbours, which
     # is several times faster than np.unique's hash path here
-    num = np.sort(G.num)
+    num = G.num[:1] if _one_valued(G.num) else np.sort(G.num)
     distinct = np.concatenate([num[:1], num[1:][num[1:] != num[:-1]]])
     tails = {p: label(Fraction(p, G.den)) for p in distinct.tolist()}
     return IntRows((G.us, G.vs), (head, mid), tails, G.num)

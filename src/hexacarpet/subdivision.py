@@ -38,7 +38,8 @@ and every edge joins two kinds of vertex, and g keeps each kind, so it
 keeps the sorted vertex order.  On level 1 it does not, as r1 sends
 corners to side barycenters.  The group law, dihedral_compose, is a
 table read off the level-1 vertex permutations at import.  The boundary
-is recorded once, as each edge's side; a side's vertices are its ends.
+is an index-only (side, position) table of edge ids, boundary_index; a
+side's vertices are its edges' ends.
 
 Text output, this module's to_json and the graph exports alike, goes
 through one writer, format_rows: literal strings and IntRows tables of
@@ -185,29 +186,27 @@ class SubdivisionComplex:
     Per-level data (lists indexed by level of read-only int64 arrays):
       edges[n]      (E, 2) sorted vertex pairs, row = edge id, rows
                     ascending; column-major, so each column is contiguous
-      tris[n]       (T, 3) sorted vertex triples, row = triangle id,
-                    rows ascending
-      tri_edges[n]  (T, 3) the side edge ids (ab, ac, bc) of each triangle
+      tri_edges[n]  (T, 3) the side edge ids (ab, ac, bc) of each
+                    triangle (a < b < c), row = triangle id; each row
+                    ascends, since edge ids follow the sorted pairs
       edge_children[n]  (E, 2) the two level-(n+1) half edges of each
                     edge, the one at its smaller endpoint first
       tri_children[n]   (T, 6) the level-(n+1) triangles of triangle t:
-                    slot j is (tris[n][t][_SPLIT_Q[j]], barycenter of
+                    slot j is (vertex _SPLIT_Q[j] of t, barycenter of
                     side _SPLIT_SIDE[j], barycenter of t)
       tri_inner[n]  (T, 6) the level-(n+1) edges drawn inside triangle
-                    t: (tris[n][t][j], barycenter of t) in slot j, then
+                    t: (vertex j of t, barycenter of t) in slot j, then
                     (barycenter of side j, barycenter of t) in slot 3 + j
-      edge_side[n]  boundary side 0..5 of each edge, or -1 (level >= 1)
       offsets[n]    vertex count of level n, the first barycenter id
 
     Global vertex data, indexed by vertex id:
       coords        (V, 2) numerators of (x, y/sqrt(3)) over denom
 
-    The triangles of an edge are not stored: they are the rows of
-    tri_edges that hold it; nor are a vertex's boundary sides, which
-    side_vertices reads off edge_side.  Each table is int64, so a
-    complex built to level n holds 8 * (3 E_k + 6 T_k) bytes per level
-    k <= n, 8 * (2 E_k + 12 T_k) of child tables per level k < n, and 16
-    bytes per vertex.
+    The rest is derived where it is read: tri_vertices and
+    boundary_index, and the triangles of an edge, the rows of tri_edges
+    that hold it.  Each table is int64, so a complex built to level n
+    holds 8 * (2 E_k + 3 T_k) bytes per level k <= n, 8 * (2 E_k +
+    12 T_k) of child tables per level k < n, and 16 bytes per vertex.
 
     The dihedral symmetries, keyed by element, are read-only int64
     arrays: edge_images and tri_images, cached on first use, and
@@ -219,12 +218,10 @@ class SubdivisionComplex:
         self.top = 0
 
         self.edges = [_frozen(np.asfortranarray([(P0, P1), (P0, P2), (P1, P2)]))]
-        self.tris = [_frozen([(P0, P1, P2)])]
         self.tri_edges = [_frozen([(0, 1, 2)])]
         self.edge_children = []
         self.tri_children = []
         self.tri_inner = []
-        self.edge_side = [_frozen([-1, -1, -1])]
         self.offsets = [3]
 
         self.coords = _frozen(_HEX[:3])
@@ -255,7 +252,8 @@ class SubdivisionComplex:
 
     def _subdivide(self):
         n = self.top
-        edges, tris, tri_edges = self.edges[n], self.tris[n], self.tri_edges[n]
+        edges, tri_edges = self.edges[n], self.tri_edges[n]
+        tris = self.tri_vertices(n)
         V, E, T = self.offsets[n], len(edges), len(tris)
         nv = V + E + T
         eb = np.arange(V, V + E)
@@ -277,17 +275,10 @@ class SubdivisionComplex:
         del codes
         eid = np.empty_like(order)
         eid[order] = np.arange(len(order))
+        del order
         children = np.stack([eid[:E], eid[E:2 * E]], axis=1)
         q_tb = eid[2 * E:2 * E + 3 * T].reshape(T, 3)
         eb_tb = eid[2 * E + 3 * T:].reshape(T, 3)
-        if n == 0:
-            new_side = [_SIDE_EDGES.get(e, -1) for e in map(tuple, new_edges.tolist())]
-        else:
-            # the halves of a boundary edge stay on its side, as does
-            # its barycenter; everything drawn inside a triangle is not
-            old_side = self.edge_side[n]
-            new_side = np.concatenate([old_side, old_side, np.full(6 * T, -1)])[order]
-        del order
 
         side = tri_edges[:, _SPLIT_SIDE]
         first = children[side, _SPLIT_HALF]
@@ -295,10 +286,6 @@ class SubdivisionComplex:
         torder = np.argsort(tcodes)
         tid = np.empty_like(torder)
         tid[torder] = np.arange(len(torder))
-        new_tris = np.stack(
-            [tris[:, _SPLIT_Q], eb[side], np.broadcast_to(tb[:, None], side.shape)],
-            axis=-1,
-        ).reshape(-1, 3)[torder]
         new_tri_edges = np.stack(
             [first, q_tb[:, _SPLIT_Q], eb_tb[:, _SPLIT_SIDE]], axis=-1
         ).reshape(-1, 3)[torder]
@@ -317,32 +304,48 @@ class SubdivisionComplex:
             self.denom *= 6
 
         self.edges.append(_frozen(new_edges))
-        self.tris.append(_frozen(new_tris))
         self.tri_edges.append(_frozen(new_tri_edges))
         self.edge_children.append(_frozen(children))
         self.tri_children.append(_frozen(tid.reshape(T, 6)))
         self.tri_inner.append(_frozen(inner))
-        self.edge_side.append(_frozen(new_side))
         self.offsets.append(nv)
         self.top += 1
 
-    # -- counts and boundary sets ---------------------------------------
+    # -- counts, triangle vertices and boundary sides --------------------
 
     def counts(self, n):
         self.require_level(n)
-        return self.offsets[n], len(self.edges[n]), len(self.tris[n])
+        return self.offsets[n], len(self.edges[n]), len(self.tri_edges[n])
+
+    def tri_vertices(self, n):
+        """Level-n sorted vertex triples (T, 3), row = triangle id: the
+        ends of side ab, then the far end of ac; column-major."""
+        self.require_level(n)
+        edges, sides = self.edges[n], self.tri_edges[n]
+        out = np.empty((3, len(sides)), dtype=np.int64)
+        np.take(edges[:, 0], sides[:, 0], out=out[0])
+        np.take(edges[:, 1], sides[:, 0], out=out[1])
+        np.take(edges[:, 1], sides[:, 1], out=out[2])
+        return out.T
+
+    def boundary_index(self, n):
+        """The level-n boundary edge ids as a (6, 2^(n-1)) int64 table:
+        row s holds side s, in order along it from its level-0 corner,
+        the smaller end of the level-1 side edge (level >= 1)."""
+        self.require_level(n)
+        if n < 1:
+            raise ValueError("the boundary sides are defined from level 1")
+        V, edges = self.offsets[1], self.edges[1]
+        codes = [u * V + v for u, v in sorted(_SIDE_EDGES, key=_SIDE_EDGES.get)]
+        sides = lookup_sorted(edges[:, 0] * V + edges[:, 1], codes, "side edge")
+        return self.edge_descendants(1, sides, n)
 
     def side_vertices(self, n, side):
         """Level-n vertices on boundary side 0..5, ascending: its edges' ends."""
         self.require_level(n)
         if side not in range(6):
             raise ValueError(f"{side!r} is not a boundary side 0..5")
-        return np.unique(self.edges[n][self.edge_side[n] == side])
-
-    def side_edges_at(self, n, sides):
-        """Level-n edge ids on a boundary side, or on any of several."""
-        self.require_level(n)
-        return np.nonzero(np.isin(self.edge_side[n], sides))[0]
+        return np.unique(self.edges[n][self.boundary_index(n)[side]])
 
     # -- refinement ------------------------------------------------------
 
@@ -354,10 +357,15 @@ class SubdivisionComplex:
             raise ValueError(f"level {m} is coarser than the edges' level {n}")
         self.require_level(n)
         self.require_level(m)
-        ids = np.asarray(edge_id, dtype=np.int64)
+        ids = np.asarray(edge_id, dtype=np.int64)[..., None]
         for k in range(n, m):
-            ids = self.edge_children[k][ids]
-        return ids.reshape(np.shape(edge_id) + (-1,))
+            kids = self.edge_children[k][ids]
+            # every half lists its own halves from its older end, which
+            # along the edge comes first for the first half of a pair
+            # and last for the second
+            kids[..., 1::2, :] = kids[..., 1::2, ::-1]
+            ids = kids.reshape(kids.shape[:-2] + (-1,))
+        return ids
 
     def _refine(self, es, ts, k, j):
         """The level-(j+1) images of the level-(k+1) edges and triangles,
@@ -367,7 +375,7 @@ class SubdivisionComplex:
         e = np.empty(es.shape[:-1] + (len(self.edges[k + 1]),), dtype=np.int64)
         e[..., self.edge_children[k]] = self.edge_children[j][es]
         e[..., self.tri_inner[k]] = self.tri_inner[j][ts]
-        t = np.empty(ts.shape[:-1] + (len(self.tris[k + 1]),), dtype=np.int64)
+        t = np.empty(ts.shape[:-1] + (len(self.tri_edges[k + 1]),), dtype=np.int64)
         t[..., self.tri_children[k]] = self.tri_children[j][ts]
         return e, t
 
@@ -386,7 +394,7 @@ class SubdivisionComplex:
         if min(m, n) < 0:
             raise ValueError(f"cannot embed level {n} in level {m}")
         self.require_level(m + n)
-        es, ts = self.tri_edges[m], np.arange(len(self.tris[m]))[:, None]
+        es, ts = self.tri_edges[m], np.arange(len(self.tri_edges[m]))[:, None]
         for k in range(n):
             es, ts = self._refine(es, ts, k, m + k)
         return es, ts
@@ -411,7 +419,7 @@ class SubdivisionComplex:
         simplex codes: u*V + v for an edge (u, v) and edge_id(a, b)*V + c
         for a triangle (a, b, c), with V = offsets[n].  Both run in id
         order, as the rows are sorted."""
-        nv, edges, tris = self.offsets[n], self.edges[n], self.tris[n]
+        nv, edges, tris = self.offsets[n], self.edges[n], self.tri_vertices(n)
         ecodes = edges[:, 0] * nv + edges[:, 1]
         tcodes = self.tri_edges[n][:, 0] * nv + tris[:, 2]
         vm = self.vertex_map(g, n)
@@ -475,7 +483,7 @@ class SubdivisionComplex:
         return format_rows([
             f'{{"level":{n},"vertices":[', pairs(vertices),
             '],"edges":[', pairs(self.edges[n]),
-            '],"triangles":[', pairs(self.tris[n]),
+            '],"triangles":[', pairs(self.tri_vertices(n)),
             '],"barycenters":{"edges":[', ids(bary_e),
             '],"triangles":[', ids(bary_t), "]}}",
         ])

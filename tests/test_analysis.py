@@ -34,7 +34,7 @@ from hexacarpet.network import (
     energy,
 )
 from hexacarpet.subdivision import side_perm
-from test_complex import CellMaps, SimplexId, apply_word
+from test_complex import CellMaps, SimplexId, apply_word, edge_sides
 
 # boundary arcs by the original side they refine: the level-0 edge
 # (p0,p1) carries hexagon sides {0,1}, (p1,p2) sides {2,3}, (p0,p2)
@@ -102,7 +102,7 @@ def test_side_flows(cache):
         # the paper's arc flows: the standard flow mirrored onto the lower
         # half-plane, and its s2 image, which fixes the source arc
         I = unit_flow(cache, n)
-        upper = cache.C.coords[cache.C.tris[n][G.us], 1].sum(axis=1) > 0
+        upper = cache.C.coords[cache.C.tri_vertices(n)[G.us], 1].sum(axis=1) > 0
         ref02 = np.where(upper, I, hex_pullback(cache, n, I, ("s", 3)))
         assert np.array_equal(K[0, 1], ref02)
         assert np.array_equal(K[0, 2], hex_pullback(cache, n, ref02, ("s", 2)))
@@ -157,7 +157,7 @@ def branch_sides(C, Y):
 def y_decomposition_reference(cache, m, zero_tol=1e-12):
     """Triangle-by-triangle branch currents, through side first."""
     G = cache.graph("hexacarpet", m)
-    F = len(cache.C.tris[m])
+    F = len(cache.C.tri_edges[m])
     I = unit_flow(cache, m)
     idx = edge_index(G)
     a = np.zeros((F, 3))
@@ -208,7 +208,7 @@ def compose_flow_reference(cache, m, n):
     sides = branch_sides(C, Y)
     Gn = cache.graph("hexacarpet", n)
     Gf = cache.graph("hexacarpet", m + n)
-    Fn, Ff = len(C.tris[n]), len(C.tris[m + n])
+    Fn, Ff = len(C.tri_edges[n]), len(C.tri_edges[m + n])
     idx_f = edge_index(Gf)
     J = np.zeros(Gf.m)
     written = np.zeros(Gf.m, dtype=np.int8)
@@ -300,10 +300,10 @@ def sides_03_energies(cache, n):
     B = frozenset(C.side_vertices(n, 3).tolist())
     phi = effective_resistance(G, A=A, B=B).potential
     Gm = cache.graph("skeleton", n - 1)
-    cell = np.argsort(C.edge_side[1][C.tri_edges[1]].max(axis=1))
+    cell = np.argsort(edge_sides(C, 1)[C.tri_edges[1]].max(axis=1))
     ts = C.embed(1, n - 1)[1][cell[[0, 1, 5]]]
     vm = np.empty((3, Gm.n), dtype=np.int64)
-    vm[:, C.tris[n - 1]] = C.tris[n][ts]
+    vm[:, C.tri_vertices(n - 1)] = C.tri_vertices(n)[ts]
     u, v, w = phi[vm[:, C.vertex_map(("r", 4), n - 1)]]
     return [energy(G, phi), energy(Gm, u), energy(Gm, v), energy(Gm, w),
             energy(Gm, u, v - w)]

@@ -243,6 +243,15 @@ def test_euler_characteristic(C):
         assert v - e + f == 1
 
 
+def edge_sides(C, n):
+    """The boundary side 0..5 of each level-n edge, or -1, read off the
+    boundary table."""
+    side = np.full(len(C.edges[n]), -1)
+    if n >= 1:
+        side[C.boundary_index(n)] = np.arange(6)[:, None]
+    return side
+
+
 def side_masks(C, n):
     """The bitmask of boundary sides of each level-n vertex, from
     side_vertices."""
@@ -273,14 +282,14 @@ def test_barycenters_average_parents(C):
         V, E, T = C.counts(n)
         u, v = C.edges[n].T
         assert np.array_equal(2 * xy[V:V + E], xy[u] + xy[v])
-        a, b, c = C.tris[n].T
+        a, b, c = C.tri_vertices(n).T
         assert np.array_equal(3 * xy[V + E:V + E + T], xy[a] + xy[b] + xy[c])
 
 
 def test_side_counts(C):
     for n in range(1, MAXN + 1):
         for s in range(6):
-            assert len(C.side_edges_at(n, s)) == 2 ** (n - 1)
+            assert len(C.boundary_index(n)[s]) == 2 ** (n - 1)
             assert len(C.side_vertices(n, s)) == 2 ** (n - 1) + 1
 
 
@@ -314,8 +323,9 @@ def test_boundary_edges_have_one_triangle(C):
         count = np.bincount(C.tri_edges[n].ravel(), minlength=len(C.edges[n]))
         assert len(count) == len(C.edges[n])
         assert (count >= 1).all()
+        side = edge_sides(C, n)
         for e in range(len(count)):
-            assert count[e] == (1 if C.edge_side[n][e] >= 0 else 2)
+            assert count[e] == (1 if side[e] >= 0 else 2)
 
 
 def test_edge_triangle_handshake(C, R):
@@ -323,8 +333,8 @@ def test_edge_triangle_handshake(C, R):
     # triangle three times: once per side, and its three sides differ
     for n in range(MAXN + 1):
         ts = edge_triangles(C, n)
-        assert sum(map(len, ts)) == 3 * len(C.tris[n])
-        assert sum(map(len, R.edge_tris[n])) == 3 * len(C.tris[n])
+        assert sum(map(len, ts)) == 3 * len(C.tri_edges[n])
+        assert sum(map(len, R.edge_tris[n])) == 3 * len(C.tri_edges[n])
         assert all(len(set(t)) == 3 for t in C.tri_edges[n].tolist())
 
 
@@ -346,16 +356,30 @@ def test_edge_children_partition(C, R):
         assert parent == R.edge_parent[n + 1]
 
 
+def test_edge_descendants_run_along_the_edge(C):
+    # the descendants form a path from the smaller end to the larger:
+    # each shares one end with the next
+    for n in range(MAXN):
+        for m in range(n, MAXN + 2):
+            desc = C.edge_descendants(n, np.arange(len(C.edges[n])), m)
+            ends = C.edges[m][desc]
+            assert (ends[:, 0, :] == C.edges[n][:, :1]).any(axis=1).all()
+            assert (ends[:, -1, :] == C.edges[n][:, 1:]).any(axis=1).all()
+            shared = (ends[:, 1:, :, None] == ends[:, :-1, None, :]).sum(axis=(2, 3))
+            assert (shared == 1).all()
+
+
 def test_macro_edge_descendants_are_the_sides(C):
     arcs = {0: (0, 1), 1: (4, 5), 2: (2, 3)}
     for n in range(1, MAXN + 1):
+        side = edge_sides(C, n)
         tagged = set()
         for macro, sides in arcs.items():
             desc = C.edge_descendants(0, macro, n)
             assert len(desc) == 2 ** n
-            assert {C.edge_side[n][e] for e in desc} == set(sides)
+            assert {side[e] for e in desc} == set(sides)
             tagged.update(desc)
-        boundary = {e for e, s in enumerate(C.edge_side[n]) if s >= 0}
+        boundary = {e for e, s in enumerate(side) if s >= 0}
         assert tagged == boundary
 
 
@@ -414,13 +438,14 @@ def test_symmetries_act_by_isometries(C):
 
 def test_side_perm_matches_edge_action(C):
     n = 3
+    side = edge_sides(C, n)
     for elem in dihedral_elements():
         sp = side_perm(elem)
         for e in range(len(C.edges[n])):
-            s = C.edge_side[n][e]
+            s = side[e]
             img = C.edge_images(elem, n)[e]
             expect = -1 if s < 0 else sp[s]
-            assert C.edge_side[n][img] == expect
+            assert side[img] == expect
 
 
 def test_symmetries_are_edge_bijections(C):
@@ -438,19 +463,19 @@ def test_symmetries_are_edge_bijections(C):
 def test_cell_maps_partition_triangles(C):
     for n in range(MAXN):
         ts = C.embed(1, n)[1]
-        assert sorted(ts.ravel().tolist()) == list(range(6 * len(C.tris[n])))
+        assert sorted(ts.ravel().tolist()) == list(range(6 * len(C.tri_edges[n])))
 
 
 def test_cell_map_lands_in_its_slice(C):
     # the level-1 triangle on side c is the sector between 60c and
     # 60(c + 1) degrees, which holds the centroid of every triangle
     # inside it
-    side = C.edge_side[1][C.tri_edges[1]].max(axis=1)
+    side = edge_sides(C, 1)[C.tri_edges[1]].max(axis=1)
     assert sorted(side.tolist()) == list(range(6))
     for n in range(MAXN):
         ts = C.embed(1, n)[1]
         for x in range(6):
-            xy = C.coords[C.tris[n + 1][ts[x]]].sum(axis=1)
+            xy = C.coords[C.tri_vertices(n + 1)[ts[x]]].sum(axis=1)
             angle = np.degrees(np.arctan2(np.sqrt(3) * xy[:, 1], xy[:, 0]))
             assert (np.floor(angle % 360 / 60) == side[x]).all()
 
@@ -470,15 +495,15 @@ def test_arrays_match_reference(C, R):
             len(R.edges[k]) + len(R.tris[k]) for k in range(n)
         )
         assert C.edges[n].tolist() == [list(e) for e in R.edges[n]]
-        assert C.tris[n].tolist() == [list(t) for t in R.tris[n]]
+        assert C.tri_vertices(n).tolist() == [list(t) for t in R.tris[n]]
         assert C.tri_edges[n].tolist() == [list(t) for t in R.tri_edges[n]]
         assert edge_triangles(C, n) == [list(ts) for ts in R.edge_tris[n]]
-        assert C.edge_side[n].tolist() == R.edge_side[n]
+        assert edge_sides(C, n).tolist() == R.edge_side[n]
         # the simplex codes the base-level image search looks up are
         # ascending in id order: u*V + v, and edge_id(a, b)*V + c
         V, E, T = C.counts(n)
         assert (np.diff(C.edges[n][:, 0] * V + C.edges[n][:, 1]) > 0).all()
-        assert (np.diff(C.tri_edges[n][:, 0] * V + C.tris[n][:, 2]) > 0).all()
+        assert (np.diff(C.tri_edges[n][:, 0] * V + C.tri_vertices(n)[:, 2]) > 0).all()
         if n <= MAXN:
             assert C.edge_children[n].tolist() == [list(c) for c in R.edge_children[n]]
             # barycenter ids follow the edges, then the triangles
@@ -487,7 +512,7 @@ def test_arrays_match_reference(C, R):
         if n >= 1:
             # each triangle's parent is the one whose children hold it
             parent = np.full(T, -1)
-            parent[C.tri_children[n - 1]] = np.arange(len(C.tris[n - 1]))[:, None]
+            parent[C.tri_children[n - 1]] = np.arange(len(C.tri_edges[n - 1]))[:, None]
             assert parent.tolist() == R.tri_parent[n]
     for n in range(1, MAXN + 2):
         V = C.counts(n)[0]
@@ -497,8 +522,60 @@ def test_arrays_match_reference(C, R):
     assert [coord(C, v) for v in range(len(R.coords))] == R.coords
     # the stored denominator is the level's common one, 2 * 6^(n-1)
     assert C.denom == 2 * 6 ** MAXN
-    tables = [C.edges, C.tris, C.tri_edges, C.edge_children, C.edge_side]
+    tables = [C.edges, C.tri_edges, C.edge_children, C.tri_children, C.tri_inner]
     assert not any(t[-1].flags.writeable for t in tables)
+
+
+def reference_side_order(R, n, s):
+    """The level-n edges the reference tags with side s, in order along
+    the side from its level-0 corner: by the distance of their
+    midpoints from it, in the (x, y/sqrt(3)) plane."""
+    corner = R.coords[min(sorted(_SIDE_EDGES, key=_SIDE_EDGES.get)[s])]
+
+    def dist(e):
+        u, v = R.edges[n][e]
+        dx, dy = (R.coords[u][i] + R.coords[v][i] - 2 * corner[i] for i in (0, 1))
+        return dx * dx + 3 * dy * dy
+
+    return sorted((e for e, t in enumerate(R.edge_side[n]) if t == s), key=dist)
+
+
+def test_boundary_index_matches_reference(C, R):
+    for n in range(1, MAXN + 2):
+        table = C.boundary_index(n)
+        assert table.shape == (6, 2 ** (n - 1)) and table.dtype == np.int64
+        for s in range(6):
+            assert table[s].tolist() == reference_side_order(R, n, s)
+    with pytest.raises(ValueError, match="from level 1"):
+        C.boundary_index(0)
+
+
+@pytest.fixture(scope="module")
+def C7():
+    c = SubdivisionComplex()
+    c.ensure_level(7)
+    return c
+
+
+def test_boundary_index_matches_side_scan(C7):
+    # the per-edge sides as the reference tags them: the level-1 side
+    # edges, then at each level the two halves of an edge on its side
+    # and every edge drawn inside a triangle on none
+    side = np.array([_SIDE_EDGES.get(tuple(e), -1) for e in C7.edges[1].tolist()])
+    for n in range(1, 8):
+        if n > 1:
+            fine = np.full(len(C7.edges[n]), -1)
+            fine[C7.edge_children[n - 1]] = side[:, None]
+            side = fine
+        table = C7.boundary_index(n)
+        for s in range(6):
+            assert np.array_equal(np.sort(table[s]), np.nonzero(np.isin(side, s))[0])
+
+
+def test_triangle_side_rows_ascend(C7):
+    # edge ids follow the sorted vertex pairs, so ab < ac < bc
+    for n in range(8):
+        assert (np.diff(C7.tri_edges[n], axis=1) > 0).all()
 
 
 def test_dual_matches_reference(C, R):
@@ -519,13 +596,13 @@ def test_dual_matches_reference(C, R):
 
 def table_bytes(n):
     """Bytes of the int64 tables of a complex built to level n: per
-    level k <= n, edges (2E), tris and tri_edges (3T each) and edge_side
-    (E); per level k < n, edge_children (2E), tri_children and tri_inner
-    (6T each); per vertex, coords (2)."""
+    level k <= n, edges (2E) and tri_edges (3T); per level k < n,
+    edge_children (2E), tri_children and tri_inner (6T each); per
+    vertex, coords (2)."""
     total = 0
     for k in range(n + 1):
         v, e, t = count_oracle(k)
-        total += 8 * (3 * e + 6 * t)
+        total += 8 * (2 * e + 3 * t)
         if k < n:
             total += 8 * (2 * e + 12 * t)
     return total + 16 * v
@@ -543,7 +620,7 @@ def test_tables_match_sizing_formula():
             if isinstance(a, np.ndarray)
         )
         assert held == table_bytes(n)
-    assert table_bytes(8) == 223_083_640
+    assert table_bytes(8) == 150_518_104
 
 
 def test_to_json_matches_reference(C, R):
@@ -574,7 +651,7 @@ def json_by_lists(C, n):
         "level": n,
         "vertices": vertices.tolist(),
         "edges": C.edges[n].tolist(),
-        "triangles": C.tris[n].tolist(),
+        "triangles": C.tri_vertices(n).tolist(),
         "barycenters": {
             "edges": list(range(V, V + E)) if below else [],
             "triangles": list(range(V + E, V + E + T)) if below else [],
@@ -677,11 +754,11 @@ def searched_images(C, vm, n, tgt):
     complex's level-by-level refinement, and the test-side cell maps."""
     nv = C.offsets[tgt]
     ecodes = C.edges[tgt][:, 0] * nv + C.edges[tgt][:, 1]
-    tcodes = C.tri_edges[tgt][:, 0] * nv + C.tris[tgt][:, 2]
+    tcodes = C.tri_edges[tgt][:, 0] * nv + C.tri_vertices(tgt)[:, 2]
     ie = vm[C.edges[n]]
     lo, hi = ie.min(axis=1), ie.max(axis=1)
     eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
-    it = np.sort(vm[C.tris[n]], axis=1)
+    it = np.sort(vm[C.tri_vertices(n)], axis=1)
     ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
     timg = lookup_sorted(tcodes, ab * nv + it[:, 2], "triangle image")
     return eimg, timg
@@ -780,14 +857,14 @@ def test_embedding_tiles_each_level(C):
     for m in range(4):
         es, ts = C.embed(m, 0)
         assert np.array_equal(es, C.tri_edges[m])
-        assert np.array_equal(ts.ravel(), np.arange(len(C.tris[m])))
+        assert np.array_equal(ts.ravel(), np.arange(len(C.tri_edges[m])))
         for n in range(4 - m):
             es, ts = C.embed(m, n)
-            assert ts.shape == (len(C.tris[m]), len(C.tris[n]))
-            assert es.shape == (len(C.tris[m]), len(C.edges[n]))
+            assert ts.shape == (len(C.tri_edges[m]), len(C.tri_edges[n]))
+            assert es.shape == (len(C.tri_edges[m]), len(C.edges[n]))
             # every fine triangle lies in one coarse triangle, and every
             # fine edge in one, or on the side shared by two
-            assert (np.bincount(ts.ravel(), minlength=len(C.tris[m + n])) == 1).all()
+            assert (np.bincount(ts.ravel(), minlength=len(C.tri_edges[m + n])) == 1).all()
             hits = np.bincount(es.ravel(), minlength=len(C.edges[m + n]))
             assert ((hits == 1) | (hits == 2)).all()
 
@@ -903,7 +980,7 @@ def test_levels_out_of_range_are_refused():
         lambda: c.ensure_level(-3),
         lambda: c.counts(-1),
         lambda: c.side_vertices(-1, 0),
-        lambda: c.side_edges_at(-1, 0),
+        lambda: c.boundary_index(-1),
         lambda: c.to_json(-1),
         lambda: c.edge_descendants(-1, [0], 1),
     ):

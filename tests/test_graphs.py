@@ -31,7 +31,7 @@ from hexacarpet.graphs import (
 from hexacarpet.network import effective_resistance
 from hexacarpet.subdivision import lookup_sorted
 from oracle import oracle_resistance
-from test_complex import CellMaps
+from test_complex import CellMaps, edge_sides
 
 F1 = Fraction(1)
 SIGMA_A = ("s", 2)  # reflection fixing the corner between sides 0 and 1
@@ -71,8 +71,9 @@ def test_skeleton_conductances(C):
         assert G.m == C.counts(n)[1]
         codes = C.edges[n][:, 0] * G.n + C.edges[n][:, 1]
         edge = lookup_sorted(codes, G.us * G.n + G.vs, "edge")
+        side = edge_sides(C, n)
         for e, c in zip(edge, fractions(G)):
-            want = Fraction(1, 2) if C.edge_side[n][e] >= 0 else Fraction(1)
+            want = Fraction(1, 2) if side[e] >= 0 else Fraction(1)
             assert c == want
 
 
@@ -113,27 +114,31 @@ def test_hexacarpet_counts(C):
 
 def test_family_builds_keep_their_tables_as_views(C):
     # the skeleton's ends are the columns of the complex's edge table;
-    # the hexacarpet and dual hold their one numerator once
+    # the hexacarpet, its cut graph and the dual hold their one
+    # numerator once
     for n in (1, 2, 3, 4):
         S = build_skeleton(C, n)
         assert np.shares_memory(S.us, C.edges[n]) and np.shares_memory(S.vs, C.edges[n])
-        for G in (build_hexacarpet(C, n), build_dual(C, n)):
+        H = build_hexacarpet(C, n)
+        for G in (H, build_cut_graph(C, n, H), build_dual(C, n)):
             assert G.num.strides == (0,) and not G.num.flags.writeable
+            assert G.num.dtype == np.int64 and G.num[0] == G.num.max()
 
 
 def reference_bits(C, G):
     """Each vertex's bitmask of boundary sides over the whole graph, from
     every edge's side."""
     n, family = G.meta["level"], G.meta["family"]
-    side_bit = subdivision.SIDE_BIT[C.edge_side[n]]
+    side = edge_sides(C, n)
+    side_bit = subdivision.SIDE_BIT[side]
     if family == "skeleton":
         b = np.zeros(G.n, dtype=np.int64)
-        on = C.edge_side[n] >= 0
+        on = side >= 0
         np.bitwise_or.at(b, C.edges[n][on], side_bit[on, None])
         return b
     if family == "dual":
         return np.bitwise_or.reduce(side_bit[C.tri_edges[n]], axis=1)
-    carpet = np.concatenate([np.zeros(len(C.tris[n]), dtype=np.int64), side_bit])
+    carpet = np.concatenate([np.zeros(len(C.tri_edges[n]), dtype=np.int64), side_bit])
     if family != "short":
         return carpet
     vmap = np.unique(shorted_classes(C, n), return_inverse=True)[1]
@@ -175,7 +180,7 @@ def test_hexacarpet_reduces_to_dual(C):
     for n in (1, 2, 3):
         H = build_hexacarpet(C, n)
         D = build_dual(C, n)
-        F = len(C.tris[n])
+        F = len(C.tri_edges[n])
         # the triangle neighbours of each edge vertex
         at_edge = {}
         for t, v in zip(H.us.tolist(), H.vs.tolist()):
@@ -420,7 +425,7 @@ def test_cut_strand_lengths_match_walk(C):
     # reference: walk each strand from its side-{0,1} end, arc order
     for n in (1, 2, 3, 4):
         G = cut_graph(C, n)
-        F = len(C.tris[n])
+        F = len(C.tri_edges[n])
         adj = {v: [] for v in range(G.n)}
         for u, v in zip(G.us.tolist(), G.vs.tolist()):
             adj[u].append(v)
@@ -462,7 +467,7 @@ def test_cut_graph_is_a_subgraph(C):
     n = 2
     H = build_hexacarpet(C, n)
     G = build_cut_graph(C, n, H)
-    F = len(C.tris[n])
+    F = len(C.tri_edges[n])
     hit = {F + e for e in cut_edge_vertices(C, n)}
     removed = sum(
         1 for u, v in zip(H.us, H.vs) if u in hit or v in hit
@@ -546,7 +551,7 @@ def test_short_level_one_value(C):
 def reference_short_graph(C, n):
     """Union-find over single edges and a Fraction dict for the quotient."""
     H = build_hexacarpet(C, n)
-    F, E = len(C.tris[n]), len(C.edges[n])
+    F, E = len(C.tri_edges[n]), len(C.edges[n])
     cells = CellMaps(C)
     parent = list(range(F + E))
 
