@@ -360,13 +360,14 @@ def potential_decomposition(cache: LevelCache, n):
 
     Gm = cache.graph("skeleton", n - 1)
     # each level-1 triangle has one boundary edge; cell[s] is the one on
-    # side s.  The embedding keeps the vertex order, so it sends each
-    # corner of a level-(n-1) triangle to the same corner of its image.
+    # side s.  The embedding keeps the vertex order, so it sends each end
+    # of a level-(n-1) edge to the same end of its image, and every
+    # vertex ends some edge.
     on = C.boundary_index(1)[[0, 1, 5]]
     cell = (C.tri_edges[1] == on[:, :, None]).any(axis=2).argmax(axis=1)
-    ts = C.embed(1, n - 1)[1][cell]
+    es = C.embed(1, n - 1)[0][cell]
     vm = np.empty((3, Gm.n), dtype=np.int64)
-    vm[:, C.tri_vertices(n - 1)] = C.tri_vertices(n)[ts]
+    vm[:, C.edges[n - 1]] = C.edges[n][es]
     u, v, w = phi[vm[:, C.vertex_map(("r", 4), n - 1)]]
     sigma = C.vertex_map(S0, n - 1)
     sym_u = float(np.abs(u - u[sigma]).max())

@@ -182,8 +182,9 @@ def _rho(cache, args):
             spectral_dimension(rho_T) if rho_T and 6 * rho_T > 1 else None
         ),
         "skeleton_note": (
-            "the skeleton-side formula value does not reproduce the "
-            "2.38 endpoint estimate; the discrepancy is left open"
+            "the abstract's 2.38 endpoint is spectral_dimension(3/4) = 2.3825 "
+            "and its 2.28 is spectral_dimension(4/5) = 2.2845; its stated "
+            "end rho^T = 2/3 would give 2.585"
         ),
     }
     return rep.to_csv_text(), doc, True

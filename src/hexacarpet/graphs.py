@@ -26,10 +26,11 @@ read-only zero-stride value.  Triangle counts come from the complex.
 
 Every family carries the dihedral symmetry group of the hexagon as a
 DihedralAction on its vertices, read lazily from the complex's map
-image arrays, and reads the side bits of the vertices asked off the
-complex's boundary table.  stabiliser() picks the elements that fix or
-swap a terminal pair and keeps only those it verifies as automorphisms
-of the actual graph; the solver uses them to reduce its unknowns.
+image arrays, with a side table built once from the complex's boundary
+table: row s lists the family's vertices on hexagon side s.
+stabiliser() picks the elements that fix or swap a terminal pair and
+keeps only those it verifies as automorphisms of the actual graph; the
+solver uses them to reduce its unknowns.
 
 An edge map is checked by one exact match, WeightedGraph.match: the
 codes u*n + v of the mapped edges are sorted stably, near-linear since
@@ -65,7 +66,6 @@ from .subdivision import (
     B01,
     B02,
     CENTER,
-    SIDE_BIT,
     IntRows,
     SubdivisionComplex,
     dihedral_compose,
@@ -91,23 +91,25 @@ class FamilyError(Exception):
 class DihedralAction:
     """The dihedral group of the hexagon acting on a graph's vertices.
 
-    perm(elem) gives the int64 vertex images of one group element and
-    bits(ids) the bitmasks of boundary sides of the vertices ids: the two
-    callables the family builder passes.  The images are read from the
-    arrays the complex caches when a solve asks, the bits from its
-    boundary table, and graphs on one vertex set (a hexacarpet and its
-    cut graph) share one action.
+    perm(elem) gives the int64 vertex images of one group element, read
+    from the arrays the complex caches when a solve asks.  sides is a
+    (6, k) int64 table whose row s lists the vertices on hexagon side s,
+    built once by the family builder from the complex's boundary table;
+    a vertex may sit in two rows, or twice in one.  Graphs on one vertex
+    set (a hexacarpet and its cut graph) share one action.
     """
 
-    def __init__(self, perm, bits):
+    def __init__(self, perm, sides):
         self.perm = perm
-        self.bits = bits
+        self.sides = sides
 
     def candidates(self, A, B):
         """The involutions other than the identity whose side permutation
         carries the sides of (A, B) to those of (A, B) or of (B, A)."""
         a, b = (
-            int(np.bitwise_or.reduce(self.bits(np.fromiter(S, np.int64, len(S)))))
+            set(np.flatnonzero(
+                np.isin(self.sides, np.fromiter(S, np.int64, len(S))).any(axis=1)
+            ).tolist())
             for S in (A, B)
         )
         out = []
@@ -115,14 +117,15 @@ class DihedralAction:
             if g == IDENTITY or dihedral_compose(g, g) != IDENTITY:
                 continue
             moves = side_perm(g)
-            ga, gb = (sum(1 << moves[s] for s in range(6) if x >> s & 1) for x in (a, b))
+            ga, gb = ({moves[s] for s in x} for x in (a, b))
             if (ga, gb) in ((a, b), (b, a)):
                 out.append(g)
         return out
 
     def induced(self, vmap, n):
         """The action on the n classes of a quotient, vmap giving each
-        vertex's class; well defined only if the classes are permuted
+        vertex's class, with the classes of the side table's entries as
+        its side table; well defined only if the classes are permuted
         whole, which stabiliser() verifies."""
 
         def perm(elem):
@@ -130,13 +133,7 @@ class DihedralAction:
             p[vmap] = vmap[self.perm(elem)]
             return p
 
-        def bits(ids):
-            members = np.flatnonzero(np.isin(vmap, ids))
-            b = np.zeros(n, dtype=np.int64)
-            np.bitwise_or.at(b, vmap[members], self.bits(members))
-            return b[ids]
-
-        return DihedralAction(perm, bits)
+        return DihedralAction(perm, vmap[self.sides])
 
 
 def _integers(values, what):
@@ -391,16 +388,6 @@ def edge_arc(C: SubdivisionComplex, n, sides):
     return frozenset((len(C.tri_edges[n]) + on).tolist())
 
 
-def _side_bits(C: SubdivisionComplex, n, ids):
-    """The side bitmask of each level-n edge id in ids, 0 off the
-    boundary, looked up in the boundary table."""
-    table = C.boundary_index(n)
-    order = np.argsort(table, axis=None)
-    on = table.ravel()[order]
-    pos = np.minimum(np.searchsorted(on, ids), len(on) - 1)
-    return np.where(on[pos] == ids, SIDE_BIT[order[pos] // table.shape[1]], 0)
-
-
 def _hexacarpet_action(C: SubdivisionComplex, n):
     """The dihedral action on hexacarpet vertices: triangle t is vertex
     t, edge e is vertex F + e."""
@@ -409,24 +396,16 @@ def _hexacarpet_action(C: SubdivisionComplex, n):
     def perm(g):
         return np.concatenate([C.tri_images(g, n), F + C.edge_images(g, n)])
 
-    # a triangle's id less F is negative, on no side
-    return DihedralAction(perm, lambda ids: _side_bits(C, n, ids - F))
+    return DihedralAction(perm, F + C.boundary_index(n))
 
 
 def build_skeleton(C: SubdivisionComplex, n):
     """1-skeleton of level n with terminals the side-2 / side-5 chains."""
     _require_positive_level(n)
     C.ensure_level(n)
-    edges = C.edges[n]
-
-    def bits(ids):
-        # a vertex's sides are those of the boundary edges ending at it
-        b = np.zeros(C.offsets[n], dtype=np.int64)
-        np.bitwise_or.at(b, edges[C.boundary_index(n)], SIDE_BIT[:6, None, None])
-        return b[ids]
-
+    edges, on = C.edges[n], C.boundary_index(n)
     num = np.full(len(edges), ONE)
-    num[C.boundary_index(n)] = HALF
+    num[on] = HALF
     # the columns of the edge table are contiguous, so the graph keeps
     # them as its edge ends
     return WeightedGraph(
@@ -436,7 +415,8 @@ def build_skeleton(C: SubdivisionComplex, n):
             "B": frozenset(C.side_vertices(n, 5).tolist()),
         },
         {"family": "skeleton", "level": n}, DEN,
-        DihedralAction(lambda g: C.vertex_map(g, n), bits),
+        # a vertex's sides are those of the boundary edges ending at it
+        DihedralAction(lambda g: C.vertex_map(g, n), edges[on].reshape(6, -1)),
     )
 
 
@@ -461,14 +441,11 @@ def build_dual(C: SubdivisionComplex, n):
     ))
     first = inc.indptr[:-1][np.diff(inc.indptr) == 2]
     us, vs = inc.indices[first], inc.indices[first + 1]
-    # a boundary edge's one triangle, by side; the terminal sets are
-    # inserted ascending, so that they iterate in id order
-    outer = inc.indices[inc.indptr[C.boundary_index(n)]]
+    # a boundary edge's one triangle, by side, which is also the side
+    # table; the terminal sets are inserted ascending, so that they
+    # iterate in id order
+    outer = inc.indices[inc.indptr[C.boundary_index(n)]].astype(np.int64)
     del inc, first
-
-    def bits(ids):
-        return np.bitwise_or.reduce(_side_bits(C, n, sides[ids]), axis=1)
-
     return WeightedGraph(
         T, us, vs,
         np.broadcast_to(np.int64(ONE), len(us)),
@@ -477,7 +454,7 @@ def build_dual(C: SubdivisionComplex, n):
             "B": frozenset(np.sort(outer[[3, 4]], axis=None).tolist()),
         },
         {"family": "dual", "level": n}, DEN,
-        DihedralAction(lambda g: C.tri_images(g, n), bits),
+        DihedralAction(lambda g: C.tri_images(g, n), outer),
     )
 
 
@@ -600,13 +577,11 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     if (core & ~ends & (core_deg != 2)).any():
         raise FamilyError("cut strand has a branch")
 
-    # sides 0 then 1 sweep from the angle-0 corner with strictly
-    # decreasing x, so the x sum of the end edges' endpoints, descending,
-    # orders strand ends along the arc
-    a_ends = np.nonzero(on_A & core)[0]
-    x = C.coords[C.edges[n][a_ends - F], 0].sum(axis=1)
-    a_ends = a_ends[np.argsort(-x, kind="stable")]
-    out = tris[label[a_ends]].tolist()
+    # the arc runs along side 0 from the angle-0 corner, then along side
+    # 1, whose row starts at its far corner, backwards
+    bi = C.boundary_index(n)
+    arc = F + np.concatenate([bi[0], bi[1][::-1]])
+    out = tris[label[arc[core[arc]]]].tolist()
     if sum(out) != 6 ** n:
         raise FamilyError("cut strands do not exhaust the triangles")
     if len(out) != 2 ** n:

@@ -83,9 +83,6 @@ _SIDE_EDGES = {
     (P0, B02): 5,
 }
 
-# the bitmask of side s at index s, and 0 at index -1 (no side)
-SIDE_BIT = np.array([1, 2, 4, 8, 16, 32, 0], dtype=np.int64)
-
 # Dihedral group of the hexagon on the seven level-1 vertex ids.
 # rot60 rotates by +60 degrees, refl_h reflects across the x axis.
 _ROT60 = (B01, B12, B02, P1, P0, P2, CENTER)

@@ -119,6 +119,19 @@ def test_rho_json_has_meta(capsys):
         assert doc["manifest"]["peak_rss_mb"] > 0
 
 
+def test_skeleton_note_names_the_abstracts_ends(capsys):
+    # the abstract's d_S^T window [2.28, 2.38] is d_S at rho^T = 4/5 and
+    # 3/4, to its two decimals; its stated end 2/3 would give 2.585
+    d = analysis.spectral_dimension
+    assert (round(d(4 / 5), 2), round(d(3 / 4), 2), round(d(2 / 3), 3)) == (2.28, 2.38, 2.585)
+    code, out = run(capsys, "rho", "--max-level", "2", "--format", "json")
+    assert code == 0
+    note = json.loads(out)["meta"]["skeleton_note"]
+    assert "spectral_dimension(3/4)" in note and "spectral_dimension(4/5)" in note
+    for rho_T, digits in ((3 / 4, 4), (4 / 5, 4), (2 / 3, 3)):
+        assert f"{d(rho_T):.{digits}f}" in note
+
+
 def test_submult_passes(capsys):
     code, out = run(capsys, "submult", "--max-level", "3")
     assert code == 0

@@ -1,13 +1,16 @@
 """Recorded CLI outputs: the CSV text byte for byte and the key tree of
 each JSON document, whose values (timings among them) may vary.  Each
 document must be strict JSON (RFC 8259): NaN and the infinities are
-refused, both here and when the recordings are written.
+refused, both here and when the recordings are written.  The level-3
+edge list of each family, terminal headers and edges, is pinned by its
+SHA-256.
 
 The files under tests/golden/ are written by running this module as a
 script, PYTHONPATH=src python tests/test_golden.py; a change that means
 to alter an output rewrites them and says so.
 """
 
+import hashlib
 import io
 import json
 import pathlib
@@ -27,6 +30,13 @@ RUNS = {
         for family in FAMILIES
     },
 }
+
+# family -> argv of the export pinned by its SHA-256
+EXPORTS = {
+    family: ["build", "--family", family, "--level", "3", "--format", "edgelist"]
+    for family in FAMILIES
+}
+EXPORT_HASHES = GOLDEN / "edgelist-sha256.json"
 
 
 def refuse_constant(name):
@@ -55,11 +65,24 @@ def outputs(name):
     return texts[0], key_tree(json.loads(texts[1], parse_constant=refuse_constant))
 
 
+def export_hash(family):
+    """SHA-256 of the recorded export's text, in hex."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(EXPORTS[family]) == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_outputs_match_the_recorded_ones(name):
     csv, keys = outputs(name)
     assert csv.encode() == (GOLDEN / f"{name}.csv").read_bytes()
     assert keys == json.loads((GOLDEN / "keys.json").read_text())[name]
+
+
+@pytest.mark.parametrize("family", sorted(EXPORTS))
+def test_edgelists_match_the_recorded_hashes(family):
+    assert export_hash(family) == json.loads(EXPORT_HASHES.read_text())[family]
 
 
 if __name__ == "__main__":
@@ -69,3 +92,5 @@ if __name__ == "__main__":
         csv, trees[name] = outputs(name)
         (GOLDEN / f"{name}.csv").write_bytes(csv.encode())
     (GOLDEN / "keys.json").write_text(json.dumps(trees, indent=1, sort_keys=True) + "\n")
+    hashes = {family: export_hash(family) for family in sorted(EXPORTS)}
+    EXPORT_HASHES.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")

@@ -125,12 +125,16 @@ def test_family_builds_keep_their_tables_as_views(C):
             assert G.num.dtype == np.int64 and G.num[0] == G.num.max()
 
 
+# the bitmask of side s at index s, and 0 at index -1 (no side)
+SIDE_BIT = np.array([1, 2, 4, 8, 16, 32, 0], dtype=np.int64)
+
+
 def reference_bits(C, G):
     """Each vertex's bitmask of boundary sides over the whole graph, from
     every edge's side."""
     n, family = G.meta["level"], G.meta["family"]
     side = edge_sides(C, n)
-    side_bit = subdivision.SIDE_BIT[side]
+    side_bit = SIDE_BIT[side]
     if family == "skeleton":
         b = np.zeros(G.n, dtype=np.int64)
         on = side >= 0
@@ -147,15 +151,41 @@ def reference_bits(C, G):
     return b
 
 
-def test_symmetry_bits_of_the_ids_asked(C):
+def test_symmetry_sides_of_the_ids_asked(C):
+    # the rows of the side table that meet the ids are the sides set in
+    # the ids' reference bits
     rng = np.random.default_rng(9)
     builds = (build_skeleton, build_dual, build_hexacarpet, cut_graph, short_graph)
     for G in [build(C, n) for n in (1, 2, 3, 4) for build in builds]:
         want = reference_bits(C, G)
         some = rng.choice(G.n, size=min(G.n, 40), replace=False)
         for ids in (np.arange(G.n), some, np.zeros(0, dtype=np.int64)):
-            got = G.symmetry.bits(ids)
-            assert np.array_equal(got, want[ids]), G.meta
+            met = np.isin(G.symmetry.sides, ids).any(axis=1)
+            bits = int(np.bitwise_or.reduce(want[ids]))
+            assert met.tolist() == [bool(bits >> s & 1) for s in range(6)], G.meta
+
+
+def test_side_tables_list_each_sides_vertices():
+    c = SubdivisionComplex()
+    c.ensure_level(5)
+    for n in range(1, 6):
+        bi, F = c.boundary_index(n), len(c.tri_edges[n])
+        S = build_skeleton(c, n).symmetry.sides
+        assert S.dtype == np.int64 and S.shape == (6, 2 ** n)
+        for s in range(6):
+            assert np.array_equal(np.unique(S[s]), c.side_vertices(n, s)), (n, s)
+        H = build_hexacarpet(c, n)
+        assert np.array_equal(H.symmetry.sides, F + bi)
+        assert build_cut_graph(c, n, H).symmetry is H.symmetry
+        # the dual's rows hold the one triangle of each boundary edge
+        outer = [np.flatnonzero((c.tri_edges[n] == e).any(axis=1)) for e in bi.ravel()]
+        assert all(len(t) == 1 for t in outer)
+        D = build_dual(c, n).symmetry.sides
+        assert D.dtype == np.int64
+        assert np.array_equal(D, np.concatenate(outer).reshape(bi.shape))
+        # the short graph's rows hold the classes of the hexacarpet's
+        vmap = np.unique(shorted_classes(c, n), return_inverse=True)[1]
+        assert np.array_equal(build_short_graph(c, n, H).symmetry.sides, vmap[F + bi])
 
 
 def test_family_build_memory_peaks():

@@ -269,6 +269,32 @@ STABILISERS = {
 }
 
 
+# the candidates each family's terminal pair is given, in order
+CANDIDATES = {
+    "skeleton": [("r", 3), ("s", 2), ("s", 5)],
+    "dual": [("r", 3), ("s", 2), ("s", 5)],
+    "hexacarpet": [("r", 3), ("s", 2), ("s", 5)],
+    "cut": [("s", 0)],
+    "short": [("s", 2)],
+}
+
+
+def test_candidates_of_the_terminal_pairs(cache6):
+    C = cache6.C
+    for n in range(1, 7):
+        for family, want in CANDIDATES.items():
+            G = cache6.graph(family, n)
+            assert G.symmetry.candidates(G.boundary["A"], G.boundary["B"]) == want, (family, n)
+        # the hexacarpet between the cut arcs, and the skeleton's side-0
+        # to side-3 pair
+        H = cache6.graph("hexacarpet", n)
+        arcs = edge_arc(C, n, (0, 1)), edge_arc(C, n, (4, 5))
+        assert H.symmetry.candidates(*arcs) == [("s", 0)]
+        S = cache6.graph("skeleton", n)
+        A, B = (frozenset(C.side_vertices(n, s).tolist()) for s in (0, 3))
+        assert S.symmetry.candidates(A, B) == [("r", 3), ("s", 1), ("s", 4)]
+
+
 def test_stabiliser_group_orders(cache6):
     for family, want in STABILISERS.items():
         for n in range(1, 7):
