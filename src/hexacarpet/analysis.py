@@ -22,9 +22,9 @@ side-to-side unit flows on level n, and its energy is the certificate.
 Splicing is one whole-array pass: each level-m triangle reads its two
 flows off a table of the six flows between the original triangle's
 sides, by the slots of its branch sides in tri_edges; the complex's
-embedding of level n carries them into the triangle, and their
-incidences are matched to the target graph's, every one exactly once
-(WeightedGraph.match).
+embedding of level n carries them into the triangle, side order kept,
+and graphs.incidence_positions addresses each (triangle, side) carried
+there in the target graph, every fine incidence exactly once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from .subdivision import DEFAULT_CAP, SubdivisionComplex, dihedral_elements
 from .graphs import (
     FamilyError,
-    WeightedGraph,
     build_cut_graph,
     build_dual,
     build_hexacarpet,
@@ -46,6 +45,7 @@ from .graphs import (
     cut_path_lengths,
     cut_resistance_formula,
     edge_arc,
+    incidence_positions,
 )
 from .network import (
     _checked_flow,
@@ -160,9 +160,9 @@ def hex_pullback(cache: LevelCache, n, J, elem):
     Incidence edges are canonically triangle -> edge-vertex, and the
     symmetry preserves that typing, so no orientation signs appear.
     """
-    G = cache.graph("hexacarpet", n)
-    p = G.symmetry.perm(elem)
-    return J[G.match(p[G.us], p[G.vs])]
+    C = cache.C
+    sides = C.edge_images(elem, n)[C.tri_edges[n]]
+    return J[incidence_positions(C, n, C.tri_images(elem, n), sides).ravel()]
 
 
 def unit_flow(cache: LevelCache, n):
@@ -207,8 +207,9 @@ def side_flows(cache: LevelCache, n):
     for g in dihedral_elements():
         a, b, c = C.vertex_map(g, 1)[:3]
         if sorted((a, b, c)) == [0, 1, 2]:
-            p = G.symmetry.perm(g)
-            K[a + b - 1, a + c - 1, G.match(p[G.us], p[G.vs])] = H02
+            sides = C.edge_images(g, n)[C.tri_edges[n]]
+            pos = incidence_positions(C, n, C.tri_images(g, n), sides)
+            K[a + b - 1, a + c - 1, pos.ravel()] = H02
     return K
 
 
@@ -245,7 +246,7 @@ class YDecomposition:
 
 def y_decomposition(cache: LevelCache, m):
     # the hexacarpet lists triangle x's incidences at 3x..3x+2, in the
-    # order of tri_edges[m][x], whose rows ascend
+    # order of tri_edges[m][x] (graphs.incidence_positions)
     raw = unit_flow(cache, m).reshape(-1, 3)
     # branch currents sit far above solver noise or are true zeros;
     # snapping the noise makes the sign invariants exact
@@ -295,16 +296,13 @@ def compose_flow(cache: LevelCache, m, n):
     C = cache.C
     Y = y_decomposition(cache, m)
     K = side_flows(cache, n)
-    Gn = cache.graph("hexacarpet", n)
     Gf = cache.graph("hexacarpet", m + n)
-    Fn, Ff = len(C.tri_edges[n]), len(C.tri_edges[m + n])
     es, ts = C.embed(m, n)
     t, j1, j2 = Y.slot.T
 
-    # row x: the level-n incidences carried into x by its embedding,
-    # which together must be every fine incidence once
+    # row x: the level-n incidences its embedding carries into x
     try:
-        pos = Gf.match(ts[:, Gn.us].ravel(), (Ff + es[:, Gn.vs - Fn]).ravel())
+        pos = incidence_positions(C, m + n, ts, es[:, C.tri_edges[n]]).ravel()
     except KeyError:
         raise AssertionError("cells do not tile the fine incidences") from None
     # a1, a2 count current leaving x through its branch sides, while

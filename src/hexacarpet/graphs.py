@@ -32,16 +32,16 @@ stabiliser() picks the elements that fix or swap a terminal pair and
 keeps only those it verifies as automorphisms of the actual graph; the
 solver uses them to reduce its unknowns.
 
-An edge map is checked by one exact match, WeightedGraph.match: the
-codes u*n + v of the mapped edges are sorted stably, near-linear since
-they come in long ascending runs, and must equal the graph's own
-sorted codes, every edge once; the inverse of the sort gives each
-edge's image position as int32.  The stabiliser builds the codes of
-its images in place, so a check holds one code array, the sort order,
-the sorted codes and the positions.  It keeps these edge images for
-its generators, and the flow pullbacks and the splice of analysis use
-the same match.  positions() stays for edge sets that
-are not a permutation of the edges, such as a spanning tree.
+The hexacarpet lists triangle t's incidences at 3t..3t+2, one per side
+in the order of tri_edges[n][t], and incidence_positions reads that
+layout for the flow pullbacks and the splice of analysis: (t, e) sits
+at 3t plus the number of t's sides below e.  The stabiliser checks a
+candidate symmetry of any family by one exact match: the codes u*n + v
+of the mapped edges, built in place, are sorted stably and must equal
+the graph's own, every edge once (WeightedGraph._match_codes); the
+inverse of the sort gives the int32 edge images it keeps for its
+generators.  positions() stays for edge sets that are not a
+permutation of the edges, such as a spanning tree.
 
 The exports to_edgelist and to_dot hand the edges to the text writer
 subdivision.format_rows as one IntRows table: the columns us and vs,
@@ -248,26 +248,12 @@ class WeightedGraph:
         codes = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
         return lookup_sorted(self.us * self.n + self.vs, codes, "edge")
 
-    def match(self, us, vs):
-        """Positions of the canonical edges (us, vs), which must be every
-        edge of the graph exactly once, else KeyError: the images of a
-        permutation of the edges, as int32.
-
-        The codes u*n + v of the mapped edges are sorted stably, which
-        is near-linear for the long ascending runs they come in, and
-        compared with the graph's own codes, which are sorted; the
-        positions are the inverse of the sort.
-        """
-        if len(us) != self.m or len(vs) != self.m:
-            raise KeyError(f"{len(us)} mapped edges for {self.m} edges")
-        codes = np.asarray(us, dtype=np.int64) * self.n
-        codes += np.asarray(vs, dtype=np.int64)
-        return self._match_codes(codes)
-
     def _match_codes(self, codes):
-        """match() on the int64 codes u*n + v of the mapped edges, one
-        per edge; their buffer is overwritten.  Besides it the match
-        holds the sort order, the sorted codes and the int32 positions."""
+        """The int32 positions of the edges with the int64 codes u*n + v,
+        which must be every edge once, else KeyError: the inverse of the
+        codes' stable sort once it equals the graph's own codes.  The
+        codes' buffer is overwritten; besides it the match holds the
+        sort order, the sorted codes and the positions."""
         m = self.m
         order = np.argsort(codes, kind="stable")
         found = codes[order]
@@ -333,8 +319,8 @@ def stabiliser(G: WeightedGraph, A, B):
     images), the sign +1 for an element fixing A and B and -1 for one
     swapping them.  The candidates come from G.symmetry, and each is
     kept only if it is an involution of the vertices that maps the edges
-    onto themselves with equal conductances (WeightedGraph.match) and
-    fixes or swaps (A, B).  Products of the kept elements close the
+    onto themselves with equal conductances (WeightedGraph._match_codes)
+    and fixes or swaps (A, B).  Products of the kept elements close the
     group, a commuting set of involutions of order 1, 2 or 4; without a
     symmetry it is the identity alone.  Only the kept elements, the
     group's generators, carry their int32 edge images; the identity and
@@ -475,6 +461,27 @@ def build_hexacarpet(C: SubdivisionComplex, n):
     )
 
 
+def incidence_positions(C: SubdivisionComplex, n, ts, sides):
+    """The level-n hexacarpet's positions of the incidences (t, e), t
+    over the triangle ids ts and e over the last axis of sides, as int32
+    in the shape of sides: 3t plus the number of t's sides below e, e
+    ranked against the first two of them.  KeyError unless every e is a
+    side of its t and the positions are every level-n incidence once."""
+    table, ts = C.tri_edges[n], np.asarray(ts)
+    T = len(table)
+    if ts.shape + (3,) != np.shape(sides) or ts.size != T or ts.min() < 0 or ts.max() >= T:
+        raise KeyError(f"the level-{n} incidences are 3 sides of each of triangles 0..{T - 1}")
+    dtype = np.int32 if 3 * T < 2 ** 31 else np.int64
+    pos = np.multiply(ts[..., None], 3, out=np.empty(np.shape(sides), dtype))
+    pos += sides > table[ts, :1]
+    pos += sides > table[ts, 1:2]
+    seen = np.zeros(3 * T, dtype=bool)
+    seen[pos] = True
+    if not seen.all() or (table.ravel()[pos] != sides).any():
+        raise KeyError(f"the incidences are not every level-{n} incidence, each once")
+    return pos
+
+
 # -- the cut family -----------------------------------------------------
 
 
@@ -508,21 +515,15 @@ def cut_segments(C: SubdivisionComplex, N):
     return segs
 
 
-def cut_edge_vertices(C: SubdivisionComplex, N):
-    """Sorted level-N edge ids lying on the severed segments."""
-    return np.unique(np.concatenate([
-        C.edge_descendants(lvl, ids, N).ravel()
-        for lvl, ids in cut_segments(C, N).items()
-    ]))
-
-
 def build_cut_graph(C: SubdivisionComplex, n, H):
     """The level-n hexacarpet H with all incidences at the severed edge
     vertices removed; terminals are the side-{0,1} and side-{4,5} arcs,
     which the surviving triangle strands join by disjoint paths."""
-    F = len(C.tri_edges[n])
-    # incidences run triangle -> edge vertex, so only vs can be hit
-    keep = ~np.isin(H.vs, F + cut_edge_vertices(C, n))
+    cut = np.zeros(len(C.edges[n]), dtype=bool)
+    for lvl, ids in cut_segments(C, n).items():
+        cut[C.edge_descendants(lvl, ids, n)] = True
+    # H holds triangle t's incidences at 3t..3t+2, in tri_edges order
+    keep = ~cut[C.tri_edges[n]].ravel()
     return WeightedGraph(
         H.n, H.us[keep], H.vs[keep],
         np.broadcast_to(H.num[:1], np.count_nonzero(keep)) if _one_valued(H.num)

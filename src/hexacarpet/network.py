@@ -94,7 +94,7 @@ class ResistanceResult:
     flow: np.ndarray
     residual: float
     # size of the system solved, order of the symmetry group used to
-    # reduce it, and nonzeros of the LU factors (0 without a factor)
+    # reduce it, and SuperLU's stored L and U entries (0 without a factor)
     unknowns: int = 0
     group_order: int = 1
     factor_fill: int = 0
@@ -337,7 +337,7 @@ def _reduced_solve(G: WeightedGraph, A, B, interior, bval):
 
 
 def _solve_direct(M, rhs):
-    """Sparse LU of the symmetric CSC matrix M; (x, factor nonzeros).
+    """Sparse LU of the symmetric CSC matrix M; (x, stored LU entries).
 
     Minimum degree ordering on A^T + A with diagonal pivots keeps the
     fill, and so the peak memory, close to that of a Cholesky factor.
@@ -349,7 +349,7 @@ def _solve_direct(M, rhs):
         panel_size=1,
         options={"SymmetricMode": True},
     )
-    return lu.solve(rhs), lu.L.nnz + lu.U.nnz
+    return lu.solve(rhs), lu.nnz
 
 
 # -- Thompson minimality ------------------------------------------------

@@ -3,7 +3,8 @@ each JSON document, whose values (timings among them) may vary.  Each
 document must be strict JSON (RFC 8259): NaN and the infinities are
 refused, both here and when the recordings are written.  The level-3
 edge list of each family, terminal headers and edges, is pinned by its
-SHA-256.
+SHA-256, and so is the level-6 cut graph's, whose severed edges
+refine segments of five coarser levels.
 
 The files under tests/golden/ are written by running this module as a
 script, PYTHONPATH=src python tests/test_golden.py; a change that means
@@ -31,10 +32,13 @@ RUNS = {
     },
 }
 
-# family -> argv of the export pinned by its SHA-256
+# name -> argv of the export pinned by its SHA-256
 EXPORTS = {
-    family: ["build", "--family", family, "--level", "3", "--format", "edgelist"]
-    for family in FAMILIES
+    **{
+        family: ["build", "--family", family, "--level", "3", "--format", "edgelist"]
+        for family in FAMILIES
+    },
+    "cut-6": ["build", "--family", "cut", "--level", "6", "--format", "edgelist"],
 }
 EXPORT_HASHES = GOLDEN / "edgelist-sha256.json"
 
@@ -65,11 +69,11 @@ def outputs(name):
     return texts[0], key_tree(json.loads(texts[1], parse_constant=refuse_constant))
 
 
-def export_hash(family):
+def export_hash(name):
     """SHA-256 of the recorded export's text, in hex."""
     buf = io.StringIO()
     with redirect_stdout(buf):
-        assert main(EXPORTS[family]) == 0
+        assert main(EXPORTS[name]) == 0
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
@@ -80,9 +84,9 @@ def test_cli_outputs_match_the_recorded_ones(name):
     assert keys == json.loads((GOLDEN / "keys.json").read_text())[name]
 
 
-@pytest.mark.parametrize("family", sorted(EXPORTS))
-def test_edgelists_match_the_recorded_hashes(family):
-    assert export_hash(family) == json.loads(EXPORT_HASHES.read_text())[family]
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_edgelists_match_the_recorded_hashes(name):
+    assert export_hash(name) == json.loads(EXPORT_HASHES.read_text())[name]
 
 
 if __name__ == "__main__":
@@ -92,5 +96,5 @@ if __name__ == "__main__":
         csv, trees[name] = outputs(name)
         (GOLDEN / f"{name}.csv").write_bytes(csv.encode())
     (GOLDEN / "keys.json").write_text(json.dumps(trees, indent=1, sort_keys=True) + "\n")
-    hashes = {family: export_hash(family) for family in sorted(EXPORTS)}
+    hashes = {name: export_hash(name) for name in sorted(EXPORTS)}
     EXPORT_HASHES.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")

@@ -19,17 +19,17 @@ from hexacarpet.graphs import (
     build_hexacarpet,
     build_short_graph,
     build_skeleton,
-    cut_edge_vertices,
     cut_path_lengths,
     cut_resistance_formula,
     cut_segments,
+    incidence_positions,
     quotient,
     shorted_classes,
     to_dot,
     to_edgelist,
 )
 from hexacarpet.network import effective_resistance
-from hexacarpet.subdivision import lookup_sorted
+from hexacarpet.subdivision import dihedral_elements, lookup_sorted
 from oracle import oracle_resistance
 from test_complex import CellMaps, edge_sides
 
@@ -371,18 +371,27 @@ def test_drop_edges():
     assert fractions(H) == [Fraction(1), Fraction(2)]
 
 
+def match(G, us, vs):
+    """The stabiliser's exact match on the canonical edges (us, vs),
+    which must be one per edge of G, else KeyError."""
+    if len(us) != G.m or len(vs) != G.m:
+        raise KeyError(f"{len(us)} mapped edges for {G.m} edges")
+    codes = np.asarray(us, dtype=np.int64) * G.n + np.asarray(vs, dtype=np.int64)
+    return G._match_codes(codes)
+
+
 def test_match_inverts_an_edge_permutation():
     # a 4-cycle with a chord
     G = WeightedGraph(4, [0, 1, 2, 0, 0], [1, 2, 3, 3, 2], [Fraction(1)] * 5)
     rng = np.random.default_rng(3)
     for _ in range(4):
         perm = rng.permutation(G.m)
-        pos = G.match(G.us[perm], G.vs[perm])
+        pos = match(G, G.us[perm], G.vs[perm])
         assert pos.dtype == np.int32
         assert pos.tolist() == perm.tolist()
         assert pos.tolist() == G.positions(G.us[perm], G.vs[perm]).tolist()
     empty = WeightedGraph(2, [], [], [])
-    assert empty.match([], []).tolist() == []
+    assert match(empty, [], []).tolist() == []
 
 
 @pytest.mark.parametrize("us,vs", [
@@ -395,7 +404,111 @@ def test_match_inverts_an_edge_permutation():
 def test_match_refuses_anything_but_every_edge_once(us, vs):
     G = WeightedGraph(4, [0, 1, 2, 0, 0], [1, 2, 3, 3, 2], [Fraction(1)] * 5)
     with pytest.raises(KeyError):
-        G.match(np.array(us), np.array(vs))
+        match(G, np.array(us), np.array(vs))
+
+
+# -- the hexacarpet's incidence layout ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def C6():
+    c = SubdivisionComplex()
+    c.ensure_level(6)
+    return c
+
+
+def sorted_code_positions(G, us, vs):
+    """Positions of the canonical edges (us, vs) in G, found by sorting
+    their codes u*n + v, which must be G's own, every edge once."""
+    codes = np.asarray(us, dtype=np.int64) * G.n + np.asarray(vs, dtype=np.int64)
+    order = np.argsort(codes, kind="stable")
+    assert np.array_equal(codes[order], G.us * G.n + G.vs)
+    pos = np.empty(len(codes), dtype=np.int64)
+    pos[order] = np.arange(len(codes))
+    return pos
+
+
+def test_embeddings_keep_every_triangles_side_order(C6):
+    for total in range(7):
+        for m in range(total + 1):
+            n = total - m
+            es, ts = C6.embed(m, n)
+            assert np.array_equal(es[:, C6.tri_edges[n]], C6.tri_edges[total][ts]), (m, n)
+
+
+def test_symmetries_keep_side_order_from_level_two(C6):
+    permuting = set()
+    for g in dihedral_elements():
+        for n in range(1, 7):
+            images = C6.edge_images(g, n)[C6.tri_edges[n]]
+            rows = C6.tri_edges[n][C6.tri_images(g, n)]
+            # the sides of the image triangle, in some order
+            assert np.array_equal(np.sort(images, axis=1), rows), (g, n)
+            if not np.array_equal(images, rows):
+                assert n == 1, g
+                permuting.add(g)
+    assert permuting == {("r", 1), ("r", 3), ("r", 5), ("s", 1), ("s", 3), ("s", 5)}
+
+
+def test_incidence_positions_match_sorted_codes(C6):
+    for n in range(1, 6):
+        H = build_hexacarpet(C6, n)
+        for g in dihedral_elements():
+            p = H.symmetry.perm(g)
+            got = incidence_positions(
+                C6, n, C6.tri_images(g, n), C6.edge_images(g, n)[C6.tri_edges[n]]
+            )
+            assert got.dtype == np.int32
+            assert got.shape == (H.m // 3, 3)
+            assert np.array_equal(got.ravel(), sorted_code_positions(H, p[H.us], p[H.vs]))
+    for total in range(2, 6):
+        for m in range(1, total):
+            n = total - m
+            Gn, Gf = build_hexacarpet(C6, n), build_hexacarpet(C6, total)
+            Fn, Ff = len(C6.tri_edges[n]), len(C6.tri_edges[total])
+            es, ts = C6.embed(m, n)
+            got = incidence_positions(C6, total, ts, es[:, C6.tri_edges[n]])
+            assert got.dtype == np.int32
+            want = sorted_code_positions(
+                Gf, ts[:, Gn.us].ravel(), (Ff + es[:, Gn.vs - Fn]).ravel()
+            )
+            assert np.array_equal(got.ravel(), want), (m, n)
+
+
+def _off_side(C, n, ts, sides):
+    # the last triangle's smallest side replaced by the edge below it,
+    # which ranks into the same slot, so the positions still cover all
+    sides[-1, 0] -= 1
+    return ts, sides
+
+
+def _twice(C, n, ts, sides):
+    ts[1], sides[1] = ts[0], sides[0]
+    return ts, sides
+
+
+def _missing(C, n, ts, sides):
+    return ts[1:], sides[1:]
+
+
+def _negative(C, n, ts, sides):
+    # -T wraps to triangle 0, whose sides are given
+    ts[0] = -len(ts)
+    return ts, sides
+
+
+def _past_the_end(C, n, ts, sides):
+    ts[0] = len(ts)
+    return ts, sides
+
+
+@pytest.mark.parametrize("mutate", [_off_side, _twice, _missing, _negative, _past_the_end])
+def test_incidence_positions_refuse_anything_but_every_incidence_once(C, mutate):
+    n = 2
+    ts, sides = np.arange(len(C.tri_edges[n])), C.tri_edges[n].copy()
+    assert np.array_equal(incidence_positions(C, n, ts, sides).ravel(), np.arange(ts.size * 3))
+    with pytest.raises(KeyError):
+        incidence_positions(C, n, *mutate(C, n, ts, sides))
 
 
 # -- cut surgery --------------------------------------------------------
@@ -498,7 +611,11 @@ def test_cut_graph_is_a_subgraph(C):
     H = build_hexacarpet(C, n)
     G = build_cut_graph(C, n, H)
     F = len(C.tri_edges[n])
-    hit = {F + e for e in cut_edge_vertices(C, n)}
+    hit = {
+        F + e
+        for lvl, ids in cut_segments(C, n).items()
+        for e in C.edge_descendants(lvl, ids, n).ravel().tolist()
+    }
     removed = sum(
         1 for u, v in zip(H.us, H.vs) if u in hit or v in hit
     )
