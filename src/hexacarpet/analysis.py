@@ -364,7 +364,7 @@ def potential_decomposition(cache: LevelCache, n):
     on = C.boundary_index(1)[[0, 1, 5]]
     cell = (C.tri_edges[1] == on[:, :, None]).any(axis=2).argmax(axis=1)
     es = C.embed(1, n - 1)[0][cell]
-    vm = np.empty((3, Gm.n), dtype=np.int64)
+    vm = np.empty((3, Gm.n), dtype=np.int32)
     vm[:, C.edges[n - 1]] = C.edges[n][es]
     u, v, w = phi[vm[:, C.vertex_map(("r", 4), n - 1)]]
     sigma = C.vertex_map(S0, n - 1)

@@ -18,11 +18,14 @@ hexacarpet joins the edge vertices of sides {0,1} to those of sides
 {3,4}.  Side k of the hexagonal boundary runs counterclockwise from the
 corner at angle 60k degrees.
 
-Conductances are exact: int64 numerators over a common denominator
-(halves for every family, and sums of halves in quotients); the float
-view divides them on every call.  The hexacarpet, its cut graph and
-the dual, each of one conductance, hold their numerators as one
-read-only zero-stride value.  Triangle counts come from the complex.
+Edge ends, vertex images and side tables are int32, like the
+complex's tables they are read from, and the codes u*n + v that order
+edges are int64.  Conductances are exact: int64 numerators over a
+common denominator (halves for every family, and sums of halves in
+quotients); the float view divides them on every call.  The
+hexacarpet, its cut graph and the dual, each of one conductance, hold
+their numerators as one read-only zero-stride value.  Triangle counts
+come from the complex.
 
 Every family carries the dihedral symmetry group of the hexagon as a
 DihedralAction on its vertices, read lazily from the complex's map
@@ -72,6 +75,7 @@ from .subdivision import (
     dihedral_elements,
     format_rows,
     lookup_sorted,
+    pair_codes,
     side_perm,
 )
 
@@ -91,9 +95,9 @@ class FamilyError(Exception):
 class DihedralAction:
     """The dihedral group of the hexagon acting on a graph's vertices.
 
-    perm(elem) gives the int64 vertex images of one group element, read
+    perm(elem) gives the int32 vertex images of one group element, read
     from the arrays the complex caches when a solve asks.  sides is a
-    (6, k) int64 table whose row s lists the vertices on hexagon side s,
+    (6, k) int32 table whose row s lists the vertices on hexagon side s,
     built once by the family builder from the complex's boundary table;
     a vertex may sit in two rows, or twice in one.  Graphs on one vertex
     set (a hexacarpet and its cut graph) share one action.
@@ -129,7 +133,7 @@ class DihedralAction:
         whole, which stabiliser() verifies."""
 
         def perm(elem):
-            p = np.empty(n, dtype=np.int64)
+            p = np.empty(n, dtype=np.int32)
             p[vmap] = vmap[self.perm(elem)]
             return p
 
@@ -137,27 +141,30 @@ class DihedralAction:
 
 
 def _integers(values, what):
-    """values as int64; FamilyError unless integers (or empty)."""
+    """values as an array of their own dtype; FamilyError unless
+    integers (or empty)."""
     a = np.asarray(values)
     if a.size and a.dtype.kind not in "iu":
         raise FamilyError(f"{what} must be integers")
-    return a.astype(np.int64, copy=False)
+    return a
 
 
 class WeightedGraph:
     """Undirected weighted graph with named terminal sets and at most
     one edge between two vertices.
 
-    Edges are stored in canonical orientation us[i] < vs[i].  Conductances
-    are exact: edge i has num[i] / den, with int64 numerators over one
-    common denominator (2 for every family here).  cond gives one per
-    edge, as rationals, or, when den is given, as those numerators:
-    integers > 0 over an integer den >= 1.  boundary maps set names
-    (usually "A", "B") to frozensets of vertex ids.  Edge ends and
-    terminals must be integer vertex ids 0..n-1, n an integer >= 0.  A
-    bad count, conductance or parallel edge raises FamilyError.
+    Edges are stored in canonical orientation us[i] < vs[i], the ends
+    as int32 vertex ids; the codes us*n + vs that order them are int64
+    (pair_codes).  Conductances are exact: edge i has num[i] / den,
+    with int64 numerators over one common denominator (2 for every
+    family here).  cond gives one per edge, as rationals, or, when den
+    is given, as those numerators: integers > 0 over an integer
+    den >= 1.  boundary maps set names (usually "A", "B") to frozensets
+    of vertex ids.  Edge ends and terminals must be integer vertex ids
+    0..n-1, n an integer 0..2^31.  A bad count, conductance or parallel
+    edge raises FamilyError.
     Edges given in canonical order already are stored without a sort,
-    and without a copy where the ends are contiguous int64 arrays.
+    and without a copy where the ends are contiguous int32 arrays.
     int64 numerators are kept as given, so one conductance for every
     edge may come as a zero-stride np.broadcast_to value, which a sort
     leaves as it is.  symmetry is the DihedralAction on the vertices,
@@ -166,25 +173,29 @@ class WeightedGraph:
 
     def __init__(self, n, us, vs, cond, boundary=None, meta=None, den=None,
                  symmetry=None):
-        if not isinstance(n, Integral) or n < 0:
-            raise FamilyError(f"the vertex count must be an integer >= 0, not {n!r}")
+        # the ids 0..n-1 must fit the int32 ends
+        if not isinstance(n, Integral) or not 0 <= n <= 2 ** 31:
+            raise FamilyError(
+                f"the vertex count must be an integer >= 0 and at most 2^31, not {n!r}"
+            )
         us = _integers(us, "edge ends")
         vs = _integers(vs, "edge ends")
-        if (us < vs).all():
-            us, vs = np.ascontiguousarray(us), np.ascontiguousarray(vs)
-        else:
+        if not (us < vs).all():
             us, vs = np.minimum(us, vs), np.maximum(us, vs)
             if (us == vs).any():
                 raise FamilyError("self-loops are not allowed")
+        # ids in range fit int32, so the cast keeps them
         if len(us) and (us.min() < 0 or vs.max() >= n):
             raise FamilyError(f"edge ends must be vertex ids 0..{n - 1}")
+        us = np.ascontiguousarray(us, dtype=np.int32)
+        vs = np.ascontiguousarray(vs, dtype=np.int32)
         if den is None:
             cond = [Fraction(c) for c in cond]
             den = math.lcm(*(c.denominator for c in cond))
             cond = [c.numerator * (den // c.denominator) for c in cond]
         elif not isinstance(den, Integral) or den < 1:
             raise FamilyError("the conductance denominator must be an integer >= 1")
-        num = _integers(cond, "conductance numerators")
+        num = _integers(cond, "conductance numerators").astype(np.int64, copy=False)
         if len(num) != len(us) or (len(num) and num.min() <= 0):
             raise FamilyError("conductances must be positive, one per edge")
         # float views divide two exactly representable integers
@@ -197,8 +208,7 @@ class WeightedGraph:
         rises = us[1:] > us[:-1]
         rises |= (us[1:] == us[:-1]) & (vs[1:] > vs[:-1])
         if not rises.all():
-            codes = us * int(n)
-            codes += vs
+            codes = pair_codes(us, vs, n)
             order = np.argsort(codes, kind="stable")
             codes = codes[order]
             if (codes[1:] == codes[:-1]).any():
@@ -236,17 +246,15 @@ class WeightedGraph:
             # on, so it takes them without a copy
             starts = np.zeros(self.n + 1, dtype=np.int32)
             np.cumsum(np.bincount(self.us, minlength=self.n), out=starts[1:])
-            adj = sp.csr_array(
-                (np.ones(self.m), self.vs.astype(np.int32), starts), shape=(self.n, self.n)
-            )
+            adj = sp.csr_array((np.ones(self.m), self.vs, starts), shape=(self.n, self.n))
             self._components = connected_components(adj, directed=False)
         return self._components
 
     def positions(self, us, vs):
         """Positions of the canonical edges (us, vs), elementwise over
         arrays; every pair must be an edge."""
-        codes = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
-        return lookup_sorted(self.us * self.n + self.vs, codes, "edge")
+        codes = pair_codes(us, vs, self.n)
+        return lookup_sorted(pair_codes(self.us, self.vs, self.n), codes, "edge")
 
     def _match_codes(self, codes):
         """The int32 positions of the edges with the int64 codes u*n + v,
@@ -254,17 +262,16 @@ class WeightedGraph:
         codes' stable sort once it equals the graph's own codes.  The
         codes' buffer is overwritten; besides it the match holds the
         sort order, the sorted codes and the positions."""
-        m = self.m
         order = np.argsort(codes, kind="stable")
         found = codes[order]
         # the codes' buffer takes the graph's own codes
-        np.multiply(self.us, self.n, out=codes)
+        np.multiply(self.us, self.n, out=codes, dtype=np.int64)
         codes += self.vs
         if (found != codes).any():
             raise KeyError("the mapped edges are not the edges, each once")
         del found
-        pos = np.empty(m, dtype=np.int32 if m < 2 ** 31 else np.int64)
-        pos[order] = np.arange(m, dtype=pos.dtype)
+        pos = np.empty(self.m, dtype=np.int32)
+        pos[order] = np.arange(self.m, dtype=np.int32)
         return pos
 
     def degrees(self):
@@ -293,13 +300,11 @@ def _automorphism(G: WeightedGraph, p, a, b, inA, inB):
         sign = -1
     else:
         return 0, None
-    # the codes lo*n + hi of the image edges, built in place: the ends
-    # are swapped (three xors) where the image runs from high to low
-    codes, hi = p[G.us], p[G.vs]
-    down = hi < codes
-    np.bitwise_xor(codes, hi, out=codes, where=down)
-    np.bitwise_xor(hi, codes, out=hi, where=down)
-    np.bitwise_xor(codes, hi, out=codes, where=down)
+    # the int64 codes lo*n + hi of the image edges
+    lo, hi = p[G.us], p[G.vs]
+    codes = np.minimum(lo, hi, dtype=np.int64)
+    np.maximum(lo, hi, out=hi)
+    del lo
     codes *= G.n
     codes += hi
     del hi
@@ -327,7 +332,7 @@ def stabiliser(G: WeightedGraph, A, B):
     the products carry None, so no more than the generators' images are
     held.
     """
-    group = {IDENTITY: (np.arange(G.n), 1, None)}
+    group = {IDENTITY: (np.arange(G.n, dtype=np.int32), 1, None)}
     if G.symmetry is None:
         return group
     a = np.fromiter(A, np.int64, len(A))
@@ -415,12 +420,12 @@ def build_dual(C: SubdivisionComplex, n):
     T, E = sides.shape[0], len(C.edges[n])
     # the triangle-side incidence as CSR, turned to CSC by a counting
     # sort: column e lists e's triangles ascending, two for an interior
-    # edge and one for a boundary edge; int32 indices, which scipy
-    # keeps as they are
+    # edge and one for a boundary edge; the int32 sides are its indices
+    # as they are
     inc = sp.csc_array(sp.csr_array(
         (
             np.ones(3 * T, dtype=np.int8),
-            sides.ravel().astype(np.int32),
+            sides.ravel(),
             np.arange(0, 3 * T + 1, 3, dtype=np.int32),
         ),
         shape=(T, E),
@@ -430,7 +435,7 @@ def build_dual(C: SubdivisionComplex, n):
     # a boundary edge's one triangle, by side, which is also the side
     # table; the terminal sets are inserted ascending, so that they
     # iterate in id order
-    outer = inc.indices[inc.indptr[C.boundary_index(n)]].astype(np.int64)
+    outer = inc.indices[inc.indptr[C.boundary_index(n)]]
     del inc, first
     return WeightedGraph(
         T, us, vs,
@@ -453,7 +458,7 @@ def build_hexacarpet(C: SubdivisionComplex, n):
     # in canonical order already, triangle t's at positions 3t..3t+2
     vs = C.tri_edges[n].ravel() + F
     return WeightedGraph(
-        F + len(C.edges[n]), np.repeat(np.arange(F), 3), vs,
+        F + len(C.edges[n]), np.repeat(np.arange(F, dtype=np.int32), 3), vs,
         np.broadcast_to(np.int64(TWO), len(vs)),
         {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (3, 4))},
         {"family": "hexacarpet", "level": n}, DEN,
@@ -471,8 +476,7 @@ def incidence_positions(C: SubdivisionComplex, n, ts, sides):
     T = len(table)
     if ts.shape + (3,) != np.shape(sides) or ts.size != T or ts.min() < 0 or ts.max() >= T:
         raise KeyError(f"the level-{n} incidences are 3 sides of each of triangles 0..{T - 1}")
-    dtype = np.int32 if 3 * T < 2 ** 31 else np.int64
-    pos = np.multiply(ts[..., None], 3, out=np.empty(np.shape(sides), dtype))
+    pos = np.multiply(ts[..., None], 3, out=np.empty(np.shape(sides), np.int32))
     pos += sides > table[ts, :1]
     pos += sides > table[ts, 1:2]
     seen = np.zeros(3 * T, dtype=bool)
@@ -501,8 +505,8 @@ def cut_segments(C: SubdivisionComplex, N):
     C.ensure_level(N)
     # level-1 edge codes u*V + v, ascending in edge id
     V, edges = C.offsets[1], C.edges[1]
-    spokes = np.array([B01, B02]) * V + CENTER
-    segs = {1: lookup_sorted(edges[:, 0] * V + edges[:, 1], spokes, "spoke")}
+    spokes = pair_codes([B01, B02], CENTER, V)
+    segs = {1: lookup_sorted(pair_codes(edges[:, 0], edges[:, 1], V), spokes, "spoke")}
     turned = np.isin(C.tri_edges[1], C.boundary_index(1)[[2, 3]]).any(axis=1)[:, None]
     for k in range(1, N):
         es = C.embed(1, k)[0]
@@ -612,10 +616,10 @@ def shorted_classes(C: SubdivisionComplex, n):
     # edge refinement is a forest, so the descendants of two edges are
     # nested or disjoint, and overlapping classes merge into the coarsest
     # one: assigning from the finest level up leaves each vertex there
-    find = np.arange(E)
+    find = np.arange(E, dtype=np.int32)
     for desc in reversed(descs):
         find[desc] = desc.min(axis=1, keepdims=True)
-    return np.concatenate([np.arange(F), F + find])
+    return np.concatenate([np.arange(F, dtype=np.int32), F + find])
 
 
 def quotient(G: WeightedGraph, find):
@@ -623,11 +627,12 @@ def quotient(G: WeightedGraph, find):
     vertex's representative.  Parallel conductances add, internal edges
     vanish.  Terminal sets must stay disjoint.  The quotient inherits
     G's symmetry through the classes."""
-    reps, vmap = np.unique(np.asarray(find, dtype=np.int64), return_inverse=True)
+    reps, vmap = np.unique(find, return_inverse=True)
+    vmap = vmap.astype(np.int32)
     a, b = vmap[G.us], vmap[G.vs]
     keep = a != b
     lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-    codes, slot = np.unique(lo * len(reps) + hi, return_inverse=True)
+    codes, slot = np.unique(pair_codes(lo, hi, len(reps)), return_inverse=True)
     num = np.zeros(len(codes), dtype=np.int64)
     np.add.at(num, slot, G.num[0] if _one_valued(G.num) else G.num[keep])
     new_id = vmap.tolist()

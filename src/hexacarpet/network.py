@@ -36,7 +36,7 @@ full interior system are computed on the whole graph.
 Working set.  Besides the graph and the LU factors (SuperLU's own
 memory), the solve holds at most 12 float arrays over the edges at
 once, 12 * 8m bytes, on the level-6 hexacarpet (test_solve_memory_peak;
-10.8 measured).  The stabiliser's match builds the image codes in
+9.1 measured).  The stabiliser's match builds the image codes in
 place, the group's vertex and edge images are dropped once the orbits
 are read off them, the assembly holds arrays over the orbits only, the
 flow and energy are formed in place, and the right-hand side's norm
@@ -182,15 +182,15 @@ def _orbits(G: WeightedGraph, group, interior):
     """The orbits of the vertices and edges under the group, as
     _reduced_system takes them: (k, col, sign, reps, size).
 
-    group is a list of (vertex images, sign, edge images), the identity
-    (np.arange) first, with the int32 edge images of the generators and
-    None for the rest (graphs.stabiliser).  An interior vertex v carries
-    sign[v] * x[col[v]], where col numbers the k orbits by their
-    smallest vertex and sign relates v to that vertex; sign is 0 where a
-    swapping element fixes v and off the interior.  reps lists the
-    smallest edge of each edge orbit, ascending, and size the orbit's
-    size: the generators commute, so each one carries the orbits of
-    those before it onto orbits, and the orbit of an edge and of its
+    group is a list of (vertex images, sign, edge images), the images
+    int32, the identity (np.arange) first, with the edge images of the
+    generators and None for the rest (graphs.stabiliser).  An interior
+    vertex v carries sign[v] * x[col[v]], where col numbers the k orbits
+    by their smallest vertex and sign relates v to that vertex; sign is
+    0 where a swapping element fixes v and off the interior.  reps lists
+    the smallest edge of each edge orbit, ascending, and size the
+    orbit's size: the generators commute, so each one carries the orbits
+    of those before it onto orbits, and the orbit of an edge and of its
     image merge.
     """
     ids = group[0][0]
@@ -209,7 +209,7 @@ def _orbits(G: WeightedGraph, group, interior):
     col = np.where(unknown, slot[rep], 0)
     del rep, slot, unknown
 
-    orbit = np.arange(G.m, dtype=np.int32 if G.m < 2 ** 31 else np.int64)
+    orbit = np.arange(G.m, dtype=np.int32)
     for _, _, e in group:
         if e is not None:
             np.minimum(orbit, orbit[e], out=orbit)

@@ -5,7 +5,10 @@ triangle, level n has 6^n triangles.  Every simplex gets a canonical
 integer id per (level, dimension): its position in the lexicographic
 order of the sorted vertex tuples, so two runs (or two processes)
 always agree.  Each level is built from the one below in whole-array
-numpy passes, and every per-level table is a read-only int64 array.
+numpy passes, and every per-level table is a read-only int32 array:
+ids stay below 2^31 up to level 11, and deeper levels are refused.
+Only the codes that order simplices, u*V + v for a pair of ids, are
+int64, each formed by pair_codes.
 
 Vertices live in one global table shared by all levels, since sub-
 division only ever adds points: level n holds the ids below offsets[n],
@@ -26,7 +29,7 @@ triangle around the center.
 
 The other maps used downstream are the dihedral symmetries of the
 hexagon, acting on every level from 1 up and keyed by the group
-element.  Each is held as the int64 image ids of every edge and
+element.  Each is held as the int32 image ids of every edge and
 triangle, built one level at a time on first use; the vertex images
 are the seven level-1 ones followed by those of each level's
 barycenters, which are the edge and triangle images.  Levels 1 and 2
@@ -142,13 +145,22 @@ def dihedral_compose(a, b):
     return _PRODUCT[a, b]
 
 
+def pair_codes(us, vs, n):
+    """The int64 codes us*n + vs of id pairs, elementwise (broadcast):
+    the order of the codes is that of the pairs when vs < n.  The
+    product is taken in int64, as int32 ids times n would wrap."""
+    codes = np.multiply(us, n, dtype=np.int64)
+    codes += vs
+    return codes
+
+
 def lookup_sorted(table, codes, what):
-    """Positions of codes in the sorted int64 array table; every code
-    must be present."""
+    """The int32 positions of codes in the sorted int64 array table;
+    every code must be present."""
     pos = np.searchsorted(table, codes)
     if len(pos) and (pos.max() >= len(table) or (table[pos] != codes).any()):
         raise KeyError(f"{what} not found")
-    return pos
+    return pos.astype(np.int32)
 
 
 def side_perm(elem):
@@ -162,25 +174,27 @@ def side_perm(elem):
 
 
 def _frozen(a):
-    a = np.asarray(a, dtype=np.int64)
     a.flags.writeable = False
     return a
 
 
-def _check_int64(n):
-    """Refuse a level whose simplex codes (below E*V) or coordinate
-    numerators (at most 2*6^(n-1)) would overflow int64."""
-    v, e, f = 3, 3, 1
+def _check_index_range(n):
+    """Refuse a level whose ids would overflow the int32 tables.  The
+    largest ids any table or graph of a level holds are the
+    hexacarpet's: T + E vertices and 3T incidences, below 2^31 up to
+    level 11.  Ids in range keep the pair codes below 2^62 and the
+    coordinate numerators, at most 2*6^(n-1), are far inside int64."""
+    e, f = 3, 1
     for _ in range(n):
-        v, e, f = v + e + f, 2 * e + 6 * f, 6 * f
-    if max(e * v, 2 * 6 ** n) > np.iinfo(np.int64).max:
-        raise CapacityError(f"level {n} would overflow the int64 simplex tables")
+        e, f = 2 * e + 6 * f, 6 * f
+    if max(f + e, 3 * f) > np.iinfo(np.int32).max:
+        raise CapacityError(f"level {n} would overflow the int32 index tables")
 
 
 class SubdivisionComplex:
     """All levels 0..top of the subdivided triangle, built incrementally.
 
-    Per-level data (lists indexed by level of read-only int64 arrays):
+    Per-level data (lists indexed by level of read-only int32 arrays):
       edges[n]      (E, 2) sorted vertex pairs, row = edge id, rows
                     ascending; column-major, so each column is contiguous
       tri_edges[n]  (T, 3) the side edge ids (ab, ac, bc) of each
@@ -197,15 +211,15 @@ class SubdivisionComplex:
       offsets[n]    vertex count of level n, the first barycenter id
 
     Global vertex data, indexed by vertex id:
-      coords        (V, 2) numerators of (x, y/sqrt(3)) over denom
+      coords        (V, 2) int64 numerators of (x, y/sqrt(3)) over denom
 
     The rest is derived where it is read: tri_vertices and
     boundary_index, and the triangles of an edge, the rows of tri_edges
-    that hold it.  Each table is int64, so a complex built to level n
-    holds 8 * (2 E_k + 3 T_k) bytes per level k <= n, 8 * (2 E_k +
-    12 T_k) of child tables per level k < n, and 16 bytes per vertex.
+    that hold it.  Each index table is int32, so a complex built to
+    level n holds 4 * (2 E_k + 3 T_k) bytes per level k <= n, 4 * (2 E_k
+    + 12 T_k) of child tables per level k < n, and 16 bytes per vertex.
 
-    The dihedral symmetries, keyed by element, are read-only int64
+    The dihedral symmetries, keyed by element, are read-only int32
     arrays: edge_images and tri_images, cached on first use, and
     vertex_map, put together from them.
     """
@@ -214,8 +228,10 @@ class SubdivisionComplex:
         self.cap = cap
         self.top = 0
 
-        self.edges = [_frozen(np.asfortranarray([(P0, P1), (P0, P2), (P1, P2)]))]
-        self.tri_edges = [_frozen([(0, 1, 2)])]
+        self.edges = [
+            _frozen(np.asfortranarray([(P0, P1), (P0, P2), (P1, P2)], dtype=np.int32))
+        ]
+        self.tri_edges = [_frozen(np.array([(0, 1, 2)], dtype=np.int32))]
         self.edge_children = []
         self.tri_children = []
         self.tri_inner = []
@@ -237,7 +253,7 @@ class SubdivisionComplex:
                 f"level {n} exceeds cap {self.cap}; raise the cap to proceed"
             )
         if n > self.top:
-            _check_int64(n)
+            _check_index_range(n)
         while self.top < n:
             self._subdivide()
 
@@ -253,25 +269,31 @@ class SubdivisionComplex:
         tris = self.tri_vertices(n)
         V, E, T = self.offsets[n], len(edges), len(tris)
         nv = V + E + T
-        eb = np.arange(V, V + E)
-        tb = np.arange(V + E, nv)
+        eb = np.arange(V, V + E, dtype=np.int32)
+        tb = np.arange(V + E, nv, dtype=np.int32)
 
         # the new edges are (u, eb), (v, eb), (q, tb) and (eb, tb), each
-        # once and smaller id first, so sorting the codes u*V' + v of
-        # these candidates gives the edge ids
-        codes = (
-            np.concatenate([edges[:, 0], edges[:, 1], tris.ravel(), eb[tri_edges].ravel()]) * nv
-            + np.concatenate([eb, eb, np.repeat(tb, 3), np.repeat(tb, 3)])
+        # once and smaller id first, so sorting the int64 codes u*V' + v
+        # of these candidates gives the edge ids; the smaller ends are
+        # scaled and the larger added in place
+        codes = np.concatenate(
+            [edges[:, 0], edges[:, 1], tris.ravel(), eb[tri_edges].ravel()], dtype=np.int64
         )
+        codes *= nv
+        ends = codes[:2 * E].reshape(2, E)
+        ends += eb
+        ends = codes[2 * E:].reshape(2, T, 3)
+        ends += tb[:, None]
+        del ends
         order = np.argsort(codes)
         codes = codes[order]
         # column-major, so that each end's column is contiguous
-        new_edges = np.empty((2, len(codes)), dtype=np.int64)
+        new_edges = np.empty((2, len(codes)), dtype=np.int32)
         np.divmod(codes, nv, out=tuple(new_edges))
         new_edges = new_edges.T
         del codes
-        eid = np.empty_like(order)
-        eid[order] = np.arange(len(order))
+        eid = np.empty(len(order), dtype=np.int32)
+        eid[order] = np.arange(len(order), dtype=np.int32)
         del order
         children = np.stack([eid[:E], eid[E:2 * E]], axis=1)
         q_tb = eid[2 * E:2 * E + 3 * T].reshape(T, 3)
@@ -279,10 +301,11 @@ class SubdivisionComplex:
 
         side = tri_edges[:, _SPLIT_SIDE]
         first = children[side, _SPLIT_HALF]
-        tcodes = (first * nv + tb[:, None]).ravel()
+        tcodes = pair_codes(first, tb[:, None], nv).ravel()
         torder = np.argsort(tcodes)
-        tid = np.empty_like(torder)
-        tid[torder] = np.arange(len(torder))
+        del tcodes
+        tid = np.empty(len(torder), dtype=np.int32)
+        tid[torder] = np.arange(len(torder), dtype=np.int32)
         new_tri_edges = np.stack(
             [first, q_tb[:, _SPLIT_Q], eb_tb[:, _SPLIT_SIDE]], axis=-1
         ).reshape(-1, 3)[torder]
@@ -319,14 +342,14 @@ class SubdivisionComplex:
         ends of side ab, then the far end of ac; column-major."""
         self.require_level(n)
         edges, sides = self.edges[n], self.tri_edges[n]
-        out = np.empty((3, len(sides)), dtype=np.int64)
+        out = np.empty((3, len(sides)), dtype=np.int32)
         np.take(edges[:, 0], sides[:, 0], out=out[0])
         np.take(edges[:, 1], sides[:, 0], out=out[1])
         np.take(edges[:, 1], sides[:, 1], out=out[2])
         return out.T
 
     def boundary_index(self, n):
-        """The level-n boundary edge ids as a (6, 2^(n-1)) int64 table:
+        """The level-n boundary edge ids as a (6, 2^(n-1)) int32 table:
         row s holds side s, in order along it from its level-0 corner,
         the smaller end of the level-1 side edge (level >= 1)."""
         self.require_level(n)
@@ -334,7 +357,7 @@ class SubdivisionComplex:
             raise ValueError("the boundary sides are defined from level 1")
         V, edges = self.offsets[1], self.edges[1]
         codes = [u * V + v for u, v in sorted(_SIDE_EDGES, key=_SIDE_EDGES.get)]
-        sides = lookup_sorted(edges[:, 0] * V + edges[:, 1], codes, "side edge")
+        sides = lookup_sorted(pair_codes(edges[:, 0], edges[:, 1], V), codes, "side edge")
         return self.edge_descendants(1, sides, n)
 
     def side_vertices(self, n, side):
@@ -354,7 +377,7 @@ class SubdivisionComplex:
             raise ValueError(f"level {m} is coarser than the edges' level {n}")
         self.require_level(n)
         self.require_level(m)
-        ids = np.asarray(edge_id, dtype=np.int64)[..., None]
+        ids = np.asarray(edge_id)[..., None]
         for k in range(n, m):
             kids = self.edge_children[k][ids]
             # every half lists its own halves from its older end, which
@@ -369,10 +392,10 @@ class SubdivisionComplex:
         from the level-j images es and ts of the level-k ones, leading
         axes kept: every child goes to the child of the image in the
         same slot."""
-        e = np.empty(es.shape[:-1] + (len(self.edges[k + 1]),), dtype=np.int64)
+        e = np.empty(es.shape[:-1] + (len(self.edges[k + 1]),), dtype=np.int32)
         e[..., self.edge_children[k]] = self.edge_children[j][es]
         e[..., self.tri_inner[k]] = self.tri_inner[j][ts]
-        t = np.empty(ts.shape[:-1] + (len(self.tri_edges[k + 1]),), dtype=np.int64)
+        t = np.empty(ts.shape[:-1] + (len(self.tri_edges[k + 1]),), dtype=np.int32)
         t[..., self.tri_children[k]] = self.tri_children[j][ts]
         return e, t
 
@@ -391,7 +414,7 @@ class SubdivisionComplex:
         if min(m, n) < 0:
             raise ValueError(f"cannot embed level {n} in level {m}")
         self.require_level(m + n)
-        es, ts = self.tri_edges[m], np.arange(len(self.tri_edges[m]))[:, None]
+        es, ts = self.tri_edges[m], np.arange(len(self.tri_edges[m]), dtype=np.int32)[:, None]
         for k in range(n):
             es, ts = self._refine(es, ts, k, m + k)
         return es, ts
@@ -417,25 +440,25 @@ class SubdivisionComplex:
         for a triangle (a, b, c), with V = offsets[n].  Both run in id
         order, as the rows are sorted."""
         nv, edges, tris = self.offsets[n], self.edges[n], self.tri_vertices(n)
-        ecodes = edges[:, 0] * nv + edges[:, 1]
-        tcodes = self.tri_edges[n][:, 0] * nv + tris[:, 2]
+        ecodes = pair_codes(edges[:, 0], edges[:, 1], nv)
+        tcodes = pair_codes(self.tri_edges[n][:, 0], tris[:, 2], nv)
         vm = self.vertex_map(g, n)
         ie = vm[edges]
         lo, hi = ie.min(axis=1), ie.max(axis=1)
-        eimg = lookup_sorted(ecodes, lo * nv + hi, "edge image")
+        eimg = lookup_sorted(ecodes, pair_codes(lo, hi, nv), "edge image")
         it = np.sort(vm[tris], axis=1)
-        ab = lookup_sorted(ecodes, it[:, 0] * nv + it[:, 1], "triangle image")
-        timg = lookup_sorted(tcodes, ab * nv + it[:, 2], "triangle image")
+        ab = lookup_sorted(ecodes, pair_codes(it[:, 0], it[:, 1], nv), "triangle image")
+        timg = lookup_sorted(tcodes, pair_codes(ab, it[:, 2], nv), "triangle image")
         return eimg, timg
 
     def vertex_map(self, g, n):
         """The images of the level-n vertex ids (below offsets[n]) under
-        the dihedral element g, as a read-only int64 array."""
+        the dihedral element g, as a read-only int32 array."""
         if n < 1:
             raise ValueError(f"the symmetry {g} is defined from level 1")
         self.require_level(n)
         # the seven level-1 ids, then each level's barycenters, edges first
-        parts = [_base_perm(g)]
+        parts = [np.array(_base_perm(g), dtype=np.int32)]
         for k in range(1, n):
             eimg, timg = self._map_images(g, k)
             V, E = self.offsets[k], len(self.edges[k])

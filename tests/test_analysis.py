@@ -246,7 +246,7 @@ def test_composed_flow_matches_reference(cache):
 
 def test_compose_flow_memory_peak(cache):
     # traced peaks of the level-6 splice in 8 bytes per fine incidence,
-    # on a warm cache: measured 6.40 at (3, 3) and 7.84 at (1, 5), whose
+    # on a warm cache: measured 5.98 at (3, 3) and 7.42 at (1, 5), whose
     # nine level-5 side flows alone are 1.5 of that unit
     for (m, n), bound in (((3, 3), 6.5), ((1, 5), 8.0)):
         compose_flow(cache, m, n)

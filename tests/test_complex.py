@@ -32,7 +32,7 @@ from hexacarpet.subdivision import (
     _SPLIT_SIDE,
     _base_perm,
     IntRows,
-    _check_int64,
+    _check_index_range,
     dihedral_compose,
     dihedral_elements,
     format_rows,
@@ -502,6 +502,7 @@ def test_arrays_match_reference(C, R):
         # the simplex codes the base-level image search looks up are
         # ascending in id order: u*V + v, and edge_id(a, b)*V + c
         V, E, T = C.counts(n)
+        V = np.int64(V)  # the int32 ids times V in int64
         assert (np.diff(C.edges[n][:, 0] * V + C.edges[n][:, 1]) > 0).all()
         assert (np.diff(C.tri_edges[n][:, 0] * V + C.tri_vertices(n)[:, 2]) > 0).all()
         if n <= MAXN:
@@ -543,7 +544,7 @@ def reference_side_order(R, n, s):
 def test_boundary_index_matches_reference(C, R):
     for n in range(1, MAXN + 2):
         table = C.boundary_index(n)
-        assert table.shape == (6, 2 ** (n - 1)) and table.dtype == np.int64
+        assert table.shape == (6, 2 ** (n - 1)) and table.dtype == np.int32
         for s in range(6):
             assert table[s].tolist() == reference_side_order(R, n, s)
     with pytest.raises(ValueError, match="from level 1"):
@@ -595,16 +596,16 @@ def test_dual_matches_reference(C, R):
 
 
 def table_bytes(n):
-    """Bytes of the int64 tables of a complex built to level n: per
-    level k <= n, edges (2E) and tri_edges (3T); per level k < n,
-    edge_children (2E), tri_children and tri_inner (6T each); per
-    vertex, coords (2)."""
+    """Bytes of the tables of a complex built to level n: 4 per entry
+    of the int32 index tables, per level k <= n edges (2E) and
+    tri_edges (3T), per level k < n edge_children (2E), tri_children
+    and tri_inner (6T each); 16 per vertex, its two int64 coords."""
     total = 0
     for k in range(n + 1):
         v, e, t = count_oracle(k)
-        total += 8 * (2 * e + 3 * t)
+        total += 4 * (2 * e + 3 * t)
         if k < n:
-            total += 8 * (2 * e + 12 * t)
+            total += 4 * (2 * e + 12 * t)
     return total + 16 * v
 
 
@@ -620,7 +621,7 @@ def test_tables_match_sizing_formula():
             if isinstance(a, np.ndarray)
         )
         assert held == table_bytes(n)
-    assert table_bytes(8) == 150_518_104
+    assert table_bytes(8) == 81_980_596
 
 
 def test_to_json_matches_reference(C, R):
@@ -689,12 +690,14 @@ def test_lookup_sorted_finds_or_raises():
 
 
 def test_int64_overflow_guard():
-    # level 12 is the deepest whose triangle codes edge_id * V + c fit
-    # int64; the guard refuses level 13 before building anything
-    _check_int64(12)
+    # level 11 is the deepest whose ids fit the int32 tables: its
+    # hexacarpet has 3 T = 1,088,391,168 incidences and E = 544,198,656
+    # edges, while E = 3,265,179,648 at level 12 exceeds 2^31 - 1; the
+    # guard refuses level 12 before building anything
+    _check_index_range(11)
     c = SubdivisionComplex(cap=20)
-    with pytest.raises(CapacityError, match="int64"):
-        c.ensure_level(13)
+    with pytest.raises(CapacityError, match="int32"):
+        c.ensure_level(12)
     assert c.top == 0
 
 
@@ -752,7 +755,7 @@ def searched_images(C, vm, n, tgt):
     vertex images vm, found by binary search of the sorted image
     vertices in the level-tgt simplex codes; the reference for the
     complex's level-by-level refinement, and the test-side cell maps."""
-    nv = C.offsets[tgt]
+    nv = np.int64(C.offsets[tgt])  # the int32 ids times nv in int64
     ecodes = C.edges[tgt][:, 0] * nv + C.edges[tgt][:, 1]
     tcodes = C.tri_edges[tgt][:, 0] * nv + C.tri_vertices(tgt)[:, 2]
     ie = vm[C.edges[n]]

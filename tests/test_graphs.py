@@ -25,11 +25,12 @@ from hexacarpet.graphs import (
     incidence_positions,
     quotient,
     shorted_classes,
+    stabiliser,
     to_dot,
     to_edgelist,
 )
 from hexacarpet.network import effective_resistance
-from hexacarpet.subdivision import dihedral_elements, lookup_sorted
+from hexacarpet.subdivision import dihedral_elements, lookup_sorted, pair_codes
 from oracle import oracle_resistance
 from test_complex import CellMaps, edge_sides
 
@@ -69,8 +70,9 @@ def test_skeleton_conductances(C):
         G = build_skeleton(C, n)
         assert G.n == C.counts(n)[0]
         assert G.m == C.counts(n)[1]
-        codes = C.edges[n][:, 0] * G.n + C.edges[n][:, 1]
-        edge = lookup_sorted(codes, G.us * G.n + G.vs, "edge")
+        n64 = np.int64(G.n)  # the int32 ids times n in int64
+        codes = C.edges[n][:, 0] * n64 + C.edges[n][:, 1]
+        edge = lookup_sorted(codes, G.us * n64 + G.vs, "edge")
         side = edge_sides(C, n)
         for e, c in zip(edge, fractions(G)):
             want = Fraction(1, 2) if side[e] >= 0 else Fraction(1)
@@ -125,6 +127,35 @@ def test_family_builds_keep_their_tables_as_views(C):
             assert G.num.dtype == np.int64 and G.num[0] == G.num.max()
 
 
+def test_index_arrays_are_int32():
+    # one index dtype: the complex's tables, its symmetry images and the
+    # families' edge ends, side tables and vertex and edge images are
+    # int32; the coordinates, the numerators and the pair codes int64
+    cache = LevelCache(cap=5)
+    C = cache.C
+    C.ensure_level(5)
+    index = [a for t in (C.edges, C.tri_edges, C.edge_children, C.tri_children, C.tri_inner)
+             for a in t]
+    for n in range(1, 6):
+        index += [C.tri_vertices(n), C.boundary_index(n), *C.embed(n - 1, 1), *C.embed(1, n - 1)]
+        for g in dihedral_elements():
+            index += [C.edge_images(g, n), C.tri_images(g, n), C.vertex_map(g, n)]
+        for family in analysis.BUILDERS:
+            G = cache.graph(family, n)
+            index += [G.us, G.vs, G.symmetry.sides]
+            index += [G.symmetry.perm(g) for g in dihedral_elements()]
+            for p, _, e in stabiliser(G, G.boundary["A"], G.boundary["B"]).values():
+                index += [p] if e is None else [p, e]
+            assert G.num.dtype == np.int64, (family, n)
+        # the skeleton's ends are the edge table's columns, uncopied
+        S = cache.graph("skeleton", n)
+        for ends, column in ((S.us, C.edges[n][:, 0]), (S.vs, C.edges[n][:, 1])):
+            assert ends.flags.c_contiguous and ends.ctypes.data == column.ctypes.data
+    assert [a.dtype for a in index] == [np.dtype(np.int32)] * len(index)
+    assert C.coords.dtype == np.int64
+    assert pair_codes(C.edges[5][:, 0], C.edges[5][:, 1], C.offsets[5]).dtype == np.int64
+
+
 # the bitmask of side s at index s, and 0 at index -1 (no side)
 SIDE_BIT = np.array([1, 2, 4, 8, 16, 32, 0], dtype=np.int64)
 
@@ -171,7 +202,7 @@ def test_side_tables_list_each_sides_vertices():
     for n in range(1, 6):
         bi, F = c.boundary_index(n), len(c.tri_edges[n])
         S = build_skeleton(c, n).symmetry.sides
-        assert S.dtype == np.int64 and S.shape == (6, 2 ** n)
+        assert S.dtype == np.int32 and S.shape == (6, 2 ** n)
         for s in range(6):
             assert np.array_equal(np.unique(S[s]), c.side_vertices(n, s)), (n, s)
         H = build_hexacarpet(c, n)
@@ -181,7 +212,7 @@ def test_side_tables_list_each_sides_vertices():
         outer = [np.flatnonzero((c.tri_edges[n] == e).any(axis=1)) for e in bi.ravel()]
         assert all(len(t) == 1 for t in outer)
         D = build_dual(c, n).symmetry.sides
-        assert D.dtype == np.int64
+        assert D.dtype == np.int32
         assert np.array_equal(D, np.concatenate(outer).reshape(bi.shape))
         # the short graph's rows hold the classes of the hexacarpet's
         vmap = np.unique(shorted_classes(c, n), return_inverse=True)[1]
@@ -190,11 +221,12 @@ def test_side_tables_list_each_sides_vertices():
 
 def test_family_build_memory_peaks():
     # traced peaks of the level-6 builds in 8 bytes per edge built: the
-    # hexacarpet writes its sorted sides as its edge ends, and the dual
-    # sorts its edges once, its int32 incidence dropped first
+    # hexacarpet writes its sorted sides as its int32 edge ends, and the
+    # dual sorts its edges once, its incidence dropped first; measured
+    # 1.51 and 4.18, bounded 10% above
     c = SubdivisionComplex()
     c.ensure_level(6)
-    for build, bound in ((build_hexacarpet, 2.8), (build_dual, 7.5)):
+    for build, bound in ((build_hexacarpet, 1.67), (build_dual, 4.6)):
         tracemalloc.start()
         try:
             G = build(c, 6)
@@ -306,10 +338,11 @@ def test_fractional_edge_ends_rejected():
     assert WeightedGraph(3, [], [], [], den=2).m == 0
 
 
-@pytest.mark.parametrize("n", [2.5, -1, "3"])
+@pytest.mark.parametrize("n", [2.5, -1, "3", 2 ** 31 + 1])
 def test_vertex_count_must_be_a_nonnegative_integer(n):
     # 2.5 was once truncated to 2, -1 kept, and "3" raised numpy's
-    # UFuncTypeError; a graph with no vertex and no edge stays valid
+    # UFuncTypeError; ids past 2^31 - 1 would not fit the int32 ends; a
+    # graph with no vertex and no edge stays valid
     edges = ([], []) if n == -1 else ([0], [1])
     with pytest.raises(FamilyError, match="vertex count must be an integer >= 0"):
         WeightedGraph(n, *edges, [1] * len(edges[0]), den=1)
@@ -422,7 +455,7 @@ def sorted_code_positions(G, us, vs):
     their codes u*n + v, which must be G's own, every edge once."""
     codes = np.asarray(us, dtype=np.int64) * G.n + np.asarray(vs, dtype=np.int64)
     order = np.argsort(codes, kind="stable")
-    assert np.array_equal(codes[order], G.us * G.n + G.vs)
+    assert np.array_equal(codes[order], G.us.astype(np.int64) * G.n + G.vs)
     pos = np.empty(len(codes), dtype=np.int64)
     pos[order] = np.arange(len(codes))
     return pos

@@ -305,6 +305,28 @@ def test_stabiliser_group_orders(cache6):
             assert {g: s for g, (_, s, _) in group.items()} == want
 
 
+def test_pair_codes_are_int64_at_level_seven():
+    # the codes u*n + v of the int32 edge ends pass 2^31 at level 7 (the
+    # skeleton's last edge has u * n = 1.97e10), so a code formed in
+    # int32 would wrap: the stabilisers would lose their elements, the
+    # last edges would not be found, and a re-sort would misorder
+    cache = LevelCache(cap=7)
+    for family, want in STABILISERS.items():
+        G = cache.graph(family, 7)
+        group = stabiliser(G, G.boundary["A"], G.boundary["B"])
+        assert group.pop(("r", 0))[1] == 1
+        assert {g: s for g, (_, s, _) in group.items()} == want, family
+    S = cache.graph("skeleton", 7)
+    assert int(S.us[-1]) * S.n >= 2 ** 31
+    last = np.arange(S.m - 8, S.m)
+    assert S.positions(S.us[last], S.vs[last]).tolist() == last.tolist()
+    # the dual's ends reversed and swapped: every pair runs high to low
+    D = cache.graph("dual", 7)
+    R = WeightedGraph(D.n, D.vs[::-1], D.us[::-1], D.num, den=D.den)
+    for got, want in ((R.us, D.us), (R.vs, D.vs)):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
 def test_stabiliser_follows_the_terminals(cache6):
     # the uncut hexacarpet between the cut graph's arcs keeps only s0
     C = cache6.C
