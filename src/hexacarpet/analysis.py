@@ -307,13 +307,23 @@ def compose_flow(cache: LevelCache, m, n):
         raise AssertionError("cells do not tile the fine incidences") from None
     # a1, a2 count current leaving x through its branch sides, while
     # the side flows deposit into their source arc, so the splice flips
-    # sign to keep the fine flow coarse-oriented
-    spliced = -(Y.a[:, 1:2] * K[t, j1] + Y.a[:, 2:3] * K[t, j2])
+    # sign to keep the fine flow coarse-oriented: -(a1 K1 + a2 K2), in
+    # place and negated last, so that a zero product keeps its sign
+    spliced = K[t, j1]
+    spliced *= Y.a[:, 1:2]
+    term = K[t, j2]
+    term *= Y.a[:, 2:3]
+    del K
+    spliced += term
+    del term
+    np.negative(spliced, out=spliced)
     J = np.zeros(Gf.m)
     J[pos] = spliced.ravel()
+    del spliced, pos
 
     fl, div, free = _checked_flow(Gf, J, Gf.boundary["A"], Gf.boundary["B"])
     maxdiv = float(np.abs(div[free]).max())
+    del div, free
     E = dissipation(Gf, J)
     return ComposedFlow(
         m, n, J, maxdiv, fl, E, 4.0 / 3.0 * cache.R(m) * cache.R(n)

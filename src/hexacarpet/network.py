@@ -34,13 +34,15 @@ antisymmetric, and the resistance, energy, flow and the residual of the
 full interior system are computed on the whole graph.
 
 Working set.  Besides the graph and the LU factors (SuperLU's own
-memory), the solve holds at most 12 float arrays over the edges at
-once, 12 * 8m bytes, on the level-6 hexacarpet (test_solve_memory_peak;
-9.1 measured).  The stabiliser's match builds the image codes in
-place, the group's vertex and edge images are dropped once the orbits
-are read off them, the assembly holds arrays over the orbits only, the
-flow and energy are formed in place, and the right-hand side's norm
-sums only the edges whose ends differ in boundary value.
+memory), the solve holds at most 9.2 float arrays over the edges at
+once, 9.2 * 8m bytes, on the level-6 hexacarpet (test_solve_memory_peak;
+8.4 measured, in the assembly).  The stabiliser's match builds the
+image codes in place, the group's vertex and edge images are dropped
+once the orbits are read off them, the orbit sizes are counted over
+the orbits' smallest edges, the assembly holds arrays over the orbits
+only, the reduced potential is dropped once expanded, the flow and
+energy are formed in place, and the right-hand side's norm sums only
+the edges whose ends differ in boundary value.
 
 This is the library's one solver.  The tests cross-check it against
 the same direct solve on the unreduced system (the graph without its
@@ -51,19 +53,26 @@ Thompson's principle, that the unit current has the least dissipation
 among unit flows, is checked against random circulations.  They are
 built from one breadth-first spanning forest held as arrays (the
 vertices grouped by depth in runs of common parent, each one's edge to
-its parent, and the non-tree edges, one fundamental cycle each).  A circulation is its coefficients
-on the non-tree edges plus the tree currents that return the charges
-those put on the edge ends; the tree currents are subtree sums, taken
-one depth level at a time from the deepest up for a whole block of
-trials at once.  Blocks hold a bounded number of entries, so the
-check's memory does not grow with edges times trials; a block holds its
-circulations K (edges x trials), their coefficients and one (vertices x
-trials) array of charges, in which the subtree sums are taken.
+its parent, and the non-tree edges, one fundamental cycle each).  A
+circulation is its coefficients on the non-tree edges plus the tree
+currents that return the charges those put on the edge ends; the tree
+currents are subtree sums, taken one depth level at a time from the
+deepest up for a whole block of trials at once.  Blocks hold a bounded
+number of entries, so the check's memory does not grow with edges times
+trials.  A block is one array, (vertices + non-tree edges) x trials:
+the coefficients sit in the non-tree rows, and the vertex rows, in
+forest order, take the charges and then their subtree sums, which
+leaves the current on each vertex's tree edge in that vertex's row.
+The check reads the block in that row order, so the circulations are
+never copied into edge order; at level 4, 100 trials peak at 1.12
+times the 8 m b bytes of one edges x trials array
+(test_thompson_memory_peak).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from numbers import Integral
 
 import numpy as np
@@ -191,7 +200,10 @@ def _orbits(G: WeightedGraph, group, interior):
     the smallest edge of each edge orbit, ascending, and size the
     orbit's size: the generators commute, so each one carries the orbits
     of those before it onto orbits, and the orbit of an edge and of its
-    image merge.
+    image merge.  The size is the group's order over the number of its
+    elements that fix the orbit's smallest edge r, counted from the
+    generators' images of the reps alone: the group is the identity,
+    at most two commuting involutions and their product.
     """
     ids = group[0][0]
     unknown = np.zeros(G.n, dtype=bool)
@@ -209,13 +221,20 @@ def _orbits(G: WeightedGraph, group, interior):
     col = np.where(unknown, slot[rep], 0)
     del rep, slot, unknown
 
+    gens = [e for _, _, e in group if e is not None]
     orbit = np.arange(G.m, dtype=np.int32)
-    for _, _, e in group:
-        if e is not None:
-            np.minimum(orbit, orbit[e], out=orbit)
-    size = np.bincount(orbit)
-    reps = np.flatnonzero(size)
-    return k, col, sign, reps, size[reps]
+    for e in gens:
+        np.minimum(orbit, orbit[e], out=orbit)
+    reps = np.flatnonzero(orbit == np.arange(G.m, dtype=np.int32))
+    del orbit
+    # an involution g fixes r where g r == r, and the product g h of two
+    # where g r == h r; size counts the fixers, then takes the order
+    # over them in place
+    size = np.ones(len(reps), dtype=np.int64)
+    for x, y in combinations([reps] + [e[reps] for e in gens], 2):
+        size += x == y
+    np.floor_divide(len(group), size, out=size)
+    return k, col, sign, reps, size
 
 
 def _reduced_system(G: WeightedGraph, orbits, interior, bval):
@@ -288,6 +307,7 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
     half = 0.5 + np.abs(psi)
     phi = value.copy()
     phi[interior] = np.where(psi >= 0, half, 1.0 - half)
+    del psi, half
 
     # gradient(G, phi), keeping the differences for the energy; the
     # products in place are those of gradient() and energy()
@@ -354,10 +374,10 @@ def _solve_direct(M, rhs):
 
 # -- Thompson minimality ------------------------------------------------
 
-# float64 entries (32 MiB) in each (edges x trials) array of a
-# verify_thompson block; bounds the check's working set whatever the
-# number of trials, yet holds ~30 trials of the level-6 hexacarpet, as
-# every block walks all the BFS depth levels
+# float64 entries (32 MiB) over the edges in a verify_thompson block,
+# whose one array also has a row per root; bounds the check's
+# working set whatever the number of trials, yet holds ~30 trials of
+# the level-6 hexacarpet, as every block walks all the BFS depth levels
 _TRIAL_BLOCK = 1 << 22
 
 
@@ -380,6 +400,12 @@ class SpanningForest:
     tree: np.ndarray
     up: np.ndarray
     nontree: np.ndarray
+
+    @property
+    def edges(self):
+        """The tree edges, then the non-tree ones: the edges of the rows
+        of _cycle_rows below the roots."""
+        return np.concatenate([self.tree, self.nontree])
 
 
 def spanning_forest(G: WeightedGraph):
@@ -449,6 +475,30 @@ def tree_currents(forest: SpanningForest, charge):
     return currents
 
 
+def _cycle_rows(G: WeightedGraph, forest: SpanningForest, W):
+    """Turn W into circulations in place, in the forest's row layout.
+
+    W is (n + len(nontree), b): zeros in its first n rows and, below
+    them, the coefficients on the non-tree edges.  The first n rows, in
+    forest order, take the charges the coefficients put on the edge
+    ends and then their subtree sums (tree_currents), so that row
+    roots + i holds the current on the tree edge forest.tree[i].
+    Returns the view W[roots:], whose rows are the edges forest.edges.
+    """
+    n, nt = G.n, forest.nontree
+    b = W.shape[1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[forest.order] = np.arange(n)
+    j, t = np.nonzero(W[n:])
+    w = W[n + j, t]
+    # the charges over the flat (position in forest order, column)
+    # index, summed in turn as a bincount would sum them
+    ends = rank[np.concatenate([G.vs[nt[j]], G.us[nt[j]]])] * b + np.concatenate([t, t])
+    np.add.at(W[:n].reshape(-1), ends, np.concatenate([w, -w]))
+    tree_currents(forest, W[:n])
+    return W[n - len(forest.tree):]
+
+
 def circulations(G: WeightedGraph, forest: SpanningForest, coef):
     """Flows sum_j coef[j, t] Z_j, one column per t.
 
@@ -457,22 +507,13 @@ def circulations(G: WeightedGraph, forest: SpanningForest, coef):
     to its start through the forest.  coef is (len(nontree), b); the
     result is the (m, b) array of edge flows: the coefficients on the
     non-tree edges and the tree currents of the charges they put on
-    their ends.  Besides the result and coef it holds one (n, b) array,
-    the charges.
+    their ends, built in the row layout of _cycle_rows and put in edge
+    order.
     """
-    nt = forest.nontree
-    b = coef.shape[1]
-    K = np.zeros((G.m, b))
-    K[nt] = coef
-    # the charges in one bincount over the flat (position in forest
-    # order, column) index, the layout tree_currents sums in
-    rank = np.empty(G.n, dtype=np.int64)
-    rank[forest.order] = np.arange(G.n)
-    j, t = np.nonzero(coef)
-    w = coef[j, t]
-    ends = rank[np.concatenate([G.vs[nt[j]], G.us[nt[j]]])] * b + np.concatenate([t, t])
-    charge = np.bincount(ends, np.concatenate([w, -w]), G.n * b).reshape(G.n, b)
-    K[forest.tree] = tree_currents(forest, charge)
+    W = np.zeros((G.n + len(forest.nontree), coef.shape[1]))
+    W[G.n:] = coef
+    K = np.empty((G.m, coef.shape[1]))
+    K[forest.edges] = _cycle_rows(G, forest, W)
     return K
 
 
@@ -482,11 +523,13 @@ def verify_thompson(G: WeightedGraph, result, trials=100, seed=0, tol=1e-8):
     Random circulations K built from fundamental cycles must satisfy
     <I, K> = 0 (harmonicity) and D(I + K) >= D(I).  Each trial draws
     k in 1..3, k distinct non-tree edges and a normal coefficient for
-    each; the trials are checked in blocks of at most _TRIAL_BLOCK
-    entries per edge array, and the first failing trial raises.  A
-    block holds K, the coefficients and, while K is built, one (n, b)
-    array of charges; the cross terms are one product with I / c, and
-    D(I + K) is summed from K itself, overwritten.
+    each; the trials are checked in blocks of _TRIAL_BLOCK // m, and
+    the first failing trial raises.  A block is one array, the
+    coefficients written below one row per vertex, in which _cycle_rows
+    takes the charges and the subtree sums; the check reads K in that
+    array's row order, I and c gathered into that order once.  The
+    cross terms are one product with I / c, and D(I + K) is summed from
+    K itself, overwritten.
     Returns the number of trials checked, 0 for a forest.
     """
     forest = spanning_forest(G)
@@ -494,21 +537,23 @@ def verify_thompson(G: WeightedGraph, result, trials=100, seed=0, tol=1e-8):
     if not nt:
         return 0
     rng = np.random.default_rng(seed)
-    I = result.flow
-    c = G.conductances()
-    D0 = dissipation(G, I)
+    D0 = dissipation(G, result.flow)
     scale = max(D0, 1.0)
+    rows = forest.edges
+    I = result.flow[rows]
+    c = G.conductances()[rows]
+    Ic = I / c
     block = max(1, _TRIAL_BLOCK // G.m)
     checked = 0
     while checked < trials:
         b = int(min(block, trials - checked))
-        coef = np.zeros((nt, b))
+        W = np.zeros((G.n + nt, b))
         for t in range(b):
             k = rng.integers(1, min(4, nt + 1))
             for pos in rng.choice(nt, size=k, replace=False):
-                coef[pos, t] = rng.normal()
-        K = circulations(G, forest, coef)
-        cross = (I / c) @ K
+                W[G.n + pos, t] = rng.normal()
+        K = _cycle_rows(G, forest, W)
+        cross = Ic @ K
         # the column maxima of |K|
         kmax = np.maximum(K.max(axis=0), -K.min(axis=0))
         skew = np.abs(cross) > tol * scale * np.maximum(1.0, kmax)

@@ -1,13 +1,15 @@
-"""The dense reference solve the tests check the library's solver against.
+"""The dense reference solve the tests check the library's solver against,
+and the traced peak the memory tests bound.
 
-Not a test module: test_network, test_graphs and test_acceptance import
-it.  oracle_resistance solves the full interior system with LAPACK on
-the dense Laplacian, with no symmetry reduction and no sparse factor,
-and refuses the terminal sets that network.effective_resistance
-refuses.
+Not a test module: test_network, test_graphs, test_analysis and
+test_acceptance import it.  oracle_resistance solves the full interior
+system with LAPACK on the dense Laplacian, with no symmetry reduction
+and no sparse factor, and refuses the terminal sets that
+network.effective_resistance refuses.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,3 +58,15 @@ def oracle_resistance(G: WeightedGraph, A=None, B=None):
     return ResistanceResult(
         resistance=R, energy=E, potential=phi, flow=flow, residual=0.0,
     )
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc traced while it ran): numpy's
+    buffers as well as Python objects, the result included."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from hexacarpet.analysis import (
     verify_supermultiplicative,
     y_decomposition,
 )
-from hexacarpet.graphs import edge_arc
+from hexacarpet.graphs import edge_arc, incidence_positions
 from hexacarpet.network import (
     NotAFlowError,
     check_flow,
@@ -35,6 +34,7 @@ from hexacarpet.network import (
     energy,
 )
 from hexacarpet.subdivision import side_perm
+from oracle import traced_peak
 from test_complex import CellMaps, SimplexId, apply_word, edge_sides
 
 # boundary arcs by the original side they refine: the level-0 edge
@@ -244,19 +244,35 @@ def test_composed_flow_matches_reference(cache):
             assert np.array_equal(cf.flow, compose_flow_reference(cache, m, total - m))
 
 
+def test_compose_flow_splice_keeps_the_sign_of_zero(cache):
+    # the in-place splice against the one-expression form at level 6,
+    # bit for bit: a zero product keeps its sign, which (-a1) K1 - a2 K2
+    # would flip on some of the level-6 zeros
+    C = cache.C
+    for m, n in ((3, 3), (1, 5), (5, 1)):
+        Y = y_decomposition(cache, m)
+        K = side_flows(cache, n)
+        t, j1, j2 = Y.slot.T
+        es, ts = C.embed(m, n)
+        pos = incidence_positions(C, m + n, ts, es[:, C.tri_edges[n]]).ravel()
+        want = np.zeros(cache.graph("hexacarpet", m + n).m)
+        want[pos] = -(Y.a[:, 1:2] * K[t, j1] + Y.a[:, 2:3] * K[t, j2]).ravel()
+        got = compose_flow(cache, m, n).flow
+        assert np.signbit(want[want == 0]).any(), (m, n)
+        assert np.array_equal(got, want), (m, n)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (m, n)
+
+
 def test_compose_flow_memory_peak(cache):
     # traced peaks of the level-6 splice in 8 bytes per fine incidence,
-    # on a warm cache: measured 5.98 at (3, 3) and 7.42 at (1, 5), whose
-    # nine level-5 side flows alone are 1.5 of that unit
-    for (m, n), bound in (((3, 3), 6.5), ((1, 5), 8.0)):
+    # on a warm cache: the splice is formed in one buffer besides its
+    # second term, the side flows and positions go before the flow
+    # check, and the divergence before the dissipation; measured 4.11,
+    # 4.42 and 4.50, the nine level-5 side flows alone 1.5 of that unit
+    for (m, n), bound in (((3, 3), 4.5), ((1, 5), 4.9), ((5, 1), 5.0)):
         compose_flow(cache, m, n)
         G = cache.graph("hexacarpet", m + n)
-        tracemalloc.start()
-        try:
-            compose_flow(cache, m, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: compose_flow(cache, m, n))[1]
         assert peak <= bound * 8 * G.m, ((m, n), peak / (8 * G.m))
 
 

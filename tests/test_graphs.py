@@ -1,13 +1,12 @@
 """Graph family builders, surgeries and exports."""
 
-import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from hexacarpet import SubdivisionComplex, analysis, graphs, subdivision
 from hexacarpet.analysis import LevelCache, cut_report, estimate_rho
@@ -31,7 +30,7 @@ from hexacarpet.graphs import (
 )
 from hexacarpet.network import effective_resistance
 from hexacarpet.subdivision import dihedral_elements, lookup_sorted, pair_codes
-from oracle import oracle_resistance
+from oracle import oracle_resistance, traced_peak
 from test_complex import CellMaps, edge_sides
 
 F1 = Fraction(1)
@@ -112,6 +111,28 @@ def test_hexacarpet_counts(C):
         assert all(c == 2 for c in fractions(G))
         assert len(G.boundary["A"]) == 2 ** n
         assert len(G.boundary["B"]) == 2 ** n
+
+
+def test_arc_hop_distance_follows_the_jacobsthal_recursion(C6):
+    # the fewest hops between the hexacarpet's terminal arcs, by one
+    # breadth-first search from the whole of A: 6, 16, 36, 84, 188 and
+    # 420 at levels 1-6, so dist_n = 2 dist_{n-1} + 4 J_{n-1} with J the
+    # Jacobsthal numbers (J_k = J_{k-1} + 2 J_{k-2}), and dist grows as
+    # (2/3) n 2^n, not as a power of 2
+    jacobsthal = [0, 1]
+    dist = []
+    for n in range(1, 7):
+        G = build_hexacarpet(C6, n)
+        adj = coo_matrix((np.ones(G.m), (G.us, G.vs)), shape=(G.n, G.n)).tocsr()
+        hops = dijkstra(
+            adj, directed=False, indices=sorted(G.boundary["A"]), unweighted=True, min_only=True
+        )
+        dist.append(int(hops[sorted(G.boundary["B"])].min()))
+        jacobsthal.append(jacobsthal[-1] + 2 * jacobsthal[-2])
+    assert dist == [6, 16, 36, 84, 188, 420]
+    assert jacobsthal[1:6] == [1, 1, 3, 5, 11]
+    for n in range(2, 7):
+        assert dist[n - 1] == 2 * dist[n - 2] + 4 * jacobsthal[n - 1]
 
 
 def test_family_builds_keep_their_tables_as_views(C):
@@ -227,12 +248,7 @@ def test_family_build_memory_peaks():
     c = SubdivisionComplex()
     c.ensure_level(6)
     for build, bound in ((build_hexacarpet, 1.67), (build_dual, 4.6)):
-        tracemalloc.start()
-        try:
-            G = build(c, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        G, peak = traced_peak(lambda: build(c, 6))
         assert peak <= bound * 8 * G.m, (build.__name__, peak / (8 * G.m))
 
 
@@ -878,18 +894,12 @@ def test_exports_are_exact_across_text_blocks(C, monkeypatch, block):
 
 
 def test_exports_hold_at_most_three_copies_of_their_text():
-    # tracemalloc sees numpy's buffers as well as the strings
     cache = LevelCache()
     G = cache.graph("hexacarpet", 6)
     for export in (
         lambda: to_edgelist(G), lambda: to_dot(G), lambda: cache.C.to_json(6)
     ):
-        tracemalloc.start()
-        try:
-            text = export()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        text, peak = traced_peak(export)
         assert peak <= 3 * len(text)
 
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from hexacarpet import network
 from hexacarpet.analysis import LevelCache
 from hexacarpet.graphs import WeightedGraph, edge_arc, stabiliser
 from hexacarpet.subdivision import dihedral_compose
@@ -29,7 +29,7 @@ from hexacarpet.network import (
     verify_thompson,
 )
 from hexacarpet.network import _active_interior, _orbits, _reduced_system
-from oracle import laplacian, oracle_resistance
+from oracle import laplacian, oracle_resistance, traced_peak
 
 F1 = Fraction(1)
 
@@ -554,40 +554,32 @@ def test_orbit_assembly_matches_all_edges(cache6):
 
 
 def test_solve_memory_peak(cache6):
-    # the level-6 hexacarpet solve holds at most 12 float arrays over
-    # the edges at once: the edge images are int32 and only the
-    # generators' are kept, the match builds its codes in place, and
-    # the group's images are dropped once the orbits are read.  A fresh
-    # copy of the graph has nothing cached; its components and the
-    # complex's symmetry images are made first, so the peak is the
-    # solve's own.
+    # the level-6 hexacarpet solve holds at most 9.2 float arrays over
+    # the edges at once (8.40 measured): the edge images are int32 and
+    # only the generators' are kept, the match builds its codes in
+    # place, the group's images are dropped once the orbits are read,
+    # the orbit sizes are counted over the orbits only, and the reduced
+    # potential is dropped once expanded.  A fresh copy of the graph
+    # has nothing cached; its components and the complex's symmetry
+    # images are made first, so the peak is the solve's own.
     H = cache6.graph("hexacarpet", 6)
     G = plain_copy(H, symmetry=H.symmetry)
     stabiliser(G, G.boundary["A"], G.boundary["B"])
     G.components()
-    tracemalloc.start()
-    try:
-        effective_resistance(G)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * 8 * G.m, peak / (8 * G.m)
+    peak = traced_peak(lambda: effective_resistance(G))[1]
+    assert peak <= 9.2 * 8 * G.m, peak / (8 * G.m)
 
 
 def test_thompson_memory_peak(cache6):
-    # a block of b trials holds K (m x b), its coefficients and, while
-    # K is built, the charges (n x b); at level 4 the 100 trials are one
-    # block
+    # a block of b trials is one (m + roots) x b array, its
+    # coefficients below the vertex rows in which the charges and the
+    # subtree sums are taken; at level 4 the 100 trials are one block,
+    # measured 1.12
     G = cache6.graph("hexacarpet", 4)
     r = cache6.result("hexacarpet", 4)
-    tracemalloc.start()
-    try:
-        checked = verify_thompson(G, r, trials=100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    checked, peak = traced_peak(lambda: verify_thompson(G, r, trials=100))
     assert checked == 100
-    assert peak <= 2.4 * 8 * G.m * 100, peak / (8 * G.m * 100)
+    assert peak <= 1.2 * 8 * G.m * 100, peak / (8 * G.m * 100)
 
 
 def test_solver_statistics(cache6):
@@ -757,17 +749,45 @@ def test_resistance_result_is_built_by_keyword():
         ResistanceResult(1.0, 1.0, np.zeros(2), np.zeros(1), 0.0)
 
 
+def perturbed_current(G, r):
+    """r with 1e-3 of one fundamental cycle added to its current."""
+    f = spanning_forest(G)
+    coef = np.zeros((len(f.nontree), 1))
+    coef[len(coef) // 2] = 1e-3
+    return dataclasses.replace(r, flow=r.flow + circulations(G, f, coef)[:, 0])
+
+
 def test_thompson_detects_a_perturbed_hexacarpet_current(cache6):
     G = cache6.graph("hexacarpet", 3)
     r = cache6.result("hexacarpet", 3)
     checked = verify_thompson(G, r)
     assert type(checked) is int and checked == 100
-    f = spanning_forest(G)
-    coef = np.zeros((len(f.nontree), 1))
-    coef[len(coef) // 2] = 1e-3
-    bad = dataclasses.replace(r, flow=r.flow + circulations(G, f, coef)[:, 0])
     with pytest.raises(AssertionError, match="not cycle-orthogonal"):
-        verify_thompson(G, bad)
+        verify_thompson(G, perturbed_current(G, r))
+
+
+def test_thompson_does_not_depend_on_the_block_size(cache6, monkeypatch):
+    # one, seven and forty trials per block against the default's one
+    # block of 100.  The reported cross term is a BLAS product whose
+    # rounding follows the block's width, so it agrees to 1e-9, which
+    # still tells the failing trial apart from every other
+    G = cache6.graph("hexacarpet", 3)
+    r = cache6.result("hexacarpet", 3)
+    bad = perturbed_current(G, r)
+
+    def outcome():
+        with pytest.raises(AssertionError) as err:
+            verify_thompson(G, bad)
+        head, value = str(err.value).rsplit(": ", 1)
+        return verify_thompson(G, r), head, float(value)
+
+    want = outcome()
+    assert want[:2] == (100, "current not cycle-orthogonal")
+    for per_block in (1, 7, 40):
+        monkeypatch.setattr(network, "_TRIAL_BLOCK", per_block * G.m)
+        checked, head, value = outcome()
+        assert (checked, head) == want[:2], per_block
+        assert value == pytest.approx(want[2], rel=1e-9), per_block
 
 
 def test_thompson_dissipation_check_stands_alone():
