@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subdivision import DEFAULT_CAP, SubdivisionComplex, dihedral_elements
+from .subdivision import CELL_SIDES, DEFAULT_CAP, SubdivisionComplex, dihedral_elements
 from .graphs import (
     FamilyError,
     build_cut_graph,
@@ -185,21 +185,21 @@ def side_flows(cache: LevelCache, n):
     check_flow(G, K[s, d], arc of s, arc of d) is 1.  K[s, s] is 0.
 
     K[0, 1] is the symmetrized standard flow on the upper half-plane
-    (triangles whose centroid lies above the horizontal axis, which is
-    made of level-1 edges, so no triangle straddles it) and its
-    vertical-mirror pullback on the lower half; divergence cancels
-    along the seam because the standard flow is odd under the half
-    turn.  The six symmetries keeping the original triangle carry it
-    onto the other five, each of energy R(n): g sends the flow from ab
-    to ac to the flow from g ab to g ac, side (a, b) being slot
-    a + b - 1.
+    (the triangles inside the level-1 cells on sides 0-2, which the
+    horizontal axis bounds) and its vertical-mirror pullback on the
+    lower half; divergence cancels along the seam because the standard
+    flow is odd under the half turn.  The six symmetries keeping the
+    original triangle carry it onto the other five, each of energy R(n):
+    g sends the flow from ab to ac to the flow from g ab to g ac, side
+    (a, b) being slot a + b - 1.
     """
     C = cache.C
     G = cache.graph("hexacarpet", n)
     I = unit_flow(cache, n)
     mirror = hex_pullback(cache, n, I, S3)
-    upper = (C.coords[C.tri_vertices(n), 1].sum(axis=1) > 0)[G.us]
-    H02 = np.where(upper, I, mirror)
+    upper = np.zeros(len(C.tri_edges[n]), dtype=bool)
+    upper[C.embed(1, n - 1)[1][np.isin(CELL_SIDES, (0, 1, 2))]] = True
+    H02 = np.where(upper[G.us], I, mirror)
     if abs(check_flow(G, H02, G.boundary["A"], edge_arc(C, n, (4, 5))) - 1) > UNIT_TOL:
         raise AssertionError("the side flow is not a unit flow")
 
@@ -367,13 +367,10 @@ def potential_decomposition(cache: LevelCache, n):
     phi[C.vertex_map(("r", 4), n)] = cache.result("skeleton", n).potential
 
     Gm = cache.graph("skeleton", n - 1)
-    # each level-1 triangle has one boundary edge; cell[s] is the one on
-    # side s.  The embedding keeps the vertex order, so it sends each end
-    # of a level-(n-1) edge to the same end of its image, and every
-    # vertex ends some edge.
-    on = C.boundary_index(1)[[0, 1, 5]]
-    cell = (C.tri_edges[1] == on[:, :, None]).any(axis=2).argmax(axis=1)
-    es = C.embed(1, n - 1)[0][cell]
+    # the level-1 triangles on sides 0, 1 and 5.  The embedding keeps
+    # the vertex order, so it sends each end of a level-(n-1) edge to
+    # the same end of its image, and every vertex ends some edge.
+    es = C.embed(1, n - 1)[0][np.argsort(CELL_SIDES)[[0, 1, 5]]]
     vm = np.empty((3, Gm.n), dtype=np.int32)
     vm[:, C.edges[n - 1]] = C.edges[n][es]
     u, v, w = phi[vm[:, C.vertex_map(("r", 4), n - 1)]]

@@ -66,9 +66,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .subdivision import (
-    B01,
-    B02,
-    CENTER,
+    CELL_SIDES,
     IntRows,
     SubdivisionComplex,
     dihedral_compose,
@@ -503,11 +501,10 @@ def cut_segments(C: SubdivisionComplex, N):
     terminal arcs.
     """
     C.ensure_level(N)
-    # level-1 edge codes u*V + v, ascending in edge id
-    V, edges = C.offsets[1], C.edges[1]
-    spokes = pair_codes([B01, B02], CENTER, V)
-    segs = {1: lookup_sorted(pair_codes(edges[:, 0], edges[:, 1], V), spokes, "spoke")}
-    turned = np.isin(C.tri_edges[1], C.boundary_index(1)[[2, 3]]).any(axis=1)[:, None]
+    # the spokes are the third sides (b, center) of the level-1
+    # triangles on sides 0 and 5
+    segs = {1: C.tri_edges[1][np.argsort(CELL_SIDES)[[0, 5]], 2]}
+    turned = np.isin(CELL_SIDES, (2, 3))[:, None]
     for k in range(1, N):
         es = C.embed(1, k)[0]
         ids = segs[k]

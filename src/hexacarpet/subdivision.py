@@ -10,22 +10,19 @@ ids stay below 2^31 up to level 11, and deeper levels are refused.
 Only the codes that order simplices, u*V + v for a pair of ids, are
 int64, each formed by pair_codes.
 
-Vertices live in one global table shared by all levels, since sub-
-division only ever adds points: level n holds the ids below offsets[n],
-and the barycenters of its edges, then of its triangles, take the next
-ids in simplex order: offsets[n] + e for edge e and offsets[n] + E_n + t
-for triangle t, with E_n the level's edge count.  Coordinates are exact
-in the hexagonal embedding of the level-1 complex: the seven level-1
-vertices form a regular hexagon plus its center, and every later vertex
-is the average of its parents.  The y coordinate is stored in units of
-sqrt(3), which keeps everything in Q^2, and both coordinates are int64
-numerators over the common denominator 2*6^(n-1) of the top level n.
+Vertex ids are shared by all levels, since subdivision only ever adds
+points: level n holds the ids below offsets[n], and the barycenters of
+its edges, then of its triangles, take the next ids in simplex order:
+offsets[n] + e for edge e and offsets[n] + E_n + t for triangle t, with
+E_n the level's edge count.  Only index tables are stored; the exact
+coordinates of a level are derived when it is printed.
 
 The children tables also address the refinement of any triangle
 directly: embed(m, n) gives the level-(m+n) images of the level-n
 simplices inside every level-m triangle, slot for slot.  Its rows at
 m = 1 are the six cell maps of the self-similarity, one per level-1
-triangle around the center.
+triangle around the center, and CELL_SIDES names each one's hexagon
+side.
 
 The other maps used downstream are the dihedral symmetries of the
 hexagon, acting on every level from 1 up and keyed by the group
@@ -74,6 +71,7 @@ B01, B02, B12, CENTER = 3, 4, 5, 6
 _HEX = np.array(
     [[2, 0], [-1, 1], [-1, -1], [1, 1], [1, -1], [-2, 0], [0, 0]], dtype=np.int64
 )
+_HEX.flags.writeable = False
 
 # The six boundary sides of the hexagon, as level-1 edges (sorted vertex
 # pairs).  Side k runs counterclockwise from the corner at angle 60*k.
@@ -85,6 +83,10 @@ _SIDE_EDGES = {
     (P2, B02): 4,
     (P0, B02): 5,
 }
+
+# The hexagon side of each level-1 triangle (q, b, center): that of its
+# edge (q, b), the triangles in id order, [0, 5, 1, 2, 4, 3].
+CELL_SIDES = tuple(s for _, s in sorted(_SIDE_EDGES.items()))
 
 # Dihedral group of the hexagon on the seven level-1 vertex ids.
 # rot60 rotates by +60 degrees, refl_h reflects across the x axis.
@@ -210,14 +212,11 @@ class SubdivisionComplex:
                     (barycenter of side j, barycenter of t) in slot 3 + j
       offsets[n]    vertex count of level n, the first barycenter id
 
-    Global vertex data, indexed by vertex id:
-      coords        (V, 2) int64 numerators of (x, y/sqrt(3)) over denom
-
-    The rest is derived where it is read: tri_vertices and
-    boundary_index, and the triangles of an edge, the rows of tri_edges
+    The rest is derived where it is read: tri_vertices, boundary_index
+    and coordinates, and the triangles of an edge, the rows of tri_edges
     that hold it.  Each index table is int32, so a complex built to
-    level n holds 4 * (2 E_k + 3 T_k) bytes per level k <= n, 4 * (2 E_k
-    + 12 T_k) of child tables per level k < n, and 16 bytes per vertex.
+    level n holds 4 * (2 E_k + 3 T_k) bytes per level k <= n and 4 *
+    (2 E_k + 12 T_k) of child tables per level k < n.
 
     The dihedral symmetries, keyed by element, are read-only int32
     arrays: edge_images and tri_images, cached on first use, and
@@ -236,9 +235,6 @@ class SubdivisionComplex:
         self.tri_children = []
         self.tri_inner = []
         self.offsets = [3]
-
-        self.coords = _frozen(_HEX[:3])
-        self.denom = 2
 
         # symmetry images, built a level at a time on first use
         self._images = {}  # (element, level) -> (edge images, tri images)
@@ -312,17 +308,6 @@ class SubdivisionComplex:
         inner = np.concatenate([q_tb, eb_tb], axis=1)
         del eid, q_tb, eb_tb, first, side
 
-        if n == 0:
-            self.coords = _frozen(_HEX)
-        else:
-            c = self.coords
-            self.coords = _frozen(np.concatenate([
-                6 * c,
-                3 * (c[edges[:, 0]] + c[edges[:, 1]]),
-                2 * c[tris].sum(axis=1),
-            ]))
-            self.denom *= 6
-
         self.edges.append(_frozen(new_edges))
         self.tri_edges.append(_frozen(new_tri_edges))
         self.edge_children.append(_frozen(children))
@@ -355,10 +340,8 @@ class SubdivisionComplex:
         self.require_level(n)
         if n < 1:
             raise ValueError("the boundary sides are defined from level 1")
-        V, edges = self.offsets[1], self.edges[1]
-        codes = [u * V + v for u, v in sorted(_SIDE_EDGES, key=_SIDE_EDGES.get)]
-        sides = lookup_sorted(pair_codes(edges[:, 0], edges[:, 1], V), codes, "side edge")
-        return self.edge_descendants(1, sides, n)
+        # a level-1 triangle's first side is its boundary edge
+        return self.edge_descendants(1, self.tri_edges[1][np.argsort(CELL_SIDES), 0], n)
 
     def side_vertices(self, n, side):
         """Level-n vertices on boundary side 0..5, ascending: its edges' ends."""
@@ -473,7 +456,23 @@ class SubdivisionComplex:
         """Image triangle ids of all level-n triangles under g."""
         return self._map_images(g, n)[1]
 
-    # -- serialization ---------------------------------------------------
+    # -- coordinates and serialization -----------------------------------
+
+    def coordinates(self, n):
+        """The level-n vertices' exact coordinates (x, y/sqrt(3)), in Q^2,
+        as (V, 2) int64 numerators and their common denominator
+        2*6^(n-1) (2 at level 0).  The seven level-1 vertices form a
+        regular hexagon and its center, and every later vertex is the
+        average of its parents."""
+        self.require_level(n)
+        c = _HEX if n else _HEX[:3]
+        for k in range(1, n):
+            c = np.concatenate([
+                6 * c,
+                3 * c[self.edges[k]].sum(axis=1),
+                2 * c[self.tri_vertices(k)].sum(axis=1),
+            ])
+        return c, 2 * 6 ** max(n - 1, 0)
 
     def to_json(self, n):
         """Deterministic JSON description of level n; each coordinate is
@@ -481,11 +480,11 @@ class SubdivisionComplex:
         lowest terms."""
         self.require_level(n)
         V, E, T = self.counts(n)
-        num = self.coords[:V]
-        g = np.gcd(num, self.denom)
-        den = self.denom // g
+        num, denom = self.coordinates(n)
+        g = np.gcd(num, denom)
+        den = denom // g
         vertices = np.stack([num // g, den], axis=2).reshape(-1, 4)
-        del g, den
+        del num, g, den
         # the barycenter ids follow the numbering, so they need no
         # deeper level built; the cap has no barycenters
         below = n < self.cap

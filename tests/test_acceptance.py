@@ -253,3 +253,22 @@ def test_10_csv_determinism(tmp_path):
         "10 sweep determinism", ok,
         f"two rho runs to level 5, byte-identical={same}",
     )
+
+
+def test_11_level_step_ratios(cache):
+    """A measured regression, not a proof: every step ratio R(n)/R(n-1)
+    for n = 2..6 lies in [5/4, 4/3] (measured 1.32319 falling to
+    1.30651), and RT(n)/RT(n-1) in [3/4, 4/5] (0.75575 rising to
+    0.76540).  The abstract bounds the exponents, rho in [5/4, 3/2]
+    and rho^T in [2/3, 4/5]; the steps sit inside both windows.  The
+    solves are the ones test_01 made."""
+    steps = [
+        (cache.R(n) / cache.R(n - 1), cache.RT(n) / cache.RT(n - 1))
+        for n in range(2, MAX_LEVEL + 1)
+    ]
+    ok = all(5 / 4 <= r <= 4 / 3 and 3 / 4 <= t <= 4 / 5 for r, t in steps)
+    verdict(
+        "11 level step ratios (n=2..6)", ok,
+        "R steps=" + ", ".join(f"{r:.5f}" for r, _ in steps)
+        + "; RT steps=" + ", ".join(f"{t:.5f}" for _, t in steps),
+    )

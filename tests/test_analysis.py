@@ -103,7 +103,8 @@ def test_side_flows(cache):
         # the paper's arc flows: the standard flow mirrored onto the lower
         # half-plane, and its s2 image, which fixes the source arc
         I = unit_flow(cache, n)
-        upper = cache.C.coords[cache.C.tri_vertices(n)[G.us], 1].sum(axis=1) > 0
+        xy = cache.C.coordinates(n)[0]
+        upper = xy[cache.C.tri_vertices(n)[G.us], 1].sum(axis=1) > 0
         ref02 = np.where(upper, I, hex_pullback(cache, n, I, ("s", 3)))
         assert np.array_equal(K[0, 1], ref02)
         assert np.array_equal(K[0, 2], hex_pullback(cache, n, ref02, ("s", 2)))

@@ -18,11 +18,12 @@ from hexacarpet import (
     SubdivisionComplex,
 )
 from hexacarpet import subdivision
-from hexacarpet.graphs import ONE, build_dual
+from hexacarpet.graphs import ONE, build_dual, cut_segments
 from hexacarpet.subdivision import (
     B01,
     B02,
     B12,
+    CELL_SIDES,
     CENTER,
     P0,
     P1,
@@ -37,6 +38,7 @@ from hexacarpet.subdivision import (
     dihedral_elements,
     format_rows,
     lookup_sorted,
+    pair_codes,
     side_perm,
 )
 
@@ -213,9 +215,10 @@ def R():
     return ReferenceComplex(MAXN + 1)
 
 
-def coord(C, v):
-    """Exact (x, y/sqrt(3)) of vertex v."""
-    return tuple(Fraction(int(c), C.denom) for c in C.coords[v])
+def coord_table(C, n):
+    """Exact (x, y/sqrt(3)) of each level-n vertex, as Fractions."""
+    num, den = C.coordinates(n)
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in num.tolist()]
 
 
 def dihedral_inverse(a):
@@ -264,20 +267,21 @@ def side_masks(C, n):
 def test_level_one_is_regular_hexagon(C):
     # six boundary vertices on the unit circle (y is stored over sqrt 3,
     # so the squared radius is x^2 + 3 y^2), center at the origin
+    xy = coord_table(C, 1)
     on_circle = np.nonzero(side_masks(C, 1))[0].tolist()
     assert len(on_circle) == 6
     for v in on_circle:
-        x, y = coord(C, v)
+        x, y = xy[v]
         assert x * x + 3 * y * y == 1
-    assert coord(C, 6) == (0, 0)
+    assert xy[6] == (0, 0)
 
 
 def test_barycenters_average_parents(C):
     # level-0 barycenters are pinned to the hexagon; all coordinates
-    # share one denominator, so the averages are integer identities.
-    # The barycenter of edge e is offsets[n] + e, of triangle t
-    # offsets[n] + E + t.
-    xy = C.coords
+    # of the top level share one denominator, so the averages are
+    # integer identities.  The barycenter of edge e is offsets[n] + e,
+    # of triangle t offsets[n] + E + t.
+    xy = C.coordinates(C.top)[0]
     for n in range(1, MAXN + 1):
         V, E, T = C.counts(n)
         u, v = C.edges[n].T
@@ -422,18 +426,18 @@ def rot60(p):
 
 def test_symmetries_act_by_isometries(C):
     rng = np.random.default_rng(4)
-    nv = C.counts(MAXN)[0]
-    sample = rng.integers(0, nv, size=40)
+    xy = coord_table(C, MAXN)
+    sample = rng.integers(0, len(xy), size=40)
     for elem in dihedral_elements():
         t, k = elem
         arr = C.vertex_map(elem, MAXN)
         for vid in sample:
-            q = coord(C, vid)
+            q = xy[vid]
             if t == "s":
                 q = (q[0], -q[1])
             for _ in range(k):
                 q = rot60(q)
-            assert coord(C, arr[vid]) == q
+            assert xy[arr[vid]] == q
 
 
 def test_side_perm_matches_edge_action(C):
@@ -474,8 +478,9 @@ def test_cell_map_lands_in_its_slice(C):
     assert sorted(side.tolist()) == list(range(6))
     for n in range(MAXN):
         ts = C.embed(1, n)[1]
+        num = C.coordinates(n + 1)[0]
         for x in range(6):
-            xy = C.coords[C.tri_vertices(n + 1)[ts[x]]].sum(axis=1)
+            xy = num[C.tri_vertices(n + 1)[ts[x]]].sum(axis=1)
             angle = np.degrees(np.arctan2(np.sqrt(3) * xy[:, 1], xy[:, 0]))
             assert (np.floor(angle % 360 / 60) == side[x]).all()
 
@@ -520,9 +525,11 @@ def test_arrays_match_reference(C, R):
         for s in range(6):
             want = [v for v in range(V) if R.vertex_sides[v] >> s & 1]
             assert C.side_vertices(n, s).tolist() == want
-    assert [coord(C, v) for v in range(len(R.coords))] == R.coords
-    # the stored denominator is the level's common one, 2 * 6^(n-1)
-    assert C.denom == 2 * 6 ** MAXN
+    for n in range(MAXN + 2):
+        assert coord_table(C, n) == R.coords[:C.counts(n)[0]]
+        # the denominator is the level's common one, 2 * 6^(n-1)
+        assert C.coordinates(n)[1] == 2 * 6 ** max(n - 1, 0)
+    assert len(coord_table(C, MAXN + 1)) == len(R.coords)
     tables = [C.edges, C.tri_edges, C.edge_children, C.tri_children, C.tri_inner]
     assert not any(t[-1].flags.writeable for t in tables)
 
@@ -573,6 +580,32 @@ def test_boundary_index_matches_side_scan(C7):
             assert np.array_equal(np.sort(table[s]), np.nonzero(np.isin(side, s))[0])
 
 
+def test_cell_sides_answer_the_level_one_lookups(C7):
+    # references: the side of each level-1 triangle's boundary edge in
+    # _SIDE_EDGES, and the lookups of level-1 edge codes u*V + v
+    edges = [tuple(e) for e in C7.edges[1].tolist()]
+    on = [[_SIDE_EDGES[edges[e]] for e in t if edges[e] in _SIDE_EDGES]
+          for t in C7.tri_edges[1].tolist()]
+    assert [[s] for s in CELL_SIDES] == on
+    V = C7.offsets[1]
+    codes = pair_codes(C7.edges[1][:, 0], C7.edges[1][:, 1], V)
+    side_edges = [u * V + v for u, v in sorted(_SIDE_EDGES, key=_SIDE_EDGES.get)]
+    assert np.array_equal(
+        C7.boundary_index(1)[:, 0], lookup_sorted(codes, side_edges, "side edge")
+    )
+    spokes = cut_segments(C7, 1)[1]
+    assert spokes.dtype == np.int32
+    assert np.array_equal(spokes, lookup_sorted(codes, pair_codes([B01, B02], CENTER, V), "spoke"))
+    # the cells on sides 0-2 tile the upper half-plane, whose triangles
+    # have a positive y sum
+    for n in range(1, 8):
+        upper = np.zeros(len(C7.tri_edges[n]), dtype=bool)
+        upper[C7.embed(1, n - 1)[1][np.isin(CELL_SIDES, (0, 1, 2))]] = True
+        y = C7.coordinates(n)[0][C7.tri_vertices(n), 1].sum(axis=1)
+        assert np.array_equal(upper, y > 0)
+        assert (y != 0).all()
+
+
 def test_triangle_side_rows_ascend(C7):
     # edge ids follow the sorted vertex pairs, so ab < ac < bc
     for n in range(8):
@@ -599,14 +632,14 @@ def table_bytes(n):
     """Bytes of the tables of a complex built to level n: 4 per entry
     of the int32 index tables, per level k <= n edges (2E) and
     tri_edges (3T), per level k < n edge_children (2E), tri_children
-    and tri_inner (6T each); 16 per vertex, its two int64 coords."""
+    and tri_inner (6T each).  No coordinates are held."""
     total = 0
     for k in range(n + 1):
         v, e, t = count_oracle(k)
         total += 4 * (2 * e + 3 * t)
         if k < n:
             total += 4 * (2 * e + 12 * t)
-    return total + 16 * v
+    return total
 
 
 def test_tables_match_sizing_formula():
@@ -621,7 +654,7 @@ def test_tables_match_sizing_formula():
             if isinstance(a, np.ndarray)
         )
         assert held == table_bytes(n)
-    assert table_bytes(8) == 81_980_596
+    assert table_bytes(8) == 68_537_508
 
 
 def test_to_json_matches_reference(C, R):
@@ -644,9 +677,9 @@ def test_to_json_matches_reference(C, R):
 def json_by_lists(C, n):
     # the document with each table turned into Python lists for json
     V, E, T = C.counts(n)
-    num = C.coords[:V]
-    g = np.gcd(num, C.denom)
-    vertices = np.stack([num // g, C.denom // g], axis=2).reshape(-1, 4)
+    num, den = C.coordinates(n)
+    g = np.gcd(num, den)
+    vertices = np.stack([num // g, den // g], axis=2).reshape(-1, 4)
     below = n < C.cap
     doc = {
         "level": n,

@@ -4,7 +4,8 @@ document must be strict JSON (RFC 8259): NaN and the infinities are
 refused, both here and when the recordings are written.  The level-3
 edge list of each family, terminal headers and edges, is pinned by its
 SHA-256, and so is the level-6 cut graph's, whose severed edges
-refine segments of five coarser levels.
+refine segments of five coarser levels, and the level-6 complex's JSON
+snapshot, exact coordinates included.
 
 The files under tests/golden/ are written by running this module as a
 script, PYTHONPATH=src python tests/test_golden.py; a change that means
@@ -39,6 +40,7 @@ EXPORTS = {
         for family in FAMILIES
     },
     "cut-6": ["build", "--family", "cut", "--level", "6", "--format", "edgelist"],
+    "json-6": ["build", "--family", "hexacarpet", "--level", "6", "--format", "json"],
 }
 EXPORT_HASHES = GOLDEN / "edgelist-sha256.json"
 

@@ -173,7 +173,7 @@ def test_index_arrays_are_int32():
         for ends, column in ((S.us, C.edges[n][:, 0]), (S.vs, C.edges[n][:, 1])):
             assert ends.flags.c_contiguous and ends.ctypes.data == column.ctypes.data
     assert [a.dtype for a in index] == [np.dtype(np.int32)] * len(index)
-    assert C.coords.dtype == np.int64
+    assert C.coordinates(5)[0].dtype == np.int64
     assert pair_codes(C.edges[5][:, 0], C.edges[5][:, 1], C.offsets[5]).dtype == np.int64
 
 
@@ -618,6 +618,7 @@ def test_cut_strand_lengths_match_walk(C):
     for n in (1, 2, 3, 4):
         G = cut_graph(C, n)
         F = len(C.tri_edges[n])
+        xy = C.coordinates(n)[0]
         adj = {v: [] for v in range(G.n)}
         for u, v in zip(G.us.tolist(), G.vs.tolist()):
             adj[u].append(v)
@@ -632,7 +633,7 @@ def test_cut_strand_lengths_match_walk(C):
                         todo.append(w)
             if any(v < F for v in seen):
                 u, v = C.edges[n][a - F]
-                x = C.coords[u][0] + C.coords[v][0]
+                x = xy[u][0] + xy[v][0]
                 walks.append((-x, sum(1 for v in seen if v < F)))
         assert cut_path_lengths(C, n, G) == [l for _, l in sorted(walks)]
 
