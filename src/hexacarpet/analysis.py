@@ -197,8 +197,12 @@ def side_flows(cache: LevelCache, n):
     G = cache.graph("hexacarpet", n)
     I = unit_flow(cache, n)
     mirror = hex_pullback(cache, n, I, S3)
+    # the level-n triangles inside the level-1 cells on sides 0-2
+    cells = np.flatnonzero(np.isin(CELL_SIDES, (0, 1, 2)))
+    for k in range(1, n):
+        cells = C.tri_children[k][cells].ravel()
     upper = np.zeros(len(C.tri_edges[n]), dtype=bool)
-    upper[C.embed(1, n - 1)[1][np.isin(CELL_SIDES, (0, 1, 2))]] = True
+    upper[cells] = True
     H02 = np.where(upper[G.us], I, mirror)
     if abs(check_flow(G, H02, G.boundary["A"], edge_arc(C, n, (4, 5))) - 1) > UNIT_TOL:
         raise AssertionError("the side flow is not a unit flow")

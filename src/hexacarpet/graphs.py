@@ -276,25 +276,26 @@ class WeightedGraph:
         return np.bincount(self.us, minlength=self.n) + np.bincount(self.vs, minlength=self.n)
 
 
-def _automorphism(G: WeightedGraph, p, a, b, inA, inB):
+def _automorphism(G: WeightedGraph, p, A, B):
     """(sign, edge images) of the vertex images p: sign +1 if p is an
-    involutive automorphism of G fixing the terminal sets A and B, -1 if
-    one swapping them, else 0 with no edge images.  a and b list the
-    terminal ids, inA and inB are their masks over the vertices; the
-    edge images are the int32 positions of the images of the edges."""
+    involutive automorphism of G fixing the terminal sets A and B
+    (frozensets), -1 if one swapping them, else 0 with no edge images;
+    the edge images are the int32 positions of the images of the
+    edges."""
     if len(p) != G.n:
         return 0, None
     try:
         # a negative image wraps, but no involution holds one: p[i] = -k
         # needs p[n - k] = i, and then p[p[n - k]] = -k is not n - k
-        if (p[p] != np.arange(G.n)).any():
+        if (p[p] != np.arange(G.n, dtype=np.int32)).any():
             return 0, None
     except IndexError:
         return 0, None
     # p is a bijection now, so p(A) within A means p(A) = A
-    if inA[p[a]].all() and inB[p[b]].all():
+    pa, pb = (p[np.fromiter(S, np.int64, len(S))].tolist() for S in (A, B))
+    if A.issuperset(pa) and B.issuperset(pb):
         sign = 1
-    elif inB[p[a]].all() and inA[p[b]].all():
+    elif B.issuperset(pa) and A.issuperset(pb):
         sign = -1
     else:
         return 0, None
@@ -310,6 +311,7 @@ def _automorphism(G: WeightedGraph, p, a, b, inA, inB):
         edges = G._match_codes(codes)
     except KeyError:
         return 0, None
+    del codes
     if (G.num[edges] != G.num).any():
         return 0, None
     return sign, edges
@@ -328,24 +330,18 @@ def stabiliser(G: WeightedGraph, A, B):
     symmetry it is the identity alone.  Only the kept elements, the
     group's generators, carry their int32 edge images; the identity and
     the products carry None, so no more than the generators' images are
-    held.
+    held.  The identity comes first; its images are made last, once the
+    candidates' checks are done.
     """
-    group = {IDENTITY: (np.arange(G.n, dtype=np.int32), 1, None)}
-    if G.symmetry is None:
-        return group
-    a = np.fromiter(A, np.int64, len(A))
-    b = np.fromiter(B, np.int64, len(B))
-    inA = np.zeros(G.n, dtype=bool)
-    inA[a] = True
-    inB = np.zeros(G.n, dtype=bool)
-    inB[b] = True
-    for g in G.symmetry.candidates(A, B):
+    group = {IDENTITY: (None, 1, None)}
+    A, B = frozenset(A), frozenset(B)
+    for g in () if G.symmetry is None else G.symmetry.candidates(A, B):
         if g in group or any(
             dihedral_compose(g, h) != dihedral_compose(h, g) for h in group
         ):
             continue
         p = G.symmetry.perm(g)
-        sign, edges = _automorphism(G, p, a, b, inA, inB)
+        sign, edges = _automorphism(G, p, A, B)
         if sign:
             products = {
                 dihedral_compose(g, h): (p[q], sign * s, None)
@@ -353,6 +349,7 @@ def stabiliser(G: WeightedGraph, A, B):
             }
             group[g] = (p, sign, edges)
             group.update(products)
+    group[IDENTITY] = (np.arange(G.n, dtype=np.int32), 1, None)
     return group
 
 

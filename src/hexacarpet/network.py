@@ -34,15 +34,23 @@ antisymmetric, and the resistance, energy, flow and the residual of the
 full interior system are computed on the whole graph.
 
 Working set.  Besides the graph and the LU factors (SuperLU's own
-memory), the solve holds at most 9.2 float arrays over the edges at
-once, 9.2 * 8m bytes, on the level-6 hexacarpet (test_solve_memory_peak;
-8.4 measured, in the assembly).  The stabiliser's match builds the
-image codes in place, the group's vertex and edge images are dropped
-once the orbits are read off them, the orbit sizes are counted over
-the orbits' smallest edges, the assembly holds arrays over the orbits
-only, the reduced potential is dropped once expanded, the flow and
-energy are formed in place, and the right-hand side's norm sums only
-the edges whose ends differ in boundary value.
+memory), the solve holds at most 5.15 float arrays over the edges at
+once, 5.15 * 8m bytes, on the level-6 hexacarpet (test_solve_memory_peak;
+5.09 measured, in the stabiliser's match and in the orbits), and 2.6
+while SuperLU factors (2.52 measured).  Its arrays over the vertices are
+narrow: the interior ids are int32, the orbit signs int8, and the
+boundary values are two masks, of the boundary and of B, formed into
+values only at the ends of the orbits' smallest edges and, once psi is
+known, into phi.  The stabiliser's match builds the image codes in
+place and frees them before the conductance check, and the identity's
+images are made after the matches; the group's vertex and edge images
+are dropped once the orbits are read off them, the orbit sizes are
+counted over the orbits' smallest edges, the assembly holds arrays over
+the orbits only and drops its COO triplets once the CSC matrix is
+built, psi's buffer takes phi, the energy is summed before the residual
+and the flow formed in place, the divergence sums the int32 ends
+without an intp copy, and the right-hand side's norm sums only the
+edges whose ends differ in boundary value.
 
 This is the library's one solver.  The tests cross-check it against
 the same direct solve on the unreduced system (the graph without its
@@ -125,8 +133,15 @@ def gradient(G: WeightedGraph, f):
 
 
 def divergence(G: WeightedGraph, J):
-    """Net inflow per vertex."""
-    return np.bincount(G.vs, J, G.n) - np.bincount(G.us, J, G.n)
+    """Net inflow per vertex: the flows into each vertex summed in edge
+    order, less those out of it.  np.add.at adds the terms in the order
+    np.bincount does, and takes the int32 ends without an intp copy."""
+    div = np.zeros(G.n)
+    np.add.at(div, G.vs, J)
+    out = np.zeros(G.n)
+    np.add.at(out, G.us, J)
+    div -= out
+    return div
 
 
 def dissipation(G: WeightedGraph, J, K=None):
@@ -163,8 +178,9 @@ def check_flow(G: WeightedGraph, J, sources, sinks):
 def _active_interior(G: WeightedGraph, A, B):
     """Split vertices for the Dirichlet solve.
 
-    Returns (interior ids, boundary mask, boundary value vector over all
-    of G, flag whether some component contains both terminals).
+    Returns (int32 interior ids, boundary mask, mask of B, flag whether
+    some component contains both terminals).  The boundary value is 1 on
+    B and 0 elsewhere, so the mask of B stands for the value vector.
     Components touching only one terminal set are pinned to that value;
     components touching neither are left at zero and excluded.
     """
@@ -177,14 +193,14 @@ def _active_interior(G: WeightedGraph, A, B):
     hasB[label[b]] = True
     connected = bool(np.any(hasA & hasB))
 
-    fixed = np.zeros(G.n, dtype=bool)
+    inB = np.zeros(G.n, dtype=bool)
+    inB[b] = True
+    fixed = inB.copy()
     fixed[a] = True
-    fixed[b] = True
-    value = np.zeros(G.n)
-    value[b] = 1.0
     live = hasA[label] | hasB[label]
-    interior = np.nonzero(live & ~fixed)[0]
-    return interior, fixed, value, connected
+    live &= ~fixed
+    interior = np.flatnonzero(live).astype(np.int32)
+    return interior, fixed, inB, connected
 
 
 def _orbits(G: WeightedGraph, group, interior):
@@ -194,11 +210,12 @@ def _orbits(G: WeightedGraph, group, interior):
     group is a list of (vertex images, sign, edge images), the images
     int32, the identity (np.arange) first, with the edge images of the
     generators and None for the rest (graphs.stabiliser).  An interior
-    vertex v carries sign[v] * x[col[v]], where col numbers the k orbits
-    by their smallest vertex and sign relates v to that vertex; sign is
-    0 where a swapping element fixes v and off the interior.  reps lists
-    the smallest edge of each edge orbit, ascending, and size the
-    orbit's size: the generators commute, so each one carries the orbits
+    vertex v carries sign[v] * x[col[v]], where col (int32) numbers the
+    k orbits by their smallest vertex and sign (int8, +-1 or 0) relates
+    v to that vertex; sign is 0 where a swapping element fixes v and off
+    the interior.  reps lists the smallest edge of each edge orbit,
+    ascending, as int32, and size (int8) the orbit's size: the
+    generators commute, so each one carries the orbits
     of those before it onto orbits, and the orbit of an edge and of its
     image merge.  The size is the group's order over the number of its
     elements that fix the orbit's smallest edge r, counted from the
@@ -208,46 +225,53 @@ def _orbits(G: WeightedGraph, group, interior):
     ids = group[0][0]
     unknown = np.zeros(G.n, dtype=bool)
     unknown[interior] = True
-    rep, sign = ids.copy(), np.ones(G.n)
+    rep, sign = ids.copy(), np.ones(G.n, dtype=np.int8)
     for p, s, _ in group[1:]:
         lower = p < rep
         np.copyto(rep, p, where=lower)
         np.copyto(sign, s, where=lower)
         if s < 0:
             unknown &= p != ids
-    sign[~unknown] = 0.0
-    slot = np.cumsum(unknown & (rep == ids), dtype=np.int32) - 1
+    sign[~unknown] = 0
+    slot = np.cumsum(unknown & (rep == ids), dtype=np.int32)
+    slot -= 1
     k = int(slot[-1]) + 1 if G.n else 0
-    col = np.where(unknown, slot[rep], 0)
-    del rep, slot, unknown
+    col = slot[rep]
+    del rep, slot
+    col[~unknown] = 0
+    del unknown
 
     gens = [e for _, _, e in group if e is not None]
     orbit = np.arange(G.m, dtype=np.int32)
     for e in gens:
         np.minimum(orbit, orbit[e], out=orbit)
-    reps = np.flatnonzero(orbit == np.arange(G.m, dtype=np.int32))
+    # the edges r with orbit[r] == r, read off orbit itself as int32
+    reps = orbit[orbit == np.arange(G.m, dtype=np.int32)]
     del orbit
     # an involution g fixes r where g r == r, and the product g h of two
     # where g r == h r; size counts the fixers, then takes the order
     # over them in place
-    size = np.ones(len(reps), dtype=np.int64)
+    size = np.ones(len(reps), dtype=np.int8)
     for x, y in combinations([reps] + [e[reps] for e in gens], 2):
         size += x == y
     np.floor_divide(len(group), size, out=size)
     return k, col, sign, reps, size
 
 
-def _reduced_system(G: WeightedGraph, orbits, interior, bval):
+def _reduced_system(G: WeightedGraph, orbits, interior, fixed, inB):
     """The interior block of the Dirichlet problem projected onto the
     group's invariant subspace, in one COO pass over the edge orbits.
 
-    orbits is what _orbits gives, and bval holds the boundary values.
+    orbits is what _orbits gives, and fixed and inB mask the boundary
+    and B (_active_interior); the boundary values of psi, -1/2 on A and
+    1/2 on B, are formed at the ends of the orbits' smallest edges only.
     The edges of one orbit add equal terms to P^T L P and P^T b, so each
     orbit adds its smallest edge's terms times its size; every term is
     a small dyadic rational, so the sums are exact in any order.
     Returns (P^T L P as CSC, P^T b, col, sign), the last two over
     interior.  Besides col and sign it holds arrays over the orbits
-    only, each dropped once read.
+    only, each dropped once read, and the COO triplets until the CSC
+    matrix is built.
     """
     k, col, sign, reps, size = orbits
     if not k:
@@ -257,11 +281,12 @@ def _reduced_system(G: WeightedGraph, orbits, interior, bval):
     cu, cv = col[us], col[vs]
     su, sv = sign[us], sign[vs]
     diag = np.bincount(cu, c * (su != 0), k) + np.bincount(cv, c * (sv != 0), k)
-    rhs = np.bincount(cu, c * su * bval[vs], k) + np.bincount(cv, c * sv * bval[us], k)
+    bu, bv = (inB[w] - 0.5 * fixed[w] for w in (us, vs))
+    rhs = np.bincount(cu, c * su * bv, k) + np.bincount(cv, c * sv * bu, k)
     both = (su != 0) & (sv != 0)
     off = -(c * su * sv)[both]
     cu, cv = cu[both], cv[both]
-    del c, us, vs, su, sv, both
+    del c, us, vs, su, sv, bu, bv, both
     diagonal = np.arange(k, dtype=np.int32)
     M = sp.coo_array(
         (
@@ -271,7 +296,8 @@ def _reduced_system(G: WeightedGraph, orbits, interior, bval):
         shape=(k, k),
     )
     del off, cu, cv, diag, diagonal
-    return M.tocsc(), rhs, col[interior], sign[interior]
+    M = M.tocsc()
+    return M, rhs, col[interior], sign[interior]
 
 
 def _terminals(G: WeightedGraph, A, B):
@@ -296,25 +322,33 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
     ResistanceResult; a disconnected terminal pair raises SolverError.
     """
     A, B = _terminals(G, A, B)
-    interior, fixed, value, connected = _active_interior(G, A, B)
+    interior, fixed, inB, connected = _active_interior(G, A, B)
     if not connected:
         raise SolverError("terminals lie in different components")
 
     # psi = phi - 1/2 is +-1/2 on the boundary
-    psi, unknowns, group_order, fill = _reduced_solve(G, A, B, interior, value - 0.5 * fixed)
+    psi, unknowns, group_order, fill = _reduced_solve(G, A, B, interior, fixed, inB)
+    del fixed
     # 1 - (1/2 + |psi|) is exact, so a swapped pair of vertices gets
-    # phi and 1 - phi bit for bit
-    half = 0.5 + np.abs(psi)
-    phi = value.copy()
-    phi[interior] = np.where(psi >= 0, half, 1.0 - half)
-    del psi, half
+    # phi and 1 - phi bit for bit; phi is the boundary value, 1 on B
+    # and 0 elsewhere, off the interior.  psi's buffer takes phi
+    below = psi < 0
+    half = np.abs(psi, out=psi)
+    half += 0.5
+    np.subtract(1.0, half, out=half, where=below)
+    phi = inB.astype(float)
+    phi[interior] = half
+    del psi, half, below
 
-    # gradient(G, phi), keeping the differences for the energy; the
-    # products in place are those of gradient() and energy()
+    # gradient(G, phi) and energy(G, phi), their products taken in place
+    # in the same order
     drop = phi[G.us]
     drop -= phi[G.vs]
     grad = G.conductances()
     grad *= drop
+    drop *= grad
+    E = float(np.sum(drop))
+    del drop
     residual = 0.0
     if len(interior):
         # the full interior system L_II phi_I = -L_IB phi_B, edge by
@@ -322,15 +356,12 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
         # drops; the boundary values' gradient vanishes off the edges
         # whose ends differ in value, and its exact zeros add nothing
         rnorm = np.linalg.norm(divergence(G, grad)[interior])
-        step = np.flatnonzero(value[G.us] != value[G.vs])
+        step = np.flatnonzero(inB[G.us] != inB[G.vs])
         us, vs = G.us[step], G.vs[step]
-        J = G.num[step] / G.den * (value[us] - value[vs])
+        J = G.num[step] / G.den * np.where(inB[us], 1.0, -1.0)
         bnorm = np.linalg.norm((np.bincount(vs, J, G.n) - np.bincount(us, J, G.n))[interior])
         residual = float(rnorm / bnorm) if bnorm else 0.0
 
-    # energy(G, phi), its products taken in the same order
-    drop *= grad
-    E = float(np.sum(drop))
     R = 1.0 / E
     grad *= R
     return ResistanceResult(
@@ -339,7 +370,7 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
     )
 
 
-def _reduced_solve(G: WeightedGraph, A, B, interior, bval):
+def _reduced_solve(G: WeightedGraph, A, B, interior, fixed, inB):
     """The solve in the invariant subspace of the stabiliser of (A, B):
     (psi over interior, unknowns, group order, factor nonzeros).  The
     group's vertex and edge images are dropped once the orbits are
@@ -348,7 +379,7 @@ def _reduced_solve(G: WeightedGraph, A, B, interior, bval):
     group_order = len(group)
     orbits = _orbits(G, group, interior)
     del group
-    M, rhs, col, sign = _reduced_system(G, orbits, interior, bval)
+    M, rhs, col, sign = _reduced_system(G, orbits, interior, fixed, inB)
     del orbits
     if not len(rhs):
         return np.zeros(len(interior)), 0, group_order, 0

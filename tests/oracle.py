@@ -44,7 +44,8 @@ def oracle_resistance(G: WeightedGraph, A=None, B=None):
     if G.n > ORACLE_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_LIMIT} vertices, got {G.n}")
     A, B = _terminals(G, A, B)
-    interior, fixed, value, connected = _active_interior(G, A, B)
+    interior, fixed, inB, connected = _active_interior(G, A, B)
+    value = inB.astype(float)
     phi = value.copy()
     R, E, flow = math.inf, 0.0, np.zeros(G.m)
     if connected:

@@ -1,7 +1,11 @@
 """Solver conventions and cross-checks on small networks."""
 
 import dataclasses
+import hashlib
+import json
 import math
+import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +237,40 @@ def cache6():
     cache = LevelCache(cap=6)
     cache.C.ensure_level(6)
     return cache
+
+
+# the recorded solves: every ResistanceResult field of cache.result(f, n)
+# for these families up to these levels, the arrays by SHA-256 of their
+# bytes; written by running this module as a script,
+# PYTHONPATH=src python tests/test_network.py
+SOLVE_HASHES = pathlib.Path(__file__).parent / "golden" / "solve-sha256.json"
+SOLVE_LEVELS = {"skeleton": 6, "dual": 6, "hexacarpet": 6, "cut": 5, "short": 5}
+
+
+def solve_digests(cache):
+    """{"family-n": the digest of each field} over SOLVE_LEVELS."""
+    out = {}
+    for family, top in SOLVE_LEVELS.items():
+        for n in range(1, top + 1):
+            r = cache.result(family, n)
+            out[f"{family}-{n}"] = {
+                **{
+                    name: f"{a.dtype.str} {hashlib.sha256(a.tobytes()).hexdigest()}"
+                    for name, a in (("potential", r.potential), ("flow", r.flow))
+                },
+                **{
+                    name: repr(getattr(r, name))
+                    for name in (
+                        "resistance", "energy", "residual", "unknowns",
+                        "group_order", "factor_fill",
+                    )
+                },
+            }
+    return out
+
+
+def test_solves_match_the_recorded_hashes(cache6):
+    assert solve_digests(cache6) == json.loads(SOLVE_HASHES.read_text())
 
 
 def test_reduced_solve_matches_full_solve(cache6):
@@ -483,7 +521,8 @@ def test_stabiliser_edge_images(cache6):
 
 def all_edge_system(G, group, interior, bval):
     """network._reduced_system as it was before the orbit assembly: one
-    COO pass over every edge, so each orbit adds its terms edge by edge."""
+    COO pass over every edge, so each orbit adds its terms edge by edge.
+    The signs are float here and returned as the library's int8."""
     ids = np.arange(G.n)
     unknown = np.zeros(G.n, dtype=bool)
     unknown[interior] = True
@@ -499,7 +538,7 @@ def all_edge_system(G, group, interior, bval):
     k = int(slot[-1]) + 1 if G.n else 0
     col = np.where(unknown, slot[rep], 0).astype(np.int32)
     if not k:
-        return sp.csc_matrix((0, 0)), np.zeros(0), col[interior], sign[interior]
+        return sp.csc_matrix((0, 0)), np.zeros(0), col[interior], sign[interior].astype(np.int8)
 
     c = G.conductances()
     cu, cv = col[G.us], col[G.vs]
@@ -517,7 +556,7 @@ def all_edge_system(G, group, interior, bval):
         ),
         shape=(k, k),
     ).tocsc()
-    return M, rhs, col[interior], sign[interior]
+    return M, rhs, col[interior], sign[interior].astype(np.int8)
 
 
 def test_orbit_assembly_matches_all_edges(cache6):
@@ -538,11 +577,11 @@ def test_orbit_assembly_matches_all_edges(cache6):
     for G, A, B in cases:
         A = G.boundary["A"] if A is None else A
         B = G.boundary["B"] if B is None else B
-        interior, fixed, value, _ = _active_interior(G, A, B)
+        interior, fixed, inB, _ = _active_interior(G, A, B)
         group = list(stabiliser(G, A, B).values())
         assert len(group) > 1
-        bval = value - 0.5 * fixed
-        M, rhs, col, sign = _reduced_system(G, _orbits(G, group, interior), interior, bval)
+        bval = inB - 0.5 * fixed
+        M, rhs, col, sign = _reduced_system(G, _orbits(G, group, interior), interior, fixed, inB)
         W, want_rhs, want_col, want_sign = all_edge_system(G, group, interior, bval)
         where = (G.meta["family"], G.meta["level"], len(A))
         assert M.format == W.format and M.shape == W.shape, where
@@ -553,21 +592,56 @@ def test_orbit_assembly_matches_all_edges(cache6):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), where
 
 
-def test_solve_memory_peak(cache6):
-    # the level-6 hexacarpet solve holds at most 9.2 float arrays over
-    # the edges at once (8.40 measured): the edge images are int32 and
-    # only the generators' are kept, the match builds its codes in
-    # place, the group's images are dropped once the orbits are read,
-    # the orbit sizes are counted over the orbits only, and the reduced
-    # potential is dropped once expanded.  A fresh copy of the graph
-    # has nothing cached; its components and the complex's symmetry
-    # images are made first, so the peak is the solve's own.
-    H = cache6.graph("hexacarpet", 6)
+def solve_memory(cache6, family):
+    """(traced peak, traced bytes held on entering _solve_direct) of the
+    level-6 solve, in float arrays over the edges.  A fresh copy of the
+    graph has nothing cached; its components and the complex's symmetry
+    images are made first, so the peak is the solve's own."""
+    H = cache6.graph(family, 6)
     G = plain_copy(H, symmetry=H.symmetry)
     stabiliser(G, G.boundary["A"], G.boundary["B"])
     G.components()
-    peak = traced_peak(lambda: effective_resistance(G))[1]
-    assert peak <= 9.2 * 8 * G.m, peak / (8 * G.m)
+    held = []
+    solve = network._solve_direct
+
+    def entered(M, rhs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return solve(M, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_solve_direct", entered)
+        peak = traced_peak(lambda: effective_resistance(G))[1]
+    (before,) = held
+    return peak / (8 * G.m), before / (8 * G.m)
+
+
+def test_solve_memory_peak(cache6):
+    # the level-6 hexacarpet solve holds at most 5.15 float arrays over
+    # the edges at once (5.09 measured, in the stabiliser's match and in
+    # the orbits): the interior ids are int32 and the orbit signs int8,
+    # the boundary values are formed at the orbits' smallest edges only
+    # and phi from the mask of B, the identity's images are made after
+    # the matches, only the generators' edge images are kept, the group's
+    # images are dropped once the orbits are read, the COO triplets go
+    # before the LU, and the reduced potential's buffer takes phi
+    peak, _ = solve_memory(cache6, "hexacarpet")
+    assert peak <= 5.15, peak
+
+
+def test_solve_memory_peak_skeleton_and_dual(cache6):
+    # measured 4.22 and 4.13
+    for family, bound in (("skeleton", 4.25), ("dual", 4.2)):
+        peak, _ = solve_memory(cache6, family)
+        assert peak <= bound, (family, peak)
+
+
+def test_memory_held_while_factoring(cache6):
+    # what the hexacarpet solve holds while SuperLU factors: the matrix
+    # and right-hand side, the orbit numbers and int8 signs over the
+    # interior, the int32 interior ids and the masks of the boundary and
+    # B, 2.52 float arrays over the edges measured
+    _, held = solve_memory(cache6, "hexacarpet")
+    assert held <= 2.6, held
 
 
 def test_thompson_memory_peak(cache6):
@@ -805,3 +879,8 @@ def test_thompson_dissipation_check_stands_alone():
     tol = 3 * dissipation(G, Z) / dissipation(G, bad.flow)
     with pytest.raises(AssertionError, match="dissipation not minimal"):
         verify_thompson(G, bad, trials=50, seed=3, tol=tol)
+
+
+if __name__ == "__main__":
+    digests = solve_digests(LevelCache(cap=6))
+    SOLVE_HASHES.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
