@@ -510,6 +510,38 @@ def spectral_dimension(rho):
     return 2.0 * math.log(6.0) / math.log(6.0 * rho)
 
 
+def step_ratios(xs):
+    """The ratios x(n) / x(n - 1) of successive values."""
+    return [b / a for a, b in zip(xs, xs[1:])]
+
+
+def extrapolate(ratios):
+    """The limit of a sequence of step ratios r_n by Aitken's delta
+    squared (Brezinski and Redivo Zaglia, Extrapolation Methods, 1991).
+
+    With the differences d_n = r_n - r_{n-1}, each r_n with two
+    differences behind it gives the limit r_n - d_n^2 / (d_n - d_{n-1}),
+    which is exact for r_n = L + c q^n.  Returns a dict: the ratios as
+    given, q, the last ratio d_n / d_{n-1} of successive differences,
+    the last limit, and the gap between the last two limits as its
+    error; each is None where the sequence is too short for it or a
+    denominator vanishes.
+    """
+    r = [float(x) for x in ratios]
+    d = [b - a for a, b in zip(r, r[1:])]
+    limits = [
+        x - dn * dn / (dn - dp) if dn != dp else None
+        for x, dp, dn in zip(r[2:], d, d[1:])
+    ]
+    last = limits[-2:]
+    return {
+        "ratios": r,
+        "q": d[-1] / d[-2] if len(d) >= 2 and d[-2] else None,
+        "limit": last[-1] if last else None,
+        "error": abs(last[1] - last[0]) if len(last) == 2 and None not in last else None,
+    }
+
+
 @dataclass
 class ScalingReport:
     levels: list
@@ -523,7 +555,7 @@ class ScalingReport:
 
     def ratios(self):
         """The step ratios R(n) / R(n - 1), None at the first level."""
-        return [None] + [b / a for a, b in zip(self.R, self.R[1:])]
+        return [None] + step_ratios(self.R)
 
     def to_csv_text(self):
         rows = []
@@ -553,6 +585,10 @@ class ScalingReport:
                 self.rho_fit * self.rho_T_fit if self.rho_fit is not None else None
             ),
             "d_S": self.d_S,
+            "extrapolation": {
+                "R": extrapolate(step_ratios(self.R)),
+                "RT": extrapolate(step_ratios(self.RT)),
+            },
         }
 
 

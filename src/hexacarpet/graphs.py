@@ -20,9 +20,12 @@ corner at angle 60k degrees.
 
 Edge ends, vertex images and side tables are int32, like the
 complex's tables they are read from, and the codes u*n + v that order
-edges are int64.  Conductances are exact: int64 numerators over a
-common denominator (halves for every family, and sums of halves in
-quotients); the float view divides them on every call.  The
+edges are int64.  They stay int32 at rest: numpy gathers and counts by
+an int32 index on a slow path, so the passes that index by them (the
+stabiliser's check, the strand check, the quotient) take a transient
+intp copy and free it when done.  Conductances are exact: int64
+numerators over a common denominator (halves for every family, and sums
+of halves in quotients); the float view divides them on every call.  The
 hexacarpet, its cut graph and the dual, each of one conductance, hold
 their numerators as one read-only zero-stride value.  Triangle counts
 come from the complex.
@@ -32,8 +35,9 @@ DihedralAction on its vertices, read lazily from the complex's map
 image arrays, with a side table built once from the complex's boundary
 table: row s lists the family's vertices on hexagon side s.
 stabiliser() picks the elements that fix or swap a terminal pair and
-keeps only those it verifies as automorphisms of the actual graph; the
-solver uses them to reduce its unknowns.
+keeps only those it verifies as automorphisms of the actual graph,
+conductances included where they are not one value; the solver uses
+them to reduce its unknowns.
 
 The hexacarpet lists triangle t's incidences at 3t..3t+2, one per side
 in the order of tri_edges[n][t], and incidence_positions reads that
@@ -287,7 +291,7 @@ def _automorphism(G: WeightedGraph, p, A, B):
     try:
         # a negative image wraps, but no involution holds one: p[i] = -k
         # needs p[n - k] = i, and then p[p[n - k]] = -k is not n - k
-        if (p[p] != np.arange(G.n, dtype=np.int32)).any():
+        if (p[p.astype(np.intp)] != np.arange(G.n, dtype=np.int32)).any():
             return 0, None
     except IndexError:
         return 0, None
@@ -300,7 +304,7 @@ def _automorphism(G: WeightedGraph, p, A, B):
     else:
         return 0, None
     # the int64 codes lo*n + hi of the image edges
-    lo, hi = p[G.us], p[G.vs]
+    lo, hi = (p[ends.astype(np.intp)] for ends in (G.us, G.vs))
     codes = np.minimum(lo, hi, dtype=np.int64)
     np.maximum(lo, hi, out=hi)
     del lo
@@ -312,7 +316,8 @@ def _automorphism(G: WeightedGraph, p, A, B):
     except KeyError:
         return 0, None
     del codes
-    if (G.num[edges] != G.num).any():
+    # one conductance is carried onto itself
+    if not _one_valued(G.num) and (G.num[edges.astype(np.intp)] != G.num).any():
         return 0, None
     return sign, edges
 
@@ -344,7 +349,7 @@ def stabiliser(G: WeightedGraph, A, B):
         sign, edges = _automorphism(G, p, A, B)
         if sign:
             products = {
-                dihedral_compose(g, h): (p[q], sign * s, None)
+                dihedral_compose(g, h): (p[q.astype(np.intp)], sign * s, None)
                 for h, (q, s, _) in group.items() if h != IDENTITY
             }
             group[g] = (p, sign, edges)
@@ -567,8 +572,8 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     # of each strand must be a simple open path between its two ends
     ends = on_A | on_B
     pendant = (G.degrees() == 1) & (np.arange(G.n) >= F) & ~ends
-    core = strand[label] & ~pendant
-    inner = core[G.us] & core[G.vs]
+    core = strand[label.astype(np.intp)] & ~pendant
+    inner = core[G.us.astype(np.intp)] & core[G.vs.astype(np.intp)]
     core_deg = np.bincount(G.us[inner], minlength=G.n)
     core_deg += np.bincount(G.vs[inner], minlength=G.n)
     if ((core_deg == 1) != (core & ends)).any():
@@ -623,7 +628,7 @@ def quotient(G: WeightedGraph, find):
     G's symmetry through the classes."""
     reps, vmap = np.unique(find, return_inverse=True)
     vmap = vmap.astype(np.int32)
-    a, b = vmap[G.us], vmap[G.vs]
+    a, b = (vmap[ends.astype(np.intp)] for ends in (G.us, G.vs))
     keep = a != b
     lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
     codes, slot = np.unique(pair_codes(lo, hi, len(reps)), return_inverse=True)

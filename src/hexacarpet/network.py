@@ -36,21 +36,37 @@ full interior system are computed on the whole graph.
 Working set.  Besides the graph and the LU factors (SuperLU's own
 memory), the solve holds at most 5.15 float arrays over the edges at
 once, 5.15 * 8m bytes, on the level-6 hexacarpet (test_solve_memory_peak;
-5.09 measured, in the stabiliser's match and in the orbits), and 2.6
-while SuperLU factors (2.52 measured).  Its arrays over the vertices are
-narrow: the interior ids are int32, the orbit signs int8, and the
-boundary values are two masks, of the boundary and of B, formed into
-values only at the ends of the orbits' smallest edges and, once psi is
-known, into phi.  The stabiliser's match builds the image codes in
-place and frees them before the conductance check, and the identity's
-images are made after the matches; the group's vertex and edge images
-are dropped once the orbits are read off them, the orbit sizes are
-counted over the orbits' smallest edges, the assembly holds arrays over
-the orbits only and drops its COO triplets once the CSC matrix is
-built, psi's buffer takes phi, the energy is summed before the residual
-and the flow formed in place, the divergence sums the int32 ends
-without an intp copy, and the right-hand side's norm sums only the
-edges whose ends differ in boundary value.
+5.09 measured, in the stabiliser's match), and 2.6 while SuperLU
+factors (2.52 measured).  Its arrays over the vertices are narrow: the
+interior ids are int32, the orbit signs int8, and the boundary values
+are two masks, of the boundary and of B, formed into values only at the
+ends of the orbits' smallest edges and, once psi is known, into phi.
+The stabiliser's match builds the image codes in place and frees them
+before the conductance check, and the identity's images are made after
+the matches; the group's vertex images are dropped once the vertex
+orbits are read off them, before the edge orbits, and the generators'
+edge images once the edge orbits are; the orbit sizes are counted over
+the orbits' smallest edges, the assembly holds arrays over the orbits
+only and drops its COO triplets once the CSC matrix is built, psi's
+buffer takes phi, the energy is summed before the residual and the flow
+formed in place, the divergence sums the int32 ends without an intp
+copy, and the right-hand side's norm sums only the edges whose ends
+differ in boundary value.
+
+Indices.  Every index array the solve keeps is int32, as the graph's
+are, but numpy 2.4 gathers and scatters by an int32 index on a slow
+path (a gather of 140k floats takes 364 us by int32 and 122 us by
+intp).  So each pass over the edges or vertices indexes by an intp copy
+that the function making it frees, one end at a time, and the int32
+orbit numbers sum with np.add.at, which needs no copy.  No intp copy of
+the ends is kept through the solve: it would hold 2 * 8m more bytes
+through the stabiliser.  The vertex orbits gather by the int32 orbit
+representatives, as an intp copy there, beside the group's images,
+would set the peak.  Measured on the level-6 hexacarpet (2-core VM,
+one BLAS thread, process time, in ms, int32 gathers in brackets): the
+solve takes 31 (38), SuperLU 15 (15), the stabiliser 5.2 (7.5), the
+components 2.9 (2.9), the orbits 2.2 (2.7), the assembly 2.6 (3.7), and
+the interior, expansion, energy and residual 4.0 (6.3).
 
 This is the library's one solver.  The tests cross-check it against
 the same direct solve on the unreduced system (the graph without its
@@ -197,34 +213,25 @@ def _active_interior(G: WeightedGraph, A, B):
     inB[b] = True
     fixed = inB.copy()
     fixed[a] = True
-    live = hasA[label] | hasB[label]
+    live = (hasA | hasB)[label.astype(np.intp)]
     live &= ~fixed
     interior = np.flatnonzero(live).astype(np.int32)
     return interior, fixed, inB, connected
 
 
-def _orbits(G: WeightedGraph, group, interior):
-    """The orbits of the vertices and edges under the group, as
-    _reduced_system takes them: (k, col, sign, reps, size).
+def _vertex_orbits(G: WeightedGraph, group, interior):
+    """The orbits of the vertices under the group: (k, col, sign).
 
     group is a list of (vertex images, sign, edge images), the images
-    int32, the identity (np.arange) first, with the edge images of the
-    generators and None for the rest (graphs.stabiliser).  An interior
-    vertex v carries sign[v] * x[col[v]], where col (int32) numbers the
-    k orbits by their smallest vertex and sign (int8, +-1 or 0) relates
-    v to that vertex; sign is 0 where a swapping element fixes v and off
-    the interior.  reps lists the smallest edge of each edge orbit,
-    ascending, as int32, and size (int8) the orbit's size: the
-    generators commute, so each one carries the orbits
-    of those before it onto orbits, and the orbit of an edge and of its
-    image merge.  The size is the group's order over the number of its
-    elements that fix the orbit's smallest edge r, counted from the
-    generators' images of the reps alone: the group is the identity,
-    at most two commuting involutions and their product.
+    int32 and the identity (np.arange) first (graphs.stabiliser).  An
+    interior vertex v carries sign[v] * x[col[v]], where col (int32)
+    numbers the k orbits by their smallest vertex and sign (int8, +-1 or
+    0) relates v to that vertex; sign is 0 where a swapping element
+    fixes v and off the interior.
     """
     ids = group[0][0]
     unknown = np.zeros(G.n, dtype=bool)
-    unknown[interior] = True
+    unknown[interior.astype(np.intp)] = True
     rep, sign = ids.copy(), np.ones(G.n, dtype=np.int8)
     for p, s, _ in group[1:]:
         lower = p < rep
@@ -236,15 +243,30 @@ def _orbits(G: WeightedGraph, group, interior):
     slot = np.cumsum(unknown & (rep == ids), dtype=np.int32)
     slot -= 1
     k = int(slot[-1]) + 1 if G.n else 0
+    # gathered by the int32 rep: an intp copy beside the group's images
+    # would set the solve's peak
     col = slot[rep]
     del rep, slot
     col[~unknown] = 0
-    del unknown
+    return k, col, sign
 
-    gens = [e for _, _, e in group if e is not None]
+
+def _edge_orbits(G: WeightedGraph, gens, order):
+    """The orbits of the edges under the group of the given order whose
+    generators have the int32 edge images gens: (reps, size).
+
+    reps lists the smallest edge of each edge orbit, ascending, as
+    int32, and size (int8) the orbit's size: the generators commute, so
+    each one carries the orbits of those before it onto orbits, and the
+    orbit of an edge and of its image merge.  The size is the group's
+    order over the number of its elements that fix the orbit's smallest
+    edge r, counted from the generators' images of the reps alone: the
+    group is the identity, at most two commuting involutions and their
+    product.
+    """
     orbit = np.arange(G.m, dtype=np.int32)
     for e in gens:
-        np.minimum(orbit, orbit[e], out=orbit)
+        np.minimum(orbit, orbit[e.astype(np.intp)], out=orbit)
     # the edges r with orbit[r] == r, read off orbit itself as int32
     reps = orbit[orbit == np.arange(G.m, dtype=np.int32)]
     del orbit
@@ -252,17 +274,19 @@ def _orbits(G: WeightedGraph, group, interior):
     # where g r == h r; size counts the fixers, then takes the order
     # over them in place
     size = np.ones(len(reps), dtype=np.int8)
-    for x, y in combinations([reps] + [e[reps] for e in gens], 2):
+    r = reps.astype(np.intp)
+    for x, y in combinations([reps] + [e[r] for e in gens], 2):
         size += x == y
-    np.floor_divide(len(group), size, out=size)
-    return k, col, sign, reps, size
+    np.floor_divide(order, size, out=size)
+    return reps, size
 
 
 def _reduced_system(G: WeightedGraph, orbits, interior, fixed, inB):
     """The interior block of the Dirichlet problem projected onto the
     group's invariant subspace, in one COO pass over the edge orbits.
 
-    orbits is what _orbits gives, and fixed and inB mask the boundary
+    orbits is (k, col, sign, reps, size), what _vertex_orbits and
+    _edge_orbits give, and fixed and inB mask the boundary
     and B (_active_interior); the boundary values of psi, -1/2 on A and
     1/2 on B, are formed at the ends of the orbits' smallest edges only.
     The edges of one orbit add equal terms to P^T L P and P^T b, so each
@@ -276,13 +300,20 @@ def _reduced_system(G: WeightedGraph, orbits, interior, fixed, inB):
     k, col, sign, reps, size = orbits
     if not k:
         return sp.csc_matrix((0, 0)), np.zeros(0), col[interior], sign[interior]
-    c = G.num[reps] / G.den * size
-    us, vs = G.us[reps], G.vs[reps]
+    r = reps.astype(np.intp)
+    c = G.num[r] / G.den * size
+    us, vs = (ends[r].astype(np.intp) for ends in (G.us, G.vs))
+    del r
     cu, cv = col[us], col[vs]
     su, sv = sign[us], sign[vs]
-    diag = np.bincount(cu, c * (su != 0), k) + np.bincount(cv, c * (sv != 0), k)
+    # the int32 orbit numbers sum with np.add.at, which needs no intp
+    # copy
+    diag, rhs = np.zeros(k), np.zeros(k)
+    np.add.at(diag, cu, c * (su != 0))
+    np.add.at(diag, cv, c * (sv != 0))
     bu, bv = (inB[w] - 0.5 * fixed[w] for w in (us, vs))
-    rhs = np.bincount(cu, c * su * bv, k) + np.bincount(cv, c * sv * bu, k)
+    np.add.at(rhs, cu, c * su * bv)
+    np.add.at(rhs, cv, c * sv * bu)
     both = (su != 0) & (sv != 0)
     off = -(c * su * sv)[both]
     cu, cv = cu[both], cv[both]
@@ -297,7 +328,8 @@ def _reduced_system(G: WeightedGraph, orbits, interior, fixed, inB):
     )
     del off, cu, cv, diag, diagonal
     M = M.tocsc()
-    return M, rhs, col[interior], sign[interior]
+    i = interior.astype(np.intp)
+    return M, rhs, col[i], sign[i]
 
 
 def _terminals(G: WeightedGraph, A, B):
@@ -337,13 +369,13 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
     half += 0.5
     np.subtract(1.0, half, out=half, where=below)
     phi = inB.astype(float)
-    phi[interior] = half
+    phi[interior.astype(np.intp)] = half
     del psi, half, below
 
     # gradient(G, phi) and energy(G, phi), their products taken in place
     # in the same order
-    drop = phi[G.us]
-    drop -= phi[G.vs]
+    drop = phi[G.us.astype(np.intp)]
+    drop -= phi[G.vs.astype(np.intp)]
     grad = G.conductances()
     grad *= drop
     drop *= grad
@@ -355,11 +387,13 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
         # edge: L f = -divergence(gradient(f)), whose sign the norm
         # drops; the boundary values' gradient vanishes off the edges
         # whose ends differ in value, and its exact zeros add nothing
-        rnorm = np.linalg.norm(divergence(G, grad)[interior])
-        step = np.flatnonzero(inB[G.us] != inB[G.vs])
+        rnorm = np.linalg.norm(divergence(G, grad)[interior.astype(np.intp)])
+        step = np.flatnonzero(inB[G.us.astype(np.intp)] != inB[G.vs.astype(np.intp)])
         us, vs = G.us[step], G.vs[step]
         J = G.num[step] / G.den * np.where(inB[us], 1.0, -1.0)
-        bnorm = np.linalg.norm((np.bincount(vs, J, G.n) - np.bincount(us, J, G.n))[interior])
+        bnorm = np.linalg.norm(
+            (np.bincount(vs, J, G.n) - np.bincount(us, J, G.n))[interior.astype(np.intp)]
+        )
         residual = float(rnorm / bnorm) if bnorm else 0.0
 
     R = 1.0 / E
@@ -373,18 +407,23 @@ def effective_resistance(G: WeightedGraph, A=None, B=None):
 def _reduced_solve(G: WeightedGraph, A, B, interior, fixed, inB):
     """The solve in the invariant subspace of the stabiliser of (A, B):
     (psi over interior, unknowns, group order, factor nonzeros).  The
-    group's vertex and edge images are dropped once the orbits are
-    read off them, before the assembly and the factorisation."""
+    group's vertex images are dropped once the vertex orbits are read
+    off them, before the edge orbits, and the generators' edge images
+    once the edge orbits are, before the assembly and the
+    factorisation."""
     group = list(stabiliser(G, A, B).values())
     group_order = len(group)
-    orbits = _orbits(G, group, interior)
+    gens = [e for _, _, e in group if e is not None]
+    vertex = _vertex_orbits(G, group, interior)
     del group
+    orbits = vertex + _edge_orbits(G, gens, group_order)
+    del vertex, gens
     M, rhs, col, sign = _reduced_system(G, orbits, interior, fixed, inB)
     del orbits
     if not len(rhs):
         return np.zeros(len(interior)), 0, group_order, 0
     x, fill = _solve_direct(M, rhs)
-    return sign * x[col], len(rhs), group_order, fill
+    return sign * x[col.astype(np.intp)], len(rhs), group_order, fill
 
 
 def _solve_direct(M, rhs):

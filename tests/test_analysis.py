@@ -14,6 +14,7 @@ from hexacarpet.analysis import (
     compose_flow,
     cut_report,
     estimate_rho,
+    extrapolate,
     hex_pullback,
     potential_decomposition,
     rho_fit_upto,
@@ -406,6 +407,40 @@ def test_rho_fit_excludes_level_one():
     fit = rho_fit_upto(levels, R, 4)
     # pure geometric growth from level 2 on; level 1 must not distort it
     assert abs(fit - 1.3) < 1e-9
+
+
+def test_extrapolate_is_exact_on_a_geometric_correction():
+    # Aitken's delta squared is exact for r_n = L + c q^n: every limit
+    # is L and the last two agree
+    L, c, q = 1.3064216, -0.1, 0.27
+    ratios = [L + c * q ** n for n in range(2, 10)]
+    got = extrapolate(ratios)
+    assert got["ratios"] == ratios
+    assert abs(got["limit"] - L) <= 1e-15
+    assert got["error"] <= 1e-15
+    assert abs(got["q"] - q) <= 1e-8
+    # too short for a limit, or for its error
+    assert extrapolate(ratios[:2]) == {"ratios": ratios[:2], "q": None, "limit": None, "error": None}
+    three = extrapolate(ratios[:3])
+    assert abs(three["limit"] - L) <= 1e-15 and three["error"] is None
+    # constant ratios have no second difference: no q and no limit
+    assert extrapolate([1.5] * 4) == {"ratios": [1.5] * 4, "q": None, "limit": None, "error": None}
+
+
+def test_extrapolated_exponents_at_level_six(cache):
+    # measured: rho = 1.3064217395, q = 0.26954, |rho rho^T - 1| = 6.6e-8
+    # and a gap of 1.1e-6 between the level-5 and level-6 limits (the
+    # level-7 limit is 1.3064216190)
+    doc = estimate_rho(cache, 6).to_json_dict()["extrapolation"]
+    for key in ("R", "RT"):
+        xs = [getattr(cache, key)(n) for n in range(1, 7)]
+        assert doc[key]["ratios"] == [b / a for a, b in zip(xs, xs[1:])]
+    R, RT = doc["R"], doc["RT"]
+    assert abs(R["limit"] - 1.3064217395) < 1e-10
+    assert abs(R["q"] - 0.26954) < 1e-5
+    assert abs(R["limit"] * RT["limit"] - 1) < 1e-7
+    assert 1e-6 < R["error"] < 1.2e-6
+    assert abs(R["limit"] - 1.3064216190) < R["error"]
 
 
 def test_estimate_rho(cache):

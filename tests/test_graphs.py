@@ -175,6 +175,21 @@ def test_index_arrays_are_int32():
     assert [a.dtype for a in index] == [np.dtype(np.int32)] * len(index)
     assert C.coordinates(5)[0].dtype == np.int64
     assert pair_codes(C.edges[5][:, 0], C.edges[5][:, 1], C.offsets[5]).dtype == np.int64
+    # the solves, the strand check and the short quotient index by
+    # transient intp casts, so what the complex and the graphs hold
+    # afterwards, their cached components included, is still int32
+    for family in analysis.BUILDERS:
+        cache.result(family, 5)
+    cache.strands(5)
+    held = [a for t in (C.edges, C.tri_edges, C.edge_children, C.tri_children, C.tri_inner)
+            for a in t]
+    held += [a for images in C._images.values() for a in images]
+    for G in cache._graphs.values():
+        held += [a for name, a in vars(G).items() if isinstance(a, np.ndarray) and name != "num"]
+        held += [G.symmetry.sides, G.components()[1]]
+        assert G.num.dtype == np.int64
+    assert len(held) > len(cache._graphs) * 4
+    assert {a.dtype for a in held} == {np.dtype(np.int32)}
 
 
 # the bitmask of side s at index s, and 0 at index -1 (no side)

@@ -32,7 +32,7 @@ from hexacarpet.network import (
     tree_currents,
     verify_thompson,
 )
-from hexacarpet.network import _active_interior, _orbits, _reduced_system
+from hexacarpet.network import _active_interior, _edge_orbits, _reduced_system, _vertex_orbits
 from oracle import laplacian, oracle_resistance, traced_peak
 
 F1 = Fraction(1)
@@ -239,12 +239,19 @@ def cache6():
     return cache
 
 
+@pytest.fixture(scope="module")
+def cache7():
+    return LevelCache(cap=7)
+
+
 # the recorded solves: every ResistanceResult field of cache.result(f, n)
 # for these families up to these levels, the arrays by SHA-256 of their
 # bytes; written by running this module as a script,
 # PYTHONPATH=src python tests/test_network.py
 SOLVE_HASHES = pathlib.Path(__file__).parent / "golden" / "solve-sha256.json"
-SOLVE_LEVELS = {"skeleton": 6, "dual": 6, "hexacarpet": 6, "cut": 5, "short": 5}
+# the level-7 skeleton and hexacarpet are deep7's solve and the next
+# level of rho; they need a cap-7 cache
+SOLVE_LEVELS = {"skeleton": 7, "dual": 6, "hexacarpet": 7, "cut": 5, "short": 5}
 
 
 def solve_digests(cache):
@@ -269,8 +276,8 @@ def solve_digests(cache):
     return out
 
 
-def test_solves_match_the_recorded_hashes(cache6):
-    assert solve_digests(cache6) == json.loads(SOLVE_HASHES.read_text())
+def test_solves_match_the_recorded_hashes(cache7):
+    assert solve_digests(cache7) == json.loads(SOLVE_HASHES.read_text())
 
 
 def test_reduced_solve_matches_full_solve(cache6):
@@ -343,23 +350,22 @@ def test_stabiliser_group_orders(cache6):
             assert {g: s for g, (_, s, _) in group.items()} == want
 
 
-def test_pair_codes_are_int64_at_level_seven():
+def test_pair_codes_are_int64_at_level_seven(cache7):
     # the codes u*n + v of the int32 edge ends pass 2^31 at level 7 (the
     # skeleton's last edge has u * n = 1.97e10), so a code formed in
     # int32 would wrap: the stabilisers would lose their elements, the
     # last edges would not be found, and a re-sort would misorder
-    cache = LevelCache(cap=7)
     for family, want in STABILISERS.items():
-        G = cache.graph(family, 7)
+        G = cache7.graph(family, 7)
         group = stabiliser(G, G.boundary["A"], G.boundary["B"])
         assert group.pop(("r", 0))[1] == 1
         assert {g: s for g, (_, s, _) in group.items()} == want, family
-    S = cache.graph("skeleton", 7)
+    S = cache7.graph("skeleton", 7)
     assert int(S.us[-1]) * S.n >= 2 ** 31
     last = np.arange(S.m - 8, S.m)
     assert S.positions(S.us[last], S.vs[last]).tolist() == last.tolist()
     # the dual's ends reversed and swapped: every pair runs high to low
-    D = cache.graph("dual", 7)
+    D = cache7.graph("dual", 7)
     R = WeightedGraph(D.n, D.vs[::-1], D.us[::-1], D.num, den=D.den)
     for got, want in ((R.us, D.us), (R.vs, D.vs)):
         assert got.dtype == np.int32 and np.array_equal(got, want)
@@ -581,7 +587,9 @@ def test_orbit_assembly_matches_all_edges(cache6):
         group = list(stabiliser(G, A, B).values())
         assert len(group) > 1
         bval = inB - 0.5 * fixed
-        M, rhs, col, sign = _reduced_system(G, _orbits(G, group, interior), interior, fixed, inB)
+        gens = [e for _, _, e in group if e is not None]
+        orbits = _vertex_orbits(G, group, interior) + _edge_orbits(G, gens, len(group))
+        M, rhs, col, sign = _reduced_system(G, orbits, interior, fixed, inB)
         W, want_rhs, want_col, want_sign = all_edge_system(G, group, interior, bval)
         where = (G.meta["family"], G.meta["level"], len(A))
         assert M.format == W.format and M.shape == W.shape, where
@@ -617,13 +625,14 @@ def solve_memory(cache6, family):
 
 def test_solve_memory_peak(cache6):
     # the level-6 hexacarpet solve holds at most 5.15 float arrays over
-    # the edges at once (5.09 measured, in the stabiliser's match and in
-    # the orbits): the interior ids are int32 and the orbit signs int8,
-    # the boundary values are formed at the orbits' smallest edges only
-    # and phi from the mask of B, the identity's images are made after
-    # the matches, only the generators' edge images are kept, the group's
-    # images are dropped once the orbits are read, the COO triplets go
-    # before the LU, and the reduced potential's buffer takes phi
+    # the edges at once (5.09 measured, in the stabiliser's match): the
+    # interior ids are int32 and the orbit signs int8, the boundary
+    # values are formed at the orbits' smallest edges only and phi from
+    # the mask of B, the identity's images are made after the matches,
+    # only the generators' edge images are kept, the group's vertex
+    # images are dropped before the edge orbits, which gather by an intp
+    # copy, the COO triplets go before the LU, and the reduced
+    # potential's buffer takes phi
     peak, _ = solve_memory(cache6, "hexacarpet")
     assert peak <= 5.15, peak
 
@@ -882,5 +891,5 @@ def test_thompson_dissipation_check_stands_alone():
 
 
 if __name__ == "__main__":
-    digests = solve_digests(LevelCache(cap=6))
+    digests = solve_digests(LevelCache(cap=7))
     SOLVE_HASHES.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
