@@ -46,6 +46,7 @@ from .graphs import (
     cut_resistance_formula,
     edge_arc,
     incidence_positions,
+    strand_lengths,
 )
 from .network import (
     _checked_flow,
@@ -126,9 +127,13 @@ class LevelCache:
         return self.result("skeleton", n).resistance
 
     def strands(self, n):
-        """The checked strand lengths of the level-n cut graph."""
+        """The checked strand lengths of the level-n cut graph, which
+        must be Stern's strand_lengths(n)."""
         if n not in self._strands:
-            self._strands[n] = cut_path_lengths(self.C, n, self.graph("cut", n))
+            lengths = cut_path_lengths(self.C, n, self.graph("cut", n))
+            if lengths != strand_lengths(n).tolist():
+                raise FamilyError(f"the level-{n} cut strands are not Stern's sequence")
+            self._strands[n] = lengths
         return self._strands[n]
 
     def R_hat(self, n):

@@ -545,11 +545,9 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     side-{0,1} arc and one on the side-{4,5} arc, every arc vertex is
     used exactly once, and the strands exhaust all 6^n triangles.
 
-    Measured, not yet derived: strand i has 2^n s(2i + 1) triangles,
-    with s Stern's diatomic sequence (Calkin and Wilf, "Recounting the
-    rationals", Amer. Math. Monthly 2000), so the s(2i + 1) sum to 3^n.
-    The tests check this at levels up to 6; deriving it from
-    cut_segments' r4/s0 rule is still open.
+    Measured, not yet derived: the counts are strand_lengths(n), which
+    LevelCache.strands checks at every level it builds; deriving them
+    from cut_segments' r4/s0 rule is still open.
     """
     F = len(C.tri_edges[n])
     ncomp, label = G.components()
@@ -593,6 +591,22 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     return out
 
 
+def strand_lengths(n):
+    """The level-n cut strands' triangle counts, 2^n s(2i + 1) for
+    i < 2^n as an int64 array, with s Stern's diatomic sequence (Calkin
+    and Wilf, "Recounting the rationals", Amer. Math. Monthly 2000):
+    s(0) = 0, s(1) = 1, s(2k) = s(k) and s(2k + 1) = s(k) + s(k + 1).
+    The s(2i + 1) sum to 3^n, so the counts sum to 6^n.  Index-only: no
+    complex is built."""
+    s = np.array([0, 1], dtype=np.int64)  # s(0..2^k), from k = 0
+    for _ in range(n + 1):
+        t = np.empty(2 * len(s) - 1, dtype=np.int64)
+        t[0::2] = s
+        np.add(s[:-1], s[1:], out=t[1::2])
+        s = t
+    return 2 ** n * s[1::2]
+
+
 def cut_resistance_formula(lengths):
     """Exact strand-parallel resistance of strands with the given
     triangle counts: each strand of l triangles is 2l hops of resistance
@@ -634,9 +648,8 @@ def quotient(G: WeightedGraph, find):
     codes, slot = np.unique(pair_codes(lo, hi, len(reps)), return_inverse=True)
     num = np.zeros(len(codes), dtype=np.int64)
     np.add.at(num, slot, G.num[0] if _one_valued(G.num) else G.num[keep])
-    new_id = vmap.tolist()
     boundary = {
-        name: frozenset(new_id[v] for v in vset)
+        name: frozenset(vmap[np.fromiter(vset, np.intp, len(vset))].tolist())
         for name, vset in G.boundary.items()
     }
     if boundary.get("A", frozenset()) & boundary.get("B", frozenset()):

@@ -44,10 +44,14 @@ side's vertices are its edges' ends.
 Text output, this module's to_json and the graph exports alike, goes
 through one writer, format_rows: literal strings and IntRows tables of
 int columns (signed), each row with fixed separators and a tail picked
-from a few texts.  It writes a block of _TEXT_BLOCK rows at a time,
-digits from integer arithmetic, decodes each block to a string as it
-fills and joins the strings once, so an export holds about two copies
-of its text at its peak: the block strings and the joined string.
+from a few texts.  A table's byte layout is fixed once, from its whole
+columns' extremes, and laid into one template block that holds the
+separators, and the tail when there is one; each block of _TEXT_BLOCK
+rows starts from a fresh copy of it and writes only its digits (from
+integer arithmetic), its signs and, with several tails, each row's
+tail.  Each block is decoded to a string as it fills and the strings
+are joined once, so an export holds about two copies of its text at
+its peak: the block strings and the joined string.
 """
 
 from __future__ import annotations
@@ -537,64 +541,88 @@ def _ascii(text):
 
 
 def _row_blocks(rows):
-    """The rows' text, a string per block of _TEXT_BLOCK rows.  Each
-    block is laid out as a byte table, a row per row, and one boolean
-    compaction drops the padding: the digits of a column are
-    right-aligned behind its sign."""
+    """The rows' text, a string per block of _TEXT_BLOCK rows.
+
+    The layout is fixed once per table, from each whole column's
+    extremes: a column takes a sign slot if any value is negative and as
+    many digit slots as its widest value.  One template block holds the
+    bytes every row shares, between and the separators, with the tail
+    too when there is one, and the keep mask of those bytes; every block
+    starts from a fresh copy of it and writes only its own digits, the
+    keep bits of its signs and leading digits, and with several tails
+    the tail each row's key picks.  A boolean compaction drops the
+    padding, so the digits of a column are right-aligned behind its
+    sign.
+    """
     m = len(rows.cols[0])
+    if m == 0:
+        return
     keys = sorted(rows.tails)
-    key = rows.key if rows.key is not None else np.broadcast_to(keys[:1], (m,))
     between, seps = _ascii(rows.between), [_ascii(s) for s in rows.seps]
     texts = [_ascii(rows.tails[k]) for k in keys]
-    tails = np.zeros((len(texts), max(map(len, texts), default=0)), dtype=np.uint8)
+    tails = np.zeros((len(texts), max(map(len, texts))), dtype=np.uint8)
     used = np.zeros(tails.shape, dtype=bool)
     for i, t in enumerate(texts):
         tails[i, : len(t)] = t
         used[i, : len(t)] = True
+    signs = [int(x.min() < 0) for x in rows.cols]
+    widths = [len(str(max(int(x.max()), -int(x.min())))) for x in rows.cols]
+    width = (len(between) + sum(len(s) for s in seps) + sum(signs)
+             + sum(widths) + tails.shape[1])
+
+    # the template: the shared bytes and every units digit kept
+    rows_max = min(_TEXT_BLOCK, m)
+    template = np.zeros((rows_max, width), dtype=np.uint8)
+    kept = np.zeros((rows_max, width), dtype=bool)
+    c = 0
+
+    def put(text):
+        nonlocal c
+        template[:, c : c + len(text)] = text
+        kept[:, c : c + len(text)] = True
+        c += len(text)
+
+    put(between)
+    starts = []  # the first digit slot of each column
+    for sep, sign, w in zip(seps, signs, widths):
+        put(sep)
+        if sign:
+            template[:, c] = ord("-")
+            c += 1
+        starts.append(c)
+        kept[:, c + w - 1] = True
+        c += w
+    if len(texts) == 1:
+        template[:, c:] = tails[0]
+        kept[:, c:] = used[0]
+
     for a in range(0, m, _TEXT_BLOCK):
         b = min(a + _TEXT_BLOCK, m)
-        slot = np.searchsorted(keys, key[a:b])
-        xs = [col[a:b] for col in rows.cols]
-        signs = [int(x.min() < 0) for x in xs]
-        widths = [len(str(max(int(x.max()), -int(x.min())))) for x in xs]
-        width = (len(between) + sum(len(s) for s in seps) + sum(signs)
-                 + sum(widths) + tails.shape[1])
-        table = np.empty((b - a, width), dtype=np.uint8)
-        keep = np.empty((b - a, width), dtype=bool)
-        c = 0
-
-        def put(text):
-            nonlocal c
-            table[:, c : c + len(text)] = text
-            keep[:, c : c + len(text)] = True
-            c += len(text)
-
-        put(between)
+        table = template[: b - a].copy()
+        keep = kept[: b - a].copy()
         if a == 0:
             keep[0, : len(between)] = False
-        for x, sep, sign, w in zip(xs, seps, signs, widths):
-            put(sep)
+        for x, sign, s, w in zip(rows.cols, signs, starts, widths):
+            x = x[a:b]
             if sign:
-                table[:, c] = ord("-")
-                np.less(x, 0, out=keep[:, c])
-                c += 1
+                np.less(x, 0, out=keep[:, s - 1])
             # int32 halves the cost of the digit arithmetic where it
             # suffices; a floor division and a multiply-add beat divmod
             v = np.empty(b - a, dtype=np.int32 if w < 10 else np.int64)
             np.abs(x, out=v, casting="unsafe")
             q, d = np.empty_like(v), np.empty_like(v)
-            keep[:, c + w - 1] = True
-            for j in range(c + w - 1, c - 1, -1):
+            for j in range(s + w - 1, s - 1, -1):
                 np.floor_divide(v, 10, out=q)
                 np.multiply(q, -10, out=d)
                 np.add(d, v, out=d)
                 np.add(d, ord("0"), out=table[:, j], casting="unsafe")
-                if j > c:
+                if j > s:
                     np.greater(q, 0, out=keep[:, j - 1])
                 v, q = q, v
-            c += w
-        table[:, c:] = np.take(tails, slot, axis=0)
-        keep[:, c:] = np.take(used, slot, axis=0)
+        if len(texts) > 1:
+            slot = np.searchsorted(keys, rows.key[a:b])
+            table[:, c:] = np.take(tails, slot, axis=0)
+            keep[:, c:] = np.take(used, slot, axis=0)
         yield str(table[keep].data, "ascii")
 
 
@@ -606,8 +634,8 @@ def format_rows(parts):
     each block is decoded to a string as soon as it is filled; the
     strings are joined once, so the block strings and the returned
     string are the only full-size copies of the text.  The digits come
-    from integer arithmetic on the columns, and each tail is encoded
-    once.
+    from integer arithmetic on the columns; the separators, and a lone
+    tail, are laid out once per table (see _row_blocks).
     """
     texts = []
     for part in parts:

@@ -18,7 +18,7 @@ from hexacarpet import (
     SubdivisionComplex,
 )
 from hexacarpet import subdivision
-from hexacarpet.graphs import ONE, build_dual, cut_segments
+from hexacarpet.graphs import ONE, build_dual, build_hexacarpet, cut_segments, to_edgelist
 from hexacarpet.subdivision import (
     B01,
     B02,
@@ -41,6 +41,8 @@ from hexacarpet.subdivision import (
     pair_codes,
     side_perm,
 )
+
+from oracle import traced_peak
 
 MAXN = 4
 
@@ -710,6 +712,46 @@ def test_to_json_is_exact_across_text_blocks(monkeypatch, block):
     rows = IntRows(tuple(table.T), ("[", ",", ","), {0: "]"}, between=",")
     text = format_rows(["[", rows, "]"])
     assert text == json.dumps(table.tolist(), separators=(",", ":"))
+
+
+def rows_by_fstrings(rows):
+    """The text of an IntRows table, a row at a time."""
+    out = []
+    for i in range(len(rows.cols[0])):
+        row = "".join(f"{sep}{int(x[i])}" for sep, x in zip(rows.seps, rows.cols))
+        key = next(iter(rows.tails)) if rows.key is None else int(rows.key[i])
+        out.append(row + rows.tails[key])
+    return rows.between.join(out)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, subdivision._TEXT_BLOCK])
+def test_format_rows_matches_a_per_row_reference(monkeypatch, block):
+    monkeypatch.setattr(subdivision, "_TEXT_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for m in sorted({0, 1, block - 1, block, block + 1}):
+        # the first column's digits grow a place each block, the second
+        # is negative only in its last row, the third mixes signs
+        grows = 10 ** np.minimum(np.arange(m) // block, 17) * rng.integers(1, 10, m)
+        last = rng.integers(0, 1000, m)
+        last[-1:] = -7
+        mixed = rng.integers(np.iinfo(np.int32).min, np.iinfo(np.int32).max, m, dtype=np.int32)
+        mixed[:2] = [0, -1][:m]
+        cols = (grows, last, mixed)
+        seps = ("<", " ", "--")
+        # three tails keyed per row, changing inside a block
+        key = rng.choice([3, 5, 11], m)
+        for tails, k in (({2: " 2/1\n"}, None), ({2: ""}, np.full(m, 2)),
+                         ({3: ";", 5: "", 11: " [x]\n"}, key)):
+            for between in ("", ",\n"):
+                rows = IntRows(cols, seps, tails, k, between)
+                text = format_rows(["{", rows, "}"])
+                assert text == "{" + rows_by_fstrings(rows) + "}"
+
+
+def test_edgelist_export_holds_two_copies_of_its_text(C7):
+    G = build_hexacarpet(C7, 7)
+    text, peak = traced_peak(lambda: to_edgelist(G))
+    assert peak <= 2.02 * len(text)
 
 
 def test_lookup_sorted_finds_or_raises():

@@ -5,7 +5,9 @@ refused, both here and when the recordings are written.  The level-3
 edge list of each family, terminal headers and edges, is pinned by its
 SHA-256, and so is the level-6 cut graph's, whose severed edges
 refine segments of five coarser levels, and the level-6 complex's JSON
-snapshot, exact coordinates included.
+snapshot, exact coordinates included.  The level-7 hexacarpet edge
+list is the benchmark's deep7 export, and the level-6 hexacarpet and
+skeleton dot files hold one conductance label and two (1/2 and 1/1).
 
 The files under tests/golden/ are written by running this module as a
 script, PYTHONPATH=src python tests/test_golden.py; a change that means
@@ -41,6 +43,9 @@ EXPORTS = {
     },
     "cut-6": ["build", "--family", "cut", "--level", "6", "--format", "edgelist"],
     "json-6": ["build", "--family", "hexacarpet", "--level", "6", "--format", "json"],
+    "hexacarpet-7": ["build", "--family", "hexacarpet", "--level", "7", "--format", "edgelist"],
+    "dot-6": ["build", "--family", "hexacarpet", "--level", "6", "--format", "dot"],
+    "skeleton-dot-6": ["build", "--family", "skeleton", "--level", "6", "--format", "dot"],
 }
 EXPORT_HASHES = GOLDEN / "edgelist-sha256.json"
 

@@ -25,6 +25,7 @@ from hexacarpet.graphs import (
     quotient,
     shorted_classes,
     stabiliser,
+    strand_lengths,
     to_dot,
     to_edgelist,
 )
@@ -626,6 +627,23 @@ def test_cut_strand_lengths(C):
         a = [stern(2 * i + 1) for i in range(2 ** n)]
         assert strands(deep, n) == [2 ** n * x for x in a]
         assert sum(a) == 3 ** n
+
+
+def test_strand_lengths_are_the_cut_strands():
+    cache = LevelCache()
+    for n in range(1, 8):
+        lengths = strand_lengths(n)
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == [2 ** n * stern(2 * i + 1) for i in range(2 ** n)]
+        assert cache.strands(n) == lengths.tolist()
+    deep = strand_lengths(10)
+    assert len(deep) == 2 ** 10 and deep.sum() == 6 ** 10
+
+
+def test_strands_refuse_lengths_off_sterns_sequence(monkeypatch):
+    monkeypatch.setattr(analysis, "strand_lengths", lambda n: strand_lengths(n)[::-1])
+    with pytest.raises(FamilyError, match="not Stern's sequence"):
+        LevelCache().strands(3)
 
 
 def test_cut_strand_lengths_match_walk(C):
