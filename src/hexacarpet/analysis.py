@@ -91,15 +91,15 @@ class LevelCache:
     the terminal pair's symmetry group, so potentials and flows are
     exactly symmetric as returned and each (family, level) is solved
     once, by result(family, n); only cut_report's uncut hexacarpet, a
-    pair of its own, is solved elsewhere.  Each level's cut strands are
-    checked once, by strands(n), and R_hat(n) is their exact formula.
+    pair of its own, is solved elsewhere.  R_hat(n) is the exact formula
+    of Stern's strand lengths and builds nothing; cut_report checks them
+    against each level's cut graph.
     """
 
     def __init__(self, cap=DEFAULT_CAP):
         self.C = SubdivisionComplex(cap)
         self._graphs = {}
         self._results = {}
-        self._strands = {}
 
     def graph(self, family, n):
         key = (family, n)
@@ -126,18 +126,8 @@ class LevelCache:
     def RT(self, n):
         return self.result("skeleton", n).resistance
 
-    def strands(self, n):
-        """The checked strand lengths of the level-n cut graph, which
-        must be Stern's strand_lengths(n)."""
-        if n not in self._strands:
-            lengths = cut_path_lengths(self.C, n, self.graph("cut", n))
-            if lengths != strand_lengths(n).tolist():
-                raise FamilyError(f"the level-{n} cut strands are not Stern's sequence")
-            self._strands[n] = lengths
-        return self._strands[n]
-
     def R_hat(self, n):
-        return cut_resistance_formula(self.strands(n))
+        return cut_resistance_formula(strand_lengths(n).tolist())
 
     def R_tilde(self, n):
         return self.result("short", n).resistance
@@ -433,16 +423,19 @@ def verify_supermultiplicative(cache: LevelCache, max_total, tol=1e-8):
 
 def cut_report(cache: LevelCache, max_level):
     """Severed-graph checks per level: strand inventory, exact formula
-    versus solver, and the (3/2)^n upper bounds."""
+    versus solver, and the (3/2)^n upper bounds.  Each level's cut graph
+    is walked once, and its strands must be Stern's strand_lengths(n)."""
     rows = []
     for n in range(1, max_level + 1):
-        lengths = cache.strands(n)
+        cut = cache.graph("cut", n)
+        lengths = cut_path_lengths(cache.C, n, cut)
+        if lengths != strand_lengths(n).tolist():
+            raise FamilyError(f"the level-{n} cut strands are not Stern's sequence")
         hat = cache.R_hat(n)
         solved = cache.result("cut", n).resistance
         R = cache.R(n)
         # severing edges can only raise resistance between the same
         # terminal pair (sides {0,1} to {4,5})
-        cut = cache.graph("cut", n)
         uncut = effective_resistance(
             cache.graph("hexacarpet", n), A=cut.boundary["A"], B=cut.boundary["B"]
         ).resistance

@@ -546,7 +546,7 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
     used exactly once, and the strands exhaust all 6^n triangles.
 
     Measured, not yet derived: the counts are strand_lengths(n), which
-    LevelCache.strands checks at every level it builds; deriving them
+    analysis.cut_report checks at every level it reports; deriving them
     from cut_segments' r4/s0 rule is still open.
     """
     F = len(C.tri_edges[n])
@@ -598,6 +598,7 @@ def strand_lengths(n):
     s(0) = 0, s(1) = 1, s(2k) = s(k) and s(2k + 1) = s(k) + s(k + 1).
     The s(2i + 1) sum to 3^n, so the counts sum to 6^n.  Index-only: no
     complex is built."""
+    _require_positive_level(n)
     s = np.array([0, 1], dtype=np.int64)  # s(0..2^k), from k = 0
     for _ in range(n + 1):
         t = np.empty(2 * len(s) - 1, dtype=np.int64)

@@ -33,6 +33,8 @@ RUNS = {
         f"resistance-{family}": ["resistance", "--family", family, "--level", "3"]
         for family in FAMILIES
     },
+    "rho-6": ["rho", "--max-level", "6"],
+    "bounds-5": ["bounds", "--max-level", "5"],
 }
 
 # name -> argv of the export pinned by its SHA-256

@@ -181,7 +181,7 @@ def test_index_arrays_are_int32():
     # afterwards, their cached components included, is still int32
     for family in analysis.BUILDERS:
         cache.result(family, 5)
-    cache.strands(5)
+    cut_path_lengths(C, 5, cache.graph("cut", 5))
     held = [a for t in (C.edges, C.tri_edges, C.edge_children, C.tri_children, C.tri_inner)
             for a in t]
     held += [a for images in C._images.values() for a in images]
@@ -635,15 +635,24 @@ def test_strand_lengths_are_the_cut_strands():
         lengths = strand_lengths(n)
         assert lengths.dtype == np.int64
         assert lengths.tolist() == [2 ** n * stern(2 * i + 1) for i in range(2 ** n)]
-        assert cache.strands(n) == lengths.tolist()
+        assert cut_path_lengths(cache.C, n, cache.graph("cut", n)) == lengths.tolist()
     deep = strand_lengths(10)
     assert len(deep) == 2 ** 10 and deep.sum() == 6 ** 10
+
+
+def test_strand_lengths_start_at_level_1():
+    # the families start at level 1, and so do the strands and R_hat
+    for n in (0, -1):
+        with pytest.raises(FamilyError, match="start at level 1"):
+            strand_lengths(n)
+        with pytest.raises(FamilyError, match="start at level 1"):
+            LevelCache().R_hat(n)
 
 
 def test_strands_refuse_lengths_off_sterns_sequence(monkeypatch):
     monkeypatch.setattr(analysis, "strand_lengths", lambda n: strand_lengths(n)[::-1])
     with pytest.raises(FamilyError, match="not Stern's sequence"):
-        LevelCache().strands(3)
+        cut_report(LevelCache(), 3)
 
 
 def test_cut_strand_lengths_match_walk(C):
@@ -972,12 +981,37 @@ def test_each_level_strands_are_checked_once(monkeypatch):
     monkeypatch.setattr(analysis, "cut_path_lengths", counting)
     cache = LevelCache()
     rep = estimate_rho(cache, 4)
+    assert checked == []
     rows = cut_report(cache, 4)
     assert sorted(checked) == [1, 2, 3, 4]
     for n, hat, row in zip(rep.levels, rep.R_hat, rows):
-        assert row["lengths"] == cache.strands(n)
+        assert row["lengths"] == strand_lengths(n).tolist()
         assert row["R_hat"] == cache.R_hat(n) == cut_resistance_formula(row["lengths"])
         assert hat == float(row["R_hat"])
+
+
+def test_rho_sweep_builds_no_cut_graph(monkeypatch):
+    # R_hat is Stern's closed form: the sweep neither builds nor walks
+    # a cut graph at any level
+    def refuse(*args):
+        raise AssertionError("the rho sweep touched the cut family")
+
+    monkeypatch.setitem(analysis.BUILDERS, "cut", refuse)
+    monkeypatch.setattr(analysis, "cut_path_lengths", refuse)
+    cache = LevelCache()
+    rep = estimate_rho(cache, 6)
+    assert not [key for key in cache._graphs if key[0] == "cut"]
+    assert rep.R_hat == [
+        float(cut_resistance_formula(strand_lengths(n).tolist())) for n in rep.levels
+    ]
+
+
+def test_r_hat_builds_nothing_past_the_cap():
+    # the sweeps still refuse a level past the cap, in ensure_level
+    # (tests/test_cli.py::test_capacity_exit_code)
+    cache = LevelCache(cap=2)
+    assert cache.R_hat(7) == cut_resistance_formula(strand_lengths(7).tolist())
+    assert cache.C.top == 0
 
 
 def test_edgelist_format(C):
