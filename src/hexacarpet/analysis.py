@@ -44,7 +44,6 @@ from .graphs import (
     build_skeleton,
     cut_path_lengths,
     cut_resistance_formula,
-    edge_arc,
     incidence_positions,
     strand_lengths,
 )
@@ -52,6 +51,7 @@ from .network import (
     _checked_flow,
     check_flow,
     dissipation,
+    divergence,
     effective_resistance,
     energy,
 )
@@ -199,7 +199,7 @@ def side_flows(cache: LevelCache, n):
     upper = np.zeros(len(C.tri_edges[n]), dtype=bool)
     upper[cells] = True
     H02 = np.where(upper[G.us], I, mirror)
-    if abs(check_flow(G, H02, G.boundary["A"], edge_arc(C, n, (4, 5))) - 1) > UNIT_TOL:
+    if abs(check_flow(G, H02, G.boundary["A"], G.symmetry.vertices_on((4, 5))) - 1) > UNIT_TOL:
         raise AssertionError("the side flow is not a unit flow")
 
     K = np.zeros((3, 3, G.m))
@@ -588,6 +588,51 @@ class ScalingReport:
                 "RT": extrapolate(step_ratios(self.RT)),
             },
         }
+
+
+def flux_profile(cache: LevelCache, max_level):
+    """The exit flux of the unit current along the hexacarpet's A arc,
+    levels 1..max_level, as a dict of per-level lists and three limits.
+
+    At level n the profile p is the divergence of the standard unit
+    flow on the arc's 2^n edge vertices, read off the side table in arc
+    order as cut_path_lengths reads it, and normalised to sum 1.  Per
+    level: kl, the KL divergence of p from uniform in nats; gain,
+    kl_n - kl_{n-1}; max and min, the extreme entries of p times 2^n;
+    l1, the L1 distance between the 4-bin profiles of levels n and
+    n - 1; mirror, whether p equals p reversed bit for bit.  Then
+    extrapolation, extrapolate over the gains; information_dimension,
+    1 - its limit / ln 2; and q, the last ratio of successive l1.  A
+    value a level does not have yet is None.
+    """
+    doc = {k: [] for k in ("levels", "kl", "gain", "max", "min", "l1", "mirror")}
+    bins = None
+    for n in range(1, max_level + 1):
+        G = cache.graph("hexacarpet", n)
+        arc = np.concatenate([G.symmetry.sides[0], G.symmetry.sides[1][::-1]])
+        p = divergence(G, cache.result("hexacarpet", n).flow)[arc]
+        p /= p.sum()
+        kl = float(np.sum(p * np.log(p * len(p))))
+        last = bins
+        if n > 1:
+            bins = p.reshape(4, -1).sum(axis=1)
+        doc["levels"].append(n)
+        doc["gain"].append(kl - doc["kl"][-1] if n > 1 else None)
+        doc["kl"].append(kl)
+        doc["max"].append(float(p.max() * len(p)))
+        doc["min"].append(float(p.min() * len(p)))
+        doc["l1"].append(float(np.abs(bins - last).sum()) if n > 2 else None)
+        doc["mirror"].append(bool(np.array_equal(p, p[::-1])))
+    fit = extrapolate(doc["gain"][1:])
+    l1 = doc["l1"][2:]
+    return {
+        **doc,
+        "extrapolation": fit,
+        "information_dimension": (
+            1 - fit["limit"] / math.log(2) if fit["limit"] is not None else None
+        ),
+        "q": l1[-1] / l1[-2] if len(l1) >= 2 and l1[-2] else None,
+    }
 
 
 def rho_fit_upto(levels, R, n):

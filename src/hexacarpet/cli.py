@@ -42,6 +42,7 @@ from .analysis import (
     csv_text,
     cut_report,
     estimate_rho,
+    flux_profile,
     short_report,
     spectral_dimension,
     verify_duality,
@@ -187,6 +188,7 @@ def _rho(cache, args):
             "end rho^T = 2/3 would give 2.585"
         ),
     }
+    doc["flux"] = flux_profile(cache, args.max_level)
     return rep.to_csv_text(), doc, True
 
 

@@ -16,7 +16,9 @@ Five families per level n >= 1:
 Terminals: the skeleton joins the side-2 chain to the side-5 chain; the
 hexacarpet joins the edge vertices of sides {0,1} to those of sides
 {3,4}.  Side k of the hexagonal boundary runs counterclockwise from the
-corner at angle 60k degrees.
+corner at angle 60k degrees.  Each family's side table (below) is its
+one record of the boundary: every terminal set is read off it by
+DihedralAction.vertices_on, and the cut strands' arc by its rows.
 
 Edge ends, vertex images and side tables are int32, like the
 complex's tables they are read from, and the codes u*n + v that order
@@ -101,13 +103,22 @@ class DihedralAction:
     from the arrays the complex caches when a solve asks.  sides is a
     (6, k) int32 table whose row s lists the vertices on hexagon side s,
     built once by the family builder from the complex's boundary table;
-    a vertex may sit in two rows, or twice in one.  Graphs on one vertex
-    set (a hexacarpet and its cut graph) share one action.
+    a vertex may sit in two rows, or twice in one.  It is the family's
+    boundary record: vertices_on reads every terminal set off it.
+    Graphs on one vertex set (a hexacarpet and its cut graph) share one
+    action.
     """
 
     def __init__(self, perm, sides):
         self.perm = perm
         self.sides = sides
+
+    def vertices_on(self, sides):
+        """The vertices on the hexagon sides given, of 0..5, as a
+        frozenset inserted ascending, so that it iterates in id order."""
+        if not set(sides) <= set(range(6)):
+            raise ValueError(f"{sides!r} are not boundary sides 0..5")
+        return frozenset(np.unique(self.sides[list(sides)]).tolist())
 
     def candidates(self, A, B):
         """The involutions other than the identity whose side permutation
@@ -372,13 +383,6 @@ def _require_positive_level(n):
 # -- the three basic families ------------------------------------------
 
 
-def edge_arc(C: SubdivisionComplex, n, sides):
-    """Hexacarpet edge-vertex ids along the given boundary sides."""
-    # inserted ascending, so that the set iterates in id order
-    on = np.sort(C.boundary_index(n)[list(sides)], axis=None)
-    return frozenset((len(C.tri_edges[n]) + on).tolist())
-
-
 def _hexacarpet_action(C: SubdivisionComplex, n):
     """The dihedral action on hexacarpet vertices: triangle t is vertex
     t, edge e is vertex F + e."""
@@ -397,17 +401,14 @@ def build_skeleton(C: SubdivisionComplex, n):
     edges, on = C.edges[n], C.boundary_index(n)
     num = np.full(len(edges), ONE)
     num[on] = HALF
+    # a vertex's sides are those of the boundary edges ending at it
+    action = DihedralAction(lambda g: C.vertex_map(g, n), edges[on].reshape(6, -1))
     # the columns of the edge table are contiguous, so the graph keeps
     # them as its edge ends
     return WeightedGraph(
         C.counts(n)[0], edges[:, 0], edges[:, 1], num,
-        {
-            "A": frozenset(C.side_vertices(n, 2).tolist()),
-            "B": frozenset(C.side_vertices(n, 5).tolist()),
-        },
-        {"family": "skeleton", "level": n}, DEN,
-        # a vertex's sides are those of the boundary edges ending at it
-        DihedralAction(lambda g: C.vertex_map(g, n), edges[on].reshape(6, -1)),
+        {"A": action.vertices_on((2,)), "B": action.vertices_on((5,))},
+        {"family": "skeleton", "level": n}, DEN, action,
     )
 
 
@@ -432,20 +433,15 @@ def build_dual(C: SubdivisionComplex, n):
     ))
     first = inc.indptr[:-1][np.diff(inc.indptr) == 2]
     us, vs = inc.indices[first], inc.indices[first + 1]
-    # a boundary edge's one triangle, by side, which is also the side
-    # table; the terminal sets are inserted ascending, so that they
-    # iterate in id order
+    # a boundary edge's one triangle, by side, is the side table
     outer = inc.indices[inc.indptr[C.boundary_index(n)]]
     del inc, first
+    action = DihedralAction(lambda g: C.tri_images(g, n), outer)
     return WeightedGraph(
         T, us, vs,
         np.broadcast_to(np.int64(ONE), len(us)),
-        {
-            "A": frozenset(np.sort(outer[[0, 1]], axis=None).tolist()),
-            "B": frozenset(np.sort(outer[[3, 4]], axis=None).tolist()),
-        },
-        {"family": "dual", "level": n}, DEN,
-        DihedralAction(lambda g: C.tri_images(g, n), outer),
+        {"A": action.vertices_on((0, 1)), "B": action.vertices_on((3, 4))},
+        {"family": "dual", "level": n}, DEN, action,
     )
 
 
@@ -457,12 +453,12 @@ def build_hexacarpet(C: SubdivisionComplex, n):
     # the rows of tri_edges ascend, so the incidences (t, F + e) come out
     # in canonical order already, triangle t's at positions 3t..3t+2
     vs = C.tri_edges[n].ravel() + F
+    action = _hexacarpet_action(C, n)
     return WeightedGraph(
         F + len(C.edges[n]), np.repeat(np.arange(F, dtype=np.int32), 3), vs,
         np.broadcast_to(np.int64(TWO), len(vs)),
-        {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (3, 4))},
-        {"family": "hexacarpet", "level": n}, DEN,
-        _hexacarpet_action(C, n),
+        {"A": action.vertices_on((0, 1)), "B": action.vertices_on((3, 4))},
+        {"family": "hexacarpet", "level": n}, DEN, action,
     )
 
 
@@ -531,14 +527,15 @@ def build_cut_graph(C: SubdivisionComplex, n, H):
         H.n, H.us[keep], H.vs[keep],
         np.broadcast_to(H.num[:1], np.count_nonzero(keep)) if _one_valued(H.num)
         else H.num[keep],
-        {"A": edge_arc(C, n, (0, 1)), "B": edge_arc(C, n, (4, 5))},
+        {"A": H.symmetry.vertices_on((0, 1)), "B": H.symmetry.vertices_on((4, 5))},
         {**H.meta, "family": "cut"}, H.den, H.symmetry,
     )
 
 
 def cut_path_lengths(C: SubdivisionComplex, n, G):
     """Triangle counts of the strands of G, the level-n cut graph,
-    ordered along the terminal arc from the corner at angle 0.
+    ordered along the terminal arc from the corner at angle 0; the arc
+    is read off the rows of sides 0 and 1 of G's side table.
 
     Verifies the structure on the way: each strand is a simple path of
     alternating triangle / interior-edge vertices with one end on the
@@ -580,9 +577,8 @@ def cut_path_lengths(C: SubdivisionComplex, n, G):
         raise FamilyError("cut strand has a branch")
 
     # the arc runs along side 0 from the angle-0 corner, then along side
-    # 1, whose row starts at its far corner, backwards
-    bi = C.boundary_index(n)
-    arc = F + np.concatenate([bi[0], bi[1][::-1]])
+    # 1, whose row of the side table starts at its far corner, backwards
+    arc = np.concatenate([G.symmetry.sides[0], G.symmetry.sides[1][::-1]])
     out = tris[label[arc[core[arc]]]].tolist()
     if sum(out) != 6 ** n:
         raise FamilyError("cut strands do not exhaust the triangles")

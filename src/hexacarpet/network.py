@@ -110,7 +110,9 @@ FLOW_TOL = 1e-9
 
 
 class SolverError(Exception):
-    """No solution: the terminals lie in different components."""
+    """No solution: the terminals lie in different components, or the
+    sparse LU failed (an error of SuperLU's, such as running out of
+    memory)."""
 
 
 class NotAFlowError(Exception):
@@ -431,15 +433,20 @@ def _solve_direct(M, rhs):
 
     Minimum degree ordering on A^T + A with diagonal pivots keeps the
     fill, and so the peak memory, close to that of a Cholesky factor.
+    SuperLU's RuntimeError (a failed SUPERLU_MALLOC among them) and a
+    MemoryError raise SolverError.
     """
-    lu = spla.splu(
-        M,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        panel_size=1,
-        options={"SymmetricMode": True},
-    )
-    return lu.solve(rhs), lu.nnz
+    try:
+        lu = spla.splu(
+            M,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            panel_size=1,
+            options={"SymmetricMode": True},
+        )
+        return lu.solve(rhs), lu.nnz
+    except (RuntimeError, MemoryError) as exc:
+        raise SolverError(f"sparse LU failed: {exc!r}") from exc
 
 
 # -- Thompson minimality ------------------------------------------------

@@ -15,6 +15,7 @@ from hexacarpet.analysis import (
     cut_report,
     estimate_rho,
     extrapolate,
+    flux_profile,
     hex_pullback,
     potential_decomposition,
     rho_fit_upto,
@@ -26,7 +27,7 @@ from hexacarpet.analysis import (
     verify_supermultiplicative,
     y_decomposition,
 )
-from hexacarpet.graphs import edge_arc, incidence_positions
+from hexacarpet.graphs import incidence_positions
 from hexacarpet.network import (
     NotAFlowError,
     check_flow,
@@ -93,7 +94,7 @@ def test_side_flows(cache):
         K = side_flows(cache, n)
         G = cache.graph("hexacarpet", n)
         for s, d in itertools.permutations(range(3), 2):
-            arcs = (edge_arc(cache.C, n, ARC_OF_MACRO[k]) for k in (s, d))
+            arcs = (G.symmetry.vertices_on(ARC_OF_MACRO[k]) for k in (s, d))
             assert abs(check_flow(G, K[s, d], *arcs) - 1) < 1e-9, (n, s, d)
             assert abs(dissipation(G, K[s, d]) - cache.R(n)) <= 1e-12 * cache.R(n)
         for s in range(3):
@@ -441,6 +442,52 @@ def test_extrapolated_exponents_at_level_six(cache):
     assert abs(R["limit"] * RT["limit"] - 1) < 1e-7
     assert 1e-6 < R["error"] < 1.2e-6
     assert abs(R["limit"] - 1.3064216190) < R["error"]
+
+
+# measured KL divergences of the exit flux from uniform at n = 2..6
+FLUX_KL = [0.01677, 0.03916, 0.06358, 0.08862, 0.11382]
+
+
+def incidence_profile(cache, n):
+    """The exit flux on the level-n A arc from the current on each arc
+    vertex's one incidence, in arc order (side 0 from the angle-0
+    corner, then side 1 backwards), normalised to sum 1."""
+    C, G = cache.C, cache.graph("hexacarpet", n)
+    bi = C.boundary_index(n)
+    arc = len(C.tri_edges[n]) + np.concatenate([bi[0], bi[1][::-1]])
+    # the incidences run triangle -> edge vertex, so each current flows in
+    pos = [np.flatnonzero(G.vs == v) for v in arc.tolist()]
+    assert all(len(x) == 1 for x in pos)
+    current = cache.result("hexacarpet", n).flow[np.concatenate(pos)]
+    assert (current > 0).all()
+    return current / current.sum()
+
+
+def test_flux_profile_matches_the_incidence_currents(cache):
+    doc = flux_profile(cache, 5)
+    p4, p5 = incidence_profile(cache, 4), incidence_profile(cache, 5)
+    assert doc["levels"] == [1, 2, 3, 4, 5]
+    assert abs(doc["kl"][4] - float(np.sum(p5 * np.log(32 * p5)))) <= 1e-12
+    assert abs(doc["kl"][4] - doc["kl"][3] - doc["gain"][4]) <= 1e-15
+    assert abs(doc["max"][4] - 32 * p5.max()) <= 1e-12
+    assert abs(doc["min"][4] - 32 * p5.min()) <= 1e-12
+    bins = [p.reshape(4, -1).sum(axis=1) for p in (p4, p5)]
+    assert abs(doc["l1"][4] - np.abs(bins[1] - bins[0]).sum()) <= 1e-12
+    assert doc["gain"][0] is None and doc["l1"][:2] == [None, None]
+
+
+def test_flux_profile_gains_settle():
+    # the gain per level does not fall toward 0: the exit flux tends to
+    # a measure singular with respect to length on the arc
+    doc = flux_profile(LevelCache(cap=7), 7)
+    assert doc["mirror"] == [True] * 7
+    assert doc["kl"][0] == 0.0
+    for got, want in zip(doc["kl"][1:6], FLUX_KL):
+        assert abs(got - want) <= 5e-5
+    assert abs(doc["gain"][6] - doc["gain"][5]) <= 1e-4
+    fit = doc["extrapolation"]
+    assert fit["ratios"] == doc["gain"][1:]
+    assert doc["information_dimension"] == 1 - fit["limit"] / math.log(2)
 
 
 def test_estimate_rho(cache):

@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from hexacarpet import SubdivisionComplex, analysis
+from hexacarpet import SubdivisionComplex, analysis, network
 from hexacarpet.analysis import LevelCache
 from hexacarpet.cli import build_parser, main
 from hexacarpet.network import SolverError
@@ -119,6 +119,18 @@ def test_rho_json_has_meta(capsys):
         assert doc["manifest"]["peak_rss_mb"] > 0
 
 
+def test_rho_json_has_the_exit_flux(capsys):
+    # the binned exit-flux profiles converge at the rate of the ratios
+    # of R
+    code, out = run(capsys, "rho", "--max-level", "6", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    flux = doc["flux"]
+    assert flux["levels"] == doc["levels"] == [1, 2, 3, 4, 5, 6]
+    assert flux["q"] == flux["l1"][5] / flux["l1"][4]
+    assert abs(flux["q"] - doc["extrapolation"]["R"]["q"]) <= 5e-3
+
+
 def test_skeleton_note_names_the_abstracts_ends(capsys):
     # the abstract's d_S^T window [2.28, 2.38] is d_S at rho^T = 4/5 and
     # 3/4, to its two decimals; its stated end 2/3 would give 2.585
@@ -214,6 +226,27 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(LevelCache, "result", fail)
     assert main(["resistance", "--family", "hexacarpet", "--level", "1"]) == 4
     assert capsys.readouterr().err.startswith("solver:")
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("SUPERLU_MALLOC fails for buf in mxCallocInt()"),
+    MemoryError(),
+])
+@pytest.mark.parametrize("argv", [
+    ["resistance", "--family", "hexacarpet", "--level", "2"],
+    ["rho", "--max-level", "2"],
+])
+def test_sparse_lu_failure_exit_code(capsys, monkeypatch, error, argv):
+    # SuperLU running out of memory is a solver failure: one message
+    # line and exit 4, not a traceback
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(network.spla, "splu", fail)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver: sparse LU failed") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_readme_commands_parse():

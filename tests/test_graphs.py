@@ -256,6 +256,79 @@ def test_side_tables_list_each_sides_vertices():
         assert np.array_equal(build_short_graph(c, n, H).symmetry.sides, vmap[F + bi])
 
 
+# each family's terminal sides, A then B
+TERMINAL_SIDES = {
+    "skeleton": ((2,), (5,)),
+    "dual": ((0, 1), (3, 4)),
+    "hexacarpet": ((0, 1), (3, 4)),
+    "cut": ((0, 1), (4, 5)),
+    "short": ((0, 1), (3, 4)),
+}
+
+
+def parent_terminals(C, family, n):
+    """A family's (A, B) built straight from the complex's boundary
+    table, as a reference independent of the side tables: the
+    skeleton's chains by side_vertices, the hexacarpet's arcs by their
+    sorted edge ids, the dual's outer triangles sorted, and the short
+    graph's classes of the hexacarpet's arcs, in their order."""
+    bi, F = C.boundary_index(n), len(C.tri_edges[n])
+    if family == "skeleton":
+        return tuple(frozenset(C.side_vertices(n, s).tolist()) for (s,) in TERMINAL_SIDES[family])
+    if family == "dual":
+        # a triangle per edge; a boundary edge has only the one
+        owner = np.empty(len(C.edges[n]), dtype=np.int64)
+        owner[C.tri_edges[n].ravel()] = np.repeat(np.arange(F), 3)
+        return tuple(
+            frozenset(np.sort(owner[bi[list(s)]], axis=None).tolist())
+            for s in TERMINAL_SIDES[family]
+        )
+    arcs = tuple(
+        frozenset((F + np.sort(bi[list(s)], axis=None)).tolist())
+        for s in TERMINAL_SIDES[family]
+    )
+    if family != "short":
+        return arcs
+    vmap = np.unique(shorted_classes(C, n), return_inverse=True)[1]
+    return tuple(frozenset(vmap[np.fromiter(S, np.intp, len(S))].tolist()) for S in arcs)
+
+
+def test_terminals_are_read_off_the_side_table():
+    cache = LevelCache(cap=7)
+    for family, sides in TERMINAL_SIDES.items():
+        for n in range(1, 7 if family == "short" else 8):
+            G = cache.graph(family, n)
+            got = G.boundary["A"], G.boundary["B"]
+            assert got == tuple(G.symmetry.vertices_on(s) for s in sides), (family, n)
+            # as lists, so that the iteration order is checked too
+            want = parent_terminals(cache.C, family, n)
+            assert [list(S) for S in got] == [list(S) for S in want], (family, n)
+
+
+def test_builders_read_the_boundary_table_once(monkeypatch):
+    c = SubdivisionComplex()
+    c.ensure_level(4)
+    calls = []
+    real = SubdivisionComplex.boundary_index
+
+    def counting(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(SubdivisionComplex, "boundary_index", counting)
+    for build in (build_skeleton, build_dual, build_hexacarpet):
+        calls.clear()
+        G = build(c, 4)
+        assert calls == [4], build.__name__
+    calls.clear()
+    cut = build_cut_graph(c, 4, G)
+    assert cut_path_lengths(c, 4, cut) == strand_lengths(4).tolist()
+    assert calls == []
+    for sides in ((6,), (-1,)):
+        with pytest.raises(ValueError, match="boundary sides"):
+            G.symmetry.vertices_on(sides)
+
+
 def test_family_build_memory_peaks():
     # traced peaks of the level-6 builds in 8 bytes per edge built: the
     # hexacarpet writes its sorted sides as its int32 edge ends, and the
